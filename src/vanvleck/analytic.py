@@ -210,8 +210,10 @@ def one_dim_dalembert_factor(path: ClassicalPath,
                              hbar: Optional[float] = None) -> AnalyticResult:
     """One-dimensional factor from velocity integrals along a solved path.
 
-    F = (2 pi i hbar)^(-1/2) [v(t_a) v(t_b) * integral dt / v(t)^2]^(-1/2),
-    valid while the velocity never changes sign on the grid.
+    F = (2 pi i hbar)^(-1/2) [v(t_a) v(t_b) * integral dt / (g v^2)]^(-1/2),
+    with g = g(x(t)) the metric (the mass for constant g) along the path,
+    valid for a time-independent potential while the velocity never
+    changes sign on the grid.
     """
     if path.positions.shape[1] != 1:
         raise ValueError("this reduction applies to one-dimensional models")
@@ -223,7 +225,9 @@ def one_dim_dalembert_factor(path: ClassicalPath,
         raise TurningPoint(
             "velocity vanishes on the grid; the reduction breaks down at "
             "a turning point")
-    integral = float(scipy.integrate.simpson(1.0 / v**2, x=path.times))
+    g = np.array([path.model.metric(x, t)[0, 0]
+                  for x, t in zip(path.positions, path.times)], dtype=float)
+    integral = float(scipy.integrate.simpson(1.0 / (g * v**2), x=path.times))
     bracket = v[0] * v[-1] * integral
     value = fresnel_prefactor(1, hbar) * bracket ** (-0.5)
     return AnalyticResult(

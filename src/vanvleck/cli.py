@@ -12,13 +12,12 @@ models   list the builtin model tags and their parameters.
 
 Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
 failure (the error name lands in the report).  Reports are byte-stable:
-floats are rendered with 17 significant digits and keys are sorted.
+floats are rendered in their shortest round-trip form and keys are sorted.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -64,75 +63,20 @@ MAX_SERIALIZED_SAMPLES = 256
 # canonical JSON
 
 
-def _canon(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
+def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def format_float(value: float) -> str:
-    """17 significant digits, enough to round-trip a double, byte-stable."""
-    if not np.isfinite(value):
-        raise ValueError("reports must not contain non-finite numbers")
-    return format(float(value), ".17g")
-
-
-def _write_json(out: io.StringIO, obj, level: int) -> None:
-    pad = "  " * level
-    if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(format_float(obj))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, list):
-        if not obj:
-            out.write("[]")
-            return
-        out.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.write(", ")
-            _write_json(out, item, level)
-        out.write("]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            out.write(pad + "  " + json.dumps(key, ensure_ascii=False) + ": ")
-            _write_json(out, obj[key], level + 1)
-            out.write(",\n" if i + 1 < len(keys) else "\n")
-        out.write(pad + "}")
-    else:  # pragma: no cover - _canon rejects everything else first
-        raise TypeError(type(obj).__name__)
-
-
 def dumps_canonical(obj) -> str:
-    out = io.StringIO()
-    _write_json(out, _canon(obj), 0)
-    out.write("\n")
-    return out.getvalue()
+    """Sorted keys, shortest round-trip floats; non-finite floats raise."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      ensure_ascii=False, default=_json_default) + "\n"
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -155,10 +99,14 @@ def _check_keys(cfg: dict, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _vector(value, name: str) -> np.ndarray:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return np.array([float(value)])
-    if isinstance(value, list) and all(isinstance(v, (int, float)) for v in value):
+    if isinstance(value, list) and all(_is_number(v) for v in value):
         return np.asarray(value, dtype=float)
     raise ConfigError(f"{name} must be a number or a list of numbers")
 
@@ -169,7 +117,7 @@ def _scalar(cfg: dict, key: str, where: str, default=None) -> float:
             raise ConfigError(f"missing key {key!r} in {where}")
         return float(default)
     value = cfg[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"{key} must be a number")
     return float(value)
 
@@ -195,9 +143,16 @@ def _parse_numerics(cfg: dict) -> dict:
                 raise ConfigError(f"{key} must be a nonnegative integer")
             numerics[key] = value
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"{key} must be a number")
             numerics[key] = float(value)
+    n_steps = numerics["n_steps"]
+    if n_steps < 8 or n_steps % 2 != 0:
+        raise ConfigError("n_steps must be an even integer of at least 8")
+    if not numerics["tol"] > 0.0:
+        raise ConfigError("tol must be positive")
+    if numerics["max_iter"] < 1:
+        raise ConfigError("max_iter must be at least 1")
     return numerics
 
 
@@ -233,7 +188,7 @@ def build_model(model_cfg: dict, hbar: float):
                 raise ConfigError("dim must be an integer")
             coerced[key] = value
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"model parameter {key!r} must be a number")
             coerced[key] = float(value)
     try:
@@ -306,8 +261,13 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
                 raise ConfigError(
                     f"unknown method {method!r}; available: {METHOD_IDS}")
         tag = cfg["model"]["tag"]
-        if "dalembert" in methods and model.dim != 1:
-            raise ConfigError("method 'dalembert' needs a one-dimensional model")
+        if "dalembert" in methods:
+            if model.dim != 1:
+                raise ConfigError(
+                    "method 'dalembert' needs a one-dimensional model")
+            if callable(params.get("omega2")):
+                raise ConfigError(
+                    "method 'dalembert' needs a time-independent potential")
         if "analytic" in methods:
             if tag == "one_dim_potential":
                 raise ConfigError(
@@ -499,7 +459,7 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     if not isinstance(t_mid_values, list) or not t_mid_values:
         raise ConfigError("t_mid must be a number or a nonempty list")
     for t_mid in t_mid_values:
-        if not isinstance(t_mid, (int, float)) or isinstance(t_mid, bool):
+        if not _is_number(t_mid):
             raise ConfigError("t_mid entries must be numbers")
         if not scenario.t_a < t_mid < scenario.t_b:
             raise ConfigError(
@@ -648,7 +608,7 @@ def cmd_sweep(cfg: dict, out_path: Optional[str], threads: int) -> int:
         for column in header:
             value = row.get(column, "")
             if isinstance(value, float):
-                cells.append(format_float(value))
+                cells.append(repr(float(value)))
             elif value is None:
                 cells.append("")
             else:
@@ -675,10 +635,30 @@ def cmd_models(out_path: Optional[str]) -> int:
 # entry point
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config contains the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config number {text} overflows a double")
+    return value
+
+
+def _bounded_int(text: str) -> int:
+    # a double holds integers up to about 1.8e308, i.e. 309 digits
+    if len(text.lstrip("-")) > 308:
+        raise ConfigError(
+            f"config integer with {len(text)} characters overflows a double")
+    return int(text)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            cfg = json.load(handle, parse_constant=_reject_constant,
+                            parse_float=_finite_float, parse_int=_bounded_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -3,11 +3,13 @@
 The Euler-Lagrange equations are integrated with a fixed-step classical
 Runge-Kutta scheme (RK4) on a deterministic uniform grid, and two-point
 boundary problems are solved by Newton shooting on the initial velocity.
-The shooting Jacobian comes from the variational (Jacobi) system propagated
+The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically.  The action is accumulated by Simpson quadrature on the
-grid, which matches the integrator order.
+quadratically.  The full flow of the accepted iterate is kept on the path,
+so every later consumer of the Jacobi system reads it instead of
+integrating it again.  The action is accumulated by Simpson quadrature on
+the grid, which matches the integrator order.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ class ClassicalPath:
         Hamiltonian at the initial endpoint.
     bvp_residual : float
         Max-norm endpoint miss of the accepted Newton iterate.
+    flow : ndarray
+        Variational flow Phi(t_b), shape (2D, 2D): the discrete RK4
+        derivative of the endpoint state (x(t_b), v(t_b)) with respect to
+        the initial state (x_a, v_a), integrated along the accepted
+        trajectory.  Its ``[:D, D:]`` block is the shooting Jacobian
+        dx_b/dv_a.
     """
 
     model: LagrangianModel
@@ -68,6 +76,7 @@ class ClassicalPath:
     p_b: np.ndarray
     energy_a: float
     bvp_residual: float
+    flow: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -94,18 +103,12 @@ def _kinetic_force(model: LagrangianModel, x, v, t) -> np.ndarray:
     """Generalized force without the -grad V term.
 
     F_i = 1/2 v.(d_i g).v - (d_k g_ij) v_k v_j + (da^T - da).v
-          - (d_t g).v - d_t a
     """
     dg = np.asarray(model.metric_grad(x, t))
     da = np.asarray(model.vector_potential_grad(x, t))
-    f = (0.5 * np.einsum("ijk,j,k->i", dg, v, v)
-         - np.einsum("kij,k,j->i", dg, v, v)
-         + (da.T - da) @ v)
-    if model.metric_dt is not None:
-        f = f - np.asarray(model.metric_dt(x, t)) @ v
-    if model.vector_potential_dt is not None:
-        f = f - np.asarray(model.vector_potential_dt(x, t))
-    return f
+    return (0.5 * np.einsum("ijk,j,k->i", dg, v, v)
+            - np.einsum("kij,k,j->i", dg, v, v)
+            + (da.T - da) @ v)
 
 
 def acceleration(model: LagrangianModel, x, v, t) -> np.ndarray:
@@ -146,8 +149,6 @@ def el_linearization(model: LagrangianModel, x, v, t):
             - np.einsum("mij,j->im", dg, v)
             - np.einsum("kim,k->im", dg, v)
             + (da.T - da))
-    if model.metric_dt is not None:
-        dfdv = dfdv - np.asarray(model.metric_dt(x, t))
 
     dfdx = -hv
     if not model.kinetic_gradients_constant:
@@ -235,12 +236,6 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     return traj
 
 
-def integrate_variational(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
-                          n_steps: int, vblock0: np.ndarray):
-    """Trajectory plus final value of a variational block (2D, m)."""
-    return _rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
-
-
 # ---------------------------------------------------------------------------
 # action quadrature
 
@@ -303,20 +298,20 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    vblock0 = np.vstack((np.zeros((d, d)), np.eye(d)))
+    identity = np.eye(2 * d)
 
     best_res = np.inf
     traj = None
     converged = False
     for _ in range(max_iter):
-        traj, wb = integrate_variational(model, x_a, v0, t_a, t_b, n_steps, vblock0)
+        traj, wb = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
         miss = traj.positions[-1] - x_b
         res = float(np.max(np.abs(miss)))
         best_res = min(best_res, res)
         if res <= tol:
             converged = True
             break
-        jac = wb[:d, :]
+        jac = wb[:d, d:]
         det = np.linalg.det(jac)
         # free-particle flow gives jac = T I, so T floors the natural scale
         scale = max(t_b - t_a, np.linalg.norm(jac) / np.sqrt(d))
@@ -336,6 +331,7 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
         model=model, x_a=x_a, x_b=x_b, t_a=float(t_a), t_b=float(t_b),
         times=traj.times, positions=traj.positions, velocities=traj.velocities,
         action=action, p_a=p_a, p_b=p_b, energy_a=energy_a, bvp_residual=res,
+        flow=wb,
     )
 
 

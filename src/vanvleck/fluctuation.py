@@ -226,7 +226,8 @@ def energy_hessian_factor(model: LagrangianModel, path: ClassicalPath,
 def general_factor(path: ClassicalPath) -> FluctuationFactor:
     """Velocity-gradient form F^2 = det(g_a) det(dv_a/dx_b) / (2 pi i hbar)^D.
 
-    dv_a/dx_b is the inverse of the dx_b/dv_a variational block, so this
+    dv_a/dx_b is the inverse of the dx_b/dv_a block of the path's stored
+    variational flow, the same matrix the VVPM route inverts, so this
     equals the VVPM value identically up to roundoff; kept as a separate
     route for cross-checks.
     """

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ClassicalPath, integrate_variational, solve_bvp, state_at
+from .dynamics import ClassicalPath, solve_bvp, state_at
 from .errors import ConjugatePoint, VectorPotentialPresent
 from .models import LagrangianModel, metric_solve
 
@@ -66,12 +66,10 @@ def _checked_inverse(mat: np.ndarray, duration: float) -> np.ndarray:
 
 
 def variational_blocks(path: ClassicalPath):
-    """Blocks (Pxx, Pxv, Pvx, Pvv) of the variational flow over the path."""
+    """Blocks (Pxx, Pxv, Pvx, Pvv) of the path's stored flow Phi(t_b)."""
     d = path.model.dim
-    _, wb = integrate_variational(
-        path.model, path.positions[0], path.velocities[0],
-        path.t_a, path.t_b, path.n_steps, np.eye(2 * d))
-    return wb[:d, :d], wb[:d, d:], wb[d:, :d], wb[d:, d:]
+    flow = path.flow
+    return flow[:d, :d], flow[:d, d:], flow[d:, :d], flow[d:, d:]
 
 
 def _gamma(model: LagrangianModel, x, v, t) -> np.ndarray:
@@ -80,7 +78,7 @@ def _gamma(model: LagrangianModel, x, v, t) -> np.ndarray:
 
 
 def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
-    """Endpoint Hessian blocks from one variational integration.
+    """Endpoint Hessian blocks from the path's stored variational flow.
 
     Raises
     ------

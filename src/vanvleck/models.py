@@ -33,6 +33,11 @@ FD_STEP_SECOND = float(np.finfo(float).eps ** 0.25)
 class LagrangianModel:
     """Callback bundle describing one quadratic-in-velocity system.
 
+    The metric g and the vector potential a carry no explicit time
+    dependence: the equations of motion drop d_t g and d_t a, so the ``t``
+    argument of their callbacks must not change the result.  The scalar
+    potential V may depend on t.
+
     Parameters
     ----------
     dim : int
@@ -53,9 +58,6 @@ class LagrangianModel:
         ``potential_hess(x, t) -> (D, D)`` symmetric.
     hbar : float
         Positive scale entering every fluctuation prefactor.
-    metric_dt, vector_potential_dt : callable, optional
-        Explicit time derivatives of g and a.  ``None`` means zero; no
-        builtin needs them.
     kinetic_gradients_constant : bool
         True when metric_grad and vector_potential_grad do not depend on x.
         The variational linearization is then exact; otherwise the missing
@@ -73,8 +75,6 @@ class LagrangianModel:
     potential_grad: Callable
     potential_hess: Callable
     hbar: float = 1.0
-    metric_dt: Optional[Callable] = None
-    vector_potential_dt: Optional[Callable] = None
     kinetic_gradients_constant: bool = False
     label: str = "custom"
 

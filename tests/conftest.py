@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vanvleck import one_dim_potential
+from vanvleck import LagrangianModel, one_dim_potential
 
 
 def make_quartic(mass: float = 1.0, hbar: float = 1.0):
@@ -15,6 +15,34 @@ def make_quartic(mass: float = 1.0, hbar: float = 1.0):
         mass=mass,
         hbar=hbar,
         label="quartic",
+    )
+
+
+def make_polar_free_particle(mass: float = 1.0, hbar: float = 1.0):
+    """Free particle in plane polar coordinates q = (r, phi).
+
+    g = diag(m, m r^2) depends on position, so this model runs the
+    ``kinetic_gradients_constant=False`` branch of the linearization.
+    """
+    zero2 = np.zeros(2)
+    zero22 = np.zeros((2, 2))
+
+    def metric_grad(q, t):
+        dg = np.zeros((2, 2, 2))
+        dg[0, 1, 1] = 2.0 * mass * q[0]
+        return dg
+
+    return LagrangianModel(
+        dim=2,
+        metric=lambda q, t: np.diag([mass, mass * q[0] ** 2]),
+        metric_grad=metric_grad,
+        vector_potential=lambda q, t: zero2,
+        vector_potential_grad=lambda q, t: zero22,
+        potential=lambda q, t: 0.0,
+        potential_grad=lambda q, t: zero2,
+        potential_hess=lambda q, t: zero22,
+        hbar=hbar,
+        label="polar_free_particle",
     )
 
 

@@ -162,6 +162,14 @@ def test_dalembert_harmonic_arc():
     assert abs(res.factor.value - vv.value) / abs(vv.value) < 1e-7
 
 
+def test_dalembert_keeps_the_mass():
+    model = harmonic_oscillator(mass=2.0, omega2=1.0, dim=1)
+    path = solve_bvp(model, [0.0], [1.0], 0.0, np.pi / 4)
+    res = one_dim_dalembert_factor(path)
+    exact = harmonic_constant_factor(2.0, 1.0, np.pi / 4).factor
+    assert abs(res.factor.value - exact.value) / abs(exact.value) < 1e-7
+
+
 def test_dalembert_quartic(quartic):
     path = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.3)
     res = one_dim_dalembert_factor(path)

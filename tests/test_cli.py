@@ -117,6 +117,43 @@ def test_malformed_json_is_config_error(tmp_path):
     assert main(["factor", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("field, text", [
+    ("x_b", "[NaN]"),
+    ("hbar", "Infinity"),
+    ("t_a", "-Infinity"),
+    ("t_b", "1e999"),
+    ("t_b", "1" + "0" * 400),
+    ("x_b", "[true]"),
+    ("numerics", '{"n_steps": 101}'),
+    ("numerics", '{"n_steps": 6}'),
+    ("numerics", '{"tol": 0}'),
+    ("numerics", '{"max_iter": 0}'),
+])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
+    cfg = _free_config()
+    cfg[field] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg).replace('"@"', text), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dalembert_rejects_time_dependent_frequency(tmp_path, capsys):
+    cfg = _write(tmp_path, "tdd.json", {
+        "model": {"tag": "harmonic_oscillator",
+                  "params": {"omega2": "(1 + 0.2*sin(t))^2"}},
+        "x_a": [0.0], "x_b": [1.0], "t_b": 1.0,
+        "methods": ["vvpm", "dalembert"],
+    })
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "dalembert" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_determinism(tmp_path):
     cfg = _write(tmp_path, "det.json", _free_config(
         methods=["vvpm", "analytic", "gelfand-yaglom"]))

@@ -13,9 +13,9 @@ from vanvleck import (
     solve_bvp,
     state_at,
 )
-from vanvleck.dynamics import Trajectory, simpson_action
+from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 
-from conftest import make_quartic
+from conftest import make_polar_free_particle, make_quartic
 
 
 def test_free_ivp_is_exact():
@@ -147,6 +147,25 @@ def test_boundary_momenta_are_action_gradients(quartic):
     dada = (act(xa + h, xb) - act(xa - h, xb)) / (2 * h)
     assert path.p_b[0] == pytest.approx(dadb, abs=1e-6)
     assert path.p_a[0] == pytest.approx(-dada, abs=1e-6)
+
+
+@pytest.mark.parametrize("model, x_a, x_b", [
+    (make_quartic(), [0.0], [1.0]),
+    (make_polar_free_particle(mass=2.0), [1.0, 0.0], [1.2, 0.4]),
+], ids=["quartic", "polar"])
+def test_stored_flow_is_the_accepted_iterates(model, x_a, x_b):
+    # both flows depend on the trajectory, so a flow kept from an earlier
+    # Newton iterate would differ from the rerun at the accepted velocity
+    n = 40
+    path = solve_bvp(model, x_a, x_b, 0.0, 0.5, n_steps=n)
+    identity = np.eye(2 * model.dim)
+    _, fresh = _rk4_run(model, path.x_a, path.v_a, path.t_a, path.t_b, n,
+                        identity)
+    assert path.flow.shape == identity.shape
+    assert np.array_equal(path.flow, fresh)
+    _, seed_flow = _rk4_run(model, path.x_a, (path.x_b - path.x_a) / 0.5,
+                            path.t_a, path.t_b, n, identity)
+    assert not np.array_equal(path.flow, seed_flow)
 
 
 def test_bvp_requires_even_step_count(quartic):

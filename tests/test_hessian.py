@@ -9,6 +9,7 @@ from vanvleck import (
     action_hessian_fd,
     action_hessian_jacobi,
     free_particle,
+    free_particle_factor,
     frequency_matrix_along_path,
     harmonic_oscillator,
     magnetic_factor,
@@ -16,7 +17,10 @@ from vanvleck import (
     solve_bvp,
     split_block_residual,
     state_at,
+    vvpm_factor,
 )
+
+from conftest import make_polar_free_particle
 
 
 def test_free_particle_mixed_block_matrix_mass():
@@ -134,3 +138,45 @@ def test_short_time_mixed_dominated_by_metric(quartic):
     hess = action_hessian_jacobi(path)
     assert hess.mixed[0, 0] == pytest.approx(1.0 / t_tot, rel=1e-5)
     assert hess.mixed[0, 0] > 0
+
+
+def test_polar_free_particle_matches_point_transformation():
+    # A(q_a, q_b) = m |X(q_b) - X(q_a)|^2 / (2T) with X = r (cos phi, sin phi);
+    # the Van Vleck matrix picks up det J = r at each end, so
+    # F_polar = F_cart sqrt(r_a r_b) (DeWitt, Rev. Mod. Phys. 29, 377 (1957)).
+    mass, duration = 2.0, 1.0
+    q_a, q_b = np.array([1.0, 0.0]), np.array([1.2, 0.4])
+
+    def cart(q):
+        return q[0] * np.array([np.cos(q[1]), np.sin(q[1])])
+
+    def jac(q):
+        r, phi = q
+        return np.array([[np.cos(phi), -r * np.sin(phi)],
+                         [np.sin(phi), r * np.cos(phi)]])
+
+    def curvature(q, w):
+        # sum_k w_k d2 X_k / dq dq
+        r, phi = q
+        c, s = np.cos(phi), np.sin(phi)
+        return (w[0] * np.array([[0.0, -s], [-s, -r * c]])
+                + w[1] * np.array([[0.0, c], [c, -r * s]]))
+
+    k = mass / duration
+    chord = cart(q_b) - cart(q_a)
+    path = solve_bvp(make_polar_free_particle(mass), q_a, q_b, 0.0, duration,
+                     n_steps=60)
+    hess = action_hessian_jacobi(path)
+    assert path.action == pytest.approx(0.5 * k * chord @ chord, rel=1e-8)
+    np.testing.assert_allclose(hess.mixed, k * jac(q_a).T @ jac(q_b),
+                               rtol=0, atol=1e-8)
+    np.testing.assert_allclose(
+        hess.aa, k * (jac(q_a).T @ jac(q_a) - curvature(q_a, chord)),
+        rtol=0, atol=1e-8)
+    np.testing.assert_allclose(
+        hess.bb, k * (jac(q_b).T @ jac(q_b) + curvature(q_b, chord)),
+        rtol=0, atol=1e-8)
+    expected = (free_particle_factor(mass, duration, dim=2).factor.value
+                * np.sqrt(q_a[0] * q_b[0]))
+    value = vvpm_factor(hess).value
+    assert abs(value - expected) / abs(expected) < 1e-8
