@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-from .dynamics import ClassicalPath
+from .dynamics import ClassicalPath, simpson
 from .errors import FocalPoint, NonSPDMass, TurningPoint
 from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, fresnel_prefactor
 
@@ -213,7 +212,8 @@ def one_dim_dalembert_factor(path: ClassicalPath,
     F = (2 pi i hbar)^(-1/2) [v(t_a) v(t_b) * integral dt / (g v^2)]^(-1/2),
     with g = g(x(t)) the metric (the mass for constant g) along the path,
     valid for a time-independent potential while the velocity never
-    changes sign on the grid.
+    changes sign on the grid.  The integral is the Simpson rule of the
+    action quadrature on the path's uniform grid.
     """
     if path.positions.shape[1] != 1:
         raise ValueError("this reduction applies to one-dimensional models")
@@ -227,7 +227,7 @@ def one_dim_dalembert_factor(path: ClassicalPath,
             "a turning point")
     g = np.array([path.model.metric(x, t)[0, 0]
                   for x, t in zip(path.positions, path.times)], dtype=float)
-    integral = float(scipy.integrate.simpson(1.0 / (g * v**2), x=path.times))
+    integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)
     bracket = v[0] * v[-1] * integral
     value = fresnel_prefactor(1, hbar) * bracket ** (-0.5)
     return AnalyticResult(

@@ -124,7 +124,7 @@ def _scalar(cfg: dict, key: str, where: str, default=None) -> float:
 
 def _time_expression(text: str):
     node = parse_expression(text)
-    if node.uses_x:
+    if node.uses("x"):
         raise ConfigError("a time-dependent frequency may not depend on x")
     return lambda t: node.evaluate(0.0, t)
 
@@ -149,10 +149,12 @@ def _parse_numerics(cfg: dict) -> dict:
     n_steps = numerics["n_steps"]
     if n_steps < 8 or n_steps % 2 != 0:
         raise ConfigError("n_steps must be an even integer of at least 8")
-    if not numerics["tol"] > 0.0:
-        raise ConfigError("tol must be positive")
-    if numerics["max_iter"] < 1:
-        raise ConfigError("max_iter must be at least 1")
+    for key in ("tol", "fd_step"):
+        if numerics[key] is not None and not numerics[key] > 0.0:
+            raise ConfigError(f"{key} must be positive")
+    for key in ("max_iter", "quad_points", "n_slices"):
+        if numerics[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
     return numerics
 
 
@@ -265,7 +267,10 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
             if model.dim != 1:
                 raise ConfigError(
                     "method 'dalembert' needs a one-dimensional model")
-            if callable(params.get("omega2")):
+            potential = cfg["model"].get("params", {}).get("potential")
+            if callable(params.get("omega2")) or (
+                    potential is not None
+                    and parse_expression(potential).uses("t")):
                 raise ConfigError(
                     "method 'dalembert' needs a time-independent potential")
         if "analytic" in methods:

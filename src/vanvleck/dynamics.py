@@ -20,11 +20,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .models import FD_STEP, LagrangianModel, evaluate_hamiltonian, legendre_momentum
+from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
+                     legendre_momentum, metric_solve)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
+
+# |det M| below this times scale^D marks a boundary Jacobi matrix singular
+CAUSTIC_DET_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,7 @@ def _kinetic_force(model: LagrangianModel, x, v, t) -> np.ndarray:
 def acceleration(model: LagrangianModel, x, v, t) -> np.ndarray:
     """Solve g(x, t) vdot = F(x, v, t) for the Euler-Lagrange acceleration."""
     rhs = _kinetic_force(model, x, v, t) - np.asarray(model.potential_grad(x, t))
-    g = np.asarray(model.metric(x, t), dtype=float)
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+    return metric_solve(model, x, t, rhs)
 
 
 def el_linearization(model: LagrangianModel, x, v, t):
@@ -237,14 +237,27 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
 
 
 # ---------------------------------------------------------------------------
-# action quadrature
+# quadrature and the singular-Jacobian test
+
+
+def simpson(samples, h: float) -> float:
+    """Composite Simpson rule over uniform samples with spacing h.
+
+    The number of intervals, ``len(samples) - 1``, must be even.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples) - 1
+    if n % 2 != 0:
+        raise ValueError("Simpson quadrature needs an even number of steps")
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(h / 3.0 * weights @ samples)
 
 
 def simpson_action(model: LagrangianModel, traj: Trajectory) -> float:
     """Simpson's rule over the Lagrangian samples; grid count must be even."""
     n = len(traj.times) - 1
-    if n % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even number of steps")
     lag = np.array([
         0.5 * traj.velocities[k] @ model.metric(traj.positions[k], traj.times[k])
         @ traj.velocities[k]
@@ -252,11 +265,25 @@ def simpson_action(model: LagrangianModel, traj: Trajectory) -> float:
         - model.potential(traj.positions[k], traj.times[k])
         for k in range(n + 1)
     ])
-    h = (traj.times[-1] - traj.times[0]) / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * weights @ lag)
+    return simpson(lag, (traj.times[-1] - traj.times[0]) / n)
+
+
+def require_nonsingular(mat: np.ndarray, duration: float, error: type,
+                        what: str) -> None:
+    """Raise ``error`` when the (D, D) Jacobi matrix ``mat`` is singular.
+
+    The test is |det mat| < CAUSTIC_DET_THRESHOLD * scale^D with
+    scale = max(T, |mat|_F / sqrt(D)).  The free flow gives mat = T 1, so
+    the duration T floors the scale: a pure Frobenius scale would
+    self-normalize a nearly singular 1x1 matrix, and the floor keeps the
+    test meaningful when the matrix collapses at a caustic.
+    """
+    d = mat.shape[0]
+    det = float(np.linalg.det(mat))
+    scale = max(duration, float(np.linalg.norm(mat)) / np.sqrt(d))
+    if abs(det) < CAUSTIC_DET_THRESHOLD * scale**d:
+        raise error(f"{what} singular (det={det:.3e}) over an interval of "
+                    f"length {duration}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +339,8 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
             converged = True
             break
         jac = wb[:d, d:]
-        det = np.linalg.det(jac)
-        # free-particle flow gives jac = T I, so T floors the natural scale
-        scale = max(t_b - t_a, np.linalg.norm(jac) / np.sqrt(d))
-        if abs(det) < 1e-12 * scale**d:
-            raise SingularShootingJacobian(
-                f"dx(t_b)/dv0 singular at iterate (det={det:.3e}); endpoints "
-                f"conjugate for t_b - t_a = {t_b - t_a}")
+        require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
+                            "shooting Jacobian dx(t_b)/dv0")
         v0 = v0 - np.linalg.solve(jac, miss)
     if not converged:
         raise NoConvergence(max_iter, best_res)

@@ -36,7 +36,8 @@ class _Num:
     def diff(self) -> "_Num":
         return _Num(0.0)
 
-    uses_x = False
+    def uses(self, name: str) -> bool:
+        return False
 
 
 class _Var:
@@ -51,9 +52,8 @@ class _Var:
     def diff(self):
         return _Num(1.0 if self.name == "x" else 0.0)
 
-    @property
-    def uses_x(self) -> bool:
-        return self.name == "x"
+    def uses(self, name: str) -> bool:
+        return self.name == name
 
 
 class _Neg:
@@ -68,9 +68,8 @@ class _Neg:
     def diff(self):
         return _Neg(self.arg.diff())
 
-    @property
-    def uses_x(self) -> bool:
-        return self.arg.uses_x
+    def uses(self, name: str) -> bool:
+        return self.arg.uses(name)
 
 
 class _Call:
@@ -93,9 +92,8 @@ class _Call:
             outer = _Call("exp", self.arg)
         return _Bin("*", outer, inner)
 
-    @property
-    def uses_x(self) -> bool:
-        return self.arg.uses_x
+    def uses(self, name: str) -> bool:
+        return self.arg.uses(name)
 
 
 class _Bin:
@@ -129,7 +127,7 @@ class _Bin:
             num = _Bin("-", _Bin("*", self.left.diff(), self.right),
                        _Bin("*", self.left, self.right.diff()))
             return _Bin("/", num, _Bin("*", self.right, self.right))
-        if self.right.uses_x:
+        if self.right.uses("x"):
             raise ConfigError(
                 "cannot differentiate a power whose exponent depends on x")
         # d/dx u^c = c * u^(c-1) * u'
@@ -138,9 +136,8 @@ class _Bin:
                                                     decremented)),
                     self.left.diff())
 
-    @property
-    def uses_x(self) -> bool:
-        return self.left.uses_x or self.right.uses_x
+    def uses(self, name: str) -> bool:
+        return self.left.uses(name) or self.right.uses(name)
 
 
 def _tokenize(text: str):
@@ -230,7 +227,7 @@ class _Parser:
 
 
 def parse_expression(text: str):
-    """Parse to an AST with .evaluate(x, t) and .diff() methods."""
+    """Parse to an AST with .evaluate(x, t), .diff() and .uses(name) methods."""
     parser = _Parser(_tokenize(text))
     node = parser.expression()
     if parser.peek()[0] != "end":

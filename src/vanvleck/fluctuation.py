@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import ClassicalPath, solve_bvp
 from .errors import CausticRegion, NotQuadraticModel, SingularMetric
 from .hessian import ActionHessian, action_hessian_jacobi, variational_blocks
-from .models import LagrangianModel
+from .models import LagrangianModel, central_hessian
 
 METHOD_VVPM = "VVPM"
 METHOD_SHORT_TIME = "ShortTime"
@@ -177,9 +177,10 @@ def energy_hessian_factor(model: LagrangianModel, path: ClassicalPath,
         F = (2 pi i hbar)^(-D/2) det(g)^(1/4) det(d2E/dx_b dx_b)^(1/4).
 
     E(x_a, x_b) is the conserved energy of the classical path as a function
-    of the endpoints, differentiated by a central stencil of re-solved
-    boundary problems.  For certified-quadratic models E is exactly
-    quadratic in the endpoints, so the stencil step defaults to a large
+    of the endpoints.  ``central_hessian`` differentiates it in x_b over
+    2 D^2 re-solved boundary problems, with f0 the path's own energy_a.
+    For certified-quadratic models E is exactly quadratic in the
+    endpoints, so the stencil step defaults to a large
     0.05 * max(1, |x_b - x_a|): no truncation error, and the Newton
     termination noise is suppressed far below tolerance.  The quartic
     roots are fixed by continuity with the short-interval free limit.
@@ -196,19 +197,7 @@ def energy_hessian_factor(model: LagrangianModel, path: ClassicalPath,
         return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,
                          v0_guess=seed, n_steps=path.n_steps, tol=tol).energy_a
 
-    e0 = path.energy_a
-    ehess = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        ehess[i, i] = (energy(path.x_b + ei) - 2 * e0 + energy(path.x_b - ei)) / h**2
-        for j in range(i):
-            ej = np.zeros(d)
-            ej[j] = h
-            ehess[i, j] = ehess[j, i] = (
-                energy(path.x_b + ei + ej) - energy(path.x_b + ei - ej)
-                - energy(path.x_b - ei + ej) + energy(path.x_b - ei - ej)
-            ) / (4.0 * h * h)
+    ehess = central_hessian(energy, path.x_b, h, path.energy_a)
 
     g = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
     det_g = float(np.linalg.det(g))

@@ -32,10 +32,9 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import expm
 
+from .dynamics import require_nonsingular
 from .errors import FocalPoint, NonSPDMass, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
-
-FOCAL_DET_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,7 @@ def _omega2_callable(omega2, t_probe: float):
 
 
 def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray:
-    d = b_tb.shape[0]
-    det = float(np.linalg.det(b_tb))
-    # B_raw(t_b) = T for the free case; flooring the scale by T keeps the
-    # test meaningful when the matrix itself collapses at a focal time
-    scale = max(duration, float(np.linalg.norm(b_tb)) / np.sqrt(d))
-    if abs(det) < FOCAL_DET_THRESHOLD * scale**d:
-        raise FocalPoint(f"{what}: B_raw(t_b) singular (det={det:.3e})")
+    require_nonsingular(b_tb, duration, FocalPoint, f"{what}: B_raw(t_b)")
     return np.linalg.inv(b_tb)
 
 
@@ -200,21 +193,22 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
     """Ordered product of per-slice exponentials of [[0, 1], [-Omega2, 0]].
 
     Omega2 is frozen at each slice midpoint; the (1, 2) block of the
-    ordered product (later slices to the left) is B_raw(t_b).
+    ordered product (later slices to the left) is B_raw(t_b).  All slice
+    exponentials come from one batched ``expm`` over the stacked
+    generators.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be positive")
     w2, d = _omega2_callable(omega2, t_a)
     dt = (t_b - t_a) / n_slices
-    gen = np.zeros((2 * d, 2 * d))
-    gen[:d, d:] = np.eye(d)
-
-    slices = []
-    phi = np.eye(2 * d)
+    gens = np.zeros((n_slices, 2 * d, 2 * d))
+    gens[:, :d, d:] = np.eye(d)
     for j in range(n_slices):
-        gen[d:, :d] = -w2(t_a + (j + 0.5) * dt)
-        e = expm(gen * dt)
-        slices.append(e)
+        gens[j, d:, :d] = -w2(t_a + (j + 0.5) * dt)
+    slices = expm(gens * dt)
+
+    phi = np.eye(2 * d)
+    for e in slices:
         phi = e @ phi
     b_tb = phi[:d, d:]
     rescale = _invert_boundary(b_tb, f"TimeOrderedSinh({n_slices})", t_b - t_a)

@@ -22,11 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import ClassicalPath, solve_bvp, state_at
+from .dynamics import ClassicalPath, require_nonsingular, solve_bvp, state_at
 from .errors import ConjugatePoint, VectorPotentialPresent
-from .models import LagrangianModel, metric_solve
+from .models import LagrangianModel, central_hessian, metric_solve
 
-CAUSTIC_DET_THRESHOLD = 1e-12
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
 
 METHOD_JACOBI = "JacobiField"
@@ -53,18 +52,6 @@ class ActionHessian:
         return self.mixed.shape[0]
 
 
-def _checked_inverse(mat: np.ndarray, duration: float) -> np.ndarray:
-    # duration floors the scale: dx_b/dv_a = T for free flow, and a pure
-    # Frobenius scale would self-normalize a nearly singular 1x1 matrix
-    scale = max(duration, float(np.linalg.norm(mat)) / np.sqrt(mat.shape[0]))
-    det = float(np.linalg.det(mat))
-    if abs(det) < CAUSTIC_DET_THRESHOLD * scale ** mat.shape[0]:
-        raise ConjugatePoint(
-            f"boundary Jacobi matrix singular (det={det:.3e}) over interval "
-            f"of length {duration}")
-    return np.linalg.inv(mat)
-
-
 def variational_blocks(path: ClassicalPath):
     """Blocks (Pxx, Pxv, Pvx, Pvv) of the path's stored flow Phi(t_b)."""
     d = path.model.dim
@@ -87,7 +74,9 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
     """
     model = path.model
     pxx, pxv, _, pvv = variational_blocks(path)
-    pxv_inv = _checked_inverse(pxv, path.duration)
+    require_nonsingular(pxv, path.duration, ConjugatePoint,
+                        "boundary Jacobi matrix dx_b/dv_a")
+    pxv_inv = np.linalg.inv(pxv)
 
     x_a, v_a, t_a = path.positions[0], path.velocities[0], path.t_a
     x_b, v_b, t_b = path.positions[-1], path.velocities[-1], path.t_b
@@ -107,10 +96,14 @@ def action_hessian_fd(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
                       base_path: Optional[ClassicalPath] = None,
                       h: Optional[float] = None, n_steps: Optional[int] = None,
                       tol: float = 1e-12) -> ActionHessian:
-    """Independent oracle: central second differences over re-solved BVPs.
+    """Independent oracle: ``central_hessian`` of A(z) over re-solved BVPs.
 
-    Every stencil solve is seeded with the base path's initial velocity, so
-    all of them land on the same branch of the classical flow.
+    The stencil runs once over the stacked endpoints z = (x_a, x_b), so the
+    three blocks are slices of one (2D, 2D) Hessian and the oracle solves
+    8 D^2 + 1 boundary problems.  The step defaults to
+    1e-4 * max(1, |x_b - x_a|).  Every stencil solve is seeded with the
+    base path's initial velocity, so all of them land on the same branch
+    of the classical flow.
     """
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
@@ -123,49 +116,14 @@ def action_hessian_fd(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
         h = 1e-4 * max(1.0, float(np.linalg.norm(x_b - x_a)))
     seed = base_path.velocities[0]
     d = model.dim
-    cache: dict = {}
 
-    def act(xa, xb):
-        key = (xa.tobytes(), xb.tobytes())
-        if key not in cache:
-            cache[key] = solve_bvp(model, xa, xb, t_a, t_b, v0_guess=seed,
-                                   n_steps=n_steps, tol=tol).action
-        return cache[key]
+    def action(z):
+        return solve_bvp(model, z[:d], z[d:], t_a, t_b, v0_guess=seed,
+                         n_steps=n_steps, tol=tol).action
 
-    def unit(i):
-        e = np.zeros(d)
-        e[i] = h
-        return e
-
-    a0 = act(x_a, x_b)
-    mixed = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            mixed[i, j] = -(
-                act(x_a + unit(i), x_b + unit(j)) - act(x_a + unit(i), x_b - unit(j))
-                - act(x_a - unit(i), x_b + unit(j)) + act(x_a - unit(i), x_b - unit(j))
-            ) / (4.0 * h * h)
-
-    def diag_block(side):
-        blk = np.empty((d, d))
-        for i in range(d):
-            ei = unit(i)
-            if side == "a":
-                blk[i, i] = (act(x_a + ei, x_b) - 2 * a0 + act(x_a - ei, x_b)) / h**2
-            else:
-                blk[i, i] = (act(x_a, x_b + ei) - 2 * a0 + act(x_a, x_b - ei)) / h**2
-            for j in range(i):
-                ej = unit(j)
-                if side == "a":
-                    val = (act(x_a + ei + ej, x_b) - act(x_a + ei - ej, x_b)
-                           - act(x_a - ei + ej, x_b) + act(x_a - ei - ej, x_b))
-                else:
-                    val = (act(x_a, x_b + ei + ej) - act(x_a, x_b + ei - ej)
-                           - act(x_a, x_b - ei + ej) + act(x_a, x_b - ei - ej))
-                blk[i, j] = blk[j, i] = val / (4.0 * h * h)
-        return blk
-
-    return ActionHessian(mixed=mixed, aa=diag_block("a"), bb=diag_block("b"),
+    z = np.concatenate((x_a, x_b))
+    hess = central_hessian(action, z, h, action(z))
+    return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
                          method=METHOD_FD, grid_info={"n_steps": n_steps, "h": h})
 
 

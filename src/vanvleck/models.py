@@ -152,27 +152,42 @@ def fd_gradient(f: Callable) -> Callable:
     return grad
 
 
+def central_hessian(f: Callable, x, h: float, f0: float) -> np.ndarray:
+    """Central second differences of a scalar function f(x) with step h.
+
+    ``f0`` is f(x), which every caller already has.  Diagonal entries use
+    the three-point stencil, off-diagonal ones the four-point cross
+    stencil; the result is symmetric and exact for quadratic f up to
+    roundoff.  Makes 2 n^2 calls of f for n = x.size.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    out = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h**2
+        for j in range(i):
+            ej = np.zeros(n)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej)
+                - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4.0 * h * h)
+    return out
+
+
 def fd_hessian(f: Callable) -> Callable:
-    """Central second differences of a scalar field f(x, t), symmetrized."""
+    """Hessian of a scalar field f(x, t) by ``central_hessian``.
+
+    The step is eps^(1/4) max(1, |x|_inf), which balances the stencil's
+    truncation error against roundoff in f.
+    """
 
     def hess(x, t):
         x = np.asarray(x, dtype=float)
-        n = x.size
         h = FD_STEP_SECOND * max(1.0, float(np.max(np.abs(x))))
-        out = np.empty((n, n))
-        f0 = f(x, t)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            out[i, i] = (f(x + ei, t) - 2.0 * f0 + f(x - ei, t)) / h**2
-            for j in range(i):
-                ej = np.zeros(n)
-                ej[j] = h
-                out[i, j] = out[j, i] = (
-                    f(x + ei + ej, t) - f(x + ei - ej, t)
-                    - f(x - ei + ej, t) + f(x - ei - ej, t)
-                ) / (4.0 * h**2)
-        return out
+        return central_hessian(lambda y: f(y, t), x, h, f(x, t))
 
     return hess
 

@@ -128,6 +128,9 @@ def test_malformed_json_is_config_error(tmp_path):
     ("numerics", '{"n_steps": 6}'),
     ("numerics", '{"tol": 0}'),
     ("numerics", '{"max_iter": 0}'),
+    ("numerics", '{"fd_step": 0}'),
+    ("numerics", '{"n_slices": 0}'),
+    ("numerics", '{"quad_points": 0}'),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     cfg = _free_config()
@@ -141,10 +144,15 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     assert not out.exists()
 
 
-def test_dalembert_rejects_time_dependent_frequency(tmp_path, capsys):
+@pytest.mark.parametrize("model", [
+    pytest.param({"tag": "harmonic_oscillator",
+                  "params": {"omega2": "(1 + 0.2*sin(t))^2"}}, id="omega2"),
+    pytest.param({"tag": "one_dim_potential",
+                  "params": {"potential": "0.25*x^4*(1+t)"}}, id="potential"),
+])
+def test_dalembert_rejects_time_dependent_frequency(tmp_path, capsys, model):
     cfg = _write(tmp_path, "tdd.json", {
-        "model": {"tag": "harmonic_oscillator",
-                  "params": {"omega2": "(1 + 0.2*sin(t))^2"}},
+        "model": model,
         "x_a": [0.0], "x_b": [1.0], "t_b": 1.0,
         "methods": ["vvpm", "dalembert"],
     })
@@ -319,6 +327,14 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert "free_particle" in proc.stdout
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vanvleck; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_full_grid_flag(tmp_path):

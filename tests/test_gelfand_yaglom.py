@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from vanvleck import (
     FocalPoint,
@@ -88,6 +89,20 @@ def test_time_ordered_linear_ramp_matches_direct():
     ordered = solve_B_time_ordered(ramp, 0.0, 1.0, n_slices=2000)
     direct = solve_B_direct(ramp, 0.0, 1.0, n_steps=4000)
     assert abs(ordered.B_dot_a[0, 0] - direct.B_dot_a[0, 0]) < 1e-7
+
+
+def test_time_ordered_batched_expm_equals_slice_loop():
+    omega2 = lambda t: np.array([[1.0 + t, 0.2], [0.2, 0.5]])  # noqa: E731
+    n, t_b = 50, 1.3
+    dt = t_b / n
+    phi = np.eye(4)
+    for j in range(n):
+        gen = np.zeros((4, 4))
+        gen[:2, 2:] = np.eye(2)
+        gen[2:, :2] = -omega2((j + 0.5) * dt)
+        phi = expm(gen * dt) @ phi
+    sol = solve_B_time_ordered(omega2, 0.0, t_b, n_slices=n)
+    np.testing.assert_array_equal(sol.B_dot_a, np.linalg.inv(phi[:2, 2:]))
 
 
 def test_boundary_grid_invariants():

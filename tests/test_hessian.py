@@ -19,6 +19,7 @@ from vanvleck import (
     state_at,
     vvpm_factor,
 )
+from vanvleck import hessian as hessian_module
 
 from conftest import make_polar_free_particle
 
@@ -65,7 +66,7 @@ def test_jacobi_matches_fd_quartic(quartic):
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(b))), name
 
 
-def test_magnetic_blocks_match_closed_form_and_fd():
+def test_magnetic_blocks_match_closed_form_and_fd(monkeypatch):
     model = magnetic_field(mass=1.0, omega=1.0, dim=2)
     path = solve_bvp(model, [0.0, 0.0], [1.0, 0.5], 0.0, 1.0, n_steps=400)
     jac = action_hessian_jacobi(path)
@@ -76,9 +77,20 @@ def test_magnetic_blocks_match_closed_form_and_fd():
     # off-diagonal part of mixed is antisymmetric for the in-plane block
     off = jac.mixed - np.diag(np.diag(jac.mixed))
     np.testing.assert_allclose(off, -off.T, atol=1e-10)
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_bvp(*args, **kwargs)
+
+    monkeypatch.setattr(hessian_module, "solve_bvp", counted_solve)
     fd = action_hessian_fd(model, [0.0, 0.0], [1.0, 0.5], 0.0, 1.0,
                            base_path=path)
-    np.testing.assert_allclose(jac.mixed, fd.mixed, atol=1e-5)
+    assert len(solves) == 8 * 2**2 + 1
+    # aa and bb carry off-diagonal +-skew entries from the stacked stencil
+    for name in ("mixed", "aa", "bb"):
+        np.testing.assert_allclose(getattr(fd, name), getattr(jac, name),
+                                   atol=1e-5, err_msg=name)
 
 
 def test_same_endpoint_blocks_symmetric(quartic):

@@ -14,7 +14,7 @@ from vanvleck import (
     magnetic_field,
     probe_derivative_consistency,
 )
-from vanvleck.models import metric_solve, velocity_from_momentum
+from vanvleck.models import central_hessian, metric_solve, velocity_from_momentum
 
 from conftest import make_quartic, random_spd
 
@@ -151,3 +151,19 @@ def test_time_dependent_omega2_callable():
 def test_magnetic_requires_dim_at_least_two():
     with pytest.raises(ValueError):
         magnetic_field(mass=1.0, omega=1.0, dim=1)
+
+
+def test_central_hessian_exact_on_quadratic():
+    # dyadic coefficients, point and step: every stencil operation is exact
+    a = np.array([[2.0, -0.5, 0.25], [-0.5, 3.0, 1.5], [0.25, 1.5, -1.0]])
+    b = np.array([0.5, -1.0, 2.0])
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0.5 * x @ a @ x + b @ x + 4.0
+
+    x0 = np.array([0.5, -1.25, 2.0])
+    hess = central_hessian(f, x0, 0.5, f(x0))
+    np.testing.assert_array_equal(hess, a)
+    assert len(calls) == 1 + 2 * 3**2
