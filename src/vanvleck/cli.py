@@ -31,7 +31,7 @@ from .analytic import (free_particle_factor, harmonic_constant_factor,
 from .composition import verify_composition
 from .dynamics import DEFAULT_N_STEPS, ClassicalPath, solve_bvp, state_at
 from .errors import ConfigError, VanVleckError
-from .expressions import compile_potential, parse_expression
+from .expressions import compile_node, compile_potential, parse_expression
 from .fluctuation import (FluctuationFactor, energy_hessian_factor,
                           general_factor, short_time_factor, vvpm_factor)
 from .gelfand_yaglom import (gy_fluctuation_factor, solve_B_direct,
@@ -123,10 +123,20 @@ def _scalar(cfg: dict, key: str, where: str, default=None) -> float:
 
 
 def _time_expression(text: str):
+    """A frequency expression as a float, or as a callable of t if it uses t."""
     node = parse_expression(text)
     if node.uses("x"):
         raise ConfigError("a time-dependent frequency may not depend on x")
-    return lambda t: node.evaluate(0.0, t)
+    f = compile_node(node)
+    if node.uses("t"):
+        return lambda t: f(0.0, t)
+    try:
+        value = float(f(0.0, 0.0))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ConfigError(f"frequency {text!r} is not a number: {exc}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"frequency {text!r} is not finite")
+    return value
 
 
 def _parse_numerics(cfg: dict) -> dict:

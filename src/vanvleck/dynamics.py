@@ -165,6 +165,34 @@ def el_linearization(model: LagrangianModel, x, v, t):
     return acc, gi @ dfdx, gi @ dfdv
 
 
+def _constant_kinetic_linearization(model: LagrangianModel, x, t):
+    """``el_linearization`` for one run on a constant metric, or None.
+
+    Applies when the model is flagged ``kinetic_gradients_constant`` and
+    metric_grad vanishes at (x, t): g is then constant and a is linear, so
+    g^-1, the curl da^T - da and jv = g^-1 (da^T - da) are the same at
+    every stage.  The returned callable is ``el_linearization``'s
+    arithmetic with the zero terms dropped, so it returns the same bits.
+    """
+    if (not model.kinetic_gradients_constant
+            or np.any(np.asarray(model.metric_grad(x, t)))):
+        return None
+    g = np.asarray(model.metric(x, t), dtype=float)
+    try:
+        gi = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+    da = np.asarray(model.vector_potential_grad(x, t))
+    curl = da.T - da
+    jv = gi @ curl
+
+    def linearize(model, x, v, t):
+        acc = gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
+        return acc, gi @ -np.asarray(model.potential_hess(x, t)), jv
+
+    return linearize
+
+
 # ---------------------------------------------------------------------------
 # fixed-step RK4, optionally carrying a variational block
 
@@ -186,6 +214,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
     carry = vblock0 is not None
     w = np.asarray(vblock0, dtype=float).copy() if carry else None
+    if carry:
+        linearize = (_constant_kinetic_linearization(model, x, t_a)
+                     or el_linearization)
 
     times = np.linspace(t_a, t_b, n_steps + 1)
     xs = np.empty((n_steps + 1, d))
@@ -195,7 +226,7 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
 
     def rhs(t, xc, vc, wc):
         if carry:
-            acc, jx, jv = el_linearization(model, xc, vc, t)
+            acc, jx, jv = linearize(model, xc, vc, t)
             dw = np.vstack((wc[d:, :], jx @ wc[:d, :] + jv @ wc[d:, :]))
             return vc, acc, dw
         return vc, acceleration(model, xc, vc, t), None
@@ -309,7 +340,9 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     Raises
     ------
     NoConvergence
-        Iteration budget exhausted; carries the best residual seen.
+        Iteration budget exhausted, or an endpoint miss that is not finite
+        (raised at once, since Newton cannot recover from it); carries the
+        best residual seen.
     SingularShootingJacobian
         dx(t_b)/dv0 singular at an iterate (conjugate endpoints).
     """
@@ -330,10 +363,12 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     best_res = np.inf
     traj = None
     converged = False
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         traj, wb = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
         miss = traj.positions[-1] - x_b
         res = float(np.max(np.abs(miss)))
+        if not np.isfinite(res):
+            raise NoConvergence(iteration, best_res)
         best_res = min(best_res, res)
         if res <= tol:
             converged = True

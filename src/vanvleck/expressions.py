@@ -4,7 +4,9 @@ The accepted grammar is deliberately small: +, -, *, /, ^ (right
 associative), unary minus, sin, cos, exp, the variables x and t, numeric
 literals, and parentheses.  Expressions are differentiated symbolically
 in x so a text-defined potential still supplies analytic first and
-second derivatives to the solvers.
+second derivatives to the solvers.  ``compile_node`` turns a tree into one
+straight-line Python function that does ``evaluate``'s arithmetic, so the
+solvers' callbacks do not walk the tree at every call.
 """
 
 from __future__ import annotations
@@ -209,7 +211,10 @@ class _Parser:
     def atom(self):
         kind, text = self.take()
         if kind == "num":
-            return _Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ConfigError(f"number {text!r} overflows a double")
+            return _Num(value)
         if kind == "name":
             if text in _FUNCTIONS:
                 self.expect_op("(")
@@ -235,11 +240,53 @@ def parse_expression(text: str):
     return node
 
 
+_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+
+
+def compile_node(node):
+    """Compile an AST into one function f(x, t) equal to ``node.evaluate``.
+
+    Every distinct node (by identity, so subtrees that ``diff`` shares are
+    computed once) becomes one local, emitted in ``evaluate``'s order with
+    the same operators.  Numeric constants are bound as names in the
+    function's globals, so the generated source holds only local names,
+    ``x``, ``t`` and the whitelisted function names: no config text.
+    """
+    scope = {"__builtins__": {}, **_FUNCTIONS}
+    names = {}
+    lines = []
+
+    def emit(n) -> str:
+        if id(n) in names:
+            return names[id(n)]
+        if isinstance(n, _Num):
+            name = f"c{len(names)}"
+            scope[name] = n.value
+        elif isinstance(n, _Var):
+            name = "x" if n.name == "x" else "t"
+        else:
+            if isinstance(n, _Neg):
+                code = f"-{emit(n.arg)}"
+            elif isinstance(n, _Call):
+                if n.name not in _FUNCTIONS:
+                    raise ValueError(f"unknown function {n.name!r}")
+                code = f"{n.name}({emit(n.arg)})"
+            else:
+                left, right = emit(n.left), emit(n.right)
+                code = f"{left} {_PY_OPERATORS[n.op]} {right}"
+            name = f"v{len(names)}"
+            lines.append(f"    {name} = {code}")
+        names[id(n)] = name
+        return name
+
+    result = emit(node)
+    exec("\n".join(["def f(x, t):", *lines, f"    return {result}"]), scope)
+    return scope["f"]
+
+
 def compile_potential(text: str):
     """Compile V(x, t) text into (V, dV/dx, d2V/dx2) scalar callables."""
     node = parse_expression(text)
     first = node.diff()
     second = first.diff()
-    return (lambda x, t: node.evaluate(x, t),
-            lambda x, t: first.evaluate(x, t),
-            lambda x, t: second.evaluate(x, t))
+    return compile_node(node), compile_node(first), compile_node(second)

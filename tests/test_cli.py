@@ -131,9 +131,13 @@ def test_malformed_json_is_config_error(tmp_path):
     ("numerics", '{"fd_step": 0}'),
     ("numerics", '{"n_slices": 0}'),
     ("numerics", '{"quad_points": 0}'),
+    ("model", '{"tag": "one_dim_potential", '
+              '"params": {"potential": "1e999 * x^2"}}'),
+    ("model", '{"tag": "harmonic_oscillator", "params": {"omega2": "1/0"}}'),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
-    cfg = _free_config()
+    # vvpm alone, so no method refusal can stand in for the number check
+    cfg = _free_config(methods=["vvpm"])
     cfg[field] = "@"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg).replace('"@"', text), encoding="utf-8")
@@ -142,6 +146,21 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_constant_string_frequency_is_a_number(tmp_path):
+    factors = []
+    for omega2 in (2.0, "2.0", "4 / 2"):
+        cfg = _write(tmp_path, "const.json", {
+            "model": {"tag": "harmonic_oscillator",
+                      "params": {"omega2": omega2}},
+            "x_a": [0.0], "x_b": [1.0], "t_b": 1.0,
+            "methods": ["vvpm", "analytic", "dalembert"],
+        })
+        out = tmp_path / "report.json"
+        assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 0
+        factors.append(json.loads(out.read_text())["factors"])
+    assert factors[1] == factors[0] and factors[2] == factors[0]
 
 
 @pytest.mark.parametrize("model", [

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from vanvleck import (
+    NoConvergence,
     SingularShootingJacobian,
+    compile_potential,
     free_particle,
     harmonic_oscillator,
     integrate_ivp,
     magnetic_field,
+    one_dim_potential,
     path_energy,
     solve_bvp,
     state_at,
 )
+from vanvleck import dynamics
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 
 from conftest import make_polar_free_particle, make_quartic
@@ -184,3 +191,49 @@ def test_magnetic_bvp_circles_the_orbit_center():
     radii = np.linalg.norm(path.positions - center, axis=1)
     np.testing.assert_allclose(radii, np.sqrt(0.5), atol=1e-9)
     assert path.bvp_residual < 1e-10
+
+
+def _expression_quartic():
+    v, dv, d2v = compile_potential("0.25 * x^4")
+    return one_dim_potential(v, dv, d2v)
+
+
+@pytest.mark.parametrize("model, x0, v0", [
+    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
+     [0.1, -0.2], [1.0, 0.5]),
+    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
+     [1.0, -0.5, 0.2]),
+    (_expression_quartic(), [0.0], [1.2]),
+    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
+     [0.3], [0.7]),
+], ids=["ho2-matrix-mass", "magnetic-3", "quartic-expression",
+        "time-dependent-omega2"])
+def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
+    # the unflagged copy runs el_linearization, whose central-difference
+    # columns are exactly zero for these models
+    general = dataclasses.replace(model, kinetic_gradients_constant=False)
+    identity = np.eye(2 * model.dim)
+    fast_traj, fast_flow = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
+    ref_traj, ref_flow = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
+    np.testing.assert_array_equal(fast_traj.positions, ref_traj.positions)
+    np.testing.assert_array_equal(fast_traj.velocities, ref_traj.velocities)
+    np.testing.assert_array_equal(fast_flow, ref_flow)
+
+
+def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
+    base = harmonic_oscillator(omega2=1.0)
+    model = dataclasses.replace(
+        base, potential_grad=lambda x, t: np.full(1, np.nan))
+    runs = []
+    real_run = dynamics._rk4_run
+
+    def counted(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_run", counted)
+    with pytest.raises(NoConvergence) as info:
+        solve_bvp(model, [0.0], [1.0], 0.0, 1.0, n_steps=20)
+    assert len(runs) == 1
+    assert info.value.iterations == 1

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from vanvleck import ConfigError, compile_potential, parse_expression
+from vanvleck.expressions import compile_node
 
 
 def test_scalar_arithmetic_and_precedence():
@@ -60,3 +61,48 @@ def test_rejects_unknown_name():
 def test_rejects_exponent_depending_on_x():
     with pytest.raises(ConfigError):
         compile_potential("2^x")
+
+
+def test_rejects_non_finite_literal():
+    with pytest.raises(ConfigError, match="1e999"):
+        parse_expression("1e999 * x^2")
+
+
+@pytest.mark.parametrize("text", [
+    "0.25 * x^4",
+    "x^2 / (1 + x^2) - 3 / x",
+    "2^x^2 * t",
+    "-x^-2 + (1 + t)^-1.5 * x^3",
+    "-sin(x)^2 + cos(t*x) * exp(-x/2)",
+    "exp(sin(x*t)) / cos(x) - -x",
+])
+def test_compiled_node_equals_evaluate(text):
+    node = parse_expression(text)
+    grid = [(x, t) for x in (-1.3, -0.4, 0.6, 1.7) for t in (0.0, 0.35, 1.1)]
+    trees = [node]
+    if not text.startswith("2^x"):
+        trees += [node.diff(), node.diff().diff()]
+    for tree in trees:
+        f = compile_node(tree)
+        for x, t in grid:
+            assert f(x, t) == tree.evaluate(x, t)
+
+
+def _operation_nodes(node, seen):
+    """Count visits of inner (operation) nodes; ``seen`` collects their ids."""
+    children = [getattr(node, a) for a in ("arg", "left", "right")
+                if hasattr(node, a)]
+    if not children:
+        return 0
+    seen.add(id(node))
+    return 1 + sum(_operation_nodes(c, seen) for c in children)
+
+
+def test_compile_node_computes_shared_subtrees_once():
+    second = parse_expression("sin(x^3) * (x - t)").diff().diff()
+    distinct = set()
+    visits = _operation_nodes(second, distinct)
+    f = compile_node(second)
+    # one local per distinct operation node, besides the arguments x and t
+    assert f.__code__.co_nlocals - 2 == len(distinct) < visits
+    assert f(0.4, 0.2) == second.evaluate(0.4, 0.2)
