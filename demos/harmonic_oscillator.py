@@ -32,7 +32,7 @@ path = solve_bvp(model, [0.3, 0.3], [1.0, 1.0], 0.0, duration)
 
 values = {
     "bvp + jacobi hessian": vvpm_factor(action_hessian_jacobi(path)).value,
-    "energy hessian": energy_hessian_factor(model, path).value,
+    "energy hessian": energy_hessian_factor(path).value,
     "normal modes": harmonic_constant_factor(mass, omega2,
                                              duration).factor.value,
 }

@@ -15,8 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import ClassicalPath, simpson
-from .errors import FocalPoint, NonSPDMass, TurningPoint
+from .errors import FocalPoint, TurningPoint
 from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, fresnel_prefactor
+from .models import mass_matrix
 
 TURNING_POINT_RATIO = 1e-8
 
@@ -28,23 +29,6 @@ class AnalyticResult:
     factor: FluctuationFactor
     action: Optional[float] = None
     aux: dict = field(default_factory=dict)
-
-
-def _mass_matrix(mass, dim: Optional[int]) -> np.ndarray:
-    m = np.asarray(mass, dtype=float)
-    if m.ndim == 0:
-        d = 1 if dim is None else dim
-        m = float(m) * np.eye(d)
-    elif m.ndim == 2:
-        if dim is not None and m.shape[0] != dim:
-            raise ValueError("mass matrix shape disagrees with dim")
-    else:
-        raise ValueError("mass must be a scalar or a square matrix")
-    if not np.allclose(m, m.T, atol=1e-12 * (1.0 + np.abs(m).max())):
-        raise NonSPDMass("mass matrix must be symmetric")
-    if np.any(np.linalg.eigvalsh(m) <= 0.0):
-        raise NonSPDMass("mass matrix must be positive definite")
-    return m
 
 
 def _sine_ratio(x: float) -> float:
@@ -63,7 +47,7 @@ def free_particle_factor(mass, duration: float, hbar: float = 1.0,
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    m = _mass_matrix(mass, dim)
+    m = mass_matrix(mass, dim)
     d = m.shape[0]
     evals, axes = np.linalg.eigh(m)
     value = (np.sqrt(np.linalg.det(m)) * fresnel_prefactor(d, hbar)
@@ -93,7 +77,7 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    m = _mass_matrix(mass, dim)
+    m = mass_matrix(mass, dim)
     d = m.shape[0]
     w2 = np.asarray(omega2, dtype=float)
     if w2.ndim == 0:
@@ -162,8 +146,7 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
         raise ValueError("magnetic model needs at least two dimensions")
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    if mass <= 0.0:
-        raise NonSPDMass("mass must be positive")
+    mass_matrix(mass, dim)  # raises NonSPDMass unless mass > 0
     half = 0.5 * omega * duration
     if abs(half) >= np.pi:
         raise FocalPoint(
@@ -205,20 +188,18 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
         action=action, aux=aux)
 
 
-def one_dim_dalembert_factor(path: ClassicalPath,
-                             hbar: Optional[float] = None) -> AnalyticResult:
+def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
     """One-dimensional factor from velocity integrals along a solved path.
 
     F = (2 pi i hbar)^(-1/2) [v(t_a) v(t_b) * integral dt / (g v^2)]^(-1/2),
-    with g = g(x(t)) the metric (the mass for constant g) along the path,
-    valid for a time-independent potential while the velocity never
-    changes sign on the grid.  The integral is the Simpson rule of the
-    action quadrature on the path's uniform grid.
+    with hbar the path model's and g = g(x(t)) the metric (the mass for
+    constant g) along the path, valid for a time-independent potential
+    while the velocity never changes sign on the grid.  The integral is
+    the Simpson rule of the action quadrature on the path's uniform grid.
     """
     if path.positions.shape[1] != 1:
         raise ValueError("this reduction applies to one-dimensional models")
-    if hbar is None:
-        hbar = path.model.hbar
+    hbar = path.model.hbar
     v = path.velocities[:, 0]
     vmax = float(np.abs(v).max())
     if vmax == 0.0 or float(np.abs(v).min()) < TURNING_POINT_RATIO * vmax:

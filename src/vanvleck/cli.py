@@ -29,15 +29,15 @@ import numpy as np
 from .analytic import (free_particle_factor, harmonic_constant_factor,
                        magnetic_factor, one_dim_dalembert_factor)
 from .composition import verify_composition
-from .dynamics import DEFAULT_N_STEPS, ClassicalPath, solve_bvp, state_at
-from .errors import ConfigError, VanVleckError
+from .dynamics import DEFAULT_N_STEPS, ClassicalPath, solve_bvp
+from .errors import ConfigError, NonSPDMass, VanVleckError
 from .expressions import compile_node, compile_potential, parse_expression
 from .fluctuation import (FluctuationFactor, energy_hessian_factor,
                           general_factor, short_time_factor, vvpm_factor)
 from .gelfand_yaglom import (gy_fluctuation_factor, solve_B_direct,
                              solve_B_neumann, solve_B_time_ordered)
 from .hessian import action_hessian_jacobi, frequency_matrix_along_path
-from .models import BUILTIN_TAGS, LagrangianModel, builtin_model, metric_solve
+from .models import BUILTIN_TAGS, LagrangianModel, builtin_model
 
 METHOD_IDS = ("vvpm", "general", "energy-hessian", "gelfand-yaglom",
               "short-time", "dalembert", "analytic")
@@ -205,7 +205,7 @@ def build_model(model_cfg: dict, hbar: float):
             coerced[key] = float(value)
     try:
         model = builtin_model(tag, hbar=hbar, **coerced)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NonSPDMass) as exc:
         raise ConfigError(f"cannot build model {tag!r}: {exc}") from exc
     return model, coerced
 
@@ -313,14 +313,7 @@ def _solve_scenario_path(scenario: Scenario) -> ClassicalPath:
 
 
 def _gy_factor(scenario: Scenario, path: ClassicalPath) -> FluctuationFactor:
-    model = scenario.model
-    frequency_matrix_along_path(path, path.t_a)  # validates zero potential a
-
-    def omega2(t):
-        x, _ = state_at(path, t)
-        return metric_solve(model, x, t,
-                            np.asarray(model.potential_hess(x, t), float))
-
+    omega2 = frequency_matrix_along_path(path)
     numerics = scenario.numerics
     solver = numerics["gy_solver"]
     if solver == "direct":
@@ -333,7 +326,7 @@ def _gy_factor(scenario: Scenario, path: ClassicalPath) -> FluctuationFactor:
     else:
         sol = solve_B_time_ordered(omega2, path.t_a, path.t_b,
                                    n_slices=numerics["n_slices"])
-    mass = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
+    mass = np.asarray(path.model.metric(path.x_a, path.t_a), dtype=float)
     return gy_fluctuation_factor(sol, mass, hbar=scenario.hbar)
 
 
@@ -372,14 +365,14 @@ def compute_factors(scenario: Scenario):
             factors[method] = general_factor(path)
         elif method == "energy-hessian":
             factors[method] = energy_hessian_factor(
-                scenario.model, path, h=scenario.numerics["fd_step"])
+                path, h=scenario.numerics["fd_step"])
         elif method == "gelfand-yaglom":
             factors[method] = _gy_factor(scenario, path)
         elif method == "short-time":
             factors[method] = short_time_factor(
                 scenario.model, scenario.x_a, scenario.t_a, scenario.duration)
         elif method == "dalembert":
-            result = one_dim_dalembert_factor(path, hbar=scenario.hbar)
+            result = one_dim_dalembert_factor(path)
             factors[method] = result.factor
         else:
             result = _analytic_result(scenario)
@@ -424,8 +417,8 @@ def _error_report(command: str, cfg: dict, exc: Exception) -> dict:
             "error": {"name": type(exc).__name__, "message": str(exc)}}
 
 
-_NUMERICAL_ERRORS = (VanVleckError, ValueError, ZeroDivisionError,
-                     FloatingPointError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (VanVleckError, ValueError, ArithmeticError,
+                     np.linalg.LinAlgError)
 
 
 def run_factor(scenario: Scenario, full_grid: bool = False) -> dict:
@@ -492,12 +485,11 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
 
     reports = []
     try:
+        full = _solve_scenario_path(scenario)
         for t_mid in t_mid_values:
-            rep = verify_composition(
-                scenario.model, scenario.x_a, scenario.x_b, scenario.t_a,
-                scenario.t_b, float(t_mid), tol=factor_tol,
-                n_steps=scenario.numerics["n_steps"],
-                momentum_tol=momentum_tol, midpoint_offset=offset)
+            rep = verify_composition(full, float(t_mid), tol=factor_tol,
+                                     momentum_tol=momentum_tol,
+                                     midpoint_offset=offset)
             reports.append({
                 "t_mid": rep.t_mid,
                 "x_mid": rep.x_mid,

@@ -17,7 +17,6 @@ at the junction and additivity of the classical actions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .dynamics import ClassicalPath, solve_bvp, state_at
 from .errors import MidpointOffPath
 from .fluctuation import fresnel_det_inv_sqrt, fresnel_prefactor, vvpm_factor
 from .hessian import ActionHessian, action_hessian_jacobi
-from .models import LagrangianModel
 
 JUNCTION_VELOCITY_TOL = 1e-6
 
@@ -94,30 +92,31 @@ def verify_jacobian_identity(hess_full: ActionHessian, hess_left: ActionHessian,
     return abs(lhs - rhs) / scale
 
 
-def verify_composition(model: LagrangianModel, x_a, x_b, t_a: float,
-                       t_b: float, t_mid: float, tol: float = 1e-6,
-                       n_steps: int = 1000, momentum_tol: float = 1e-8,
+def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
+                       momentum_tol: float = 1e-8,
                        midpoint_offset=None) -> CompositionReport:
-    """Split at t_mid, recombine, and report all four residuals.
+    """Split the solved path ``full`` at t_mid, recombine, report all residuals.
 
-    The junction position is read off the through trajectory; passing
+    The model, endpoints, times and step count are those of ``full``; the
+    two halves are re-solved independently on proportional grids.  The
+    junction position is read off the through trajectory; passing
     ``midpoint_offset`` displaces it deliberately (negative control),
     which suppresses the on-path consistency check that otherwise raises
     MidpointOffPath.
     """
+    model, t_a, t_b, n_steps = full.model, full.t_a, full.t_b, full.n_steps
     if not (t_a < t_mid < t_b):
         raise ValueError("t_mid must lie strictly inside (t_a, t_b)")
-    duration = t_b - t_a
-    full = solve_bvp(model, x_a, x_b, t_a, t_b, n_steps=n_steps)
+    duration = full.duration
     x_on_path, v_on_path = state_at(full, t_mid)
     x_mid = np.array(x_on_path)
     if midpoint_offset is not None:
         x_mid = x_mid + np.asarray(midpoint_offset, dtype=float)
 
-    left = solve_bvp(model, x_a, x_mid, t_a, t_mid,
+    left = solve_bvp(model, full.x_a, x_mid, t_a, t_mid,
                      v0_guess=full.v_a,
                      n_steps=_even_steps((t_mid - t_a) / duration, n_steps))
-    right = solve_bvp(model, x_mid, x_b, t_mid, t_b,
+    right = solve_bvp(model, x_mid, full.x_b, t_mid, t_b,
                       v0_guess=v_on_path,
                       n_steps=_even_steps((t_b - t_mid) / duration, n_steps))
     if midpoint_offset is None:

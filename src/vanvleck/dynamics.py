@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
+from .models import (LagrangianModel, evaluate_hamiltonian, fd_jacobian,
                      legendre_momentum, metric_solve)
 
 DEFAULT_N_STEPS = 1000
@@ -152,14 +152,9 @@ def el_linearization(model: LagrangianModel, x, v, t):
 
     dfdx = -hv
     if not model.kinetic_gradients_constant:
-        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        cols = []
-        for m in range(model.dim):
-            e = np.zeros(model.dim)
-            e[m] = h
-            cols.append((_kinetic_force(model, x + e, v, t)
-                         - _kinetic_force(model, x - e, v, t)) / (2.0 * h))
-        dfdx = dfdx + np.stack(cols, axis=1)
+        force_x = fd_jacobian(lambda y, s: _kinetic_force(model, y, v, s),
+                              (model.dim, model.dim))
+        dfdx = dfdx + force_x(x, t)
     # variation of g^-1: d acc / d x_m -= g^-1 (d_m g) acc
     dfdx = dfdx - np.einsum("mij,j->im", dg, acc)
     return acc, gi @ dfdx, gi @ dfdv

@@ -4,7 +4,10 @@ The accepted grammar is deliberately small: +, -, *, /, ^ (right
 associative), unary minus, sin, cos, exp, the variables x and t, numeric
 literals, and parentheses.  Expressions are differentiated symbolically
 in x so a text-defined potential still supplies analytic first and
-second derivatives to the solvers.  ``compile_node`` turns a tree into one
+second derivatives to the solvers.  ``^`` is ``math.pow``, so a power
+with no real value (a negative base under a fractional exponent) raises
+ValueError and one that overflows raises OverflowError; neither returns a
+complex number or infinity.  ``compile_node`` turns a tree into one
 straight-line Python function that does ``evaluate``'s arithmetic, so the
 solvers' callbacks do not walk the tree at every call.
 """
@@ -117,7 +120,7 @@ class _Bin:
             return a * b
         if self.op == "/":
             return a / b
-        return a ** b
+        return math.pow(a, b)
 
     def diff(self):
         if self.op in "+-":
@@ -240,7 +243,7 @@ def parse_expression(text: str):
     return node
 
 
-_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 
 def compile_node(node):
@@ -248,11 +251,12 @@ def compile_node(node):
 
     Every distinct node (by identity, so subtrees that ``diff`` shares are
     computed once) becomes one local, emitted in ``evaluate``'s order with
-    the same operators.  Numeric constants are bound as names in the
-    function's globals, so the generated source holds only local names,
-    ``x``, ``t`` and the whitelisted function names: no config text.
+    the same operators (``^`` as ``math.pow``).  Numeric constants are
+    bound as names in the function's globals, so the generated source
+    holds only local names, ``x``, ``t`` and the whitelisted function
+    names: no config text.
     """
-    scope = {"__builtins__": {}, **_FUNCTIONS}
+    scope = {"__builtins__": {}, "pow": math.pow, **_FUNCTIONS}
     names = {}
     lines = []
 
@@ -273,7 +277,8 @@ def compile_node(node):
                 code = f"{n.name}({emit(n.arg)})"
             else:
                 left, right = emit(n.left), emit(n.right)
-                code = f"{left} {_PY_OPERATORS[n.op]} {right}"
+                code = (f"pow({left}, {right})" if n.op == "^"
+                        else f"{left} {_PY_OPERATORS[n.op]} {right}")
             name = f"v{len(names)}"
             lines.append(f"    {name} = {code}")
         names[id(n)] = name

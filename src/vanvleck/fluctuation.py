@@ -107,15 +107,12 @@ def _positive_det(mat: np.ndarray, what: str) -> float:
     return det
 
 
-def vvpm_factor(hess: ActionHessian, hbar: float = 1.0,
-                dim: Optional[int] = None) -> FluctuationFactor:
+def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
     """F = (2 pi i hbar)^(-D/2) sqrt(det(-d2A/dx_a dx_b)).
 
     Raises CausticRegion when the determinant is not positive.
     """
     d = hess.dim
-    if dim is not None and dim != d:
-        raise ValueError(f"dim={dim} does not match Hessian dimension {d}")
     det = _positive_det(hess.mixed, "Van Vleck")
     return FluctuationFactor(
         value=fresnel_prefactor(d, hbar) * np.sqrt(det),
@@ -169,33 +166,32 @@ def certify_quadratic(model: LagrangianModel, box: float = 1.0,
             raise NotQuadraticModel("vector potential is not linear in position")
 
 
-def energy_hessian_factor(model: LagrangianModel, path: ClassicalPath,
-                          h: Optional[float] = None,
-                          tol: float = 1e-13) -> FluctuationFactor:
+def energy_hessian_factor(path: ClassicalPath,
+                          h: Optional[float] = None) -> FluctuationFactor:
     """Prefactor from the endpoint energy Hessian, quadratic models only,
 
         F = (2 pi i hbar)^(-D/2) det(g)^(1/4) det(d2E/dx_b dx_b)^(1/4).
 
     E(x_a, x_b) is the conserved energy of the classical path as a function
     of the endpoints.  ``central_hessian`` differentiates it in x_b over
-    2 D^2 re-solved boundary problems, with f0 the path's own energy_a.
-    For certified-quadratic models E is exactly quadratic in the
-    endpoints, so the stencil step defaults to a large
+    2 D^2 boundary problems re-solved to 1e-13 on the path's grid, with f0
+    the path's own energy_a.  For certified-quadratic models E is exactly
+    quadratic in the endpoints, so the stencil step defaults to a large
     0.05 * max(1, |x_b - x_a|): no truncation error, and the Newton
     termination noise is suppressed far below tolerance.  The quartic
     roots are fixed by continuity with the short-interval free limit.
     """
+    model = path.model
     box = 1.0 + float(np.max(np.abs(np.concatenate((path.x_a, path.x_b)))))
     certify_quadratic(model, box=box)
     d = model.dim
     if h is None:
         h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
 
-    seed = path.velocities[0]
-
     def energy(xb):
         return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,
-                         v0_guess=seed, n_steps=path.n_steps, tol=tol).energy_a
+                         v0_guess=path.v_a, n_steps=path.n_steps,
+                         tol=1e-13).energy_a
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
 

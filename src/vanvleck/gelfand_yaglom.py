@@ -33,8 +33,9 @@ from numpy.polynomial import legendre as npleg
 from scipy.linalg import expm
 
 from .dynamics import require_nonsingular
-from .errors import FocalPoint, NonSPDMass, SeriesDivergence
+from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
+from .models import mass_matrix
 
 
 @dataclass(frozen=True)
@@ -230,16 +231,12 @@ def gy_fluctuation_factor(sol: JacobiBoundarySolution, mass_metric,
     """F = sqrt(det M) / (2 pi i hbar T)^(D/2) * sqrt(det(T Bdot(t_a))).
 
     Requires det(T Bdot(t_a)) > 0, i.e. the interval lies before the first
-    focal time; raises FocalPoint otherwise.
+    focal time; raises FocalPoint otherwise, and NonSPDMass unless the mass
+    passes ``models.mass_matrix``.
     """
     d = sol.dim
     duration = sol.t_b - sol.t_a
-    m = np.asarray(mass_metric, dtype=float)
-    if m.ndim == 0:
-        m = float(m) * np.eye(d)
-    det_m = float(np.linalg.det(m))
-    if det_m <= 0.0 or not np.allclose(m, m.T, atol=1e-12):
-        raise NonSPDMass("mass metric must be symmetric positive definite")
+    det_m = float(np.linalg.det(mass_matrix(mass_metric, d)))
     det_tb = float(np.linalg.det(duration * sol.B_dot_a))
     if det_tb <= 0.0:
         raise FocalPoint(

@@ -18,7 +18,6 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -92,46 +91,37 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
                          grid_info={"n_steps": path.n_steps})
 
 
-def action_hessian_fd(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
-                      base_path: Optional[ClassicalPath] = None,
-                      h: Optional[float] = None, n_steps: Optional[int] = None,
-                      tol: float = 1e-12) -> ActionHessian:
+def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
     """Independent oracle: ``central_hessian`` of A(z) over re-solved BVPs.
 
-    The stencil runs once over the stacked endpoints z = (x_a, x_b), so the
-    three blocks are slices of one (2D, 2D) Hessian and the oracle solves
-    8 D^2 + 1 boundary problems.  The step defaults to
-    1e-4 * max(1, |x_b - x_a|).  Every stencil solve is seeded with the
-    base path's initial velocity, so all of them land on the same branch
-    of the classical flow.
+    The stencil runs once over the stacked endpoints z = (x_a, x_b) of the
+    solved ``path``, so the three blocks are slices of one (2D, 2D) Hessian
+    and the oracle solves 8 D^2 + 1 boundary problems to 1e-12 on the
+    path's grid.  The step is 1e-4 * max(1, |x_b - x_a|).  Every stencil
+    solve is seeded with the path's initial velocity, so all of them land
+    on the same branch of the classical flow.
     """
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    if base_path is None:
-        base_path = solve_bvp(model, x_a, x_b, t_a, t_b,
-                              n_steps=n_steps or 1000, tol=tol)
-    if n_steps is None:
-        n_steps = base_path.n_steps
-    if h is None:
-        h = 1e-4 * max(1.0, float(np.linalg.norm(x_b - x_a)))
-    seed = base_path.velocities[0]
+    model, t_a, t_b, n_steps = path.model, path.t_a, path.t_b, path.n_steps
+    h = 1e-4 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
+    seed = path.v_a
     d = model.dim
 
     def action(z):
         return solve_bvp(model, z[:d], z[d:], t_a, t_b, v0_guess=seed,
-                         n_steps=n_steps, tol=tol).action
+                         n_steps=n_steps, tol=1e-12).action
 
-    z = np.concatenate((x_a, x_b))
+    z = np.concatenate((path.x_a, path.x_b))
     hess = central_hessian(action, z, h, action(z))
     return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
                          method=METHOD_FD, grid_info={"n_steps": n_steps, "h": h})
 
 
-def frequency_matrix_along_path(path: ClassicalPath, t: float) -> np.ndarray:
-    """Jacobi frequency matrix Omega^2(t) = g^-1 d2V/dx2 along the path.
+def frequency_matrix_along_path(path: ClassicalPath):
+    """Jacobi frequency matrix t -> Omega^2(t) = g^-1 d2V/dx2 along the path.
 
     Only meaningful for vanishing vector potential; raises
     VectorPotentialPresent if |a| exceeds 1e-14 anywhere on the grid.
+    The returned callable interpolates the path with ``state_at``.
     """
     model = path.model
     worst = max(
@@ -142,8 +132,13 @@ def frequency_matrix_along_path(path: ClassicalPath, t: float) -> np.ndarray:
         raise VectorPotentialPresent(
             f"|a| reaches {worst:.3e} along the path; the scalar Jacobi "
             "frequency form only applies to zero vector potential")
-    x, _ = state_at(path, t)
-    return metric_solve(model, x, t, np.asarray(model.potential_hess(x, t), float))
+
+    def omega2(t):
+        x, _ = state_at(path, t)
+        return metric_solve(model, x, t,
+                            np.asarray(model.potential_hess(x, t), float))
+
+    return omega2
 
 
 def split_block_residual(full: ActionHessian, left: ActionHessian,

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularMetric
+from .errors import NonSPDMass, SingularMetric
 
 # Central-difference steps.  First derivatives use the cube root of machine
 # epsilon, second derivatives the fourth root (noise floor vs truncation).
@@ -212,19 +212,24 @@ def fd_jacobian(vf: Callable, shape) -> Callable:
 # builtins
 
 
-def _mass_matrix(mass, dim: Optional[int]) -> np.ndarray:
+def mass_matrix(mass, dim: Optional[int] = None) -> np.ndarray:
+    """A scalar (times the identity) or square mass as a (D, D) matrix.
+
+    The one mass rule: raises NonSPDMass unless the matrix is symmetric
+    (to 1e-12 relative to its largest entry) and positive definite, and
+    ValueError when its shape disagrees with ``dim``.
+    """
     m = np.asarray(mass, dtype=float)
     if m.ndim == 0:
-        if dim is None:
-            dim = 1
-        m = float(m) * np.eye(dim)
-    elif m.ndim == 2:
-        if dim is not None and m.shape != (dim, dim):
-            raise ValueError(f"mass matrix shape {m.shape} does not match dim={dim}")
-    else:
+        m = float(m) * np.eye(1 if dim is None else dim)
+    elif m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("mass must be a scalar or a square matrix")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-        raise ValueError("mass matrix must be symmetric")
+    elif dim is not None and m.shape != (dim, dim):
+        raise ValueError(f"mass matrix shape {m.shape} does not match dim={dim}")
+    if np.max(np.abs(m - m.T)) > 1e-12 * (1.0 + np.max(np.abs(m))):
+        raise NonSPDMass("mass matrix must be symmetric")
+    if not np.all(np.linalg.eigvalsh(m) > 0.0):
+        raise NonSPDMass("mass matrix must be positive definite")
     return m
 
 
@@ -238,7 +243,7 @@ def _constant_kinetic(model_dim: int, mass: np.ndarray):
 
 def free_particle(mass=1.0, dim: Optional[int] = None, hbar: float = 1.0) -> LagrangianModel:
     """Free motion with constant mass matrix M: L = 1/2 v.M.v."""
-    m = _mass_matrix(mass, dim)
+    m = mass_matrix(mass, dim)
     d = m.shape[0]
     g, dg = _constant_kinetic(d, m)
     zero_vec = np.zeros(d)
@@ -277,7 +282,7 @@ def harmonic_oscillator(
         Full symmetric stiffness matrix K(t) (the product of mass and squared
         frequency for anisotropic systems).
     """
-    m = _mass_matrix(mass, dim)
+    m = mass_matrix(mass, dim)
     d = m.shape[0]
     if (omega2 is None) == (stiffness is None):
         raise ValueError("give exactly one of omega2 and stiffness")
@@ -323,7 +328,7 @@ def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
     """
     if dim < 2:
         raise ValueError("magnetic_field needs dim >= 2")
-    m = float(mass) * np.eye(dim)
+    m = mass_matrix(float(mass), dim)
     g, dg = _constant_kinetic(dim, m)
     coupling = float(mass) * float(omega)
     da = np.zeros((dim, dim))
@@ -364,7 +369,7 @@ def one_dim_potential(
     The callables take a scalar position.  Missing derivatives fall back to
     central differences.
     """
-    m = float(mass) * np.eye(1)
+    m = mass_matrix(float(mass))
     g, dg = _constant_kinetic(1, m)
     zero_vec = np.zeros(1)
     zero_mat = np.zeros((1, 1))

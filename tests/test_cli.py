@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from vanvleck import cli, composition
 from vanvleck.cli import main, parse_scenario, serialize_scenario
 
 
@@ -148,6 +149,43 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", [
+    pytest.param({"tag": "free_particle", "params": {"mass": 0}}, id="zero"),
+    pytest.param({"tag": "one_dim_potential",
+                  "params": {"potential": "x^2", "mass": -1}}, id="negative"),
+    pytest.param({"tag": "free_particle",
+                  "params": {"mass": [[1, 2], [2, 1]], "dim": 2}},
+                 id="indefinite-matrix"),
+])
+def test_non_spd_mass_is_config_error(tmp_path, capsys, model):
+    dim = model["params"].get("dim", 1)
+    cfg = _write(tmp_path, "mass.json", _free_config(
+        model=model, x_a=[0.0] * dim, x_b=[1.0] * dim, methods=["vvpm"]))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "mass matrix" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, x_b, error", [
+    pytest.param({"tag": "one_dim_potential", "params": {"potential": "x^0.5"}},
+                 -1.0, "ValueError", id="negative-base"),
+    pytest.param({"tag": "harmonic_oscillator",
+                  "params": {"omega2": "(-1)^0.5 + t"}},
+                 1.0, "ValueError", id="complex-frequency"),
+    pytest.param({"tag": "one_dim_potential", "params": {"potential": "x^400"}},
+                 10.0, "OverflowError", id="overflow"),
+])
+def test_expression_arithmetic_failure_is_a_numerical_error(tmp_path, model,
+                                                            x_b, error):
+    cfg = _write(tmp_path, "arith.json", _free_config(
+        model=model, x_a=[1.0], x_b=[x_b], methods=["vvpm"]))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == error
+
+
 def test_constant_string_frequency_is_a_number(tmp_path):
     factors = []
     for omega2 in (2.0, "2.0", "4 / 2"):
@@ -225,6 +263,42 @@ def test_verify_quartic(tmp_path):
     report = json.loads(out.read_text())
     for row in report["reports"]:
         assert row["factor_residual"] < 1e-6
+
+
+def _quartic_verify_config(**extra):
+    cfg = {
+        "model": {"tag": "one_dim_potential",
+                  "params": {"potential": "x^4/4"}},
+        "x_a": [0.0], "x_b": [1.0], "t_b": 0.5,
+        "t_mid": [0.1, 0.25, 0.4],
+        "numerics": {"n_steps": 200},
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def test_verify_honours_numerics_of_the_through_path(tmp_path):
+    cfg = _write(tmp_path, "vmax.json", _quartic_verify_config(
+        numerics={"n_steps": 200, "max_iter": 1}))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "NoConvergence"
+
+
+def test_verify_solves_the_through_path_once(tmp_path, monkeypatch):
+    solves = []
+    real_solve = composition.solve_bvp
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_bvp", counted_solve)
+    monkeypatch.setattr(composition, "solve_bvp", counted_solve)
+    cfg = _write(tmp_path, "vonce.json", _quartic_verify_config())
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(solves) == 1 + 2 * 3
 
 
 def test_verify_negative_control_diagnostic(tmp_path):

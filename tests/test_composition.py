@@ -32,7 +32,8 @@ def _split(model, x_a, x_b, t_a, t_b, t_mid, n_steps=1000):
 
 def test_free_particle_composition_exact():
     model = free_particle(mass=1.0, dim=1)
-    report = verify_composition(model, [0.0], [1.0], 0.0, 2.0, 1.0)
+    report = verify_composition(
+        solve_bvp(model, [0.0], [1.0], 0.0, 2.0), 1.0)
     # dd(A_L + A_R)/dx^2 = 4 M / T = 2 at the junction
     assert report.diagnostic["junction_determinant"] == pytest.approx(2.0,
                                                                       abs=1e-9)
@@ -45,13 +46,15 @@ def test_free_particle_composition_exact():
 
 def test_harmonic_composition_tight():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    report = verify_composition(model, [0.0], [1.0], 0.0, 1.0, 0.3)
+    report = verify_composition(
+        solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.3)
     assert report.factor_residual <= 1e-8
     assert report.passed
 
 
 def test_quartic_composition(quartic):
-    report = verify_composition(quartic, [0.0], [1.0], 0.0, 0.5, 0.2)
+    report = verify_composition(
+        solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5), 0.2)
     assert report.factor_residual <= 1e-6
     assert report.momentum_mismatch <= 1e-8
     assert report.passed
@@ -143,21 +146,22 @@ def test_saddle_sits_on_through_trajectory(quartic):
 
 
 def test_mid_time_sweep_invariance(quartic):
+    full = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5, n_steps=600)
     for t_mid in (0.05, 0.15, 0.25, 0.35, 0.45):
-        report = verify_composition(quartic, [0.0], [1.0], 0.0, 0.5, t_mid,
-                                    n_steps=600)
+        report = verify_composition(full, t_mid)
         assert report.factor_residual <= 1e-6, t_mid
 
 
 def test_off_path_junction_raises(quartic):
     # grid too coarse: the interpolated junction leaves the true trajectory
     with pytest.raises(MidpointOffPath):
-        verify_composition(quartic, [0.0], [1.0], 0.0, 0.5, 0.2, n_steps=8)
+        verify_composition(
+            solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5, n_steps=8), 0.2)
 
 
 def test_midpoint_offset_is_diagnostic_negative_control(quartic):
-    report = verify_composition(quartic, [0.0], [1.0], 0.0, 0.5, 0.2,
-                                midpoint_offset=np.array([0.05]))
+    report = verify_composition(solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5),
+                                0.2, midpoint_offset=np.array([0.05]))
     assert report.diagnostic["midpoint_offset_applied"]
     assert report.momentum_mismatch > 1e-4
     assert not report.passed

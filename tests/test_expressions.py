@@ -63,6 +63,19 @@ def test_rejects_exponent_depending_on_x():
         compile_potential("2^x")
 
 
+@pytest.mark.parametrize("text, x, error", [
+    ("x^0.5", -1.0, ValueError),        # no real value: not a complex number
+    ("(-1)^0.5 + t", 0.0, ValueError),
+    ("x^400", 10.0, OverflowError),
+])
+def test_power_without_a_finite_real_value_raises(text, x, error):
+    node = parse_expression(text)
+    with pytest.raises(error):
+        node.evaluate(x, 0.0)
+    with pytest.raises(error):
+        compile_node(node)(x, 0.0)
+
+
 def test_rejects_non_finite_literal():
     with pytest.raises(ConfigError, match="1e999"):
         parse_expression("1e999 * x^2")

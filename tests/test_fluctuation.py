@@ -81,7 +81,7 @@ def test_energy_hessian_free_particle():
     m = np.diag([1.0, 3.0])
     model = free_particle(mass=m)
     path = solve_bvp(model, [0.0, 0.0], [1.0, 0.5], 0.0, 2.0, n_steps=200)
-    f = energy_hessian_factor(model, path)
+    f = energy_hessian_factor(path)
     expected = np.sqrt(np.linalg.det(m)) / (2 * np.pi * 2.0)
     assert abs(f.value) == pytest.approx(expected, rel=1e-10)
     assert np.angle(f.value) == pytest.approx(-np.pi / 2, abs=1e-9)
@@ -90,7 +90,7 @@ def test_energy_hessian_free_particle():
 def test_energy_hessian_matches_vvpm_on_harmonic():
     model = harmonic_oscillator(mass=1.0, omega2=2.25, dim=1)
     path = solve_bvp(model, [0.1], [0.9], 0.0, 1.0)
-    eh = energy_hessian_factor(model, path)
+    eh = energy_hessian_factor(path)
     vv = vvpm_factor(action_hessian_jacobi(path))
     assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
 
@@ -98,7 +98,7 @@ def test_energy_hessian_matches_vvpm_on_harmonic():
 def test_energy_hessian_matches_vvpm_on_magnetic():
     model = magnetic_field(mass=1.0, omega=1.2, dim=2)
     path = solve_bvp(model, [0.0, 0.0], [0.8, -0.1], 0.0, 1.0)
-    eh = energy_hessian_factor(model, path)
+    eh = energy_hessian_factor(path)
     vv = vvpm_factor(action_hessian_jacobi(path))
     assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
 
@@ -106,7 +106,7 @@ def test_energy_hessian_matches_vvpm_on_magnetic():
 def test_energy_hessian_rejects_anharmonic(quartic):
     path = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5)
     with pytest.raises(NotQuadraticModel):
-        energy_hessian_factor(quartic, path)
+        energy_hessian_factor(path)
 
 
 def test_general_factor_free_particle():

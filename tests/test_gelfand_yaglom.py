@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from vanvleck import (
     FocalPoint,
+    NonSPDMass,
     SeriesDivergence,
     action_hessian_jacobi,
     gy_fluctuation_factor,
@@ -137,6 +138,13 @@ def test_gy_factor_constant_frequency_anchor():
     f = gy_fluctuation_factor(sol, mass_metric=np.array([[1.0]]))
     expected = np.sqrt(1.0 / (2 * np.pi * np.sin(t_tot)))
     assert abs(f.value) == pytest.approx(expected, rel=1e-9)
+
+
+def test_gy_factor_rejects_negative_definite_mass():
+    # det(-1) = 1 > 0 in D = 2; only the eigenvalues show the mass is not SPD
+    sol = solve_B_direct(np.zeros((2, 2)), 0.0, 1.0)
+    with pytest.raises(NonSPDMass):
+        gy_fluctuation_factor(sol, mass_metric=-np.eye(2))
 
 
 def test_gy_matches_vvpm_time_dependent():

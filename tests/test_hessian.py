@@ -46,21 +46,22 @@ def test_fd_free_particle_unit_values():
     # coarse exact grid: the stencil divides by 4h^2, so accumulated
     # trajectory roundoff at n_steps=1000 would sit right at 1e-8
     model = free_particle(mass=1.0, dim=1)
-    hess = action_hessian_fd(model, [0.0], [1.0], 0.0, 1.0, n_steps=64)
+    hess = action_hessian_fd(
+        solve_bvp(model, [0.0], [1.0], 0.0, 1.0, n_steps=64))
     assert hess.mixed[0, 0] == pytest.approx(1.0, abs=1e-8)
     assert hess.method == "FiniteDifference"
 
 
 def test_fd_harmonic_closed_form():
     model = harmonic_oscillator(mass=1.0, omega2=4.0, dim=1)
-    hess = action_hessian_fd(model, [0.1], [0.8], 0.0, 0.3)
+    hess = action_hessian_fd(solve_bvp(model, [0.1], [0.8], 0.0, 0.3))
     assert hess.mixed[0, 0] == pytest.approx(2.0 / np.sin(0.6), abs=1e-5)
 
 
 def test_jacobi_matches_fd_quartic(quartic):
     path = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5)
     jac = action_hessian_jacobi(path)
-    fd = action_hessian_fd(quartic, [0.0], [1.0], 0.0, 0.5, base_path=path)
+    fd = action_hessian_fd(path)
     for name in ("mixed", "aa", "bb"):
         a, b = getattr(jac, name), getattr(fd, name)
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, np.max(np.abs(b))), name
@@ -84,8 +85,7 @@ def test_magnetic_blocks_match_closed_form_and_fd(monkeypatch):
         return solve_bvp(*args, **kwargs)
 
     monkeypatch.setattr(hessian_module, "solve_bvp", counted_solve)
-    fd = action_hessian_fd(model, [0.0, 0.0], [1.0, 0.5], 0.0, 1.0,
-                           base_path=path)
+    fd = action_hessian_fd(path)
     assert len(solves) == 8 * 2**2 + 1
     # aa and bb carry off-diagonal +-skew entries from the stacked stencil
     for name in ("mixed", "aa", "bb"):
@@ -112,16 +112,16 @@ def test_frequency_matrix_examples(quartic):
     ho = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
     path = solve_bvp(ho, [0.0], [1.0], 0.0, 1.0)
     for t in (0.0, 0.37, 1.0):
-        assert frequency_matrix_along_path(path, t)[0, 0] == pytest.approx(1.0)
+        assert frequency_matrix_along_path(path)(t)[0, 0] == pytest.approx(1.0)
 
     free = free_particle(mass=2.0, dim=1)
     fpath = solve_bvp(free, [0.0], [1.0], 0.0, 1.0)
-    assert frequency_matrix_along_path(fpath, 0.5)[0, 0] == pytest.approx(0.0)
+    assert frequency_matrix_along_path(fpath)(0.5)[0, 0] == pytest.approx(0.0)
 
     qpath = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5)
     t_probe = 0.31
     x_probe, _ = state_at(qpath, t_probe)
-    val = frequency_matrix_along_path(qpath, t_probe)[0, 0]
+    val = frequency_matrix_along_path(qpath)(t_probe)[0, 0]
     assert val == pytest.approx(3.0 * x_probe[0] ** 2, abs=1e-10)
 
 
@@ -129,7 +129,7 @@ def test_frequency_matrix_rejects_vector_potential():
     model = magnetic_field(mass=1.0, omega=1.0, dim=2)
     path = solve_bvp(model, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
     with pytest.raises(VectorPotentialPresent):
-        frequency_matrix_along_path(path, 0.5)
+        frequency_matrix_along_path(path)
 
 
 def test_split_block_identity_quartic(quartic):

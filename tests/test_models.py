@@ -5,6 +5,7 @@ import pytest
 
 from vanvleck import (
     BUILTIN_TAGS,
+    NonSPDMass,
     builtin_model,
     evaluate_hamiltonian,
     evaluate_lagrangian,
@@ -12,9 +13,11 @@ from vanvleck import (
     harmonic_oscillator,
     legendre_momentum,
     magnetic_field,
+    one_dim_potential,
     probe_derivative_consistency,
 )
-from vanvleck.models import central_hessian, metric_solve, velocity_from_momentum
+from vanvleck.models import (central_hessian, mass_matrix, metric_solve,
+                             velocity_from_momentum)
 
 from conftest import make_quartic, random_spd
 
@@ -151,6 +154,26 @@ def test_time_dependent_omega2_callable():
 def test_magnetic_requires_dim_at_least_two():
     with pytest.raises(ValueError):
         magnetic_field(mass=1.0, omega=1.0, dim=1)
+
+
+@pytest.mark.parametrize("mass", [
+    0.0, -1.0, [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
+def test_mass_matrix_requires_symmetric_positive_definite(mass):
+    with pytest.raises(NonSPDMass):
+        mass_matrix(mass)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: free_particle(mass=m, dim=2),
+    lambda m: harmonic_oscillator(mass=m, omega2=1.0, dim=2),
+    lambda m: magnetic_field(mass=m, omega=1.0, dim=2),
+    lambda m: one_dim_potential(lambda x, t: x * x, mass=m),
+], ids=["free_particle", "harmonic_oscillator", "magnetic_field",
+        "one_dim_potential"])
+@pytest.mark.parametrize("mass", [0.0, -1.0])
+def test_builtins_reject_non_positive_mass(build, mass):
+    with pytest.raises(NonSPDMass):
+        build(mass)
 
 
 def test_central_hessian_exact_on_quadratic():
