@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import ClassicalPath, simpson
 from .errors import FocalPoint, TurningPoint
@@ -87,7 +86,9 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
                        atol=1e-10 * (1.0 + np.abs(stiffness).max())):
         raise ValueError("M @ omega2 must be symmetric")
     stiffness = 0.5 * (stiffness + stiffness.T)
-    mode_w2, modes = scipy.linalg.eigh(stiffness, m)
+    l_inv = np.linalg.inv(np.linalg.cholesky(m))
+    mode_w2, y = np.linalg.eigh(l_inv @ stiffness @ l_inv.T)
+    modes = l_inv.T @ y                  # M-orthonormal: modes^T M modes = 1
     if np.any(mode_w2 <= 0.0):
         raise ValueError("normal-mode frequencies must be real and positive")
     omegas = np.sqrt(mode_w2)

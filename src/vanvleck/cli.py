@@ -162,7 +162,7 @@ def _parse_numerics(cfg: dict) -> dict:
     for key in ("tol", "fd_step"):
         if numerics[key] is not None and not numerics[key] > 0.0:
             raise ConfigError(f"{key} must be positive")
-    for key in ("max_iter", "quad_points", "n_slices"):
+    for key in ("max_iter", "series_order", "quad_points", "n_slices"):
         if numerics[key] < 1:
             raise ConfigError(f"{key} must be at least 1")
     return numerics
@@ -477,6 +477,9 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     factor_tol = _scalar(thresholds_cfg, "factor", "thresholds", default=1e-6)
     momentum_tol = _scalar(thresholds_cfg, "momentum", "thresholds",
                            default=1e-8)
+    for key, value in (("factor", factor_tol), ("momentum", momentum_tol)):
+        if not value > 0.0:
+            raise ConfigError(f"thresholds.{key} must be positive")
     offset = cfg.get("midpoint_offset")
     if offset is not None:
         offset = _vector(offset, "midpoint_offset")

@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import expm
 
 from .dynamics import require_nonsingular
 from .errors import FocalPoint, SeriesDivergence
@@ -189,40 +188,52 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
         t_a=float(t_a), t_b=float(t_b), method=f"NeumannSeries({order})")
 
 
+def _slice_propagators(w: np.ndarray, dt: float) -> np.ndarray:
+    """exp(dt [[0, 1], [-W, 0]]) = [[C, S], [-W S, C]] for a stack of W.
+
+    C = cos(sqrt(W) dt) and S = sin(sqrt(W) dt) / sqrt(W) are power series
+    in X = -W dt^2, summed on X / 4^s with max |X|_inf / 4^s <= 1 and then
+    doubled s times (C <- 2 C C - 1, S <- 2 S C).  No eigenbasis of W is
+    formed, so a defective W needs no special case.
+    """
+    eye = np.eye(w.shape[1])
+    x = -w * dt**2
+    doublings = max(0, (int(np.frexp(np.abs(x).sum(axis=2).max())[1]) + 1) // 2)
+    y = x / 4.0**doublings
+    c, s_h = eye, eye      # Horner sums of Y^k/(2k)! and Y^k/(2k+1)!, k <= 10
+    for k in range(10, 0, -1):
+        c = eye + (y @ c) / ((2 * k - 1) * (2 * k))
+        s_h = eye + (y @ s_h) / ((2 * k) * (2 * k + 1))
+    sn = s_h * (dt / 2.0**doublings)
+    for _ in range(doublings):
+        c, sn = 2.0 * c @ c - eye, 2.0 * sn @ c
+    return np.block([[c, sn], [-w @ sn, c]])
+
+
 def solve_B_time_ordered(omega2, t_a: float, t_b: float,
                          n_slices: int = 2000) -> JacobiBoundarySolution:
     """Ordered product of per-slice exponentials of [[0, 1], [-Omega2, 0]].
 
-    Omega2 is frozen at each slice midpoint; the (1, 2) block of the
-    ordered product (later slices to the left) is B_raw(t_b).  All slice
-    exponentials come from one batched ``expm`` over the stacked
-    generators.
+    Omega2 is frozen at each slice midpoint.  One pass carries the raw
+    state (B, Bdot) from (0, 1) through the slices; its last B block is
+    B_raw(t_b), and the grid is rescaled as in ``solve_B_direct``.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be positive")
     w2, d = _omega2_callable(omega2, t_a)
     dt = (t_b - t_a) / n_slices
-    gens = np.zeros((n_slices, 2 * d, 2 * d))
-    gens[:, :d, d:] = np.eye(d)
-    for j in range(n_slices):
-        gens[j, d:, :d] = -w2(t_a + (j + 0.5) * dt)
-    slices = expm(gens * dt)
-
-    phi = np.eye(2 * d)
-    for e in slices:
-        phi = e @ phi
-    b_tb = phi[:d, d:]
-    rescale = _invert_boundary(b_tb, f"TimeOrderedSinh({n_slices})", t_b - t_a)
+    w = np.array([w2(t_a + (j + 0.5) * dt) for j in range(n_slices)])
 
     times = np.linspace(t_a, t_b, n_slices + 1)
     values = np.empty((n_slices + 1, d, d))
-    u = np.vstack((np.zeros((d, d)), rescale))   # (B, Bdot) seeded at t_a
+    u = np.vstack((np.zeros((d, d)), np.eye(d)))   # raw (B, Bdot) at t_a
     values[0] = u[:d]
-    for j, e in enumerate(slices):
+    for j, e in enumerate(_slice_propagators(w, dt)):
         u = e @ u
         values[j + 1] = u[:d]
+    rescale = _invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})", t_b - t_a)
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=values, omega2=w2,
+        B_dot_a=rescale, times=times, B_grid=values @ rescale, omega2=w2,
         t_a=float(t_a), t_b=float(t_b), method=f"TimeOrderedSinh({n_slices})")
 
 

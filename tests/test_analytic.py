@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vanvleck import (
     FocalPoint,
@@ -22,7 +23,7 @@ from vanvleck import (
     vvpm_factor,
 )
 
-from conftest import make_quartic
+from conftest import make_quartic, random_spd
 
 
 def test_free_factor_scalar():
@@ -77,6 +78,23 @@ def test_harmonic_two_modes_match_direct_solver():
     assert abs(res.factor.value - gy.value) / abs(gy.value) < 1e-9
     np.testing.assert_allclose(sorted(res.aux["normal_mode_frequencies"]),
                                [1.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_harmonic_matrix_mass_modes_match_generalized_eigh(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(20):
+        m = random_spd(rng, dim)
+        stiffness = random_spd(rng, dim)
+        ref_w2 = scipy.linalg.eigh(stiffness, m, eigvals_only=True)
+        omega2 = np.linalg.solve(m, stiffness)
+        duration = 0.5 * np.pi / np.sqrt(ref_w2.max())
+        res = harmonic_constant_factor(m, omega2, duration)
+        np.testing.assert_allclose(res.aux["normal_mode_frequencies"],
+                                   np.sqrt(ref_w2), rtol=1e-13)
+        modes = res.aux["mode_matrix"]
+        np.testing.assert_allclose(modes.T @ m @ modes, np.eye(dim),
+                                   atol=1e-13)
 
 
 def test_harmonic_focal_point():

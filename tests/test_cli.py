@@ -4,12 +4,15 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vanvleck import cli, composition
 from vanvleck.cli import main, parse_scenario, serialize_scenario
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def _write(tmp_path, name, payload):
@@ -129,6 +132,7 @@ def test_malformed_json_is_config_error(tmp_path):
     ("numerics", '{"n_steps": 6}'),
     ("numerics", '{"tol": 0}'),
     ("numerics", '{"max_iter": 0}'),
+    ("numerics", '{"series_order": 0}'),
     ("numerics", '{"fd_step": 0}'),
     ("numerics", '{"n_slices": 0}'),
     ("numerics", '{"quad_points": 0}'),
@@ -301,6 +305,22 @@ def test_verify_solves_the_through_path_once(tmp_path, monkeypatch):
     assert len(solves) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("key", ["factor", "momentum"])
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_verify_non_positive_threshold_is_config_error(
+        tmp_path, capsys, monkeypatch, key, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the through path must not be solved")
+
+    monkeypatch.setattr(cli, "solve_bvp", no_solve)
+    cfg = _write(tmp_path, "vthr.json", _quartic_verify_config(
+        thresholds={key: value}))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"thresholds.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_negative_control_diagnostic(tmp_path):
     cfg = _write(tmp_path, "vneg.json", {
         "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
@@ -422,12 +442,41 @@ def test_console_entry_point(tmp_path):
     assert "free_particle" in proc.stdout
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, vanvleck; print('scipy.integrate' in sys.modules)"],
+         "import sys, vanvleck.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    cfg = _write(tmp_path, "modes.json", {
+        "model": {"tag": "harmonic_oscillator",
+                  "params": {"mass": [[2.0, 0.3], [0.3, 1.0]],
+                             "stiffness": [[1.0, 0.2], [0.2, 3.0]],
+                             "dim": 2}},
+        "x_a": [0.0, 0.0], "x_b": [1.0, 0.5], "t_b": 1.0,
+        "methods": ["vvpm", "gelfand-yaglom", "analytic"],
+        "numerics": {"gy_solver": "time-ordered"},
+    })
+    factor_out = tmp_path / "factor.json"
+    verify_out = tmp_path / "verify.json"
+    quartic = DEMO_CONFIGS / "quartic_verify.json"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from vanvleck.cli import main\n"
+        f"assert main(['factor', '--config', {str(cfg)!r}, "
+        f"'--out', {str(factor_out)!r}]) == 0\n"
+        f"assert main(['verify', '--config', {str(quartic)!r}, "
+        f"'--out', {str(verify_out)!r}]) == 0\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
+    report = json.loads(factor_out.read_text())
+    for dev in report["pairwise_deviations"].values():
+        assert dev < 1e-6
+    assert json.loads(verify_out.read_text())["all_passed"] is True
 
 
 def test_full_grid_flag(tmp_path):

@@ -92,18 +92,37 @@ def test_time_ordered_linear_ramp_matches_direct():
     assert abs(ordered.B_dot_a[0, 0] - direct.B_dot_a[0, 0]) < 1e-7
 
 
-def test_time_ordered_batched_expm_equals_slice_loop():
-    omega2 = lambda t: np.array([[1.0 + t, 0.2], [0.2, 0.5]])  # noqa: E731
-    n, t_b = 50, 1.3
+def _expm_slice_product_slope(omega2, t_b, n):
+    """Bdot(0) from an ordered product of per-slice scipy expm calls."""
+    d = np.atleast_2d(omega2(0.0)).shape[0]
     dt = t_b / n
-    phi = np.eye(4)
+    phi = np.eye(2 * d)
     for j in range(n):
-        gen = np.zeros((4, 4))
-        gen[:2, 2:] = np.eye(2)
-        gen[2:, :2] = -omega2((j + 0.5) * dt)
+        gen = np.zeros((2 * d, 2 * d))
+        gen[:d, d:] = np.eye(d)
+        gen[d:, :d] = -np.atleast_2d(omega2((j + 0.5) * dt))
         phi = expm(gen * dt) @ phi
-    sol = solve_B_time_ordered(omega2, 0.0, t_b, n_slices=n)
-    np.testing.assert_array_equal(sol.B_dot_a, np.linalg.inv(phi[:2, 2:]))
+    return np.linalg.inv(phi[:d, d:])
+
+
+def test_time_ordered_matches_per_slice_expm():
+    def mixed3(t):
+        return np.array([[4.0 + t, 0.3, 0.1 * np.sin(t)],
+                         [0.3, -9.0, 0.2],
+                         [0.1 * np.sin(t), 0.2, 1.0 - t]])
+
+    cases = [
+        (lambda t: np.array([[1.0 + t, 0.2], [0.2, 0.5]]), 1.3, 50),
+        (lambda t: 1.0, 0.9 * np.pi, 1),              # omega T = 0.9 pi
+        (lambda t: -25.0, 1.0, 1),                    # sinh/cosh slice
+        (lambda t: np.array([[4.0, 1.0], [0.0, 4.0]]), 1.0, 1),  # Jordan block
+        (mixed3, 1.0, 2000),                          # D=3, mixed signs
+    ]
+    for omega2, t_b, n in cases:
+        sol = solve_B_time_ordered(omega2, 0.0, t_b, n_slices=n)
+        np.testing.assert_allclose(
+            sol.B_dot_a, _expm_slice_product_slope(omega2, t_b, n),
+            rtol=1e-13)
 
 
 def test_boundary_grid_invariants():
