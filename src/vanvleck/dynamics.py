@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .models import (LagrangianModel, evaluate_hamiltonian, fd_jacobian,
+from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
                      legendre_momentum, metric_solve)
 
 DEFAULT_N_STEPS = 1000
@@ -103,22 +103,44 @@ class ClassicalPath:
 # Euler-Lagrange right-hand side and its linearization
 
 
-def _kinetic_force(model: LagrangianModel, x, v, t) -> np.ndarray:
-    """Generalized force without the -grad V term.
+def _kinetic_force(dg, da, v) -> np.ndarray:
+    """Generalized force without the -grad V term,
 
-    F_i = 1/2 v.(d_i g).v - (d_k g_ij) v_k v_j + (da^T - da).v
+        F_i = 1/2 v.(d_i g).v - (d_k g_ij) v_k v_j + (da^T - da).v,
+
+    from ``dg = metric_grad`` and ``da = vector_potential_grad`` at one
+    point.  F is linear in (dg, da), so leading axes stack: given the
+    x-derivatives ``(d_m dg, d_m da)`` it returns ``d_m F`` as row m.
     """
-    dg = np.asarray(model.metric_grad(x, t))
-    da = np.asarray(model.vector_potential_grad(x, t))
-    return (0.5 * np.einsum("ijk,j,k->i", dg, v, v)
-            - np.einsum("kij,k,j->i", dg, v, v)
-            + (da.T - da) @ v)
+    dgv = dg @ v
+    return 0.5 * (dgv @ v) - v @ dgv + (da.swapaxes(-1, -2) - da) @ v
 
 
 def acceleration(model: LagrangianModel, x, v, t) -> np.ndarray:
     """Solve g(x, t) vdot = F(x, v, t) for the Euler-Lagrange acceleration."""
-    rhs = _kinetic_force(model, x, v, t) - np.asarray(model.potential_grad(x, t))
+    rhs = (_kinetic_force(np.asarray(model.metric_grad(x, t)),
+                          np.asarray(model.vector_potential_grad(x, t)), v)
+           - np.asarray(model.potential_grad(x, t)))
     return metric_solve(model, x, t, rhs)
+
+
+def _kinetic_force_x(model: LagrangianModel, x, v, t) -> np.ndarray:
+    """x-Jacobian of ``_kinetic_force`` at fixed v, by central differences.
+
+    Only metric_grad and vector_potential_grad are differenced, in one
+    pass over the 2D points x +- h e_m with h = FD_STEP max(1, |x|_inf);
+    the stacked differences d_m dg and d_m da are contracted with v once.
+    """
+    d = x.size
+    h = FD_STEP * max(1.0, float(np.abs(x).max()))
+    ddg = np.empty((d, d, d, d))
+    dda = np.empty((d, d, d))
+    for m, e in enumerate(h * np.eye(d)):
+        ddg[m] = np.subtract(model.metric_grad(x + e, t),
+                             model.metric_grad(x - e, t))
+        dda[m] = np.subtract(model.vector_potential_grad(x + e, t),
+                             model.vector_potential_grad(x - e, t))
+    return _kinetic_force(ddg, dda, v).T / (2.0 * h)
 
 
 def el_linearization(model: LagrangianModel, x, v, t):
@@ -126,37 +148,36 @@ def el_linearization(model: LagrangianModel, x, v, t):
 
     Returns ``(acc, jx, jv)`` with ``jx = d acc / d x`` and
     ``jv = d acc / d v``.  The potential contribution to jx is analytic
-    (potential_hess); x-derivatives of metric_grad and
+    (potential_hess).  The x-derivatives of metric_grad and
     vector_potential_grad vanish for models flagged
-    ``kinetic_gradients_constant`` and are filled by central differences
-    otherwise.
+    ``kinetic_gradients_constant``; otherwise only those two callbacks are
+    central-differenced (``_kinetic_force_x``).  One call evaluates
+    metric, potential_grad and potential_hess once each, and metric_grad
+    and vector_potential_grad once, plus 2D times when unflagged.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    d = model.dim
     g = np.asarray(model.metric(x, t), dtype=float)
     dg = np.asarray(model.metric_grad(x, t))
     da = np.asarray(model.vector_potential_grad(x, t))
     hv = np.asarray(model.potential_hess(x, t))
 
-    force = _kinetic_force(model, x, v, t) - np.asarray(model.potential_grad(x, t))
+    force = _kinetic_force(dg, da, v) - np.asarray(model.potential_grad(x, t))
     try:
         gi = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
     acc = gi @ force
 
-    dfdv = (np.einsum("imk,k->im", dg, v)
-            - np.einsum("mij,j->im", dg, v)
-            - np.einsum("kim,k->im", dg, v)
-            + (da.T - da))
+    dgv = dg @ v
+    dfdv = dgv - dgv.T - (v @ dg.reshape(d, d * d)).reshape(d, d) + (da.T - da)
 
     dfdx = -hv
     if not model.kinetic_gradients_constant:
-        force_x = fd_jacobian(lambda y, s: _kinetic_force(model, y, v, s),
-                              (model.dim, model.dim))
-        dfdx = dfdx + force_x(x, t)
+        dfdx = dfdx + _kinetic_force_x(model, x, v, t)
     # variation of g^-1: d acc / d x_m -= g^-1 (d_m g) acc
-    dfdx = dfdx - np.einsum("mij,j->im", dg, acc)
+    dfdx = dfdx - (dg @ acc).T
     return acc, gi @ dfdx, gi @ dfdv
 
 
@@ -222,7 +243,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     def rhs(t, xc, vc, wc):
         if carry:
             acc, jx, jv = linearize(model, xc, vc, t)
-            dw = np.vstack((wc[d:, :], jx @ wc[:d, :] + jv @ wc[d:, :]))
+            dw = np.empty_like(wc)
+            dw[:d] = wc[d:]
+            dw[d:] = jx @ wc[:d] + jv @ wc[d:]
             return vc, acc, dw
         return vc, acceleration(model, xc, vc, t), None
 

@@ -23,6 +23,7 @@ def make_polar_free_particle(mass: float = 1.0, hbar: float = 1.0):
 
     g = diag(m, m r^2) depends on position, so this model runs the
     ``kinetic_gradients_constant=False`` branch of the linearization.
+    ``demos/polar_free_particle.py`` builds the same model.
     """
     zero2 = np.zeros(2)
     zero22 = np.zeros((2, 2))
@@ -43,6 +44,39 @@ def make_polar_free_particle(mass: float = 1.0, hbar: float = 1.0):
         potential_hess=lambda q, t: zero22,
         hbar=hbar,
         label="polar_free_particle",
+    )
+
+
+def make_curled_metric(mass: float = 1.0, b: float = 0.7, c: float = 0.3):
+    """Position-dependent metric with a nonlinear, curl-carrying a.
+
+    g = diag(m, m (1 + x0^2)) and a = (0, b x0 + c x0^3): the field
+    da_1/dx_0 = b + 3 c x0^2 varies along x0, so the linearization needs
+    second derivatives of both g and a.
+    """
+    zero2 = np.zeros(2)
+    zero22 = np.zeros((2, 2))
+
+    def metric_grad(x, t):
+        dg = np.zeros((2, 2, 2))
+        dg[0, 1, 1] = 2.0 * mass * x[0]
+        return dg
+
+    def vector_potential_grad(x, t):
+        da = np.zeros((2, 2))
+        da[1, 0] = b + 3.0 * c * x[0] ** 2
+        return da
+
+    return LagrangianModel(
+        dim=2,
+        metric=lambda x, t: np.diag([mass, mass * (1.0 + x[0] ** 2)]),
+        metric_grad=metric_grad,
+        vector_potential=lambda x, t: np.array([0.0, b * x[0] + c * x[0] ** 3]),
+        vector_potential_grad=vector_potential_grad,
+        potential=lambda x, t: 0.0,
+        potential_grad=lambda x, t: zero2,
+        potential_hess=lambda x, t: zero22,
+        label="curled_metric",
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -22,7 +23,7 @@ from vanvleck import (
 from vanvleck import dynamics
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 
-from conftest import make_polar_free_particle, make_quartic
+from conftest import make_curled_metric, make_polar_free_particle, make_quartic
 
 
 def test_free_ivp_is_exact():
@@ -237,3 +238,60 @@ def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
         solve_bvp(model, [0.0], [1.0], 0.0, 1.0, n_steps=20)
     assert len(runs) == 1
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("model", [make_polar_free_particle(mass=1.5),
+                                   make_curled_metric()],
+                         ids=["polar", "curled-metric"])
+def test_linearization_matches_differenced_acceleration(model, rng):
+    # jx carries the differenced second derivatives of g and a; both
+    # blocks against central differences of the acceleration itself
+    h = 1e-5
+    steps = h * np.eye(model.dim)
+    for _ in range(8):
+        x = np.array([rng.uniform(0.7, 1.4), rng.uniform(-1.0, 1.0)])
+        v = rng.normal(size=2)
+        t = float(rng.uniform())
+        acc, jx, jv = dynamics.el_linearization(model, x, v, t)
+        np.testing.assert_allclose(acc, dynamics.acceleration(model, x, v, t),
+                                   rtol=1e-12, atol=1e-14)
+        num_x = np.column_stack([
+            (dynamics.acceleration(model, x + e, v, t)
+             - dynamics.acceleration(model, x - e, v, t)) / (2 * h)
+            for e in steps])
+        num_v = np.column_stack([
+            (dynamics.acceleration(model, x, v + e, t)
+             - dynamics.acceleration(model, x, v - e, t)) / (2 * h)
+            for e in steps])
+        np.testing.assert_allclose(jx, num_x, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(num_x)))
+        np.testing.assert_allclose(jv, num_v, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(num_v)))
+
+
+def test_linearization_callback_counts():
+    # metric_grad and vector_potential_grad at x and at the 2D stencil
+    # points x +- h e_m; metric, potential_grad and potential_hess once;
+    # the values a and V never
+    model = make_curled_metric()
+    calls = collections.Counter()
+
+    def counted(name):
+        callback = getattr(model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return callback(*args)
+
+        return wrapper
+
+    names = ("metric", "metric_grad", "vector_potential",
+             "vector_potential_grad", "potential", "potential_grad",
+             "potential_hess")
+    counted_model = dataclasses.replace(
+        model, **{name: counted(name) for name in names})
+    dynamics.el_linearization(counted_model, [1.1, 0.2], [0.3, -0.4], 0.0)
+    d = model.dim
+    assert calls == {"metric": 1, "metric_grad": 1 + 2 * d,
+                     "vector_potential_grad": 1 + 2 * d,
+                     "potential_grad": 1, "potential_hess": 1}

@@ -5,6 +5,7 @@ import pytest
 
 from vanvleck import (
     ConjugatePoint,
+    LagrangianModel,
     VectorPotentialPresent,
     action_hessian_fd,
     action_hessian_jacobi,
@@ -21,7 +22,7 @@ from vanvleck import (
 )
 from vanvleck import hessian as hessian_module
 
-from conftest import make_polar_free_particle
+from conftest import make_curled_metric, make_polar_free_particle
 
 
 def test_free_particle_mixed_block_matrix_mass():
@@ -91,6 +92,52 @@ def test_magnetic_blocks_match_closed_form_and_fd(monkeypatch):
     for name in ("mixed", "aa", "bb"):
         np.testing.assert_allclose(getattr(fd, name), getattr(jac, name),
                                    atol=1e-5, err_msg=name)
+
+
+def test_curled_metric_blocks_match_fd():
+    # the second derivatives of g and a enter only jx, which
+    # action_hessian_fd never reads: it re-solves boundary problems
+    path = solve_bvp(make_curled_metric(), [0.2, -0.1], [0.9, 0.4], 0.0, 0.7,
+                     n_steps=64)
+    jac = action_hessian_jacobi(path)
+    fd = action_hessian_fd(path)
+    for name in ("mixed", "aa", "bb"):
+        np.testing.assert_allclose(getattr(fd, name), getattr(jac, name),
+                                   atol=1e-5, err_msg=name)
+
+
+def test_gauge_shift_moves_only_the_same_endpoint_blocks():
+    # a' = a + grad chi with chi = x0^2 x1 + x1^3 / 3 keeps the motion and
+    # adds chi(x_b) - chi(x_a) to the action: mixed and F stay the uniform
+    # field's, aa loses Hess chi(x_a) and bb gains Hess chi(x_b)
+    mass, omega, duration = 1.0, 1.0, 1.0
+    base = magnetic_field(mass=mass, omega=omega, dim=2)
+
+    def grad_chi(x):
+        return np.array([2.0 * x[0] * x[1], x[0] ** 2 + x[1] ** 2])
+
+    def hess_chi(x):
+        return 2.0 * np.array([[x[1], x[0]], [x[0], x[1]]])
+
+    model = LagrangianModel(
+        dim=2, metric=base.metric, metric_grad=base.metric_grad,
+        vector_potential=lambda x, t: base.vector_potential(x, t) + grad_chi(x),
+        vector_potential_grad=lambda x, t: (base.vector_potential_grad(x, t)
+                                            + hess_chi(x)),
+        potential=base.potential, potential_grad=base.potential_grad,
+        potential_hess=base.potential_hess, kinetic_gradients_constant=False,
+        label="gauge_shifted_magnetic_field")
+    x_a, x_b = np.array([0.3, -0.2]), np.array([1.0, 0.5])
+    path = solve_bvp(model, x_a, x_b, 0.0, duration, n_steps=400)
+    jac = action_hessian_jacobi(path)
+    closed = magnetic_factor(mass, omega, 2, duration)
+    np.testing.assert_allclose(jac.mixed, closed.aux["mixed"], atol=1e-8)
+    np.testing.assert_allclose(jac.aa, closed.aux["aa"] - hess_chi(x_a),
+                               atol=1e-8)
+    np.testing.assert_allclose(jac.bb, closed.aux["bb"] + hess_chi(x_b),
+                               atol=1e-8)
+    value = vvpm_factor(jac).value
+    assert abs(value - closed.factor.value) / abs(closed.factor.value) < 1e-8
 
 
 def test_same_endpoint_blocks_symmetric(quartic):
