@@ -203,10 +203,12 @@ def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
     hbar = path.model.hbar
     v = path.velocities[:, 0]
     vmax = float(np.abs(v).max())
-    if vmax == 0.0 or float(np.abs(v).min()) < TURNING_POINT_RATIO * vmax:
+    # a sign change can fall between grid points and miss the ratio test
+    if (float(v.min()) * float(v.max()) <= 0.0
+            or float(np.abs(v).min()) < TURNING_POINT_RATIO * vmax):
         raise TurningPoint(
-            "velocity vanishes on the grid; the reduction breaks down at "
-            "a turning point")
+            "velocity vanishes or changes sign on the grid; the reduction "
+            "breaks down at a turning point")
     g = np.array([path.model.metric(x, t)[0, 0]
                   for x, t in zip(path.positions, path.times)], dtype=float)
     integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)

@@ -111,6 +111,14 @@ def _vector(value, name: str) -> np.ndarray:
     raise ConfigError(f"{name} must be a number or a list of numbers")
 
 
+def _matrix(value: list, name: str) -> np.ndarray:
+    if value and all(isinstance(row, list) and len(row) == len(value[0])
+                     and all(_is_number(v) for v in row) for row in value):
+        return np.asarray(value, dtype=float)
+    raise ConfigError(f"{name} must be a number or a list of equal-length "
+                      "lists of numbers")
+
+
 def _scalar(cfg: dict, key: str, where: str, default=None) -> float:
     if key not in cfg:
         if default is None:
@@ -194,7 +202,7 @@ def build_model(model_cfg: dict, hbar: float):
         elif key == "omega2" and isinstance(value, str):
             coerced[key] = _time_expression(value)
         elif key in ("mass", "stiffness") and isinstance(value, list):
-            coerced[key] = np.asarray(value, dtype=float)
+            coerced[key] = _matrix(value, key)
         elif key == "dim":
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("dim must be an integer")
@@ -528,20 +536,26 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
 _SWEEP_PARAM_KEYS = {"name", "start", "stop", "count"}
 
 
-def _parse_sweep_block(cfg: dict) -> list:
+def _parse_sweep_block(cfg: dict, tag: str) -> list:
     _check_keys(cfg, {"parameters"}, "sweep")
     parameters = cfg.get("parameters")
     if not isinstance(parameters, list) or not 1 <= len(parameters) <= 2:
         raise ConfigError("sweep.parameters must list one or two parameters")
+    # dim and potential take no float, so a sweep of them fails every row
+    sweepable = {"T", "hbar"} | {
+        f"model.{p}" for p in BUILTIN_TAGS[tag]["params"]
+        if p not in ("dim", "potential")}
     parsed = []
     for block in parameters:
         _check_keys(block, _SWEEP_PARAM_KEYS, "sweep parameter")
         name = block.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError("sweep parameter needs a name")
-        if name not in ("T", "hbar") and not name.startswith("model."):
+        if name not in sweepable:
             raise ConfigError(
-                f"cannot sweep {name!r}; use 'T', 'hbar' or 'model.<param>'")
+                f"cannot sweep {name!r}; use one of {sorted(sweepable)}")
+        if any(name == seen for seen, _ in parsed):
+            raise ConfigError(f"sweep parameter {name!r} is named twice")
         start = _scalar(block, "start", "sweep parameter")
         stop = _scalar(block, "stop", "sweep parameter")
         count = block.get("count")
@@ -588,10 +602,10 @@ def _sweep_row(payload) -> dict:
 def cmd_sweep(cfg: dict, out_path: Optional[str], threads: int) -> int:
     if "sweep" not in cfg:
         raise ConfigError("missing key 'sweep' in config")
-    sweep_params = _parse_sweep_block(cfg["sweep"])
     base = json.loads(json.dumps(cfg))
     base.pop("sweep")
     scenario = parse_scenario(base, extra_keys=())  # validate before running
+    sweep_params = _parse_sweep_block(cfg["sweep"], scenario.tag)
     out_path = out_path or scenario.output
 
     names = [name for name, _ in sweep_params]

@@ -213,58 +213,64 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
 # fixed-step RK4, optionally carrying a variational block
 
 
+def rk4(rhs, y0, times) -> np.ndarray:
+    """Classical RK4 of y' = rhs(t, y) on the uniform grid ``times``.
+
+    The state may have any shape; returns the state at every grid time,
+    shape ``(len(times),) + y0.shape``.
+    """
+    if len(times) < 9:
+        raise ValueError("n_steps must be at least 8")
+    ys = np.empty((len(times),) + y0.shape)
+    ys[0] = y = y0
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    for k, t in enumerate(times[:-1]):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        ys[k + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ys
+
+
 def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
              n_steps: int, vblock0: Optional[np.ndarray]):
     """Integrate the EL system, optionally with tangent columns.
 
     ``vblock0`` is a (2D, m) matrix of initial variations; its columns are
     propagated through the linearized flow evaluated at the RK4 stage
-    points of the base trajectory.  Returns ``(Trajectory, vblock(t_b))``.
+    points of the base trajectory.  The state is one (2D, 1 + m) array:
+    column 0 is (x, v), columns 1..m the tangent block.  Returns
+    ``(Trajectory, vblock(t_b))``.
     """
-    if n_steps < 8:
-        raise ValueError("n_steps must be at least 8")
     d = model.dim
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
     if x.shape != (d,) or v.shape != (d,):
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
-    carry = vblock0 is not None
-    w = np.asarray(vblock0, dtype=float).copy() if carry else None
-    if carry:
+    y0 = np.concatenate((x, v))[:, None]
+    linearize = None
+    if vblock0 is not None:
+        y0 = np.hstack((y0, np.asarray(vblock0, dtype=float)))
         linearize = (_constant_kinetic_linearization(model, x, t_a)
                      or el_linearization)
 
+    def rhs(t, y):
+        dy = np.empty_like(y)
+        dy[:d] = y[d:]
+        if linearize is None:
+            dy[d:, 0] = acceleration(model, y[:d, 0], y[d:, 0], t)
+        else:
+            acc, jx, jv = linearize(model, y[:d, 0], y[d:, 0], t)
+            dy[d:, 0] = acc
+            dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
+        return dy
+
     times = np.linspace(t_a, t_b, n_steps + 1)
-    xs = np.empty((n_steps + 1, d))
-    vs = np.empty((n_steps + 1, d))
-    xs[0], vs[0] = x, v
-    h = (t_b - t_a) / n_steps
-
-    def rhs(t, xc, vc, wc):
-        if carry:
-            acc, jx, jv = linearize(model, xc, vc, t)
-            dw = np.empty_like(wc)
-            dw[:d] = wc[d:]
-            dw[d:] = jx @ wc[:d] + jv @ wc[d:]
-            return vc, acc, dw
-        return vc, acceleration(model, xc, vc, t), None
-
-    for k in range(n_steps):
-        t = times[k]
-        k1x, k1v, k1w = rhs(t, x, v, w)
-        k2x, k2v, k2w = rhs(t + 0.5 * h, x + 0.5 * h * k1x, v + 0.5 * h * k1v,
-                            w + 0.5 * h * k1w if carry else None)
-        k3x, k3v, k3w = rhs(t + 0.5 * h, x + 0.5 * h * k2x, v + 0.5 * h * k2v,
-                            w + 0.5 * h * k2w if carry else None)
-        k4x, k4v, k4w = rhs(t + h, x + h * k3x, v + h * k3v,
-                            w + h * k3w if carry else None)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if carry:
-            w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        xs[k + 1], vs[k + 1] = x, v
-
-    return Trajectory(times, xs, vs), w
+    ys = rk4(rhs, y0, times)
+    traj = Trajectory(times, np.ascontiguousarray(ys[:, :d, 0]),
+                      np.ascontiguousarray(ys[:, d:, 0]))
+    return traj, (ys[-1, :, 1:].copy() if linearize is not None else None)
 
 
 def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,

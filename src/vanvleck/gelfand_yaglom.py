@@ -15,7 +15,7 @@ particle exactly.  By linearity the boundary solution is obtained from the
 seeded initial problem B_raw(t_a) = 0, Bdot_raw(t_a) = 1 through
 Bdot(t_a) = B_raw(t_b)^-1, which is what all three solvers compute:
 
-* DirectODE: fixed-step RK4 on the matrix system.
+* DirectODE: ``dynamics.rk4`` on the stacked matrix state [B; Bdot].
 * NeumannSeries(k): truncated iterated-integral series evaluated by
   Gauss-Legendre collocation (spectral antiderivative matrix).
 * TimeOrderedSinh(n): ordered product over n slices of exponentials of the
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .dynamics import require_nonsingular
+from .dynamics import require_nonsingular, rk4
 from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
 from .models import mass_matrix
@@ -82,7 +82,9 @@ def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray
 
 def solve_B_direct(omega2, t_a: float, t_b: float, n_steps: int = 1000,
                    seed: Optional[np.ndarray] = None) -> JacobiBoundarySolution:
-    """RK4 integration of the seeded initial problem, then rescaling.
+    """``dynamics.rk4`` on the seeded initial problem, then rescaling.
+
+    The state is the stacked (2D, D) array [B; Bdot].
 
     Parameters
     ----------
@@ -92,33 +94,20 @@ def solve_B_direct(omega2, t_a: float, t_b: float, n_steps: int = 1000,
         Initial slope of the raw solution.  The normalized output is
         independent of it (linearity); exposed for exactly that test.
     """
-    if n_steps < 8:
-        raise ValueError("n_steps must be at least 8")
     w2, d = _omega2_callable(omega2, t_a)
-    b = np.zeros((d, d))
-    bd = np.eye(d) if seed is None else np.asarray(seed, dtype=float).copy()
+    bd = np.eye(d) if seed is None else np.asarray(seed, dtype=float)
+    memo = [None, None]   # rk4 asks twice for t + h/2; evaluate W once
+
+    def rhs(t, y):
+        if t != memo[0]:
+            memo[:] = t, w2(t)
+        return np.vstack((y[d:], -memo[1] @ y[:d]))
+
     times = np.linspace(t_a, t_b, n_steps + 1)
-    h = (t_b - t_a) / n_steps
-    values = np.empty((n_steps + 1, d, d))
-    values[0] = b
-
-    for k in range(n_steps):
-        t = times[k]
-        w_0 = w2(t)
-        w_h = w2(t + 0.5 * h)
-        w_1 = w2(t + h)
-        k1b, k1d = bd, -w_0 @ b
-        k2b, k2d = bd + 0.5 * h * k1d, -w_h @ (b + 0.5 * h * k1b)
-        k3b, k3d = bd + 0.5 * h * k2d, -w_h @ (b + 0.5 * h * k2b)
-        k4b, k4d = bd + h * k3d, -w_1 @ (b + h * k3b)
-        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        bd = bd + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-        values[k + 1] = b
-
-    bdot_a_seeded = np.eye(d) if seed is None else np.asarray(seed, dtype=float)
-    rescale = _invert_boundary(b, "DirectODE", t_b - t_a)
+    values = rk4(rhs, np.vstack((np.zeros((d, d)), bd)), times)[:, :d]
+    rescale = _invert_boundary(values[-1], "DirectODE", t_b - t_a)
     return JacobiBoundarySolution(
-        B_dot_a=bdot_a_seeded @ rescale, times=times, B_grid=values @ rescale,
+        B_dot_a=bd @ rescale, times=times, B_grid=values @ rescale,
         omega2=w2, t_a=float(t_a), t_b=float(t_b), method="DirectODE")
 
 

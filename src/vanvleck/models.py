@@ -136,22 +136,6 @@ def velocity_from_momentum(model: LagrangianModel, x, p, t) -> np.ndarray:
 # finite-difference adapters for value-only callables
 
 
-def fd_gradient(f: Callable) -> Callable:
-    """Central-difference gradient of a scalar field f(x, t)."""
-
-    def grad(x, t):
-        x = np.asarray(x, dtype=float)
-        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        out = np.empty_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = h
-            out[i] = (f(x + e, t) - f(x - e, t)) / (2.0 * h)
-        return out
-
-    return grad
-
-
 def central_hessian(f: Callable, x, h: float, f0: float) -> np.ndarray:
     """Central second differences of a scalar function f(x) with step h.
 
@@ -193,7 +177,10 @@ def fd_hessian(f: Callable) -> Callable:
 
 
 def fd_jacobian(vf: Callable, shape) -> Callable:
-    """Central-difference x-Jacobian of an array field vf(x, t)."""
+    """Central-difference x-Jacobian of a field vf(x, t).
+
+    For a scalar field, ``shape`` (D,) gives the gradient.
+    """
 
     def jac(x, t):
         x = np.asarray(x, dtype=float)
@@ -378,7 +365,7 @@ def one_dim_potential(
     if potential_grad is not None:
         grad = lambda x, t: np.array([potential_grad(float(x[0]), t)], dtype=float)
     else:
-        grad = fd_gradient(v_arr)
+        grad = fd_jacobian(v_arr, (1,))
     if potential_hess is not None:
         hess = lambda x, t: np.array([[potential_hess(float(x[0]), t)]], dtype=float)
     else:
@@ -451,7 +438,7 @@ def probe_derivative_consistency(model: LagrangianModel, rng=None, n_points: int
         "metric_symmetry", "metric_grad", "potential_grad",
         "potential_hess", "vector_potential_grad")}
     num_dg = fd_jacobian(lambda x, t: np.asarray(model.metric(x, t)), (d, d, d))
-    num_dv = fd_gradient(model.potential)
+    num_dv = fd_jacobian(model.potential, (d,))
     num_da = fd_jacobian(lambda x, t: np.asarray(model.vector_potential(x, t)), (d, d))
     num_hv = fd_jacobian(lambda x, t: np.asarray(model.potential_grad(x, t)), (d, d))
     for _ in range(n_points):

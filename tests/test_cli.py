@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vanvleck import cli, composition
 from vanvleck.cli import main, parse_scenario, serialize_scenario
+from vanvleck.models import BUILTIN_TAGS
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -139,6 +144,11 @@ def test_malformed_json_is_config_error(tmp_path):
     ("model", '{"tag": "one_dim_potential", '
               '"params": {"potential": "1e999 * x^2"}}'),
     ("model", '{"tag": "harmonic_oscillator", "params": {"omega2": "1/0"}}'),
+    ("model", '{"tag": "free_particle", "params": {"mass": [[1, "a"], [0, 1]]}}'),
+    ("model", '{"tag": "free_particle", "params": {"mass": [[1, 0], [0, [1]]]}}'),
+    ("model", '{"tag": "free_particle", "params": {"mass": [[true]]}}'),
+    ("model", '{"tag": "harmonic_oscillator", '
+              '"params": {"stiffness": [[1, "a"]]}}'),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     # vvpm alone, so no method refusal can stand in for the number check
@@ -221,6 +231,18 @@ def test_dalembert_rejects_time_dependent_frequency(tmp_path, capsys, model):
     assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
     assert "dalembert" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dalembert_turning_point_between_grid_points(tmp_path):
+    # x_a = x_b: v changes sign at t_b / 2, where the coarse RK4 grid
+    # leaves |v| near 1e-6 of its maximum, above the vanishing-ratio test
+    cfg = _write(tmp_path, "turn.json", {
+        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
+        "x_a": [0.5], "x_b": [0.5], "t_b": 1.0,
+        "methods": ["dalembert"], "numerics": {"n_steps": 8}})
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "TurningPoint"
 
 
 def test_report_determinism(tmp_path):
@@ -416,6 +438,36 @@ def test_sweep_rows_survive_errors(tmp_path):
     assert any(e == "" for e in errors)
 
 
+def _sweep_config_error(tmp_path, capsys, parameters):
+    cfg = _write(tmp_path, "names.json", {
+        "model": {"tag": "harmonic_oscillator",
+                  "params": {"mass": [[1.0, 0.0], [0.0, 1.0]],
+                             "omega2": 1.0}},
+        "x_a": [0.0, 0.0], "x_b": [1.0, 0.5], "t_b": 1.0,
+        "methods": ["analytic"],
+        "sweep": {"parameters": parameters},
+    })
+    out = tmp_path / "names.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    return code, err, out.exists()
+
+
+def test_sweep_parameter_named_twice_is_config_error(tmp_path, capsys):
+    code, err, written = _sweep_config_error(tmp_path, capsys, [
+        {"name": "model.omega2", "start": 0.5, "stop": 1.0, "count": 2},
+        {"name": "model.omega2", "start": 2.0, "stop": 3.0, "count": 2}])
+    assert code == 1 and not written
+    assert err.startswith("config error: ") and "twice" in err
+
+
+def test_sweep_parameter_the_model_lacks_is_config_error(tmp_path, capsys):
+    code, err, written = _sweep_config_error(tmp_path, capsys, [
+        {"name": "model.omega", "start": 0.5, "stop": 1.0, "count": 2}])
+    assert code == 1 and not written
+    assert err.startswith("config error: cannot sweep 'model.omega'")
+
+
 def test_sweep_threads_deterministic(tmp_path):
     payload = {
         "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
@@ -491,3 +543,67 @@ def test_full_grid_flag(tmp_path):
     n_big = len(json.loads(big.read_text())["path"]["t"])
     assert n_small <= 256
     assert n_big == 1001
+
+
+# Front-end fuzz.  Sizes are bounded for runtime: numbers, lists and
+# dimensions stay small and n_steps is at most 16, so one example takes
+# milliseconds and the whole property a few seconds.
+_LEAF = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), st.booleans(),
+                  st.sampled_from(["x^2", "t", "1/0", "a", ""]))
+_VALUE = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_GOOD_PARAMS = {
+    "mass": st.floats(0.5, 2.0), "dim": st.integers(1, 3),
+    "omega": st.floats(0.2, 1.5), "stiffness": st.floats(0.5, 2.0),
+    "omega2": st.floats(0.2, 1.5) | st.just("1 + t/4"),
+    "potential": st.sampled_from(["x^2/2", "x^4/4 + x^2", "x^2 + t*x/4"]),
+}
+_REQUIRED_PARAMS = {"harmonic_oscillator": ["omega2"],
+                    "one_dim_potential": ["potential"]}
+
+
+@st.composite
+def _fuzz_configs(draw):
+    # each field is drawn from good values or from _LEAF/_VALUE noise, so
+    # that runs end in every exit code, not only in config errors
+    tag = draw(st.sampled_from(sorted(BUILTIN_TAGS)))
+    names = _REQUIRED_PARAMS.get(tag, []) + draw(st.lists(
+        st.sampled_from(sorted(BUILTIN_TAGS[tag]["params"])), max_size=2))
+    params = {name: draw(_GOOD_PARAMS[name] | _VALUE) for name in names}
+    point = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+    numerics = draw(st.dictionaries(
+        st.sampled_from(["max_iter", "series_order", "quad_points",
+                         "n_slices"]), st.integers(0, 12), max_size=2))
+    numerics["n_steps"] = draw(st.sampled_from([8, 16]) | st.integers(0, 16))
+    numerics["gy_solver"] = draw(st.sampled_from(cli.GY_SOLVERS))
+    cfg = {"model": {"tag": tag, "params": params},
+           "t_b": draw(st.floats(0.1, 2.0)),
+           "methods": draw(st.lists(st.sampled_from(cli.METHOD_IDS),
+                                    min_size=1, max_size=3, unique=True)),
+           "numerics": numerics}
+    if draw(st.booleans()):     # else both endpoints default to the origin
+        cfg["x_a"], cfg["x_b"] = draw(point), draw(point)
+    command = draw(st.sampled_from(["factor", "verify"]))
+    if command == "verify":
+        cfg["t_mid"] = draw(st.floats(0.05, 1.0) | _LEAF)
+    return command, cfg
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_configs())
+def test_front_end_exits_are_documented(tmp_path, case):
+    command, cfg = case
+    path = _write(tmp_path, "fuzz.json", cfg)
+    out = tmp_path / "fuzz_report.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not out.exists()
+    else:
+        json.loads(out.read_text())

@@ -144,6 +144,20 @@ def test_seed_independence():
     assert abs(base.B_dot_a[0, 0] - seeded.B_dot_a[0, 0]) < 1e-12
 
 
+def test_direct_evaluates_each_stage_time_once():
+    # dyadic grid: t + h of one step is exactly the next grid time, so
+    # the probe, t_a and the midpoint and end of each step are all there is
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return TIME_DEP(t)
+
+    n = 8
+    solve_B_direct(counting, 0.0, 1.0, n_steps=n)
+    assert len(calls) <= 2 * n + 2
+
+
 def test_gy_factor_free_anchor():
     sol = solve_B_direct(0.0, 0.0, 2.0)
     f = gy_fluctuation_factor(sol, mass_metric=np.array([[1.0]]))
