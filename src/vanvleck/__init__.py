@@ -21,7 +21,6 @@ from .composition import (
     acausal_identity_residual,
     verify_composition,
     verify_jacobian_identity,
-    verify_momentum_matching,
 )
 from .dynamics import (
     ClassicalPath,
@@ -152,6 +151,5 @@ __all__ = [
     "variational_blocks",
     "verify_composition",
     "verify_jacobian_identity",
-    "verify_momentum_matching",
     "vvpm_factor",
 ]

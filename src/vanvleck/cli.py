@@ -31,7 +31,8 @@ from .analytic import (free_particle_factor, harmonic_constant_factor,
 from .composition import verify_composition
 from .dynamics import DEFAULT_N_STEPS, ClassicalPath, solve_bvp
 from .errors import ConfigError, NonSPDMass, VanVleckError
-from .expressions import compile_node, compile_potential, parse_expression
+from .expressions import (TOO_DEEP, compile_node, compile_potential,
+                          parse_expression)
 from .fluctuation import (FluctuationFactor, energy_hessian_factor,
                           general_factor, short_time_factor, vvpm_factor)
 from .gelfand_yaglom import (gy_fluctuation_factor, solve_B_direct,
@@ -55,6 +56,15 @@ NUMERICS_DEFAULTS = {
     "n_slices": 2000,
     "gy_solver": "direct",
 }
+
+# Upper bounds of the counts that size arrays, each from the largest array
+# its count sizes (float64, D = 3): the RK4 state history of a path,
+# (n_steps + 1, 2D, 1 + 2D), is 336 B a step, 34 MB at the bound; a q x q
+# Neumann collocation matrix is 8 MB at the bound; the time-ordered slice
+# propagator stack, (n_slices, 2D, 2D), is 288 B a slice, 29 MB at the bound.
+MAX_N_STEPS = 100_000
+MAX_QUAD_POINTS = 1_000
+MAX_N_SLICES = 100_000
 
 MAX_SERIALIZED_SAMPLES = 256
 
@@ -133,10 +143,13 @@ def _scalar(cfg: dict, key: str, where: str, default=None) -> float:
 def _time_expression(text: str):
     """A frequency expression as a float, or as a callable of t if it uses t."""
     node = parse_expression(text)
-    if node.uses("x"):
+    try:
+        uses_x, uses_t, f = node.uses("x"), node.uses("t"), compile_node(node)
+    except RecursionError as exc:
+        raise ConfigError(TOO_DEEP) from exc
+    if uses_x:
         raise ConfigError("a time-dependent frequency may not depend on x")
-    f = compile_node(node)
-    if node.uses("t"):
+    if uses_t:
         return lambda t: f(0.0, t)
     try:
         value = float(f(0.0, 0.0))
@@ -173,6 +186,11 @@ def _parse_numerics(cfg: dict) -> dict:
     for key in ("max_iter", "series_order", "quad_points", "n_slices"):
         if numerics[key] < 1:
             raise ConfigError(f"{key} must be at least 1")
+    for key, bound in (("n_steps", MAX_N_STEPS),
+                       ("quad_points", MAX_QUAD_POINTS),
+                       ("n_slices", MAX_N_SLICES)):
+        if numerics[key] > bound:
+            raise ConfigError(f"{key} must be at most {bound}")
     return numerics
 
 

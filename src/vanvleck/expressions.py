@@ -1,30 +1,28 @@
 """Compiler for potentials written as arithmetic text in a config file.
 
-The accepted grammar is deliberately small: +, -, *, /, ^ (right
-associative), unary minus, sin, cos, exp, the variables x and t, numeric
-literals, and parentheses.  Expressions are differentiated symbolically
-in x so a text-defined potential still supplies analytic first and
-second derivatives to the solvers.  ``^`` is ``math.pow``, so a power
-with no real value (a negative base under a fractional exponent) raises
-ValueError and one that overflows raises OverflowError; neither returns a
-complex number or infinity.  ``compile_node`` turns a tree into one
-straight-line Python function that does ``evaluate``'s arithmetic, so the
-solvers' callbacks do not walk the tree at every call.
+``ast.parse`` reads the text, with ``^`` as ``**`` and each whitespace run
+as one space, and ``_build`` keeps the grammar: +, -, *, /, ^ (right
+associative), unary minus, sin, cos, exp, the variables x and t, decimal
+literals, and parentheses.  ``diff`` differentiates a tree in x, so a
+text-defined potential supplies analytic first and second derivatives to
+the solvers.  ``^`` is ``math.pow``, so a power with no real value raises
+ValueError and one that overflows raises OverflowError, not a complex
+number or infinity.  ``compile_node`` turns a tree into one straight-line
+Python function of ``evaluate``'s arithmetic.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 
 from .errors import ConfigError
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()])"
-    r")")
+_DECIMAL_LITERAL = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_BAD_CHARACTER = re.compile(r"[^\w.+\-*/() ]", re.ASCII)
+TOO_DEEP = "expression is nested too deeply"
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
@@ -145,102 +143,44 @@ class _Bin:
         return self.left.uses(name) or self.right.uses(name)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigError(f"bad character in expression at: {text[pos:]!r}")
-        pos = match.end()
-        if match.group("num") is not None:
-            tokens.append(("num", match.group("num")))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            op = match.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-    tokens.append(("end", ""))
-    return tokens
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+              ast.Pow: "^"}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str) -> None:
-        kind, text = self.take()
-        if kind != "op" or text != op:
-            raise ConfigError(f"expected {op!r}, found {text!r}")
-
-    def expression(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            node = _Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            node = _Bin(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return _Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return _Bin("^", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, text = self.take()
-        if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ConfigError(f"number {text!r} overflows a double")
-            return _Num(value)
-        if kind == "name":
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
-                return _Call(text, arg)
-            if text in ("x", "t"):
-                return _Var(text)
-            raise ConfigError(f"unknown symbol {text!r}")
-        if (kind, text) == ("op", "("):
-            node = self.expression()
-            self.expect_op(")")
-            return node
-        raise ConfigError(f"unexpected token {text!r}")
+def _build(node, source: str):
+    text = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _DECIMAL_LITERAL.fullmatch(text):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"number {text!r} overflows a double")
+        return _Num(float(text))
+    if isinstance(node, ast.Name) and node.id in ("x", "t"):
+        return _Var(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _Neg(_build(node.operand, source))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _Bin(_OPERATORS[type(node.op)], _build(node.left, source),
+                    _build(node.right, source))
+    if (isinstance(node, ast.Call) and len(node.args) == 1
+            and getattr(node.func, "id", "") in _FUNCTIONS
+            and not node.keywords):
+        return _Call(node.func.id, _build(node.args[0], source))
+    raise ConfigError(f"{text!r} is not in the expression grammar")
 
 
 def parse_expression(text: str):
-    """Parse to an AST with .evaluate(x, t), .diff() and .uses(name) methods."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expression()
-    if parser.peek()[0] != "end":
-        raise ConfigError(f"trailing input: {parser.peek()[1]!r}")
-    return node
+    """Parse to a tree with .evaluate(x, t), .diff() and .uses(name)."""
+    source = " ".join(text.replace("^", "**").split())
+    if _BAD_CHARACTER.search(source):   # a comment, or a non-ASCII name
+        raise ConfigError(f"bad character in expression {text!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # "1if x else 2" warns: reject it
+            return _build(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: "
+                          f"{getattr(exc, 'msg', exc)}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ConfigError(TOO_DEEP) from exc
 
 
 _PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
@@ -292,6 +232,9 @@ def compile_node(node):
 def compile_potential(text: str):
     """Compile V(x, t) text into (V, dV/dx, d2V/dx2) scalar callables."""
     node = parse_expression(text)
-    first = node.diff()
-    second = first.diff()
-    return compile_node(node), compile_node(first), compile_node(second)
+    try:
+        first = node.diff()
+        second = first.diff()
+        return compile_node(node), compile_node(first), compile_node(second)
+    except RecursionError as exc:
+        raise ConfigError(TOO_DEEP) from exc

@@ -35,6 +35,8 @@ METHOD_ANALYTIC = "Analytic"
 BRANCH_NOTE_PRINCIPAL = "principal roots, free-particle phase anchor -D*pi/4"
 
 QUADRATIC_PROBE_TOL = 1e-10
+QUADRATIC_PROBES = 8
+QUADRATIC_PROBE_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -131,21 +133,20 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
         dim=model.dim, hbar=model.hbar, method=METHOD_SHORT_TIME)
 
 
-def certify_quadratic(model: LagrangianModel, box: float = 1.0,
-                      n_probe: int = 8, tol: float = QUADRATIC_PROBE_TOL,
-                      rng=None) -> None:
+def certify_quadratic(model: LagrangianModel, box: float = 1.0) -> None:
     """Probe that g is constant, a at most linear, V at most quadratic.
 
-    Third differences of V and second differences of a along random
-    directions at random points must vanish to ``tol`` (relative to the
-    local scale); otherwise NotQuadraticModel is raised.
+    Third differences of V and second differences of a along seeded random
+    directions at QUADRATIC_PROBES random points in the box must vanish to
+    QUADRATIC_PROBE_TOL (relative to the local scale); otherwise
+    NotQuadraticModel is raised.
     """
-    if rng is None:
-        rng = np.random.default_rng(20240817)
+    rng = np.random.default_rng(QUADRATIC_PROBE_SEED)
+    tol = QUADRATIC_PROBE_TOL
     d = model.dim
     g0 = np.asarray(model.metric(np.zeros(d), 0.0), dtype=float)
     step = 0.3 * max(1.0, box)
-    for _ in range(n_probe):
+    for _ in range(QUADRATIC_PROBES):
         x = rng.uniform(-box, box, size=d)
         t = rng.uniform(-1.0, 1.0)
         u = rng.normal(size=d)

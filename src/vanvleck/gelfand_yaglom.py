@@ -26,7 +26,6 @@ Bdot(t_a) = B_raw(t_b)^-1, which is what all three solvers compute:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -48,14 +47,11 @@ class JacobiBoundarySolution:
         quantity the fluctuation factor needs.
     times, B_grid : (m,) and (m, D, D) arrays
         Samples of the normalized B(t); B_grid[0] = 0 and B_grid[-1] = 1.
-    omega2 : callable t -> (D, D)
-        The frequency matrix the solution was built from.
     """
 
     B_dot_a: np.ndarray
     times: np.ndarray
     B_grid: np.ndarray
-    omega2: Callable[[float], np.ndarray]
     t_a: float
     t_b: float
     method: str
@@ -80,22 +76,14 @@ def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray
     return np.linalg.inv(b_tb)
 
 
-def solve_B_direct(omega2, t_a: float, t_b: float, n_steps: int = 1000,
-                   seed: Optional[np.ndarray] = None) -> JacobiBoundarySolution:
+def solve_B_direct(omega2, t_a: float, t_b: float,
+                   n_steps: int = 1000) -> JacobiBoundarySolution:
     """``dynamics.rk4`` on the seeded initial problem, then rescaling.
 
-    The state is the stacked (2D, D) array [B; Bdot].
-
-    Parameters
-    ----------
-    omega2 : scalar, matrix or callable t -> (D, D)
-        Frequency-squared matrix of the Jacobi equation.
-    seed : (D, D) array, optional
-        Initial slope of the raw solution.  The normalized output is
-        independent of it (linearity); exposed for exactly that test.
+    The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a.
+    ``omega2`` is a scalar, a matrix or a callable t -> (D, D).
     """
     w2, d = _omega2_callable(omega2, t_a)
-    bd = np.eye(d) if seed is None else np.asarray(seed, dtype=float)
     memo = [None, None]   # rk4 asks twice for t + h/2; evaluate W once
 
     def rhs(t, y):
@@ -104,11 +92,11 @@ def solve_B_direct(omega2, t_a: float, t_b: float, n_steps: int = 1000,
         return np.vstack((y[d:], -memo[1] @ y[:d]))
 
     times = np.linspace(t_a, t_b, n_steps + 1)
-    values = rk4(rhs, np.vstack((np.zeros((d, d)), bd)), times)[:, :d]
+    values = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))), times)[:, :d]
     rescale = _invert_boundary(values[-1], "DirectODE", t_b - t_a)
     return JacobiBoundarySolution(
-        B_dot_a=bd @ rescale, times=times, B_grid=values @ rescale,
-        omega2=w2, t_a=float(t_a), t_b=float(t_b), method="DirectODE")
+        B_dot_a=rescale, times=times, B_grid=values @ rescale,
+        t_a=float(t_a), t_b=float(t_b), method="DirectODE")
 
 
 def _collocation(t_a: float, t_b: float, q: int):
@@ -173,7 +161,7 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
     grid = np.concatenate((np.zeros((1, d, d)), g_nodes @ rescale,
                            g_tb[None] @ rescale))
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=grid, omega2=w2,
+        B_dot_a=rescale, times=times, B_grid=grid,
         t_a=float(t_a), t_b=float(t_b), method=f"NeumannSeries({order})")
 
 
@@ -222,7 +210,7 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
         values[j + 1] = u[:d]
     rescale = _invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})", t_b - t_a)
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=values @ rescale, omega2=w2,
+        B_dot_a=rescale, times=times, B_grid=values @ rescale,
         t_a=float(t_a), t_b=float(t_b), method=f"TimeOrderedSinh({n_slices})")
 
 

@@ -44,7 +44,6 @@ class ActionHessian:
     aa: np.ndarray
     bb: np.ndarray
     method: str
-    grid_info: dict
 
     @property
     def dim(self) -> int:
@@ -87,8 +86,7 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
     mixed = g_a @ pxv_inv
     aa = -_gamma(model, x_a, v_a, t_a) - da_a + g_a @ pxv_inv @ pxx
     bb = _gamma(model, x_b, v_b, t_b) + da_b + g_b @ pvv @ pxv_inv
-    return ActionHessian(mixed=mixed, aa=aa, bb=bb, method=METHOD_JACOBI,
-                         grid_info={"n_steps": path.n_steps})
+    return ActionHessian(mixed=mixed, aa=aa, bb=bb, method=METHOD_JACOBI)
 
 
 def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
@@ -113,7 +111,7 @@ def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
     z = np.concatenate((path.x_a, path.x_b))
     hess = central_hessian(action, z, h, action(z))
     return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
-                         method=METHOD_FD, grid_info={"n_steps": n_steps, "h": h})
+                         method=METHOD_FD)
 
 
 def frequency_matrix_along_path(path: ClassicalPath):

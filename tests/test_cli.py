@@ -149,6 +149,17 @@ def test_malformed_json_is_config_error(tmp_path):
     ("model", '{"tag": "free_particle", "params": {"mass": [[true]]}}'),
     ("model", '{"tag": "harmonic_oscillator", '
               '"params": {"stiffness": [[1, "a"]]}}'),
+    ("numerics", json.dumps({"n_steps": cli.MAX_N_STEPS + 2})),
+    ("numerics", json.dumps({"gy_solver": "neumann",
+                             "quad_points": cli.MAX_QUAD_POINTS + 1})),
+    ("numerics", json.dumps({"gy_solver": "time-ordered",
+                             "n_slices": cli.MAX_N_SLICES + 1})),
+    *(pytest.param("model", json.dumps(
+        {"tag": "one_dim_potential", "params": {"potential": text}}), id=name)
+      for name, text in [("parentheses-300", "(" * 300 + "x" + ")" * 300),
+                         ("unary-minus-3000", "-" * 3000 + "x"),
+                         ("sum-3000", " + ".join(["x"] * 3000)),
+                         ("power-chain-3000", "^".join(["x"] * 3000))]),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, field, text):
     # vvpm alone, so no method refusal can stand in for the number check

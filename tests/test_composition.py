@@ -14,7 +14,6 @@ from vanvleck import (
     state_at,
     verify_composition,
     verify_jacobian_identity,
-    verify_momentum_matching,
 )
 
 from conftest import make_quartic
@@ -62,39 +61,32 @@ def test_quartic_composition(quartic):
 
 def test_momentum_matching_free():
     model = free_particle(mass=1.0, dim=1)
-    full, left, right = _split(model, [0.0], [1.0], 0.0, 2.0, 0.7,
-                               n_steps=200)
-    assert verify_momentum_matching(full, left, right) < 1e-10
+    report = verify_composition(
+        solve_bvp(model, [0.0], [1.0], 0.0, 2.0, n_steps=200), 0.7)
+    assert report.momentum_mismatch < 1e-10
 
 
 def test_momentum_matching_harmonic():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    full, left, right = _split(model, [0.0], [1.0], 0.0, 1.0, 0.5)
-    assert verify_momentum_matching(full, left, right) <= 1e-8
+    report = verify_composition(solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.5)
+    assert report.momentum_mismatch <= 1e-8
 
 
 def test_momentum_mismatch_negative_control():
     # junction displaced off the saddle: mismatch responds linearly
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    t_mid, t_tot = 0.5, 1.0
-    full = solve_bvp(model, [0.0], [1.0], 0.0, t_tot)
-    x_mid, v_mid = state_at(full, t_mid)
-    off = x_mid + 1e-2
-    left = solve_bvp(model, [0.0], off, 0.0, t_mid, v0_guess=full.v_a)
-    right = solve_bvp(model, off, [1.0], t_mid, t_tot, v0_guess=v_mid)
-    mismatch = verify_momentum_matching(full, left, right, check_action=False)
-    assert mismatch > 1e-4
+    report = verify_composition(solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.5,
+                                midpoint_offset=[1e-2])
+    assert report.momentum_mismatch > 1e-4
 
 
 def test_action_additivity_check_raises_when_off():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    full = solve_bvp(model, [0.0], [1.0], 0.0, 1.0)
-    x_mid, v_mid = state_at(full, 0.5)
-    off = x_mid + 5e-2
-    left = solve_bvp(model, [0.0], off, 0.0, 0.5, v0_guess=full.v_a)
-    right = solve_bvp(model, off, [1.0], 0.5, 1.0, v0_guess=v_mid)
-    with pytest.raises(ValueError):
-        verify_momentum_matching(full, left, right, action_tol=1e-8)
+    report = verify_composition(solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.5,
+                                midpoint_offset=[5e-2])
+    assert (report.action_additivity_residual
+            > report.thresholds["action_additivity_residual"])
+    assert not report.passed
 
 
 def test_jacobian_identity_free_exact():

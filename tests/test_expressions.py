@@ -1,11 +1,130 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
 from vanvleck import ConfigError, compile_potential, parse_expression
-from vanvleck.expressions import compile_node
+from vanvleck.expressions import _Bin, _Call, _Neg, _Num, _Var, compile_node
+
+X, T = _Var("x"), _Var("t")
+N = _Num
+
+
+def _pow(a, b):
+    return _Bin("^", a, b)
+
+
+def _shape(node):
+    """Class, op or name, float constant and children of a tree, nested."""
+    attrs = [a for a in ("value", "name", "op", "arg", "left", "right")
+             if hasattr(node, a)]
+    return (type(node).__name__, *(
+        _shape(getattr(node, a)) if a in ("arg", "left", "right")
+        else getattr(node, a) for a in attrs))
+
+
+# Every expression in tests/ and demos/, the forms the benchmark generates,
+# and the literal and whitespace forms, with the tree each one must give.
+ACCEPTED = [
+    ("1 + 2*3 - 4/2", _Bin("-", _Bin("+", N(1), _Bin("*", N(2), N(3))),
+                           _Bin("/", N(4), N(2)))),
+    ("2^3^2", _pow(N(2), _pow(N(3), N(2)))),
+    ("2**3", _pow(N(2), N(3))),
+    ("-sin(x) + cos(t) * exp(x/2)",
+     _Bin("+", _Neg(_Call("sin", X)),
+          _Bin("*", _Call("cos", T), _Call("exp", _Bin("/", X, N(2)))))),
+    ("0.25 * x^4", _Bin("*", N(0.25), _pow(X, N(4)))),
+    ("0.5 * (1 + 0.2*sin(t))^2 * x^2",
+     _Bin("*", _Bin("*", N(0.5), _pow(_Bin("+", N(1), _Bin(
+         "*", N(0.2), _Call("sin", T))), N(2))), _pow(X, N(2)))),
+    ("sin(x^2)", _Call("sin", _pow(X, N(2)))),
+    ("2^x", _pow(N(2), X)),
+    ("x^0.5", _pow(X, N(0.5))),
+    ("(-1)^0.5 + t", _Bin("+", _pow(_Neg(N(1)), N(0.5)), T)),
+    ("x^400", _pow(X, N(400))),
+    ("x^2 / (1 + x^2) - 3 / x",
+     _Bin("-", _Bin("/", _pow(X, N(2)), _Bin("+", N(1), _pow(X, N(2)))),
+          _Bin("/", N(3), X))),
+    ("2^x^2 * t", _Bin("*", _pow(N(2), _pow(X, N(2))), T)),
+    ("-x^-2 + (1 + t)^-1.5 * x^3",
+     _Bin("+", _Neg(_pow(X, _Neg(N(2)))),
+          _Bin("*", _pow(_Bin("+", N(1), T), _Neg(N(1.5))), _pow(X, N(3))))),
+    ("-sin(x)^2 + cos(t*x) * exp(-x/2)",
+     _Bin("+", _Neg(_pow(_Call("sin", X), N(2))),
+          _Bin("*", _Call("cos", _Bin("*", T, X)),
+               _Call("exp", _Bin("/", _Neg(X), N(2)))))),
+    ("exp(sin(x*t)) / cos(x) - -x",
+     _Bin("-", _Bin("/", _Call("exp", _Call("sin", _Bin("*", X, T))),
+                    _Call("cos", X)), _Neg(X))),
+    ("sin(x^3) * (x - t)",
+     _Bin("*", _Call("sin", _pow(X, N(3))), _Bin("-", X, T))),
+    ("0.25*x^4*(1+t)",
+     _Bin("*", _Bin("*", N(0.25), _pow(X, N(4))), _Bin("+", N(1), T))),
+    ("(1 + 0.2*sin(t))^2",
+     _pow(_Bin("+", N(1), _Bin("*", N(0.2), _Call("sin", T))), N(2))),
+    ("1 + t/4", _Bin("+", N(1), _Bin("/", T, N(4)))),
+    ("1/0", _Bin("/", N(1), N(0))),
+    ("4 / 2", _Bin("/", N(4), N(2))),
+    ("x^2 + t*x/4", _Bin("+", _pow(X, N(2)), _Bin("/", _Bin("*", T, X), N(4)))),
+    ("x^2/2", _Bin("/", _pow(X, N(2)), N(2))),
+    ("x^4/4 + x^2", _Bin("+", _Bin("/", _pow(X, N(4)), N(4)), _pow(X, N(2)))),
+    ("x^4/4", _Bin("/", _pow(X, N(4)), N(4))),
+    ("x^2", _pow(X, N(2))),
+    ("x", X),
+    ("t", T),
+    ("2.0", N(2)),
+    ("0", N(0)),
+    ("1", N(1)),
+    ("3", N(3)),
+    ("0.37 * x^2 + 0.81 * x^4",      # the verify workload's potential
+     _Bin("+", _Bin("*", N(0.37), _pow(X, N(2))),
+          _Bin("*", N(0.81), _pow(X, N(4))))),
+    ("0.7 * (1 + 0.25 * sin(1.5 * t))",   # its time-dependent frequency
+     _Bin("*", N(0.7), _Bin("+", N(1), _Bin("*", N(0.25), _Call(
+         "sin", _Bin("*", N(1.5), T)))))),
+    ("1.5e3 + .5 + 5. + 1E-2 + 2e+1 + 00 + 007.5",
+     _Bin("+", _Bin("+", _Bin("+", _Bin("+", _Bin("+", _Bin(
+         "+", N(1500), N(0.5)), N(5)), N(0.01)), N(20)), N(0)), N(7.5))),
+    ("-2^2", _Neg(_pow(N(2), N(2)))),
+    ("2^-x^2", _pow(N(2), _Neg(_pow(X, N(2))))),
+    ("--x", _Neg(_Neg(X))),
+    ("((x))", X),
+    ("  x\n+\t1 ", _Bin("+", X, N(1))),
+    ("x\xa0*\r\n2", _Bin("*", X, N(2))),
+]
+
+
+@pytest.mark.parametrize("text, tree", ACCEPTED,
+                         ids=[f"accept{i}" for i in range(len(ACCEPTED))])
+def test_accepted_expression_gives_its_tree(text, tree):
+    assert _shape(parse_expression(text)) == _shape(tree)
+
+
+REJECTED = [
+    "", " ", "x^2 y", "sinh(x)", "y", "sin", "abs(x)", "+x", "x % 2",
+    "x // 2", "x < 1", "x == t", "x[0]", "x.real", "sin(x, t)", "sin(x=1)",
+    "sin()", "sin(*x)", "sin(**x)", "sin(x, t=1)", "(x)(t)", "sin(x)(t)",
+    "x @ t", "~x", "not x", "x and t", "x if t else 1", "lambda: x",
+    "(x, t)", "[x]", "'x'", "...", "True", "None", "1_0", "0x10", "0b1",
+    "1j", "1 2", "1.2.3", "2x",
+    "007", "1e999 * x^2", "1" + "0" * 400, "x # comment", "x;", "x =1",
+    "\uff58^2", "\u0663", "x\0", "\ud800", "-", "x^", "x^^2", "((x)",
+    "x)", "1if x else 2", "x **** 2",
+    "(" * 300 + "x" + ")" * 300, "-" * 3000 + "x",
+    " + ".join(["x"] * 3000), "^".join(["x"] * 3000),
+]
+
+
+@pytest.mark.parametrize("text", REJECTED,
+                         ids=[f"reject{i}" for i in range(len(REJECTED))])
+def test_rejected_expression_is_config_error(text):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError):
+            parse_expression(text)
+    assert not seen   # "1if x else 2" must not print a SyntaxWarning
 
 
 def test_scalar_arithmetic_and_precedence():

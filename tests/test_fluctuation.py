@@ -23,8 +23,7 @@ from conftest import make_quartic
 
 def _plain_hessian(mixed):
     mixed = np.atleast_2d(np.asarray(mixed, dtype=float))
-    return ActionHessian(mixed=mixed, aa=mixed, bb=mixed,
-                         method="JacobiField", grid_info={})
+    return ActionHessian(mixed=mixed, aa=mixed, bb=mixed, method="JacobiField")
 
 
 def test_vvpm_unit_mixed():

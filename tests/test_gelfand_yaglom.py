@@ -137,13 +137,6 @@ def test_boundary_grid_invariants():
         assert sol.times[0] == sol.t_a and sol.times[-1] == sol.t_b
 
 
-def test_seed_independence():
-    base = solve_B_direct(TIME_DEP, 0.0, 1.0)
-    seeded = solve_B_direct(TIME_DEP, 0.0, 1.0,
-                            seed=np.array([[3.7]]))
-    assert abs(base.B_dot_a[0, 0] - seeded.B_dot_a[0, 0]) < 1e-12
-
-
 def test_direct_evaluates_each_stage_time_once():
     # dyadic grid: t + h of one step is exactly the next grid time, so
     # the probe, t_a and the midpoint and end of each step are all there is
