@@ -6,10 +6,13 @@ boundary problems are solved by Newton shooting on the initial velocity.
 The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically.  The full flow of the accepted iterate is kept on the path,
-so every later consumer of the Jacobi system reads it instead of
-integrating it again.  The action is accumulated by Simpson quadrature on
-the grid, which matches the integrator order.
+quadratically.  An unseeded solve on a fine grid first shoots on a grid
+COARSE_FACTOR times coarser, so most Newton iterations cost an eighth of
+a fine run and the fine grid takes about two.  The full flow of the
+accepted iterate is kept on the path, so every later consumer of the
+Jacobi system reads it instead of integrating it again.  The action is
+accumulated by Simpson quadrature on the grid, which matches the
+integrator order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
+
+# an unseeded solve on at least COARSE_FACTOR * MIN_COARSE_STEPS steps
+# first runs Newton on n_steps // COARSE_FACTOR steps
+COARSE_FACTOR = 8
+MIN_COARSE_STEPS = 32
 
 # |det M| below this times scale^D marks a boundary Jacobi matrix singular
 CAUSTIC_DET_THRESHOLD = 1e-12
@@ -345,21 +353,61 @@ def require_nonsingular(mat: np.ndarray, duration: float, error: type,
 # boundary value problem
 
 
+def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
+            n_steps: int, tol: float, max_iter: int, must_step: bool = False):
+    """Newton shooting on one grid of ``n_steps`` RK4 steps from ``v0``.
+
+    Returns ``(traj, flow, res)`` of the accepted iterate.  With
+    ``must_step`` the first iterate is never accepted: at least one Newton
+    step is taken on this grid, whatever its endpoint miss.
+    """
+    d = model.dim
+    identity = np.eye(2 * d)
+    best_res = np.inf
+    for iteration in range(1, max_iter + 1):
+        traj, flow = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
+        miss = traj.positions[-1] - x_b
+        res = float(np.max(np.abs(miss)))
+        if not np.isfinite(res):
+            raise NoConvergence(iteration, best_res)
+        best_res = min(best_res, res)
+        if res <= tol and not (must_step and iteration == 1):
+            return traj, flow, res
+        jac = flow[:d, d:]
+        require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
+                            "shooting Jacobian dx(t_b)/dv0")
+        v0 = v0 - np.linalg.solve(jac, miss)
+    raise NoConvergence(max_iter, best_res)
+
+
 def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
               v0_guess=None, n_steps: int = DEFAULT_N_STEPS,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
               ) -> ClassicalPath:
     """Newton shooting for the two-point boundary problem.
 
+    Without a ``v0_guess`` and with ``n_steps`` at least
+    ``COARSE_FACTOR * MIN_COARSE_STEPS``, Newton first runs from the
+    straight-line velocity on a coarse grid of ``n_steps // COARSE_FACTOR``
+    steps (rounded down to even), and the coarse answer seeds Newton on
+    the ``n_steps`` grid.  A coarse answer that moved the seed is refined
+    by at least one fine-grid Newton step, so the accepted iterate is a
+    Newton iterate of the fine endpoint map.  When the coarse phase keeps
+    the seed, or raises NoConvergence, SingularShootingJacobian or
+    SingularMetric, the fine grid starts from the straight-line velocity
+    exactly as without a coarse phase.
+
     Parameters
     ----------
     v0_guess : array, optional
         Initial velocity seed; defaults to the straight-line velocity
-        (x_b - x_a) / (t_b - t_a).
+        (x_b - x_a) / (t_b - t_a).  A given seed skips the coarse grid.
     n_steps : int
         Even number of RK4 steps (Simpson action quadrature).
     tol : float
-        Max-norm endpoint tolerance.
+        Max-norm endpoint tolerance, on each grid.
+    max_iter : int
+        Newton iteration budget of each grid.
 
     Raises
     ------
@@ -382,27 +430,19 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    identity = np.eye(2 * d)
-
-    best_res = np.inf
-    traj = None
-    converged = False
-    for iteration in range(1, max_iter + 1):
-        traj, wb = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
-        miss = traj.positions[-1] - x_b
-        res = float(np.max(np.abs(miss)))
-        if not np.isfinite(res):
-            raise NoConvergence(iteration, best_res)
-        best_res = min(best_res, res)
-        if res <= tol:
-            converged = True
-            break
-        jac = wb[:d, d:]
-        require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
-                            "shooting Jacobian dx(t_b)/dv0")
-        v0 = v0 - np.linalg.solve(jac, miss)
-    if not converged:
-        raise NoConvergence(max_iter, best_res)
+    moved = False
+    if v0_guess is None and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS:
+        coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
+        try:
+            coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
+                                   coarse_steps, tol, max_iter)
+        except (NoConvergence, SingularShootingJacobian, SingularMetric):
+            pass
+        else:
+            moved = not np.array_equal(coarse.velocities[0], v0)
+            v0 = coarse.velocities[0]
+    traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
+                              max_iter, must_step=moved)
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)
@@ -412,7 +452,7 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
         model=model, x_a=x_a, x_b=x_b, t_a=float(t_a), t_b=float(t_b),
         times=traj.times, positions=traj.positions, velocities=traj.velocities,
         action=action, p_a=p_a, p_b=p_b, energy_a=energy_a, bvp_residual=res,
-        flow=wb,
+        flow=flow,
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import ClassicalPath, solve_bvp
 from .errors import CausticRegion, NotQuadraticModel, SingularMetric
-from .hessian import ActionHessian, action_hessian_jacobi, variational_blocks
+from .hessian import ActionHessian, flow_seed, variational_blocks
 from .models import LagrangianModel, central_hessian
 
 METHOD_VVPM = "VVPM"
@@ -176,7 +176,9 @@ def energy_hessian_factor(path: ClassicalPath,
     E(x_a, x_b) is the conserved energy of the classical path as a function
     of the endpoints.  ``central_hessian`` differentiates it in x_b over
     2 D^2 boundary problems re-solved to 1e-13 on the path's grid, with f0
-    the path's own energy_a.  For certified-quadratic models E is exactly
+    the path's own energy_a.  Each solve is seeded with the stored flow's
+    prediction ``flow_seed``, exact on these models, so each accepts its
+    first run.  For certified-quadratic models E is exactly
     quadratic in the endpoints, so the stencil step defaults to a large
     0.05 * max(1, |x_b - x_a|): no truncation error, and the Newton
     termination noise is suppressed far below tolerance.  The quartic
@@ -191,7 +193,8 @@ def energy_hessian_factor(path: ClassicalPath,
 
     def energy(xb):
         return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,
-                         v0_guess=path.v_a, n_steps=path.n_steps,
+                         v0_guess=flow_seed(path, path.x_a, xb),
+                         n_steps=path.n_steps,
                          tol=1e-13).energy_a
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)

@@ -103,12 +103,10 @@ def _collocation(t_a: float, t_b: float, q: int):
     """Gauss-Legendre nodes, antiderivative matrix and full-interval weights."""
     xi, w = npleg.leggauss(q)
     nodes = t_a + 0.5 * (xi + 1.0) * (t_b - t_a)
-    vand = npleg.legvander(xi, q - 1)
-    vinv = np.linalg.inv(vand)
-    qxi = np.empty((q, q))
-    for j in range(q):
-        coeffs = npleg.legint(vinv[:, j], lbnd=-1.0)
-        qxi[:, j] = npleg.legval(xi, coeffs)
+    # column j of vinv holds the Legendre coefficients of the interpolant
+    # of the j-th unit sample; its antiderivative from -1 is read at xi
+    vinv = np.linalg.inv(npleg.legvander(xi, q - 1))
+    qxi = npleg.legvander(xi, q) @ npleg.legint(vinv, lbnd=-1.0, axis=0)
     half = 0.5 * (t_b - t_a)
     return nodes, half * qxi, half * w
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ClassicalPath, require_nonsingular, solve_bvp, state_at
-from .errors import ConjugatePoint, VectorPotentialPresent
+from .errors import (ConjugatePoint, SingularShootingJacobian,
+                     VectorPotentialPresent)
 from .models import LagrangianModel, central_hessian, metric_solve
 
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
@@ -55,6 +56,24 @@ def variational_blocks(path: ClassicalPath):
     d = path.model.dim
     flow = path.flow
     return flow[:d, :d], flow[:d, d:], flow[d:, :d], flow[d:, d:]
+
+
+def flow_seed(path: ClassicalPath, x_a: np.ndarray,
+              x_b: np.ndarray) -> np.ndarray:
+    """Initial velocity for the boundary problem from ``x_a`` to ``x_b``
+    predicted to first order by the path's stored flow,
+
+        v_a + Pxv^-1 (x_b - x(t_b) - Pxx (x_a - x(t_a))).
+
+    Where the endpoint map is affine (certified-quadratic models) the
+    prediction is exact up to roundoff, so the seeded solve accepts its
+    first run.  Raises SingularShootingJacobian when Pxv is singular.
+    """
+    pxx, pxv, _, _ = variational_blocks(path)
+    require_nonsingular(pxv, path.duration, SingularShootingJacobian,
+                        "shooting Jacobian dx(t_b)/dv0")
+    rhs = x_b - path.positions[-1] - pxx @ (x_a - path.positions[0])
+    return path.v_a + np.linalg.solve(pxv, rhs)
 
 
 def _gamma(model: LagrangianModel, x, v, t) -> np.ndarray:
@@ -96,16 +115,19 @@ def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
     solved ``path``, so the three blocks are slices of one (2D, 2D) Hessian
     and the oracle solves 8 D^2 + 1 boundary problems to 1e-12 on the
     path's grid.  The step is 1e-4 * max(1, |x_b - x_a|).  Every stencil
-    solve is seeded with the path's initial velocity, so all of them land
-    on the same branch of the classical flow.
+    solve is seeded with the stored flow's first-order prediction
+    ``flow_seed``, so all of them land on the same branch of the classical
+    flow, and on a quadratic model each accepts its first run.  The seed
+    only picks Newton's starting point: the blocks come from the
+    re-solved actions alone.
     """
     model, t_a, t_b, n_steps = path.model, path.t_a, path.t_b, path.n_steps
     h = 1e-4 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
-    seed = path.v_a
     d = model.dim
 
     def action(z):
-        return solve_bvp(model, z[:d], z[d:], t_a, t_b, v0_guess=seed,
+        return solve_bvp(model, z[:d], z[d:], t_a, t_b,
+                         v0_guess=flow_seed(path, z[:d], z[d:]),
                          n_steps=n_steps, tol=1e-12).action
 
     z = np.concatenate((path.x_a, path.x_b))

@@ -9,6 +9,7 @@ import pytest
 
 from vanvleck import (
     NoConvergence,
+    SingularMetric,
     SingularShootingJacobian,
     compile_potential,
     free_particle,
@@ -295,3 +296,141 @@ def test_linearization_callback_counts():
     assert calls == {"metric": 1, "metric_grad": 1 + 2 * d,
                      "vector_potential_grad": 1 + 2 * d,
                      "potential_grad": 1, "potential_hess": 1}
+
+
+def _count_runs(monkeypatch, fail_at=None, failure=None):
+    """Step counts of every _rk4_run call; a run on ``fail_at`` steps fails.
+
+    ``failure`` None makes that run return NaN positions; otherwise it is
+    the exception the run raises.
+    """
+    steps = []
+    real_run = dynamics._rk4_run
+
+    def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
+        steps.append(n_steps)
+        traj, flow = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+        if n_steps == fail_at:
+            if failure is not None:
+                raise failure
+            traj = dataclasses.replace(
+                traj, positions=np.full_like(traj.positions, np.nan))
+        return traj, flow
+
+    monkeypatch.setattr(dynamics, "_rk4_run", counted)
+    return steps
+
+
+def _cold(model, x_a, x_b, t_b, n, tol=dynamics.DEFAULT_TOL):
+    # a given seed skips the coarse grid: the single-grid Newton loop
+    x_a, x_b = np.asarray(x_a, float), np.asarray(x_b, float)
+    return solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=(x_b - x_a) / t_b,
+                     n_steps=n, tol=tol)
+
+
+WARM_CASES = [
+    (_expression_quartic(), [0.0], [1.0], 0.8, 256),
+    (make_curled_metric(), [0.2, -0.1], [0.9, 0.4], 0.7, 256),
+    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
+     [0.3], [-0.4], 1.3, 256),
+    (make_polar_free_particle(mass=1.5), [1.0, 0.3], [1.2, 1.2], 1.1, 1000),
+]
+WARM_IDS = ["quartic-expression", "curled-metric", "time-dependent-omega2",
+            "polar-n1000"]
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b, n", WARM_CASES, ids=WARM_IDS)
+def test_coarse_warm_start_lands_on_the_cold_path(monkeypatch, model, x_a,
+                                                  x_b, t_b, n):
+    # the cold solve may stop anywhere below the default tolerance (the
+    # polar one stops at 1.5e-11), so it is driven to roundoff here
+    cold = _cold(model, x_a, x_b, t_b, n, tol=1e-13)
+    steps = _count_runs(monkeypatch)
+    warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
+    assert set(steps) == {coarse, n}
+    assert steps.index(n) == len(steps) - steps.count(n)   # coarse first
+    assert steps.count(n) == 2   # the seeded run and one Newton step
+    assert warm.bvp_residual <= 1e-13
+    assert warm.action == pytest.approx(cold.action, rel=1e-11)
+    scale = np.max(np.abs(cold.positions))
+    assert np.max(np.abs(warm.positions - cold.positions)) <= 1e-11 * scale
+    assert (np.linalg.norm(warm.flow - cold.flow)
+            <= 1e-11 * np.linalg.norm(cold.flow))
+
+
+def test_must_step_refines_an_accepted_seed(monkeypatch):
+    model, x_a, x_b, t_b, n = WARM_CASES[3]
+    x_a, x_b = np.asarray(x_a, float), np.asarray(x_b, float)
+    path = _cold(model, x_a, x_b, t_b, n)
+    assert 1e-13 < path.bvp_residual <= dynamics.DEFAULT_TOL
+    steps = _count_runs(monkeypatch)
+    args = (model, x_a, x_b, 0.0, t_b, path.v_a, n, dynamics.DEFAULT_TOL,
+            dynamics.DEFAULT_MAX_ITER)
+    _, _, res = dynamics._newton(*args)
+    assert (steps, res) == ([n], path.bvp_residual)
+    _, _, res = dynamics._newton(*args, must_step=True)
+    assert steps == [n, n, n]
+    assert res <= 1e-13
+
+
+def _assert_same_path(a, b):
+    for name in ("positions", "velocities", "flow", "p_a", "p_b"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                      err_msg=name)
+    assert (a.action, a.energy_a, a.bvp_residual) == (
+        b.action, b.energy_a, b.bvp_residual)
+
+
+@pytest.mark.parametrize("failure", [
+    None,
+    NoConvergence(1, 0.5),
+    SingularShootingJacobian("coarse Jacobian"),
+    SingularMetric("coarse metric"),
+], ids=["nan-positions", "no-convergence", "singular-jacobian",
+        "singular-metric"])
+def test_failed_coarse_phase_falls_back_to_the_cold_solve(monkeypatch,
+                                                          failure):
+    model, x_a, x_b, t_b, n = WARM_CASES[0]
+    cold = _cold(model, x_a, x_b, t_b, n)
+    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
+    steps = _count_runs(monkeypatch, fail_at=coarse, failure=failure)
+    warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    assert steps[0] == coarse
+    _assert_same_path(warm, cold)
+
+
+def test_other_coarse_errors_propagate(monkeypatch):
+    model, x_a, x_b, t_b, n = WARM_CASES[0]
+    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
+    _count_runs(monkeypatch, fail_at=coarse, failure=RuntimeError("coarse"))
+    with pytest.raises(RuntimeError):
+        solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+
+
+def test_unmoved_coarse_seed_keeps_the_cold_arithmetic(monkeypatch):
+    # a resting path: the coarse grid accepts the straight-line seed as it
+    # stands, and the fine grid then runs exactly the single-grid loop
+    model = harmonic_oscillator(omega2=1.0)
+    cold = _cold(model, [0.0], [0.0], 1.0, 400)
+    steps = _count_runs(monkeypatch)
+    warm = solve_bvp(model, [0.0], [0.0], 0.0, 1.0, n_steps=400)
+    assert steps == [50, 400]
+    _assert_same_path(warm, cold)
+
+
+@pytest.mark.parametrize("n", [8, 254])
+def test_small_grids_run_no_coarse_phase(monkeypatch, n):
+    model, x_a, x_b, t_b, _ = WARM_CASES[0]
+    cold = _cold(model, x_a, x_b, t_b, n)
+    steps = _count_runs(monkeypatch)
+    warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    assert set(steps) == {n}
+    _assert_same_path(warm, cold)
+
+
+def test_given_seed_runs_no_coarse_phase(monkeypatch):
+    model, x_a, x_b, t_b, n = WARM_CASES[1]
+    steps = _count_runs(monkeypatch)
+    solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=[0.9, 0.7], n_steps=n)
+    assert set(steps) == {n}

@@ -5,6 +5,7 @@ import pytest
 
 from vanvleck import (
     CausticRegion,
+    action_hessian_fd,
     NotQuadraticModel,
     energy_hessian_factor,
     free_particle,
@@ -16,6 +17,7 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
+from vanvleck import dynamics
 from vanvleck.hessian import ActionHessian
 
 from conftest import make_quartic
@@ -98,6 +100,34 @@ def test_energy_hessian_matches_vvpm_on_magnetic():
     model = magnetic_field(mass=1.0, omega=1.2, dim=2)
     path = solve_bvp(model, [0.0, 0.0], [0.8, -0.1], 0.0, 1.0)
     eh = energy_hessian_factor(path)
+    vv = vvpm_factor(action_hessian_jacobi(path))
+    assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
+
+
+def _fine_runs(monkeypatch):
+    steps = []
+    real_run = dynamics._rk4_run
+
+    def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
+        steps.append(n_steps)
+        return real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+
+    monkeypatch.setattr(dynamics, "_rk4_run", counted)
+    return steps
+
+
+def test_flow_seeded_stencils_take_one_run_per_solve(monkeypatch):
+    # a two-dimensional coupled oscillator with a matrix mass: the endpoint
+    # map is affine, so the flow's prediction is each solve's first run
+    model = harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                                stiffness=[[1.0, 0.2], [0.2, 3.0]])
+    path = solve_bvp(model, [0.1, -0.2], [0.7, 0.4], 0.0, 1.1)
+    steps = _fine_runs(monkeypatch)
+    eh = energy_hessian_factor(path)
+    assert steps == [path.n_steps] * 2 * 2**2
+    steps.clear()
+    action_hessian_fd(path)
+    assert steps == [path.n_steps] * (8 * 2**2 + 1)
     vv = vvpm_factor(action_hessian_jacobi(path))
     assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 import pytest
 from scipy.linalg import expm
 
@@ -17,6 +18,7 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
+from vanvleck.gelfand_yaglom import _collocation
 
 TIME_DEP = lambda t: (1.0 + 0.2 * np.sin(t)) ** 2  # noqa: E731
 
@@ -72,6 +74,25 @@ def test_neumann_tolerates_transient_hump():
     # Omega T = 2.7: term 1 exceeds term 0, but the tail decreases
     sol = solve_B_neumann(1.0, 0.0, 2.7, order=8)
     assert sol.B_dot_a[0, 0] == pytest.approx(1.0 / np.sin(2.7), rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [8, 64])
+def test_collocation_matches_the_column_loop(q):
+    # column j: the antiderivative from -1 of the Legendre interpolant of
+    # the j-th unit sample, read at the Gauss nodes
+    t_a, t_b = 0.3, 1.9
+    nodes, qmat, wfull = _collocation(t_a, t_b, q)
+    xi, w = npleg.leggauss(q)
+    vinv = np.linalg.inv(npleg.legvander(xi, q - 1))
+    loop = np.empty((q, q))
+    for j in range(q):
+        loop[:, j] = npleg.legval(xi, npleg.legint(vinv[:, j], lbnd=-1.0))
+    np.testing.assert_allclose(qmat, 0.5 * (t_b - t_a) * loop, rtol=0,
+                               atol=1e-14)
+    np.testing.assert_array_equal(wfull, 0.5 * (t_b - t_a) * w)
+    # exact on polynomials of degree < q: the integral of t^2 from t_a
+    np.testing.assert_allclose(qmat @ nodes**2, (nodes**3 - t_a**3) / 3,
+                               rtol=0, atol=1e-14)
 
 
 def test_time_ordered_constant_frequency_exact():
