@@ -18,7 +18,6 @@ from .analytic import (
 )
 from .composition import (
     CompositionReport,
-    acausal_identity_residual,
     verify_composition,
     verify_jacobian_identity,
 )
@@ -26,7 +25,6 @@ from .dynamics import (
     ClassicalPath,
     Trajectory,
     integrate_ivp,
-    path_energy,
     solve_bvp,
     state_at,
 )
@@ -69,7 +67,6 @@ from .hessian import (
     action_hessian_fd,
     action_hessian_jacobi,
     frequency_matrix_along_path,
-    split_block_residual,
     variational_blocks,
 )
 from .models import (
@@ -83,7 +80,6 @@ from .models import (
     legendre_momentum,
     magnetic_field,
     one_dim_potential,
-    probe_derivative_consistency,
     velocity_from_momentum,
 )
 
@@ -113,7 +109,6 @@ __all__ = [
     "TurningPoint",
     "VanVleckError",
     "VectorPotentialPresent",
-    "acausal_identity_residual",
     "action_hessian_fd",
     "action_hessian_jacobi",
     "builtin_model",
@@ -139,14 +134,11 @@ __all__ = [
     "one_dim_dalembert_factor",
     "one_dim_potential",
     "parse_expression",
-    "path_energy",
-    "probe_derivative_consistency",
     "short_time_factor",
     "solve_B_direct",
     "solve_B_neumann",
     "solve_B_time_ordered",
     "solve_bvp",
-    "split_block_residual",
     "state_at",
     "variational_blocks",
     "verify_composition",

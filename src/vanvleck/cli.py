@@ -10,9 +10,10 @@ sweep    tabulate |F| and phase over a cartesian grid of one or two
          scalar parameters (CSV).
 models   list the builtin model tags and their parameters.
 
-Exit codes: 0 success, 1 config error (nothing is written), 2 numerical
-failure (the error name lands in the report).  Reports are byte-stable:
-floats are rendered in their shortest round-trip form and keys are sorted.
+Exit codes: 0 success, 1 config error or bad command line (nothing is
+written), 2 numerical failure (the error name lands in the report).
+Reports are byte-stable: floats are rendered in their shortest round-trip
+form and keys are sorted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +62,13 @@ NUMERICS_DEFAULTS = {
 # (n_steps + 1, 2D, 1 + 2D), is 336 B a step, 34 MB at the bound; a q x q
 # Neumann collocation matrix is 8 MB at the bound; the time-ordered slice
 # propagator stack, (n_slices, 2D, 2D), is 288 B a slice, 29 MB at the bound.
+# A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
+# its CSV is written, so its row count, the product of the parameter
+# counts, is bounded too: under 20 MB at the bound.
 MAX_N_STEPS = 100_000
 MAX_QUAD_POINTS = 1_000
 MAX_N_SLICES = 100_000
+MAX_SWEEP_ROWS = 10_000
 
 MAX_SERIALIZED_SAMPLES = 256
 
@@ -563,7 +567,8 @@ def _parse_sweep_block(cfg: dict, tag: str) -> list:
     sweepable = {"T", "hbar"} | {
         f"model.{p}" for p in BUILTIN_TAGS[tag]["params"]
         if p not in ("dim", "potential")}
-    parsed = []
+    blocks = []
+    rows = 1
     for block in parameters:
         _check_keys(block, _SWEEP_PARAM_KEYS, "sweep parameter")
         name = block.get("name")
@@ -572,15 +577,21 @@ def _parse_sweep_block(cfg: dict, tag: str) -> list:
         if name not in sweepable:
             raise ConfigError(
                 f"cannot sweep {name!r}; use one of {sorted(sweepable)}")
-        if any(name == seen for seen, _ in parsed):
+        if any(name == seen for seen, _, _, _ in blocks):
             raise ConfigError(f"sweep parameter {name!r} is named twice")
         start = _scalar(block, "start", "sweep parameter")
         stop = _scalar(block, "stop", "sweep parameter")
         count = block.get("count")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("sweep parameter count must be a positive integer")
-        parsed.append((name, np.linspace(start, stop, count)))
-    return parsed
+        rows *= count
+        if rows > MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"a sweep may have at most {MAX_SWEEP_ROWS} rows, the "
+                "product of its parameter counts")
+        blocks.append((name, start, stop, count))
+    return [(name, np.linspace(start, stop, count))
+            for name, start, stop, count in blocks]
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -598,8 +609,7 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
     return patched
 
 
-def _sweep_row(payload) -> dict:
-    cfg, overrides = payload
+def _sweep_row(cfg: dict, overrides) -> dict:
     row = {name: value for name, value in overrides}
     try:
         scenario = parse_scenario(_apply_overrides(cfg, overrides))
@@ -617,7 +627,7 @@ def _sweep_row(payload) -> dict:
     return row
 
 
-def cmd_sweep(cfg: dict, out_path: Optional[str], threads: int) -> int:
+def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
     if "sweep" not in cfg:
         raise ConfigError("missing key 'sweep' in config")
     base = json.loads(json.dumps(cfg))
@@ -632,13 +642,7 @@ def cmd_sweep(cfg: dict, out_path: Optional[str], threads: int) -> int:
     if len(grids) == 2:
         combos = [first + [(names[1], float(w))]
                   for first in combos for w in grids[1]]
-    payloads = [(base, combo) for combo in combos]
-
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
-    else:
-        rows = [_sweep_row(payload) for payload in payloads]
+    rows = [_sweep_row(base, combo) for combo in combos]
 
     method_columns = []
     for method in sorted(scenario.methods):
@@ -710,8 +714,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that raises ConfigError where it would print usage and
+    exit 2; subparsers inherit the class, ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="vanvleck",
         description="Semiclassical fluctuation factors from JSON scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -729,20 +741,19 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="tabulate factors over a grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
 
     p_models = sub.add_parser("models", help="list builtin model tags")
     p_models.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "factor":
             return cmd_factor(_load_config(args.config), args.out,
                               args.full_grid)
         if args.command == "verify":
             return cmd_verify(_load_config(args.config), args.out)
         if args.command == "sweep":
-            return cmd_sweep(_load_config(args.config), args.out, args.threads)
+            return cmd_sweep(_load_config(args.config), args.out)
         return cmd_models(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -143,55 +143,3 @@ def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
         factor_residual=float(factor_residual),
         jacobian_identity_residual=float(jacobian_residual),
         thresholds=thresholds, diagnostic=diagnostic)
-
-
-def _mode_mixed(tau: float, mass: float, omega: float) -> float:
-    if omega == 0.0:
-        return mass / tau
-    return mass * omega / np.sin(omega * tau)
-
-
-def _mode_diag(tau: float, mass: float, omega: float) -> float:
-    if omega == 0.0:
-        return mass / tau
-    return mass * omega * np.cos(omega * tau) / np.sin(omega * tau)
-
-
-def _mode_factor(tau: float, masses, omegas, hbar: float) -> complex:
-    value = fresnel_prefactor(len(omegas), hbar)
-    for mass, omega in zip(masses, omegas):
-        z = _mode_mixed(tau, mass, omega)
-        value *= 1j * np.sqrt(-z) if z < 0.0 else np.sqrt(z)
-    return value
-
-
-def acausal_identity_residual(mass, omegas, t_a: float, t_b: float,
-                              t_mid: float, hbar: float = 1.0) -> float:
-    """Closed-form splitting residual allowing the junction time outside
-    the interval.
-
-    For decoupled quadratic modes (frequency 0 means free) the interval
-    may be split at t_mid > t_b: the right leg then runs backward in
-    time.  With principal roots applied per mode, each backward leg
-    carries an extra factor i per mode and the recombination identity
-    still closes; the returned residual is the relative defect.
-    """
-    omegas = [float(w) for w in np.atleast_1d(omegas)]
-    masses = np.atleast_1d(np.asarray(mass, dtype=float))
-    if masses.size == 1:
-        masses = np.full(len(omegas), float(masses[0]))
-    if len(masses) != len(omegas):
-        raise ValueError("need one mass per mode")
-    tau_left = t_mid - t_a
-    tau_right = t_b - t_mid
-    if tau_left == 0.0 or tau_right == 0.0 or t_b == t_a:
-        raise ValueError("degenerate split")
-
-    f_full = _mode_factor(t_b - t_a, masses, omegas, hbar)
-    f_left = _mode_factor(tau_left, masses, omegas, hbar)
-    f_right = _mode_factor(tau_right, masses, omegas, hbar)
-    junction = np.diag([_mode_diag(tau_left, m, w) + _mode_diag(tau_right, m, w)
-                        for m, w in zip(masses, omegas)])
-    rhs = (f_left * f_right / fresnel_prefactor(len(omegas), hbar)
-           * fresnel_det_inv_sqrt(junction))
-    return abs(rhs - f_full) / abs(f_full)

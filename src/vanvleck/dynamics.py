@@ -6,7 +6,10 @@ boundary problems are solved by Newton shooting on the initial velocity.
 The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically.  An unseeded solve on a fine grid first shoots on a grid
+quadratically.  On a model flagged ``affine_flow`` that map is exactly
+affine, so one run gives the exact Newton correction, the accepted path
+by superposition of the run's tangent columns, and its flow.  On any
+other model an unseeded solve on a fine grid first shoots on a grid
 COARSE_FACTOR times coarser, so most Newton iterations cost an eighth of
 a fine run and the fine grid takes about two.  The full flow of the
 accepted iterate is kept on the path, so every later consumer of the
@@ -249,7 +252,8 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     propagated through the linearized flow evaluated at the RK4 stage
     points of the base trajectory.  The state is one (2D, 1 + m) array:
     column 0 is (x, v), columns 1..m the tangent block.  Returns
-    ``(Trajectory, vblock(t_b))``.
+    ``(times, ys)``, the grid and the state history of shape
+    ``(n_steps + 1, 2D, 1 + m)``; ``ys[-1, :, 1:]`` is vblock(t_b).
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
@@ -275,10 +279,14 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         return dy
 
     times = np.linspace(t_a, t_b, n_steps + 1)
-    ys = rk4(rhs, y0, times)
-    traj = Trajectory(times, np.ascontiguousarray(ys[:, :d, 0]),
-                      np.ascontiguousarray(ys[:, d:, 0]))
-    return traj, (ys[-1, :, 1:].copy() if linearize is not None else None)
+    return times, rk4(rhs, y0, times)
+
+
+def _trajectory(times: np.ndarray, states: np.ndarray) -> Trajectory:
+    """Split an (n + 1, 2D) history of (x, v) into a Trajectory."""
+    d = states.shape[1] // 2
+    return Trajectory(times, np.ascontiguousarray(states[:, :d]),
+                      np.ascontiguousarray(states[:, d:]))
 
 
 def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
@@ -295,8 +303,8 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     Trajectory
         Samples at the n_steps + 1 grid times.
     """
-    traj, _ = _rk4_run(model, x0, v0, t_a, t_b, n_steps, None)
-    return traj
+    times, ys = _rk4_run(model, x0, v0, t_a, t_b, n_steps, None)
+    return _trajectory(times, ys[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +373,50 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
     identity = np.eye(2 * d)
     best_res = np.inf
     for iteration in range(1, max_iter + 1):
-        traj, flow = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
-        miss = traj.positions[-1] - x_b
+        times, ys = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
+        miss = ys[-1, :d, 0] - x_b
         res = float(np.max(np.abs(miss)))
         if not np.isfinite(res):
             raise NoConvergence(iteration, best_res)
         best_res = min(best_res, res)
+        flow = ys[-1, :, 1:]
         if res <= tol and not (must_step and iteration == 1):
-            return traj, flow, res
+            return _trajectory(times, ys[:, :, 0]), flow.copy(), res
         jac = flow[:d, d:]
         require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
                             "shooting Jacobian dx(t_b)/dv0")
         v0 = v0 - np.linalg.solve(jac, miss)
     raise NoConvergence(max_iter, best_res)
+
+
+def _affine_shot(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
+                 v0, n_steps: int, tol: float):
+    """One variational run from ``v0`` on a model flagged ``affine_flow``.
+
+    The endpoint map is affine, so the Newton correction
+    dv = -Pxv^-1 miss is exact and the path from v0 + dv is the run's
+    base column plus its velocity tangent columns times dv; the flow is
+    the run's, since it does not depend on the trajectory.  Newton's
+    order of tests is kept: a miss within ``tol`` is accepted as it
+    stands, a non-finite one raises NoConvergence(1, ...), and only then
+    is Pxv tested.  Returns ``(traj, flow, res)`` like ``_newton``.
+    """
+    d = model.dim
+    times, ys = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, np.eye(2 * d))
+    miss = ys[-1, :d, 0] - x_b
+    res = float(np.max(np.abs(miss)))
+    if not np.isfinite(res):
+        raise NoConvergence(1, np.inf)
+    flow = ys[-1, :, 1:].copy()
+    states = ys[:, :, 0]
+    if res > tol:
+        jac = flow[:d, d:]
+        require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
+                            "shooting Jacobian dx(t_b)/dv0")
+        dv = -np.linalg.solve(jac, miss)
+        states = states + ys[:, :, 1 + d:] @ dv
+        res = float(np.max(np.abs(states[-1, :d] - x_b)))
+    return _trajectory(times, states), flow, res
 
 
 def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
@@ -386,7 +425,12 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
               ) -> ClassicalPath:
     """Newton shooting for the two-point boundary problem.
 
-    Without a ``v0_guess`` and with ``n_steps`` at least
+    On a model flagged ``affine_flow`` the solve is one variational run
+    from the seed (``_affine_shot``): a miss within ``tol`` is accepted as
+    it stands, otherwise the exact Newton correction is applied by
+    superposition, whatever ``max_iter``, and no coarse grid runs.
+
+    On any other model, without a ``v0_guess`` and with ``n_steps`` at least
     ``COARSE_FACTOR * MIN_COARSE_STEPS``, Newton first runs from the
     straight-line velocity on a coarse grid of ``n_steps // COARSE_FACTOR``
     steps (rounded down to even), and the coarse answer seeds Newton on
@@ -407,7 +451,7 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     tol : float
         Max-norm endpoint tolerance, on each grid.
     max_iter : int
-        Newton iteration budget of each grid.
+        Newton iteration budget of each grid; unused on an affine model.
 
     Raises
     ------
@@ -430,19 +474,23 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    moved = False
-    if v0_guess is None and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS:
-        coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
-        try:
-            coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
-                                   coarse_steps, tol, max_iter)
-        except (NoConvergence, SingularShootingJacobian, SingularMetric):
-            pass
-        else:
-            moved = not np.array_equal(coarse.velocities[0], v0)
-            v0 = coarse.velocities[0]
-    traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
-                              max_iter, must_step=moved)
+    if model.affine_flow:
+        traj, flow, res = _affine_shot(model, x_a, x_b, t_a, t_b, v0, n_steps,
+                                       tol)
+    else:
+        moved = False
+        if v0_guess is None and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS:
+            coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
+            try:
+                coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
+                                       coarse_steps, tol, max_iter)
+            except (NoConvergence, SingularShootingJacobian, SingularMetric):
+                pass
+            else:
+                moved = not np.array_equal(coarse.velocities[0], v0)
+                v0 = coarse.velocities[0]
+        traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps,
+                                  tol, max_iter, must_step=moved)
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)
@@ -483,15 +531,3 @@ def state_at(path, t: float):
     v = ((6 * s**2 - 6 * s) * (x0 - x1) / h
          + (3 * s**2 - 4 * s + 1) * v0 + (3 * s**2 - 2 * s) * v1)
     return x, v
-
-
-def path_energy(path: ClassicalPath, t: float) -> float:
-    """Hamiltonian along the path, linear interpolation of (x, v) off grid."""
-    times = path.times
-    k = _bracket(times, t)
-    h = times[k + 1] - times[k]
-    s = (t - times[k]) / h
-    x = (1 - s) * path.positions[k] + s * path.positions[k + 1]
-    v = (1 - s) * path.velocities[k] + s * path.velocities[k + 1]
-    p = legendre_momentum(path.model, x, v, t)
-    return evaluate_hamiltonian(path.model, x, p, t)

@@ -65,9 +65,9 @@ def flow_seed(path: ClassicalPath, x_a: np.ndarray,
 
         v_a + Pxv^-1 (x_b - x(t_b) - Pxx (x_a - x(t_a))).
 
-    Where the endpoint map is affine (certified-quadratic models) the
+    Where the endpoint map is affine (models flagged ``affine_flow``) the
     prediction is exact up to roundoff, so the seeded solve accepts its
-    first run.  Raises SingularShootingJacobian when Pxv is singular.
+    one run as it stands.  Raises SingularShootingJacobian when Pxv is singular.
     """
     pxx, pxv, _, _ = variational_blocks(path)
     require_nonsingular(pxv, path.duration, SingularShootingJacobian,
@@ -159,15 +159,3 @@ def frequency_matrix_along_path(path: ClassicalPath):
                             np.asarray(model.potential_hess(x, t), float))
 
     return omega2
-
-
-def split_block_residual(full: ActionHessian, left: ActionHessian,
-                         right: ActionHessian) -> float:
-    """Relative residual of the matrix chain identity under path splitting,
-
-        mixed_full = mixed_left (bb_left + aa_right)^-1 mixed_right.
-    """
-    junction = left.bb + right.aa
-    recomposed = left.mixed @ np.linalg.solve(junction, right.mixed)
-    return float(np.linalg.norm(recomposed - full.mixed)
-                 / np.linalg.norm(full.mixed))

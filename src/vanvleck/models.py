@@ -62,6 +62,14 @@ class LagrangianModel:
         True when metric_grad and vector_potential_grad do not depend on x.
         The variational linearization is then exact; otherwise the missing
         second derivatives of g and a are filled in by central differences.
+    affine_flow : bool
+        True when the Euler-Lagrange equations are linear in (x, v): g
+        constant, a linear and V quadratic in x, at every t.  The RK4
+        endpoint map is then exactly affine in the initial state and the
+        variational flow does not depend on the trajectory, so
+        ``solve_bvp`` solves the boundary problem from one run.  A model
+        that sets it without such equations gets a wrong path; no config
+        sets it, only the builtins that are affine by construction.
     label : str
         Identifier used in serialized reports.
     """
@@ -76,6 +84,7 @@ class LagrangianModel:
     potential_hess: Callable
     hbar: float = 1.0
     kinetic_gradients_constant: bool = False
+    affine_flow: bool = False
     label: str = "custom"
 
 
@@ -246,6 +255,7 @@ def free_particle(mass=1.0, dim: Optional[int] = None, hbar: float = 1.0) -> Lag
         potential_hess=lambda x, t: zero_mat,
         hbar=hbar,
         kinetic_gradients_constant=True,
+        affine_flow=True,
         label=f"free_particle(D={d})",
     )
 
@@ -301,6 +311,7 @@ def harmonic_oscillator(
         potential_hess=lambda x, t: k_of_t(t),
         hbar=hbar,
         kinetic_gradients_constant=True,
+        affine_flow=True,
         label=f"harmonic_oscillator(D={d})",
     )
 
@@ -339,6 +350,7 @@ def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
         potential_hess=lambda x, t: zero_mat,
         hbar=hbar,
         kinetic_gradients_constant=True,
+        affine_flow=True,
         label=f"magnetic_field(D={dim})",
     )
 
@@ -418,46 +430,3 @@ def builtin_model(tag: str, **params) -> LagrangianModel:
     except KeyError:
         raise ValueError(f"unknown builtin tag {tag!r}") from None
     return entry["factory"](**params)
-
-
-# ---------------------------------------------------------------------------
-# consistency probes used by the test suite
-
-
-def probe_derivative_consistency(model: LagrangianModel, rng=None, n_points: int = 100,
-                                 box: float = 1.0, t_box: float = 1.0) -> dict:
-    """Max deviation of supplied derivatives from central differences.
-
-    Returns a dict with keys ``metric_symmetry``, ``metric_grad``,
-    ``potential_grad``, ``potential_hess`` and ``vector_potential_grad``.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d = model.dim
-    worst = {k: 0.0 for k in (
-        "metric_symmetry", "metric_grad", "potential_grad",
-        "potential_hess", "vector_potential_grad")}
-    num_dg = fd_jacobian(lambda x, t: np.asarray(model.metric(x, t)), (d, d, d))
-    num_dv = fd_jacobian(model.potential, (d,))
-    num_da = fd_jacobian(lambda x, t: np.asarray(model.vector_potential(x, t)), (d, d))
-    num_hv = fd_jacobian(lambda x, t: np.asarray(model.potential_grad(x, t)), (d, d))
-    for _ in range(n_points):
-        x = rng.uniform(-box, box, size=d)
-        t = rng.uniform(-t_box, t_box)
-        g = np.asarray(model.metric(x, t))
-        worst["metric_symmetry"] = max(worst["metric_symmetry"],
-                                       float(np.max(np.abs(g - g.T))))
-        # fd_jacobian differentiates along the last axis; reorder to [k, i, j]
-        dg_num = np.moveaxis(num_dg(x, t).reshape(d, d, d), -1, 0)
-        worst["metric_grad"] = max(worst["metric_grad"], float(np.max(np.abs(
-            np.asarray(model.metric_grad(x, t)) - dg_num))))
-        worst["potential_grad"] = max(worst["potential_grad"], float(np.max(np.abs(
-            np.asarray(model.potential_grad(x, t)) - num_dv(x, t)))))
-        hv = np.asarray(model.potential_hess(x, t))
-        worst["potential_hess"] = max(worst["potential_hess"], float(np.max(np.abs(
-            hv - num_hv(x, t)))), float(np.max(np.abs(hv - hv.T))))
-        worst["vector_potential_grad"] = max(
-            worst["vector_potential_grad"],
-            float(np.max(np.abs(np.asarray(model.vector_potential_grad(x, t))
-                                - num_da(x, t)))))
-    return worst

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vanvleck import cli, composition
+from vanvleck import cli, composition, dynamics
 from vanvleck.cli import main, parse_scenario, serialize_scenario
 from vanvleck.models import BUILTIN_TAGS
 
@@ -479,22 +479,65 @@ def test_sweep_parameter_the_model_lacks_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: cannot sweep 'model.omega'")
 
 
-def test_sweep_threads_deterministic(tmp_path):
-    payload = {
-        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
-        "x_a": [0.0], "x_b": [1.0], "t_b": 1.0,
-        "methods": ["vvpm", "analytic"],
-        "numerics": {"n_steps": 200},
-        "sweep": {"parameters": [
-            {"name": "T", "start": 0.2, "stop": 2.0, "count": 6}]},
-    }
-    cfg = _write(tmp_path, "threads.json", payload)
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(parallel),
-                 "--threads", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("counts", [[10_000_000_000], [101, 100]],
+                         ids=["one-huge-count", "product-over-bound"])
+def test_sweep_row_count_is_bounded(tmp_path, capsys, monkeypatch, counts):
+    assert 101 * 100 > cli.MAX_SWEEP_ROWS >= 100
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a sweep grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    names = ["model.omega2", "T"]
+    code, err, written = _sweep_config_error(tmp_path, capsys, [
+        {"name": name, "start": 0.5, "stop": 1.0, "count": count}
+        for name, count in zip(names, counts)])
+    assert code == 1 and not written
+    assert err.startswith("config error: a sweep may have at most")
+    assert err.count("\n") == 1
+
+
+def test_sweep_runs_in_one_process_one_run_a_row(tmp_path, monkeypatch):
+    # the demo sweeps T over 15 rows of an oscillator: one RK4 run each
+    runs = []
+    real_run = dynamics._rk4_run
+
+    def counted(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_run", counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(DEMO_CONFIGS / "duration_sweep.json"),
+                 "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert len(rows) == 15 and all(row["error"] == "" for row in rows)
+    assert len(runs) == 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor"],
+    ["sweep", "--config", str(DEMO_CONFIGS / "duration_sweep.json"),
+     "--threads", "2"],
+    ["factor", "--config"],
+    ["frobnicate", "--config", "cfg.json"],
+    [],
+], ids=["missing-config", "unknown-option", "option-without-value",
+        "unknown-command", "no-command"])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "report.out"
+    assert main([*argv, "--out", str(out)] if argv else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--help"])
+    assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_console_entry_point(tmp_path):

@@ -5,9 +5,10 @@ import pytest
 
 from vanvleck import (
     MidpointOffPath,
-    acausal_identity_residual,
     action_hessian_jacobi,
     free_particle,
+    fresnel_det_inv_sqrt,
+    fresnel_prefactor,
     harmonic_oscillator,
     magnetic_field,
     solve_bvp,
@@ -157,6 +158,43 @@ def test_midpoint_offset_is_diagnostic_negative_control(quartic):
     assert report.diagnostic["midpoint_offset_applied"]
     assert report.momentum_mismatch > 1e-4
     assert not report.passed
+
+
+def _mode_mixed_and_diag(tau, mass, omega):
+    # -d2A/dx_a dx_b and d2A/dx_a^2 of one mode over a signed duration tau
+    if omega == 0.0:
+        return mass / tau, mass / tau
+    s = np.sin(omega * tau)
+    return mass * omega / s, mass * omega * np.cos(omega * tau) / s
+
+
+def _mode_factor(tau, masses, omegas, hbar):
+    value = fresnel_prefactor(len(omegas), hbar)
+    for mass, omega in zip(masses, omegas):
+        z, _ = _mode_mixed_and_diag(tau, mass, omega)
+        value *= 1j * np.sqrt(-z) if z < 0.0 else np.sqrt(z)
+    return value
+
+
+def acausal_identity_residual(mass, omegas, t_a, t_b, t_mid, hbar=1.0):
+    """Closed-form splitting residual of decoupled quadratic modes with
+    the junction time outside the interval (frequency 0 means free).
+
+    With t_mid > t_b the right leg runs backward in time; under principal
+    roots each backward leg carries an extra factor i per mode, and
+    ``fresnel_det_inv_sqrt``'s -i per negative junction eigenvalue must
+    cancel it for the recombination identity to close.
+    """
+    masses = np.full(len(omegas), float(mass))
+    legs = (t_b - t_a, t_mid - t_a, t_b - t_mid)
+    f_full, f_left, f_right = (_mode_factor(tau, masses, omegas, hbar)
+                               for tau in legs)
+    junction = np.diag([_mode_mixed_and_diag(legs[1], m, w)[1]
+                        + _mode_mixed_and_diag(legs[2], m, w)[1]
+                        for m, w in zip(masses, omegas)])
+    rhs = (f_left * f_right / fresnel_prefactor(len(omegas), hbar)
+           * fresnel_det_inv_sqrt(junction))
+    return abs(rhs - f_full) / abs(f_full)
 
 
 def test_acausal_identity_free_and_harmonic():

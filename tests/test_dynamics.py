@@ -17,12 +17,12 @@ from vanvleck import (
     integrate_ivp,
     magnetic_field,
     one_dim_potential,
-    path_energy,
     solve_bvp,
     state_at,
 )
 from vanvleck import dynamics
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
+from vanvleck.models import evaluate_hamiltonian, legendre_momentum
 
 from conftest import make_curled_metric, make_polar_free_particle, make_quartic
 
@@ -81,6 +81,17 @@ def test_harmonic_bvp_at_focal_time_raises():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
     with pytest.raises(SingularShootingJacobian):
         solve_bvp(model, [0.0], [1.0], 0.0, np.pi)
+
+
+def path_energy(path, t: float) -> float:
+    """Hamiltonian along the path, linear interpolation of (x, v) off grid."""
+    times = path.times
+    k = dynamics._bracket(times, t)
+    s = (t - times[k]) / (times[k + 1] - times[k])
+    x = (1 - s) * path.positions[k] + s * path.positions[k + 1]
+    v = (1 - s) * path.velocities[k] + s * path.velocities[k + 1]
+    p = legendre_momentum(path.model, x, v, t)
+    return evaluate_hamiltonian(path.model, x, p, t)
 
 
 def test_path_energy_free_is_constant():
@@ -168,13 +179,13 @@ def test_stored_flow_is_the_accepted_iterates(model, x_a, x_b):
     n = 40
     path = solve_bvp(model, x_a, x_b, 0.0, 0.5, n_steps=n)
     identity = np.eye(2 * model.dim)
-    _, fresh = _rk4_run(model, path.x_a, path.v_a, path.t_a, path.t_b, n,
-                        identity)
+    _, ys = _rk4_run(model, path.x_a, path.v_a, path.t_a, path.t_b, n,
+                     identity)
     assert path.flow.shape == identity.shape
-    assert np.array_equal(path.flow, fresh)
-    _, seed_flow = _rk4_run(model, path.x_a, (path.x_b - path.x_a) / 0.5,
-                            path.t_a, path.t_b, n, identity)
-    assert not np.array_equal(path.flow, seed_flow)
+    assert np.array_equal(path.flow, ys[-1, :, 1:])
+    _, ys = _rk4_run(model, path.x_a, (path.x_b - path.x_a) / 0.5,
+                     path.t_a, path.t_b, n, identity)
+    assert not np.array_equal(path.flow, ys[-1, :, 1:])
 
 
 def test_bvp_requires_even_step_count(quartic):
@@ -216,11 +227,9 @@ def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
     # columns are exactly zero for these models
     general = dataclasses.replace(model, kinetic_gradients_constant=False)
     identity = np.eye(2 * model.dim)
-    fast_traj, fast_flow = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
-    ref_traj, ref_flow = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
-    np.testing.assert_array_equal(fast_traj.positions, ref_traj.positions)
-    np.testing.assert_array_equal(fast_traj.velocities, ref_traj.velocities)
-    np.testing.assert_array_equal(fast_flow, ref_flow)
+    _, fast = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
+    _, ref = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
+    np.testing.assert_array_equal(fast, ref)
 
 
 def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
@@ -309,13 +318,12 @@ def _count_runs(monkeypatch, fail_at=None, failure=None):
 
     def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
         steps.append(n_steps)
-        traj, flow = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+        times, ys = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
         if n_steps == fail_at:
             if failure is not None:
                 raise failure
-            traj = dataclasses.replace(
-                traj, positions=np.full_like(traj.positions, np.nan))
-        return traj, flow
+            ys[:, :model.dim, 0] = np.nan
+        return times, ys
 
     monkeypatch.setattr(dynamics, "_rk4_run", counted)
     return steps
@@ -331,11 +339,11 @@ def _cold(model, x_a, x_b, t_b, n, tol=dynamics.DEFAULT_TOL):
 WARM_CASES = [
     (_expression_quartic(), [0.0], [1.0], 0.8, 256),
     (make_curled_metric(), [0.2, -0.1], [0.9, 0.4], 0.7, 256),
-    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
+    (one_dim_potential(*compile_potential("0.25*x^4*(1 + 0.2*sin(t))")),
      [0.3], [-0.4], 1.3, 256),
     (make_polar_free_particle(mass=1.5), [1.0, 0.3], [1.2, 1.2], 1.1, 1000),
 ]
-WARM_IDS = ["quartic-expression", "curled-metric", "time-dependent-omega2",
+WARM_IDS = ["quartic-expression", "curled-metric", "time-dependent-quartic",
             "polar-n1000"]
 
 
@@ -411,7 +419,7 @@ def test_other_coarse_errors_propagate(monkeypatch):
 def test_unmoved_coarse_seed_keeps_the_cold_arithmetic(monkeypatch):
     # a resting path: the coarse grid accepts the straight-line seed as it
     # stands, and the fine grid then runs exactly the single-grid loop
-    model = harmonic_oscillator(omega2=1.0)
+    model = _expression_quartic()
     cold = _cold(model, [0.0], [0.0], 1.0, 400)
     steps = _count_runs(monkeypatch)
     warm = solve_bvp(model, [0.0], [0.0], 0.0, 1.0, n_steps=400)
@@ -434,3 +442,63 @@ def test_given_seed_runs_no_coarse_phase(monkeypatch):
     steps = _count_runs(monkeypatch)
     solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=[0.9, 0.7], n_steps=n)
     assert set(steps) == {n}
+
+
+AFFINE_CASES = [
+    (free_particle(mass=1.5), [0.2], [1.1], 0.9),
+    (harmonic_oscillator(omega2=1.0), [0.0], [1.0], 1.2),
+    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
+     [0.1, -0.2], [0.7, 0.4], 1.1),
+    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
+     [0.3], [-0.4], 1.3),
+    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
+     [1.0, -0.5, 0.2], 1.4),
+]
+AFFINE_IDS = ["free", "ho1", "ho2-matrix-mass", "time-dependent-omega2",
+              "magnetic-3"]
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
+@pytest.mark.parametrize("n", [40, 1000])
+def test_affine_solve_makes_one_run(monkeypatch, model, x_a, x_b, t_b, n):
+    assert model.affine_flow
+    newton = solve_bvp(dataclasses.replace(model, affine_flow=False), x_a,
+                       x_b, 0.0, t_b, n_steps=n)
+    steps = _count_runs(monkeypatch)
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    assert steps == [n]
+    # the flow does not depend on the trajectory, so the seed run's flow
+    # is the Newton iterate's to the bit
+    np.testing.assert_array_equal(path.flow, newton.flow)
+    scale = np.max(np.abs(newton.positions))
+    assert np.max(np.abs(path.positions - newton.positions)) <= 1e-12 * scale
+    assert path.action == pytest.approx(newton.action, rel=1e-12)
+    assert path.bvp_residual <= dynamics.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
+def test_superposed_path_is_the_run_from_its_velocity(model, x_a, x_b, t_b):
+    # an independent check of the superposition: integrating from the
+    # returned v_a reproduces the stored samples and hits x_b
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b)
+    rerun = integrate_ivp(model, path.x_a, path.v_a, 0.0, t_b)
+    scale = np.max(np.abs(path.positions))
+    assert np.max(np.abs(rerun.positions - path.positions)) <= 1e-12 * scale
+    vscale = np.max(np.abs(path.velocities))
+    assert (np.max(np.abs(rerun.velocities - path.velocities))
+            <= 1e-12 * vscale)
+    assert np.max(np.abs(rerun.positions[-1] - path.x_b)) <= dynamics.DEFAULT_TOL
+
+
+def test_affine_seed_within_tolerance_is_accepted_as_it_stands(monkeypatch):
+    model, x_a, x_b, t_b = AFFINE_CASES[2]
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=200)
+    steps = _count_runs(monkeypatch)
+    again = solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=path.v_a,
+                      n_steps=200)
+    assert steps == [200]
+    _, ys = _rk4_run(model, x_a, path.v_a, 0.0, t_b, 200,
+                     np.eye(2 * model.dim))
+    np.testing.assert_array_equal(again.positions, ys[:, :model.dim, 0])
+    np.testing.assert_array_equal(again.flow, ys[-1, :, 1:])

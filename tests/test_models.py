@@ -14,10 +14,9 @@ from vanvleck import (
     legendre_momentum,
     magnetic_field,
     one_dim_potential,
-    probe_derivative_consistency,
 )
-from vanvleck.models import (central_hessian, mass_matrix, metric_solve,
-                             velocity_from_momentum)
+from vanvleck.models import (central_hessian, fd_jacobian, mass_matrix,
+                             metric_solve, velocity_from_momentum)
 
 from conftest import make_quartic, random_spd
 
@@ -121,6 +120,39 @@ def test_legendre_round_trip(rng):
             p = legendre_momentum(model, x, v, t)
             back = velocity_from_momentum(model, x, p, t)
             np.testing.assert_allclose(back, v, atol=1e-12)
+
+
+def probe_derivative_consistency(model, rng, n_points):
+    """Max deviation of each supplied derivative from central differences
+    of the callback it differentiates, over random points in [-1, 1]^D and
+    times in [-1, 1]; ``metric_symmetry`` is max |g - g^T|, and
+    ``potential_hess`` also covers its own asymmetry.
+    """
+    d = model.dim
+    numeric = {
+        "metric_grad": fd_jacobian(model.metric, (d, d, d)),
+        "potential_grad": fd_jacobian(model.potential, (d,)),
+        "potential_hess": fd_jacobian(model.potential_grad, (d, d)),
+        "vector_potential_grad": fd_jacobian(model.vector_potential, (d, d)),
+    }
+    worst = dict.fromkeys(["metric_symmetry", *numeric], 0.0)
+    for _ in range(n_points):
+        x = rng.uniform(-1.0, 1.0, size=d)
+        t = rng.uniform(-1.0, 1.0)
+        g = np.asarray(model.metric(x, t))
+        hv = np.asarray(model.potential_hess(x, t))
+        worst["metric_symmetry"] = max(worst["metric_symmetry"],
+                                       float(np.max(np.abs(g - g.T))))
+        worst["potential_hess"] = max(worst["potential_hess"],
+                                      float(np.max(np.abs(hv - hv.T))))
+        for name, num in numeric.items():
+            approx = num(x, t)
+            if name == "metric_grad":
+                # fd_jacobian differentiates along the last axis; [k, i, j]
+                approx = np.moveaxis(approx.reshape(d, d, d), -1, 0)
+            dev = np.abs(np.asarray(getattr(model, name)(x, t)) - approx)
+            worst[name] = max(worst[name], float(np.max(dev)))
+    return worst
 
 
 def test_derivative_probe_all_builtins(rng):
