@@ -47,7 +47,6 @@ from .errors import (
 from .expressions import compile_potential, parse_expression
 from .fluctuation import (
     FluctuationFactor,
-    certify_quadratic,
     energy_hessian_factor,
     fresnel_det_inv_sqrt,
     fresnel_prefactor,
@@ -112,7 +111,6 @@ __all__ = [
     "action_hessian_fd",
     "action_hessian_jacobi",
     "builtin_model",
-    "certify_quadratic",
     "compile_potential",
     "energy_hessian_factor",
     "evaluate_hamiltonian",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -202,7 +202,9 @@ def build_model(model_cfg: dict, hbar: float):
     """Instantiate a builtin from its config block.
 
     Returns the model plus the coerced parameter dict (used by the
-    closed-form dispatch, which needs the raw numbers back).
+    closed-form dispatch, which needs the raw numbers back).  A
+    ``one_dim_potential`` whose expression has degree at most 2 in x is
+    flagged ``affine_flow``.
     """
     _check_keys(model_cfg, {"tag", "params"}, "model")
     tag = model_cfg.get("tag")
@@ -213,6 +215,7 @@ def build_model(model_cfg: dict, hbar: float):
     _check_keys(params, set(BUILTIN_TAGS[tag]["params"]),
                 f"model.params for {tag!r}")
     coerced = {}
+    affine = False
     for key, value in params.items():
         if key == "potential":
             if not isinstance(value, str):
@@ -221,6 +224,11 @@ def build_model(model_cfg: dict, hbar: float):
             coerced["potential"] = v
             coerced["potential_grad"] = dv
             coerced["potential_hess"] = d2v
+            try:
+                degree = parse_expression(value).degree()
+            except RecursionError as exc:
+                raise ConfigError(TOO_DEEP) from exc
+            affine = degree is not None and degree <= 2
         elif key == "omega2" and isinstance(value, str):
             coerced[key] = _time_expression(value)
         elif key in ("mass", "stiffness") and isinstance(value, list):
@@ -237,6 +245,8 @@ def build_model(model_cfg: dict, hbar: float):
         model = builtin_model(tag, hbar=hbar, **coerced)
     except (ValueError, TypeError, NonSPDMass) as exc:
         raise ConfigError(f"cannot build model {tag!r}: {exc}") from exc
+    if affine:
+        model = replace(model, affine_flow=True)
     return model, coerced
 
 
@@ -324,6 +334,10 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
         if "gelfand-yaglom" in methods and tag == "magnetic_field":
             raise ConfigError(
                 "method 'gelfand-yaglom' needs a vanishing vector potential")
+        if "energy-hessian" in methods and not model.affine_flow:
+            raise ConfigError(
+                "method 'energy-hessian' needs linear Euler-Lagrange "
+                "equations: a potential of degree at most 2 in x")
     return Scenario(raw=json.loads(json.dumps(cfg)), model=model,
                     tag=cfg["model"]["tag"], params=params, x_a=x_a, x_b=x_b,
                     t_a=t_a, t_b=t_b, hbar=hbar, methods=tuple(methods),

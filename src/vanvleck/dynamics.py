@@ -6,12 +6,14 @@ boundary problems are solved by Newton shooting on the initial velocity.
 The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically.  On a model flagged ``affine_flow`` that map is exactly
-affine, so one run gives the exact Newton correction, the accepted path
-by superposition of the run's tangent columns, and its flow.  On any
-other model an unseeded solve on a fine grid first shoots on a grid
-COARSE_FACTOR times coarser, so most Newton iterations cost an eighth of
-a fine run and the fine grid takes about two.  The full flow of the
+quadratically.  On a model flagged ``affine_flow`` (a linear builtin, or
+an expression potential of degree at most 2 in x) that map is exactly
+affine, so Newton's first correction is exact and is applied by
+superposition of the first run's tangent columns: one run gives the
+path and its flow.  On any other model an unseeded solve on a fine grid
+first shoots on a grid COARSE_FACTOR times coarser, so most Newton
+iterations cost an eighth of a fine run and the fine grid takes about
+two.  The full flow of the
 accepted iterate is kept on the path, so every later consumer of the
 Jacobi system reads it instead of integrating it again.  The action is
 accumulated by Simpson quadrature on the grid, which matches the
@@ -367,56 +369,36 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
 
     Returns ``(traj, flow, res)`` of the accepted iterate.  With
     ``must_step`` the first iterate is never accepted: at least one Newton
-    step is taken on this grid, whatever its endpoint miss.
+    step is taken on this grid, whatever its endpoint miss.  On a model
+    flagged ``affine_flow`` the first correction dv = -Pxv^-1 miss is
+    exact: the path from v0 + dv is the run's base column plus its
+    velocity tangent columns times dv, and the flow is the run's, since
+    it does not depend on the trajectory, so no second run is made.
     """
     d = model.dim
     identity = np.eye(2 * d)
     best_res = np.inf
     for iteration in range(1, max_iter + 1):
         times, ys = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
-        miss = ys[-1, :d, 0] - x_b
+        states = ys[:, :, 0]
+        miss = states[-1, :d] - x_b
         res = float(np.max(np.abs(miss)))
         if not np.isfinite(res):
             raise NoConvergence(iteration, best_res)
         best_res = min(best_res, res)
         flow = ys[-1, :, 1:]
         if res <= tol and not (must_step and iteration == 1):
-            return _trajectory(times, ys[:, :, 0]), flow.copy(), res
-        jac = flow[:d, d:]
-        require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
-                            "shooting Jacobian dx(t_b)/dv0")
-        v0 = v0 - np.linalg.solve(jac, miss)
-    raise NoConvergence(max_iter, best_res)
-
-
-def _affine_shot(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
-                 v0, n_steps: int, tol: float):
-    """One variational run from ``v0`` on a model flagged ``affine_flow``.
-
-    The endpoint map is affine, so the Newton correction
-    dv = -Pxv^-1 miss is exact and the path from v0 + dv is the run's
-    base column plus its velocity tangent columns times dv; the flow is
-    the run's, since it does not depend on the trajectory.  Newton's
-    order of tests is kept: a miss within ``tol`` is accepted as it
-    stands, a non-finite one raises NoConvergence(1, ...), and only then
-    is Pxv tested.  Returns ``(traj, flow, res)`` like ``_newton``.
-    """
-    d = model.dim
-    times, ys = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, np.eye(2 * d))
-    miss = ys[-1, :d, 0] - x_b
-    res = float(np.max(np.abs(miss)))
-    if not np.isfinite(res):
-        raise NoConvergence(1, np.inf)
-    flow = ys[-1, :, 1:].copy()
-    states = ys[:, :, 0]
-    if res > tol:
+            return _trajectory(times, states), flow.copy(), res
         jac = flow[:d, d:]
         require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
                             "shooting Jacobian dx(t_b)/dv0")
         dv = -np.linalg.solve(jac, miss)
-        states = states + ys[:, :, 1 + d:] @ dv
-        res = float(np.max(np.abs(states[-1, :d] - x_b)))
-    return _trajectory(times, states), flow, res
+        if model.affine_flow:
+            states = states + ys[:, :, 1 + d:] @ dv
+            return (_trajectory(times, states), flow.copy(),
+                    float(np.max(np.abs(states[-1, :d] - x_b))))
+        v0 = v0 + dv
+    raise NoConvergence(max_iter, best_res)
 
 
 def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
@@ -426,9 +408,9 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     """Newton shooting for the two-point boundary problem.
 
     On a model flagged ``affine_flow`` the solve is one variational run
-    from the seed (``_affine_shot``): a miss within ``tol`` is accepted as
-    it stands, otherwise the exact Newton correction is applied by
-    superposition, whatever ``max_iter``, and no coarse grid runs.
+    from the seed: a miss within ``tol`` is accepted as it stands,
+    otherwise ``_newton`` applies its exact first correction by
+    superposition and returns, and no coarse grid runs.
 
     On any other model, without a ``v0_guess`` and with ``n_steps`` at least
     ``COARSE_FACTOR * MIN_COARSE_STEPS``, Newton first runs from the
@@ -451,7 +433,8 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     tol : float
         Max-norm endpoint tolerance, on each grid.
     max_iter : int
-        Newton iteration budget of each grid; unused on an affine model.
+        Newton iteration budget of each grid; an ``affine_flow`` model
+        uses one iteration of it.
 
     Raises
     ------
@@ -474,23 +457,20 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    if model.affine_flow:
-        traj, flow, res = _affine_shot(model, x_a, x_b, t_a, t_b, v0, n_steps,
-                                       tol)
-    else:
-        moved = False
-        if v0_guess is None and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS:
-            coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
-            try:
-                coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
-                                       coarse_steps, tol, max_iter)
-            except (NoConvergence, SingularShootingJacobian, SingularMetric):
-                pass
-            else:
-                moved = not np.array_equal(coarse.velocities[0], v0)
-                v0 = coarse.velocities[0]
-        traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps,
-                                  tol, max_iter, must_step=moved)
+    moved = False
+    if (not model.affine_flow and v0_guess is None
+            and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS):
+        coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
+        try:
+            coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
+                                   coarse_steps, tol, max_iter)
+        except (NoConvergence, SingularShootingJacobian, SingularMetric):
+            pass
+        else:
+            moved = not np.array_equal(coarse.velocities[0], v0)
+            v0 = coarse.velocities[0]
+    traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
+                              max_iter, must_step=moved)
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)

@@ -50,7 +50,7 @@ class TurningPoint(VanVleckError):
 
 
 class NotQuadraticModel(VanVleckError):
-    """Certification probes found the model is not globally quadratic."""
+    """A route valid only on ``affine_flow`` models got a model without it."""
 
 
 class VectorPotentialPresent(VanVleckError):

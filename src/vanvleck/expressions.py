@@ -5,10 +5,11 @@ as one space, and ``_build`` keeps the grammar: +, -, *, /, ^ (right
 associative), unary minus, sin, cos, exp, the variables x and t, decimal
 literals, and parentheses.  ``diff`` differentiates a tree in x, so a
 text-defined potential supplies analytic first and second derivatives to
-the solvers.  ``^`` is ``math.pow``, so a power with no real value raises
-ValueError and one that overflows raises OverflowError, not a complex
-number or infinity.  ``compile_node`` turns a tree into one straight-line
-Python function of ``evaluate``'s arithmetic.
+the solvers, and ``degree`` gives a tree's exact polynomial degree in x
+(None when it is not a polynomial in x).  ``^`` is ``math.pow``, so a
+power with no real value raises ValueError and one that overflows raises
+OverflowError, not a complex number or infinity.  ``compile_node`` turns a
+tree into one straight-line Python function of ``evaluate``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ class _Num:
     def uses(self, name: str) -> bool:
         return False
 
+    def degree(self):
+        return 0
+
 
 class _Var:
     __slots__ = ("name",)
@@ -58,6 +62,9 @@ class _Var:
     def uses(self, name: str) -> bool:
         return self.name == name
 
+    def degree(self):
+        return 1 if self.name == "x" else 0
+
 
 class _Neg:
     __slots__ = ("arg",)
@@ -73,6 +80,9 @@ class _Neg:
 
     def uses(self, name: str) -> bool:
         return self.arg.uses(name)
+
+    def degree(self):
+        return self.arg.degree()
 
 
 class _Call:
@@ -97,6 +107,9 @@ class _Call:
 
     def uses(self, name: str) -> bool:
         return self.arg.uses(name)
+
+    def degree(self):
+        return None if self.arg.uses("x") else 0
 
 
 class _Bin:
@@ -133,14 +146,35 @@ class _Bin:
         if self.right.uses("x"):
             raise ConfigError(
                 "cannot differentiate a power whose exponent depends on x")
-        # d/dx u^c = c * u^(c-1) * u'
-        decremented = _Bin("-", self.right, _Num(1.0))
+        # d/dx u^c = c * u^(c-1) * u', with c - 1 folded for a literal c
+        # and 0 for c = 0, so x^1 and x^0 stay defined at x = 0
+        if isinstance(self.right, _Num):
+            if self.right.value == 0.0:
+                return _Num(0.0)
+            decremented = _Num(self.right.value - 1.0)
+        else:
+            decremented = _Bin("-", self.right, _Num(1.0))
         return _Bin("*", _Bin("*", self.right, _Bin("^", self.left,
                                                     decremented)),
                     self.left.diff())
 
     def uses(self, name: str) -> bool:
         return self.left.uses(name) or self.right.uses(name)
+
+    def degree(self):
+        if self.op == "^":
+            c = self.right.value if isinstance(self.right, _Num) else -1.0
+            if c >= 0.0 and c.is_integer():
+                base = self.left.degree()
+                return None if base is None else base * int(c)
+            return None if self.uses("x") else 0   # constant in x
+        if self.op == "/" and self.right.uses("x"):
+            return None
+        left = self.left.degree()
+        right = 0 if self.op == "/" else self.right.degree()
+        if left is None or right is None:
+            return None
+        return left + right if self.op == "*" else max(left, right)
 
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -168,7 +202,8 @@ def _build(node, source: str):
 
 
 def parse_expression(text: str):
-    """Parse to a tree with .evaluate(x, t), .diff() and .uses(name)."""
+    """Parse to a tree with .evaluate(x, t), .diff(), .uses(name) and
+    .degree()."""
     source = " ".join(text.replace("^", "**").split())
     if _BAD_CHARACTER.search(source):   # a comment, or a non-ASCII name
         raise ConfigError(f"bad character in expression {text!r}")

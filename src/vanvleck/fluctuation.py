@@ -34,10 +34,6 @@ METHOD_ANALYTIC = "Analytic"
 
 BRANCH_NOTE_PRINCIPAL = "principal roots, free-particle phase anchor -D*pi/4"
 
-QUADRATIC_PROBE_TOL = 1e-10
-QUADRATIC_PROBES = 8
-QUADRATIC_PROBE_SEED = 20240817
-
 
 @dataclass(frozen=True)
 class FluctuationFactor:
@@ -133,60 +129,31 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
         dim=model.dim, hbar=model.hbar, method=METHOD_SHORT_TIME)
 
 
-def certify_quadratic(model: LagrangianModel, box: float = 1.0) -> None:
-    """Probe that g is constant, a at most linear, V at most quadratic.
-
-    Third differences of V and second differences of a along seeded random
-    directions at QUADRATIC_PROBES random points in the box must vanish to
-    QUADRATIC_PROBE_TOL (relative to the local scale); otherwise
-    NotQuadraticModel is raised.
-    """
-    rng = np.random.default_rng(QUADRATIC_PROBE_SEED)
-    tol = QUADRATIC_PROBE_TOL
-    d = model.dim
-    g0 = np.asarray(model.metric(np.zeros(d), 0.0), dtype=float)
-    step = 0.3 * max(1.0, box)
-    for _ in range(QUADRATIC_PROBES):
-        x = rng.uniform(-box, box, size=d)
-        t = rng.uniform(-1.0, 1.0)
-        u = rng.normal(size=d)
-        u *= step / np.linalg.norm(u)
-        g = np.asarray(model.metric(x, t), dtype=float)
-        if np.max(np.abs(g - g0)) > tol * (1.0 + np.max(np.abs(g0))):
-            raise NotQuadraticModel("metric depends on position")
-        third = (model.potential(x + 2 * u, t) - 3 * model.potential(x + u, t)
-                 + 3 * model.potential(x, t) - model.potential(x - u, t))
-        if abs(third) > tol * (1.0 + abs(model.potential(x, t))):
-            raise NotQuadraticModel(
-                f"potential has a third difference {third:.3e} at x={x}")
-        second = (np.asarray(model.vector_potential(x + u, t))
-                  - 2.0 * np.asarray(model.vector_potential(x, t))
-                  + np.asarray(model.vector_potential(x - u, t)))
-        if np.max(np.abs(second)) > tol * (1.0 + np.max(np.abs(
-                np.asarray(model.vector_potential(x, t))))):
-            raise NotQuadraticModel("vector potential is not linear in position")
-
-
 def energy_hessian_factor(path: ClassicalPath,
                           h: Optional[float] = None) -> FluctuationFactor:
-    """Prefactor from the endpoint energy Hessian, quadratic models only,
+    """Prefactor from the endpoint energy Hessian, ``affine_flow`` only,
 
         F = (2 pi i hbar)^(-D/2) det(g)^(1/4) det(d2E/dx_b dx_b)^(1/4).
 
+    The formula holds only where F is the Van Vleck determinant alone,
+    i.e. where the Euler-Lagrange equations are linear in (x, v), so a
+    model not flagged ``affine_flow`` raises NotQuadraticModel.
     E(x_a, x_b) is the conserved energy of the classical path as a function
     of the endpoints.  ``central_hessian`` differentiates it in x_b over
     2 D^2 boundary problems re-solved to 1e-13 on the path's grid, with f0
     the path's own energy_a.  Each solve is seeded with the stored flow's
     prediction ``flow_seed``, exact on these models, so each accepts its
-    first run.  For certified-quadratic models E is exactly
-    quadratic in the endpoints, so the stencil step defaults to a large
-    0.05 * max(1, |x_b - x_a|): no truncation error, and the Newton
-    termination noise is suppressed far below tolerance.  The quartic
-    roots are fixed by continuity with the short-interval free limit.
+    first run.  On these models E is exactly quadratic in the endpoints,
+    so the stencil step defaults to a large 0.05 * max(1, |x_b - x_a|):
+    no truncation error, and the Newton termination noise is suppressed
+    far below tolerance.  The quartic roots are fixed by continuity with
+    the short-interval free limit.
     """
     model = path.model
-    box = 1.0 + float(np.max(np.abs(np.concatenate((path.x_a, path.x_b)))))
-    certify_quadratic(model, box=box)
+    if not model.affine_flow:
+        raise NotQuadraticModel(
+            f"the energy-Hessian route needs a model flagged affine_flow "
+            f"(linear Euler-Lagrange equations); {model.label!r} is not")
     d = model.dim
     if h is None:
         h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))

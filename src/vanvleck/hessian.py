@@ -65,9 +65,10 @@ def flow_seed(path: ClassicalPath, x_a: np.ndarray,
 
         v_a + Pxv^-1 (x_b - x(t_b) - Pxx (x_a - x(t_a))).
 
-    Where the endpoint map is affine (models flagged ``affine_flow``) the
-    prediction is exact up to roundoff, so the seeded solve accepts its
-    one run as it stands.  Raises SingularShootingJacobian when Pxv is singular.
+    On an ``affine_flow`` model (a linear builtin, or an expression
+    potential of degree at most 2 in x) the prediction is exact up to
+    roundoff, so the seeded solve accepts its one run as it stands.
+    Raises SingularShootingJacobian when Pxv is singular.
     """
     pxx, pxv, _, _ = variational_blocks(path)
     require_nonsingular(pxv, path.duration, SingularShootingJacobian,
@@ -117,8 +118,8 @@ def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
     path's grid.  The step is 1e-4 * max(1, |x_b - x_a|).  Every stencil
     solve is seeded with the stored flow's first-order prediction
     ``flow_seed``, so all of them land on the same branch of the classical
-    flow, and on a quadratic model each accepts its first run.  The seed
-    only picks Newton's starting point: the blocks come from the
+    flow, and on an ``affine_flow`` model each accepts its first run.  The
+    seed only picks Newton's starting point: the blocks come from the
     re-solved actions alone.
     """
     model, t_a, t_b, n_steps = path.model, path.t_a, path.t_b, path.n_steps

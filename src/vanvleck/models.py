@@ -67,9 +67,11 @@ class LagrangianModel:
         constant, a linear and V quadratic in x, at every t.  The RK4
         endpoint map is then exactly affine in the initial state and the
         variational flow does not depend on the trajectory, so
-        ``solve_bvp`` solves the boundary problem from one run.  A model
-        that sets it without such equations gets a wrong path; no config
-        sets it, only the builtins that are affine by construction.
+        ``solve_bvp`` solves the boundary problem from one run, and only
+        then is ``energy_hessian_factor`` valid.  A model that sets it
+        without such equations gets a wrong path.  The builtins affine by
+        construction set it, and ``cli.build_model`` sets it on a
+        ``one_dim_potential`` whose expression has degree <= 2 in x.
     label : str
         Identifier used in serialized reports.
     """

@@ -515,6 +515,42 @@ def test_sweep_runs_in_one_process_one_run_a_row(tmp_path, monkeypatch):
     assert len(runs) == 15
 
 
+def test_quadratic_demo_factor_runs_only_fine_runs(tmp_path, monkeypatch):
+    # a degree-2 expression is affine_flow: the path and the two energy
+    # stencil solves take one run each, and no coarse grid runs
+    steps = []
+    real_run = dynamics._rk4_run
+
+    def counted(*args):
+        steps.append(args[5])
+        return real_run(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_run", counted)
+    out = tmp_path / "quadratic.json"
+    assert main(["factor", "--config",
+                 str(DEMO_CONFIGS / "quadratic_factor.json"),
+                 "--out", str(out)]) == 0
+    assert steps == [1000] * 3
+    for pair, dev in json.loads(out.read_text())[
+            "pairwise_deviations"].items():
+        # dalembert's velocity quadrature is the one looser route
+        assert dev <= (1e-10 if "dalembert" in pair else 1e-12), pair
+
+
+@pytest.mark.parametrize("potential", ["0.25*x^4", "0*x^4", "sin(x)",
+                                       "x^2 + 1/x"])
+def test_energy_hessian_on_a_nonlinear_model_is_config_error(
+        tmp_path, capsys, potential):
+    cfg = _write(tmp_path, "eh.json", _free_config(
+        model={"tag": "one_dim_potential", "params": {"potential": potential}},
+        methods=["vvpm", "energy-hessian"]))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "energy-hessian" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["factor"],
     ["sweep", "--config", str(DEMO_CONFIGS / "duration_sweep.json"),

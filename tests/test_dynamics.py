@@ -21,6 +21,7 @@ from vanvleck import (
     state_at,
 )
 from vanvleck import dynamics
+from vanvleck.cli import build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum
 
@@ -444,6 +445,12 @@ def test_given_seed_runs_no_coarse_phase(monkeypatch):
     assert set(steps) == {n}
 
 
+def _expression_model(text):
+    model, _ = build_model(
+        {"tag": "one_dim_potential", "params": {"potential": text}}, 1.0)
+    return model
+
+
 AFFINE_CASES = [
     (free_particle(mass=1.5), [0.2], [1.1], 0.9),
     (harmonic_oscillator(omega2=1.0), [0.0], [1.0], 1.2),
@@ -454,9 +461,15 @@ AFFINE_CASES = [
      [0.3], [-0.4], 1.3),
     (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
      [1.0, -0.5, 0.2], 1.4),
+    # expression potentials of degree 2, flagged by their degree
+    *[(_expression_model(text), x_a, x_b, t_b) for text, x_a, x_b, t_b in [
+        ("0.5*x^2", [0.0], [1.0], 1.2),
+        ("x^2 + t*x/4", [0.2], [-0.5], 0.9),
+        ("0.3*(1 + 0.2*sin(t))*(x - 0.5)^2", [0.0], [1.0], 1.5)]],
 ]
 AFFINE_IDS = ["free", "ho1", "ho2-matrix-mass", "time-dependent-omega2",
-              "magnetic-3"]
+              "magnetic-3", "expression-ho", "expression-driven",
+              "expression-time-dependent"]
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)

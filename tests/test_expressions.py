@@ -4,6 +4,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanvleck import ConfigError, compile_potential, parse_expression
 from vanvleck.expressions import _Bin, _Call, _Neg, _Num, _Var, compile_node
@@ -238,3 +240,112 @@ def test_compile_node_computes_shared_subtrees_once():
     # one local per distinct operation node, besides the arguments x and t
     assert f.__code__.co_nlocals - 2 == len(distinct) < visits
     assert f(0.4, 0.2) == second.evaluate(0.4, 0.2)
+
+
+@pytest.mark.parametrize("text, first, second", [
+    ("x^0", 0.0, 0.0),
+    ("x^1", 1.0, 0.0),
+    ("0.5*x^2 + 0.3*x^1", 0.3, 1.0),
+    ("(x - t)^1 * 2", 2.0, 0.0),
+])
+def test_literal_powers_differentiate_at_the_origin(text, first, second):
+    # c - 1 is folded into a literal and d/dx u^0 is 0, so no derivative
+    # evaluates pow(0, -1)
+    _, dv, d2v = compile_potential(text)
+    assert (dv(0.0, 0.0), d2v(0.0, 0.0)) == (first, second)
+
+
+DEGREES = [
+    ("0.5*x^2", 2),
+    ("x^2 + t*x/4", 2),
+    ("0.3*(1 + 0.2*sin(t))*(x - 0.5)^2", 2),
+    ("3*x + 2", 1),
+    ("x*x", 2),
+    ("-x/4 + exp(t)", 1),
+    ("x^0", 0),
+    ("x^1", 1),
+    ("x^2.0", 2),
+    ("(x^2 + x)^2", 4),
+    ("0.25 * x^4", 4),
+    ("0*x^4", 4),                  # exact degree of the tree, not of V
+    ("x^2 * (1 + t)^-1.5", 2),     # an x-free power is constant in x
+    ("2^3^2 + t^0.5", 0),
+    ("1", 0),
+    ("t", 0),
+    ("sin(x)", None),
+    ("exp(x/2)", None),
+    ("cos(t*x)", None),
+    ("sin(x - x)", None),
+    ("1/x", None),
+    ("x^2/(1 + x^2)", None),
+    ("x / (x - x + 1)", None),
+    ("x^-2", None),
+    ("x^0.5", None),
+    ("x^(1 + 1)", None),
+    ("2^x", None),
+    ("t^x", None),
+]
+
+
+@pytest.mark.parametrize("text, degree", DEGREES,
+                         ids=[text for text, _ in DEGREES])
+def test_degree_table(text, degree):
+    assert parse_expression(text).degree() == degree
+
+
+def _subtrees(node):
+    yield node
+    for a in ("arg", "left", "right"):
+        if hasattr(node, a):
+            yield from _subtrees(getattr(node, a))
+
+
+def _any_node(inner):
+    exponent = st.integers(0, 3).map(N) | inner
+    return (inner.map(_Neg)
+            | st.builds(_Call, st.sampled_from(["sin", "cos", "exp"]), inner)
+            | st.builds(_Bin, st.sampled_from("+-*/"), inner, inner)
+            | st.builds(_pow, inner, exponent))
+
+
+_CONSTANTS = st.integers(-3, 3).map(N) | st.floats(-2.0, 2.0).map(N)
+_X_FREE = st.recursive(st.just(T) | _CONSTANTS, _any_node, max_leaves=4)
+_LITERAL_EXPONENTS = st.integers(0, 3).map(N) | st.sampled_from(
+    [N(0.5), N(1.5), _Neg(N(1))])
+# any tree, and polynomial-shaped trees with x-free coefficients, so that
+# powers of x and degrees above 0 are drawn often
+_TREES = st.recursive(st.sampled_from([X, T]) | _CONSTANTS, _any_node,
+                      max_leaves=10) | st.recursive(
+    st.just(X) | st.builds(_pow, st.just(X) | _X_FREE, _LITERAL_EXPONENTS)
+    | _X_FREE,
+    lambda inner: (inner.map(_Neg)
+                   | st.builds(_Bin, st.sampled_from("+-*"), inner, inner)
+                   | st.builds(_Bin, st.just("/"), inner, _X_FREE)
+                   | st.builds(_pow, inner, _LITERAL_EXPONENTS)),
+    max_leaves=8)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tree=_TREES, x=st.floats(-2.0, 2.0), t=st.floats(-2.0, 2.0),
+       u=st.floats(0.1, 1.0))
+def test_degree_d_has_vanishing_differences_of_order_d_plus_1(tree, x, t, u):
+    # on degree <= 2 this includes the third difference
+    # V(x + 2u) - 3 V(x + u) + 3 V(x) - V(x - u), the test for a quadratic
+    degree = tree.degree()
+    if degree is None or degree > 4:
+        return
+    order = degree + 1
+    points = [x + (k - 1) * u for k in range(order + 1)]
+    try:
+        f = compile_node(tree)
+        values = [f(p, t) for p in points]
+        # the rounding scale: the largest intermediate value of the tree
+        scale = max(abs(n.evaluate(p, t)) for n in _subtrees(tree)
+                    for p in points)
+    except (ArithmeticError, ValueError):
+        return
+    if not math.isfinite(scale):
+        return
+    difference = sum((-1) ** (order - k) * math.comb(order, k) * v
+                     for k, v in enumerate(values))
+    assert abs(difference) <= 1e-12 * (1.0 + scale), (degree, difference)

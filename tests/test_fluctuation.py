@@ -12,6 +12,7 @@ from vanvleck import (
     general_factor,
     harmonic_oscillator,
     magnetic_field,
+    one_dim_potential,
     action_hessian_jacobi,
     short_time_factor,
     solve_bvp,
@@ -134,6 +135,16 @@ def test_flow_seeded_stencils_take_one_run_per_solve(monkeypatch):
 
 def test_energy_hessian_rejects_anharmonic(quartic):
     path = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5)
+    with pytest.raises(NotQuadraticModel):
+        energy_hessian_factor(path)
+
+
+def test_energy_hessian_rejects_an_unflagged_quadratic_model():
+    # the route reads the model's affine_flow flag; it does not sample V
+    model = one_dim_potential(lambda x, t: 0.5 * x * x, lambda x, t: x,
+                              lambda x, t: 1.0)
+    assert not model.affine_flow
+    path = solve_bvp(model, [0.0], [1.0], 0.0, 1.2)
     with pytest.raises(NotQuadraticModel):
         energy_hessian_factor(path)
 
