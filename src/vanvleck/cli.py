@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,8 @@ import numpy as np
 from .analytic import (free_particle_factor, harmonic_constant_factor,
                        magnetic_factor, one_dim_dalembert_factor)
 from .composition import verify_composition
-from .dynamics import DEFAULT_N_STEPS, ClassicalPath, solve_bvp
+from .dynamics import (DEFAULT_MAX_ITER, DEFAULT_N_STEPS, DEFAULT_TOL,
+                       ClassicalPath, solve_bvp)
 from .errors import ConfigError, NonSPDMass, VanVleckError
 from .expressions import (TOO_DEEP, compile_node, compile_potential,
                           parse_expression)
@@ -48,23 +49,25 @@ GY_SOLVERS = ("direct", "neumann", "time-ordered")
 
 NUMERICS_DEFAULTS = {
     "n_steps": DEFAULT_N_STEPS,
-    "tol": 1e-10,
-    "max_iter": 50,
-    "fd_step": None,
+    "tol": DEFAULT_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
     "series_order": 8,
     "quad_points": 64,
     "n_slices": 2000,
     "gy_solver": "direct",
 }
 
-# Upper bounds of the counts that size arrays, each from the largest array
-# its count sizes (float64, D = 3): the RK4 state history of a path,
-# (n_steps + 1, 2D, 1 + 2D), is 336 B a step, 34 MB at the bound; a q x q
+# Upper bounds of the dimension and of the counts that size arrays.  Each
+# count's bound comes from the largest array it sizes (float64) at
+# D = MAX_DIM: the RK4 state history of a path, (n_steps + 1, 2D, 1 + 2D),
+# is 336 B a step, 34 MB at the bound (58 MB at D = 4, which is why the
+# dimension stops at 3); a q x q
 # Neumann collocation matrix is 8 MB at the bound; the time-ordered slice
 # propagator stack, (n_slices, 2D, 2D), is 288 B a slice, 29 MB at the bound.
 # A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
 # its CSV is written, so its row count, the product of the parameter
 # counts, is bounded too: under 20 MB at the bound.
+MAX_DIM = 3
 MAX_N_STEPS = 100_000
 MAX_QUAD_POINTS = 1_000
 MAX_N_SLICES = 100_000
@@ -184,9 +187,8 @@ def _parse_numerics(cfg: dict) -> dict:
     n_steps = numerics["n_steps"]
     if n_steps < 8 or n_steps % 2 != 0:
         raise ConfigError("n_steps must be an even integer of at least 8")
-    for key in ("tol", "fd_step"):
-        if numerics[key] is not None and not numerics[key] > 0.0:
-            raise ConfigError(f"{key} must be positive")
+    if not numerics["tol"] > 0.0:
+        raise ConfigError("tol must be positive")
     for key in ("max_iter", "series_order", "quad_points", "n_slices"):
         if numerics[key] < 1:
             raise ConfigError(f"{key} must be at least 1")
@@ -233,9 +235,14 @@ def build_model(model_cfg: dict, hbar: float):
             coerced[key] = _time_expression(value)
         elif key in ("mass", "stiffness") and isinstance(value, list):
             coerced[key] = _matrix(value, key)
+            if max(coerced[key].shape) > MAX_DIM:
+                raise ConfigError(
+                    f"a matrix {key} may be at most {MAX_DIM}x{MAX_DIM}")
         elif key == "dim":
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("dim must be an integer")
+            if not 1 <= value <= MAX_DIM:
+                raise ConfigError(f"dim must be between 1 and {MAX_DIM}")
             coerced[key] = value
         else:
             if not _is_number(value):
@@ -408,8 +415,7 @@ def compute_factors(scenario: Scenario):
         elif method == "general":
             factors[method] = general_factor(path)
         elif method == "energy-hessian":
-            factors[method] = energy_hessian_factor(
-                path, h=scenario.numerics["fd_step"])
+            factors[method] = energy_hessian_factor(path)
         elif method == "gelfand-yaglom":
             factors[method] = _gy_factor(scenario, path)
         elif method == "short-time":
@@ -537,17 +543,7 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
             rep = verify_composition(full, float(t_mid), tol=factor_tol,
                                      momentum_tol=momentum_tol,
                                      midpoint_offset=offset)
-            reports.append({
-                "t_mid": rep.t_mid,
-                "x_mid": rep.x_mid,
-                "momentum_mismatch": rep.momentum_mismatch,
-                "action_additivity_residual": rep.action_additivity_residual,
-                "factor_residual": rep.factor_residual,
-                "jacobian_identity_residual": rep.jacobian_identity_residual,
-                "thresholds": rep.thresholds,
-                "passed": rep.passed,
-                "diagnostic": rep.diagnostic,
-            })
+            reports.append(asdict(rep) | {"passed": rep.passed})
     except _NUMERICAL_ERRORS as exc:
         _emit(dumps_canonical(_error_report("verify", scenario.raw, exc)),
               out_path)

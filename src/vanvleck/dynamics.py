@@ -23,13 +23,12 @@ integrator order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
 from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
-                     legendre_momentum, metric_solve)
+                     legendre_momentum, metric_inverse)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
@@ -129,14 +128,6 @@ def _kinetic_force(dg, da, v) -> np.ndarray:
     return 0.5 * (dgv @ v) - v @ dgv + (da.swapaxes(-1, -2) - da) @ v
 
 
-def acceleration(model: LagrangianModel, x, v, t) -> np.ndarray:
-    """Solve g(x, t) vdot = F(x, v, t) for the Euler-Lagrange acceleration."""
-    rhs = (_kinetic_force(np.asarray(model.metric_grad(x, t)),
-                          np.asarray(model.vector_potential_grad(x, t)), v)
-           - np.asarray(model.potential_grad(x, t)))
-    return metric_solve(model, x, t, rhs)
-
-
 def _kinetic_force_x(model: LagrangianModel, x, v, t) -> np.ndarray:
     """x-Jacobian of ``_kinetic_force`` at fixed v, by central differences.
 
@@ -171,16 +162,12 @@ def el_linearization(model: LagrangianModel, x, v, t):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     d = model.dim
-    g = np.asarray(model.metric(x, t), dtype=float)
     dg = np.asarray(model.metric_grad(x, t))
     da = np.asarray(model.vector_potential_grad(x, t))
     hv = np.asarray(model.potential_hess(x, t))
 
     force = _kinetic_force(dg, da, v) - np.asarray(model.potential_grad(x, t))
-    try:
-        gi = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+    gi = metric_inverse(model, x, t)
     acc = gi @ force
 
     dgv = dg @ v
@@ -206,11 +193,7 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     if (not model.kinetic_gradients_constant
             or np.any(np.asarray(model.metric_grad(x, t)))):
         return None
-    g = np.asarray(model.metric(x, t), dtype=float)
-    try:
-        gi = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+    gi = metric_inverse(model, x, t)
     da = np.asarray(model.vector_potential_grad(x, t))
     curl = da.T - da
     jv = gi @ curl
@@ -223,7 +206,7 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4, optionally carrying a variational block
+# fixed-step RK4, carrying a variational block
 
 
 def rk4(rhs, y0, times) -> np.ndarray:
@@ -247,8 +230,8 @@ def rk4(rhs, y0, times) -> np.ndarray:
 
 
 def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
-             n_steps: int, vblock0: Optional[np.ndarray]):
-    """Integrate the EL system, optionally with tangent columns.
+             n_steps: int, vblock0: np.ndarray):
+    """Integrate the EL system with m >= 0 tangent columns.
 
     ``vblock0`` is a (2D, m) matrix of initial variations; its columns are
     propagated through the linearized flow evaluated at the RK4 stage
@@ -262,22 +245,17 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     v = np.asarray(v0, dtype=float)
     if x.shape != (d,) or v.shape != (d,):
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
-    y0 = np.concatenate((x, v))[:, None]
-    linearize = None
-    if vblock0 is not None:
-        y0 = np.hstack((y0, np.asarray(vblock0, dtype=float)))
-        linearize = (_constant_kinetic_linearization(model, x, t_a)
-                     or el_linearization)
+    y0 = np.hstack((np.concatenate((x, v))[:, None],
+                    np.asarray(vblock0, dtype=float)))
+    linearize = (_constant_kinetic_linearization(model, x, t_a)
+                 or el_linearization)
 
     def rhs(t, y):
         dy = np.empty_like(y)
         dy[:d] = y[d:]
-        if linearize is None:
-            dy[d:, 0] = acceleration(model, y[:d, 0], y[d:, 0], t)
-        else:
-            acc, jx, jv = linearize(model, y[:d, 0], y[d:, 0], t)
-            dy[d:, 0] = acc
-            dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
+        acc, jx, jv = linearize(model, y[:d, 0], y[d:, 0], t)
+        dy[d:, 0] = acc
+        dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
         return dy
 
     times = np.linspace(t_a, t_b, n_steps + 1)
@@ -295,6 +273,8 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
                   n_steps: int = DEFAULT_N_STEPS) -> Trajectory:
     """Integrate the Euler-Lagrange equations from (x0, v0).
 
+    One ``_rk4_run`` with an empty (2D, 0) tangent block.
+
     Parameters
     ----------
     n_steps : int
@@ -305,7 +285,8 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     Trajectory
         Samples at the n_steps + 1 grid times.
     """
-    times, ys = _rk4_run(model, x0, v0, t_a, t_b, n_steps, None)
+    times, ys = _rk4_run(model, x0, v0, t_a, t_b, n_steps,
+                         np.empty((2 * model.dim, 0)))
     return _trajectory(times, ys[:, :, 0])
 
 

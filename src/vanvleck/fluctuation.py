@@ -16,7 +16,6 @@ branch (index counting past caustics is out of scope).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -129,8 +128,7 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
         dim=model.dim, hbar=model.hbar, method=METHOD_SHORT_TIME)
 
 
-def energy_hessian_factor(path: ClassicalPath,
-                          h: Optional[float] = None) -> FluctuationFactor:
+def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     """Prefactor from the endpoint energy Hessian, ``affine_flow`` only,
 
         F = (2 pi i hbar)^(-D/2) det(g)^(1/4) det(d2E/dx_b dx_b)^(1/4).
@@ -144,7 +142,7 @@ def energy_hessian_factor(path: ClassicalPath,
     the path's own energy_a.  Each solve is seeded with the stored flow's
     prediction ``flow_seed``, exact on these models, so each accepts its
     first run.  On these models E is exactly quadratic in the endpoints,
-    so the stencil step defaults to a large 0.05 * max(1, |x_b - x_a|):
+    so the stencil step is a large 0.05 * max(1, |x_b - x_a|):
     no truncation error, and the Newton termination noise is suppressed
     far below tolerance.  The quartic roots are fixed by continuity with
     the short-interval free limit.
@@ -155,8 +153,7 @@ def energy_hessian_factor(path: ClassicalPath,
             f"the energy-Hessian route needs a model flagged affine_flow "
             f"(linear Euler-Lagrange equations); {model.label!r} is not")
     d = model.dim
-    if h is None:
-        h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
+    h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
 
     def energy(xb):
         return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,

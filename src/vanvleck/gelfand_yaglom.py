@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .dynamics import require_nonsingular, rk4
+from .dynamics import DEFAULT_N_STEPS, require_nonsingular, rk4
 from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
 from .models import mass_matrix
@@ -38,20 +38,16 @@ from .models import mass_matrix
 
 @dataclass(frozen=True)
 class JacobiBoundarySolution:
-    """Initial slope and grid samples of the boundary Jacobi matrix.
+    """Initial slope of the boundary Jacobi matrix.
 
     Attributes
     ----------
     B_dot_a : (D, D) array
         Initial slope of the normalized solution; its determinant is the
         quantity the fluctuation factor needs.
-    times, B_grid : (m,) and (m, D, D) arrays
-        Samples of the normalized B(t); B_grid[0] = 0 and B_grid[-1] = 1.
     """
 
     B_dot_a: np.ndarray
-    times: np.ndarray
-    B_grid: np.ndarray
     t_a: float
     t_b: float
     method: str
@@ -77,8 +73,8 @@ def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray
 
 
 def solve_B_direct(omega2, t_a: float, t_b: float,
-                   n_steps: int = 1000) -> JacobiBoundarySolution:
-    """``dynamics.rk4`` on the seeded initial problem, then rescaling.
+                   n_steps: int = DEFAULT_N_STEPS) -> JacobiBoundarySolution:
+    """``dynamics.rk4`` on the seeded initial problem, then inversion.
 
     The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a.
     ``omega2`` is a scalar, a matrix or a callable t -> (D, D).
@@ -91,11 +87,10 @@ def solve_B_direct(omega2, t_a: float, t_b: float,
             memo[:] = t, w2(t)
         return np.vstack((y[d:], -memo[1] @ y[:d]))
 
-    times = np.linspace(t_a, t_b, n_steps + 1)
-    values = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))), times)[:, :d]
-    rescale = _invert_boundary(values[-1], "DirectODE", t_b - t_a)
+    b_tb = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))),
+               np.linspace(t_a, t_b, n_steps + 1))[-1, :d]
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=values @ rescale,
+        B_dot_a=_invert_boundary(b_tb, "DirectODE", t_b - t_a),
         t_a=float(t_a), t_b=float(t_b), method="DirectODE")
 
 
@@ -131,8 +126,7 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
     eye = np.eye(d)
 
     term_nodes = (nodes - t_a)[:, None, None] * eye   # m = 0 term at nodes
-    g_nodes = term_nodes.copy()
-    g_tb = (t_b - t_a) * eye.copy()
+    g_tb = (t_b - t_a) * eye
     prev_norm = float(np.linalg.norm(g_tb))
 
     norm = prev_norm
@@ -143,7 +137,6 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
         term_tb = np.einsum("q,qik->ik", wfull, j_nodes)
         prev_norm, norm = norm, float(np.linalg.norm(term_tb))
         sign = -1.0 if m % 2 else 1.0
-        g_nodes = g_nodes + sign * term_nodes
         g_tb = g_tb + sign * term_tb
         if norm == 0.0:
             break
@@ -152,14 +145,8 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
             f"term {order} norm {norm:.3e} exceeds term {order - 1} norm "
             f"{prev_norm:.3e}; series not decreasing at this truncation")
 
-    rescale = _invert_boundary(g_tb, f"NeumannSeries({order})", t_b - t_a)
-    # Collocation nodes are interior; endpoints appended so the grid
-    # exhibits B(t_a) = 0 and B(t_b) = identity.
-    times = np.concatenate(([t_a], nodes, [t_b]))
-    grid = np.concatenate((np.zeros((1, d, d)), g_nodes @ rescale,
-                           g_tb[None] @ rescale))
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=grid,
+        B_dot_a=_invert_boundary(g_tb, f"NeumannSeries({order})", t_b - t_a),
         t_a=float(t_a), t_b=float(t_b), method=f"NeumannSeries({order})")
 
 
@@ -191,7 +178,7 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
 
     Omega2 is frozen at each slice midpoint.  One pass carries the raw
     state (B, Bdot) from (0, 1) through the slices; its last B block is
-    B_raw(t_b), and the grid is rescaled as in ``solve_B_direct``.
+    B_raw(t_b), inverted as in ``solve_B_direct``.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be positive")
@@ -199,16 +186,12 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
     dt = (t_b - t_a) / n_slices
     w = np.array([w2(t_a + (j + 0.5) * dt) for j in range(n_slices)])
 
-    times = np.linspace(t_a, t_b, n_slices + 1)
-    values = np.empty((n_slices + 1, d, d))
     u = np.vstack((np.zeros((d, d)), np.eye(d)))   # raw (B, Bdot) at t_a
-    values[0] = u[:d]
-    for j, e in enumerate(_slice_propagators(w, dt)):
+    for e in _slice_propagators(w, dt):
         u = e @ u
-        values[j + 1] = u[:d]
-    rescale = _invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})", t_b - t_a)
     return JacobiBoundarySolution(
-        B_dot_a=rescale, times=times, B_grid=values @ rescale,
+        B_dot_a=_invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})",
+                                 t_b - t_a),
         t_a=float(t_a), t_b=float(t_b), method=f"TimeOrderedSinh({n_slices})")
 
 

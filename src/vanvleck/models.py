@@ -16,7 +16,7 @@ integrators never differentiate symbolically, they only call these hooks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -105,6 +105,15 @@ def metric_solve(model: LagrangianModel, x, t, rhs) -> np.ndarray:
     g = np.asarray(model.metric(x, t), dtype=float)
     try:
         return np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+
+
+def metric_inverse(model: LagrangianModel, x, t) -> np.ndarray:
+    """g(x, t)^-1, raising SingularMetric when g is degenerate."""
+    g = np.asarray(model.metric(x, t), dtype=float)
+    try:
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
 
@@ -231,35 +240,44 @@ def mass_matrix(mass, dim: Optional[int] = None) -> np.ndarray:
     return m
 
 
-def _constant_kinetic(model_dim: int, mass: np.ndarray):
-    zero3 = np.zeros((model_dim, model_dim, model_dim))
-    return (
-        lambda x, t: mass,
-        lambda x, t: zero3,
+def _constant_metric_model(m: np.ndarray, label: str, hbar: float,
+                           potential=None, vector_potential=None,
+                           affine_flow: bool = True) -> LagrangianModel:
+    """A model on the constant metric ``m``, flagged ``kinetic_gradients_constant``.
+
+    Every builtin is built here, so the flag is set in one place.
+    ``potential`` is the callback triple (V, grad V, Hess V) and
+    ``vector_potential`` the pair (a, da); either defaults to zero.
+    """
+    d = m.shape[0]
+    zero_vec = np.zeros(d)
+    zero_mat = np.zeros((d, d))
+    zero3 = np.zeros((d, d, d))
+    if potential is None:
+        potential = (lambda x, t: 0.0, lambda x, t: zero_vec,
+                     lambda x, t: zero_mat)
+    if vector_potential is None:
+        vector_potential = (lambda x, t: zero_vec, lambda x, t: zero_mat)
+    return LagrangianModel(
+        dim=d,
+        metric=lambda x, t: m,
+        metric_grad=lambda x, t: zero3,
+        vector_potential=vector_potential[0],
+        vector_potential_grad=vector_potential[1],
+        potential=potential[0],
+        potential_grad=potential[1],
+        potential_hess=potential[2],
+        hbar=hbar,
+        kinetic_gradients_constant=True,
+        affine_flow=affine_flow,
+        label=label,
     )
 
 
 def free_particle(mass=1.0, dim: Optional[int] = None, hbar: float = 1.0) -> LagrangianModel:
     """Free motion with constant mass matrix M: L = 1/2 v.M.v."""
     m = mass_matrix(mass, dim)
-    d = m.shape[0]
-    g, dg = _constant_kinetic(d, m)
-    zero_vec = np.zeros(d)
-    zero_mat = np.zeros((d, d))
-    return LagrangianModel(
-        dim=d,
-        metric=g,
-        metric_grad=dg,
-        vector_potential=lambda x, t: zero_vec,
-        vector_potential_grad=lambda x, t: zero_mat,
-        potential=lambda x, t: 0.0,
-        potential_grad=lambda x, t: zero_vec,
-        potential_hess=lambda x, t: zero_mat,
-        hbar=hbar,
-        kinetic_gradients_constant=True,
-        affine_flow=True,
-        label=f"free_particle(D={d})",
-    )
+    return _constant_metric_model(m, f"free_particle(D={m.shape[0]})", hbar)
 
 
 def harmonic_oscillator(
@@ -299,23 +317,11 @@ def harmonic_oscillator(
             if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
                 raise ValueError("stiffness must be a symmetric (D, D) matrix")
             k_of_t = lambda t: k_arr
-    g, dg = _constant_kinetic(d, m)
-    zero_vec = np.zeros(d)
-    zero_mat = np.zeros((d, d))
-    return LagrangianModel(
-        dim=d,
-        metric=g,
-        metric_grad=dg,
-        vector_potential=lambda x, t: zero_vec,
-        vector_potential_grad=lambda x, t: zero_mat,
-        potential=lambda x, t: float(0.5 * x @ k_of_t(t) @ x),
-        potential_grad=lambda x, t: k_of_t(t) @ x,
-        potential_hess=lambda x, t: k_of_t(t),
-        hbar=hbar,
-        kinetic_gradients_constant=True,
-        affine_flow=True,
-        label=f"harmonic_oscillator(D={d})",
-    )
+    return _constant_metric_model(
+        m, f"harmonic_oscillator(D={d})", hbar,
+        potential=(lambda x, t: float(0.5 * x @ k_of_t(t) @ x),
+                   lambda x, t: k_of_t(t) @ x,
+                   lambda x, t: k_of_t(t)))
 
 
 def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
@@ -329,32 +335,17 @@ def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
     if dim < 2:
         raise ValueError("magnetic_field needs dim >= 2")
     m = mass_matrix(float(mass), dim)
-    g, dg = _constant_kinetic(dim, m)
     coupling = float(mass) * float(omega)
     da = np.zeros((dim, dim))
     da[1, 0] = -coupling
-    zero_vec = np.zeros(dim)
-    zero_mat = np.zeros((dim, dim))
 
     def a(x, t):
         out = np.zeros(dim)
         out[1] = -coupling * x[0]
         return out
 
-    return LagrangianModel(
-        dim=dim,
-        metric=g,
-        metric_grad=dg,
-        vector_potential=a,
-        vector_potential_grad=lambda x, t: da,
-        potential=lambda x, t: 0.0,
-        potential_grad=lambda x, t: zero_vec,
-        potential_hess=lambda x, t: zero_mat,
-        hbar=hbar,
-        kinetic_gradients_constant=True,
-        affine_flow=True,
-        label=f"magnetic_field(D={dim})",
-    )
+    return _constant_metric_model(m, f"magnetic_field(D={dim})", hbar,
+                                  vector_potential=(a, lambda x, t: da))
 
 
 def one_dim_potential(
@@ -370,11 +361,6 @@ def one_dim_potential(
     The callables take a scalar position.  Missing derivatives fall back to
     central differences.
     """
-    m = mass_matrix(float(mass))
-    g, dg = _constant_kinetic(1, m)
-    zero_vec = np.zeros(1)
-    zero_mat = np.zeros((1, 1))
-
     v_arr = lambda x, t: float(potential(float(x[0]), t))
     if potential_grad is not None:
         grad = lambda x, t: np.array([potential_grad(float(x[0]), t)], dtype=float)
@@ -384,20 +370,9 @@ def one_dim_potential(
         hess = lambda x, t: np.array([[potential_hess(float(x[0]), t)]], dtype=float)
     else:
         hess = fd_hessian(v_arr)
-
-    return LagrangianModel(
-        dim=1,
-        metric=g,
-        metric_grad=dg,
-        vector_potential=lambda x, t: zero_vec,
-        vector_potential_grad=lambda x, t: zero_mat,
-        potential=v_arr,
-        potential_grad=grad,
-        potential_hess=hess,
-        hbar=hbar,
-        kinetic_gradients_constant=True,
-        label=label,
-    )
+    return _constant_metric_model(mass_matrix(float(mass)), label, hbar,
+                                  potential=(v_arr, grad, hess),
+                                  affine_flow=False)
 
 
 BUILTIN_TAGS = {

@@ -193,6 +193,33 @@ def test_non_spd_mass_is_config_error(tmp_path, capsys, model):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", [
+    pytest.param({"tag": "free_particle", "params": {"dim": 4}}, id="dim-4"),
+    pytest.param({"tag": "free_particle", "params": {"dim": 0}}, id="dim-0"),
+    pytest.param({"tag": "free_particle",
+                  "params": {"mass": np.eye(4).tolist()}}, id="mass-4x4"),
+    pytest.param({"tag": "harmonic_oscillator",
+                  "params": {"stiffness": np.eye(4).tolist()}},
+                 id="stiffness-4x4"),
+])
+def test_dimension_is_bounded_before_the_model_is_built(tmp_path, capsys,
+                                                        monkeypatch, model):
+    assert cli.MAX_DIM == 3
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "builtin_model", no_model)
+    cfg = _write(tmp_path, "dim.json", _free_config(
+        model=model, x_a=[0.0] * 4, x_b=[1.0] * 4, methods=["vvpm"],
+        numerics={"n_steps": cli.MAX_N_STEPS}))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, x_b, error", [
     pytest.param({"tag": "one_dim_potential", "params": {"potential": "x^0.5"}},
                  -1.0, "ValueError", id="negative-base"),

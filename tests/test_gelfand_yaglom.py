@@ -146,18 +146,6 @@ def test_time_ordered_matches_per_slice_expm():
             rtol=1e-13)
 
 
-def test_boundary_grid_invariants():
-    for sol in (
-        solve_B_direct(TIME_DEP, 0.0, 1.0),
-        solve_B_neumann(TIME_DEP, 0.0, 1.0, order=8),
-        solve_B_time_ordered(TIME_DEP, 0.0, 1.0, n_slices=500),
-    ):
-        d = sol.B_grid.shape[1]
-        assert np.max(np.abs(sol.B_grid[0])) < 1e-10
-        assert np.max(np.abs(sol.B_grid[-1] - np.eye(d))) < 1e-10
-        assert sol.times[0] == sol.t_a and sol.times[-1] == sol.t_b
-
-
 def test_direct_evaluates_each_stage_time_once():
     # dyadic grid: t + h of one step is exactly the next grid time, so
     # the probe, t_a and the midpoint and end of each step are all there is
