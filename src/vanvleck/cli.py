@@ -624,6 +624,8 @@ def _sweep_row(cfg: dict, overrides) -> dict:
     try:
         scenario = parse_scenario(_apply_overrides(cfg, overrides))
         factors, path, _ = compute_factors(scenario)
+        # inside the guard: the path computes its action on first read
+        action = path.action if path is not None else None
     except (ConfigError,) + _NUMERICAL_ERRORS as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -632,7 +634,7 @@ def _sweep_row(cfg: dict, overrides) -> dict:
         row[f"{name}_phase"] = factor.phase
     deviations = pairwise_deviations(factors)
     row["max_deviation"] = max(deviations.values()) if deviations else 0.0
-    row["action"] = path.action if path is not None else None
+    row["action"] = action
     row["error"] = ""
     return row
 

@@ -7,21 +7,26 @@ The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
 quadratically.  On a model flagged ``affine_flow`` (a linear builtin, or
-an expression potential of degree at most 2 in x) that map is exactly
-affine, so Newton's first correction is exact and is applied by
+an expression potential of degree at most 2 in x) the Euler-Lagrange
+system itself is linear, so each RK4 step is one affine map of the state:
+``linear_rk4`` samples the system once per distinct stage time, builds
+the maps in blocks of batched matmuls and applies one small matmul per
+step, with no Python right-hand side per stage.  The endpoint map is then
+exactly affine, so Newton's first correction is exact and is applied by
 superposition of the first run's tangent columns: one run gives the
-path and its flow.  On any other model an unseeded solve on a fine grid
-first shoots on a grid COARSE_FACTOR times coarser, so most Newton
-iterations cost an eighth of a fine run and the fine grid takes about
-two.  The full flow of the
+path and its flow.  On any other model ``rk4`` steps a Python right-hand
+side, and an unseeded solve on a fine grid first shoots on a grid
+COARSE_FACTOR times coarser, so most Newton iterations cost an eighth of
+a fine run and the fine grid takes about two.  The full flow of the
 accepted iterate is kept on the path, so every later consumer of the
 Jacobi system reads it instead of integrating it again.  The action is
-accumulated by Simpson quadrature on the grid, which matches the
-integrator order.
+Simpson quadrature on the grid, which matches the integrator order,
+computed the first time it is read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +46,9 @@ MIN_COARSE_STEPS = 32
 
 # |det M| below this times scale^D marks a boundary Jacobi matrix singular
 CAUSTIC_DET_THRESHOLD = 1e-12
+
+# ``linear_rk4`` builds the step maps of this many steps at a time
+STEP_MAP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class ClassicalPath:
         first order endpoint-miss correction ``- p_b . (x(t_b) - x_b)`` so
         the value stays differentiable in the endpoints to machine
         precision (the raw miss is below ``bvp_residual`` anyway).
+        Computed on first read and cached, so a solve whose action nobody
+        reads (an energy-Hessian stencil solve) does not pay for it.
     p_a, p_b : ndarray
         Conjugate momenta at the endpoints.
     energy_a : float
@@ -87,12 +97,17 @@ class ClassicalPath:
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    action: float
     p_a: np.ndarray
     p_b: np.ndarray
     energy_a: float
     bvp_residual: float
     flow: np.ndarray
+
+    @functools.cached_property
+    def action(self) -> float:
+        traj = Trajectory(self.times, self.positions, self.velocities)
+        return (simpson_action(self.model, traj)
+                - float(self.p_b @ (self.positions[-1] - self.x_b)))
 
     @property
     def n_steps(self) -> int:
@@ -181,22 +196,29 @@ def el_linearization(model: LagrangianModel, x, v, t):
     return acc, gi @ dfdx, gi @ dfdv
 
 
+def _constant_kinetic_blocks(model: LagrangianModel, x, t):
+    """``(g^-1, da^T - da, g^-1 (da^T - da))`` at (x, t), for one run on a
+    constant metric and a linear vector potential, where they are the same
+    at every stage."""
+    gi = metric_inverse(model, x, t)
+    da = np.asarray(model.vector_potential_grad(x, t))
+    curl = da.T - da
+    return gi, curl, gi @ curl
+
+
 def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     """``el_linearization`` for one run on a constant metric, or None.
 
     Applies when the model is flagged ``kinetic_gradients_constant`` and
     metric_grad vanishes at (x, t): g is then constant and a is linear, so
-    g^-1, the curl da^T - da and jv = g^-1 (da^T - da) are the same at
-    every stage.  The returned callable is ``el_linearization``'s
-    arithmetic with the zero terms dropped, so it returns the same bits.
+    ``_constant_kinetic_blocks`` are computed once.  The returned callable
+    is ``el_linearization``'s arithmetic with the zero terms dropped, so it
+    returns the same bits.
     """
     if (not model.kinetic_gradients_constant
             or np.any(np.asarray(model.metric_grad(x, t)))):
         return None
-    gi = metric_inverse(model, x, t)
-    da = np.asarray(model.vector_potential_grad(x, t))
-    curl = da.T - da
-    jv = gi @ curl
+    gi, curl, jv = _constant_kinetic_blocks(model, x, t)
 
     def linearize(model, x, v, t):
         acc = gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
@@ -206,7 +228,14 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4, carrying a variational block
+# fixed-step RK4: the general stepper, and step maps of a linear system
+
+
+def _step_size(times) -> float:
+    """Step of the uniform grid ``times``, which needs at least 8 steps."""
+    if len(times) < 9:
+        raise ValueError("n_steps must be at least 8")
+    return (times[-1] - times[0]) / (len(times) - 1)
 
 
 def rk4(rhs, y0, times) -> np.ndarray:
@@ -215,11 +244,9 @@ def rk4(rhs, y0, times) -> np.ndarray:
     The state may have any shape; returns the state at every grid time,
     shape ``(len(times),) + y0.shape``.
     """
-    if len(times) < 9:
-        raise ValueError("n_steps must be at least 8")
+    h = _step_size(times)
     ys = np.empty((len(times),) + y0.shape)
     ys[0] = y = y0
-    h = (times[-1] - times[0]) / (len(times) - 1)
     for k, t in enumerate(times[:-1]):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -227,6 +254,114 @@ def rk4(rhs, y0, times) -> np.ndarray:
         k4 = rhs(t + h, y + h * k3)
         ys[k + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return ys
+
+
+def _rk4_step_maps(gen: np.ndarray, force, h: float):
+    """RK4 step maps of the linear system y' = M(t) y + c(t).
+
+    ``gen``, shape (2b + 1, N, N), samples M at the stage times t_0,
+    t_0 + h/2, t_0 + h, ..., t_0 + b h of b consecutive steps; ``force``,
+    shape (2b + 1, N), samples c there, or is None when c = 0.  The
+    classical RK4 step of this system is the affine map y -> S y + s with
+
+        K1 = M0, K2 = Mh (1 + h/2 K1), K3 = Mh (1 + h/2 K2),
+        K4 = M1 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4),
+
+    and s from the forcing terms of the same stages.  Returns
+    ``(S - 1, s)``, shapes (b, N, N) and (b, N), s None without forcing:
+    a step is applied as y + ((S - 1) y + s), as ``rk4`` adds its
+    increment, because S itself would round away the low bits of the
+    increment at every step, an error that grows like n eps.
+    """
+    eye = np.eye(gen.shape[-1])
+    m0, mh, m1 = gen[:-2:2], gen[1::2], gen[2::2]
+    k2 = mh @ (eye + 0.5 * h * m0)
+    k3 = mh @ (eye + 0.5 * h * k2)
+    k4 = m1 @ (eye + h * k3)
+    increments = (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
+    if force is None:
+        return increments, None
+    c0, ch, c1 = force[:-2:2], force[1::2], force[2::2]
+    l2 = (mh @ (0.5 * h * c0)[..., None])[..., 0] + ch
+    l3 = (mh @ (0.5 * h * l2)[..., None])[..., 0] + ch
+    l4 = (m1 @ (h * l3)[..., None])[..., 0] + c1
+    return increments, (h / 6.0) * (c0 + 2.0 * l2 + 2.0 * l3 + l4)
+
+
+def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
+    """Classical RK4 of Y' = M(t) Y + c(t) e_0^T by precomputed step maps.
+
+    ``sample(ts)`` returns ``(M, c)`` at an array of stage times, shapes
+    (len(ts), N, N) and (len(ts), N), with c None when the system has no
+    forcing; the forcing drives column 0 of the (N, m) state only.  M and
+    c are sampled once at each of the 2n + 1 distinct stage times (grid
+    points and midpoints), and the maps of ``_rk4_step_maps`` are built
+    STEP_MAP_BLOCK steps at a time, so the memory beside the result does
+    not grow with n.  Each step is then one (N, N) @ (N, m) product and
+    its addition to the state.  Returns the state at every grid time, as
+    ``rk4`` does, or with ``history=False`` only the last one.
+    """
+    h = _step_size(times)
+    n = len(times) - 1
+    y = np.asarray(y0, dtype=float)
+    ys = None
+    if history:
+        ys = np.empty((n + 1,) + y.shape)
+        ys[0] = y
+    last = None   # M and c at the end of the previous block
+    for k in range(0, n, STEP_MAP_BLOCK):
+        b = min(STEP_MAP_BLOCK, n - k)
+        ts = np.empty(2 * b + 1)
+        ts[0::2] = times[k:k + b + 1]
+        ts[1::2] = times[k:k + b] + 0.5 * h
+        gen, force = sample(ts if last is None else ts[1:])
+        if last is not None:
+            gen = np.concatenate((last[0][None], gen))
+            if force is not None:
+                force = np.concatenate((last[1][None], force))
+        last = gen[-1], None if force is None else force[-1]
+        increments, shifts = _rk4_step_maps(gen, force, h)
+        out = ys[k + 1:k + b + 1] if history else np.empty((b,) + y.shape)
+        if shifts is None:
+            for inc, o in zip(increments, out):
+                np.matmul(inc, y, out=o)
+                y = np.add(y, o, out=o)
+        else:
+            for inc, shift, o in zip(increments, shifts, out):
+                np.matmul(inc, y, out=o)
+                o[:, 0] += shift
+                y = np.add(y, o, out=o)
+    return ys if history else y.copy()
+
+
+def _affine_sampler(model: LagrangianModel, x, t):
+    """``linear_rk4``'s sampler of the EL system of an ``affine_flow`` model.
+
+    The metric is constant and the vector potential linear, so g^-1 and
+    jv = g^-1 (da^T - da) are computed once, at (x, t).  The potential is
+    quadratic in x, so acc = acc0(t) + jx(t) x + jv v with
+    jx = -g^-1 Hess V(0, t) and acc0 = -g^-1 grad V(0, t): one
+    potential_hess and one potential_grad call per stage time, at x = 0.
+    The state is (x, v), so M = [[0, 1], [jx, jv]] and c = (0, acc0).
+    """
+    d = model.dim
+    gi, _, jv = _constant_kinetic_blocks(model, x, t)
+    origin = np.zeros(d)
+
+    def sample(ts):
+        hess = np.array([model.potential_hess(origin, s) for s in ts],
+                        dtype=float).reshape(len(ts), d, d)
+        grad = np.array([model.potential_grad(origin, s) for s in ts],
+                        dtype=float).reshape(len(ts), d)
+        gen = np.zeros((len(ts), 2 * d, 2 * d))
+        gen[:, :d, d:] = np.eye(d)
+        gen[:, d:, :d] = gi @ -hess
+        gen[:, d:, d:] = jv
+        force = np.zeros((len(ts), 2 * d))
+        force[:, d:] = -grad @ gi.T
+        return gen, force
+
+    return sample
 
 
 def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
@@ -238,7 +373,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     points of the base trajectory.  The state is one (2D, 1 + m) array:
     column 0 is (x, v), columns 1..m the tangent block.  Returns
     ``(times, ys)``, the grid and the state history of shape
-    ``(n_steps + 1, 2D, 1 + m)``; ``ys[-1, :, 1:]`` is vblock(t_b).
+    ``(n_steps + 1, 2D, 1 + m)``; ``ys[-1, :, 1:]`` is vblock(t_b).  On an
+    ``affine_flow`` model the system is linear and ``linear_rk4`` steps it
+    by precomputed maps; every other model runs ``rk4``.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
@@ -247,6 +384,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
     y0 = np.hstack((np.concatenate((x, v))[:, None],
                     np.asarray(vblock0, dtype=float)))
+    times = np.linspace(t_a, t_b, n_steps + 1)
+    if model.affine_flow:
+        return times, linear_rk4(_affine_sampler(model, x, t_a), y0, times)
     linearize = (_constant_kinetic_linearization(model, x, t_a)
                  or el_linearization)
 
@@ -258,7 +398,6 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
         return dy
 
-    times = np.linspace(t_a, t_b, n_steps + 1)
     return times, rk4(rhs, y0, times)
 
 
@@ -455,12 +594,11 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)
-    action = simpson_action(model, traj) - float(p_b @ (traj.positions[-1] - x_b))
     energy_a = evaluate_hamiltonian(model, traj.positions[0], p_a, t_a)
     return ClassicalPath(
         model=model, x_a=x_a, x_b=x_b, t_a=float(t_a), t_b=float(t_b),
         times=traj.times, positions=traj.positions, velocities=traj.velocities,
-        action=action, p_a=p_a, p_b=p_b, energy_a=energy_a, bvp_residual=res,
+        p_a=p_a, p_b=p_b, energy_a=energy_a, bvp_residual=res,
         flow=flow,
     )
 

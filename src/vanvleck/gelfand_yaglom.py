@@ -15,7 +15,8 @@ particle exactly.  By linearity the boundary solution is obtained from the
 seeded initial problem B_raw(t_a) = 0, Bdot_raw(t_a) = 1 through
 Bdot(t_a) = B_raw(t_b)^-1, which is what all three solvers compute:
 
-* DirectODE: ``dynamics.rk4`` on the stacked matrix state [B; Bdot].
+* DirectODE: RK4 on the stacked matrix state [B; Bdot], by the
+  precomputed step maps of ``dynamics.linear_rk4``.
 * NeumannSeries(k): truncated iterated-integral series evaluated by
   Gauss-Legendre collocation (spectral antiderivative matrix).
 * TimeOrderedSinh(n): ordered product over n slices of exponentials of the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .dynamics import DEFAULT_N_STEPS, require_nonsingular, rk4
+from .dynamics import DEFAULT_N_STEPS, linear_rk4, require_nonsingular
 from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
 from .models import mass_matrix
@@ -74,21 +75,25 @@ def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray
 
 def solve_B_direct(omega2, t_a: float, t_b: float,
                    n_steps: int = DEFAULT_N_STEPS) -> JacobiBoundarySolution:
-    """``dynamics.rk4`` on the seeded initial problem, then inversion.
+    """RK4 on the seeded initial problem, then inversion.
 
-    The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a.
-    ``omega2`` is a scalar, a matrix or a callable t -> (D, D).
+    The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a,
+    and the system [B; Bdot]' = [[0, 1], [-Omega2, 0]] [B; Bdot] is
+    linear, so ``dynamics.linear_rk4`` steps it by precomputed maps and
+    keeps only the running state; Omega2 is evaluated once per distinct
+    stage time.  ``omega2`` is a scalar, a matrix or a callable
+    t -> (D, D).
     """
     w2, d = _omega2_callable(omega2, t_a)
-    memo = [None, None]   # rk4 asks twice for t + h/2; evaluate W once
 
-    def rhs(t, y):
-        if t != memo[0]:
-            memo[:] = t, w2(t)
-        return np.vstack((y[d:], -memo[1] @ y[:d]))
+    def sample(ts):
+        gen = np.zeros((len(ts), 2 * d, 2 * d))
+        gen[:, :d, d:] = np.eye(d)
+        gen[:, d:, :d] = [-w2(t) for t in ts]
+        return gen, None
 
-    b_tb = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))),
-               np.linspace(t_a, t_b, n_steps + 1))[-1, :d]
+    b_tb = linear_rk4(sample, np.vstack((np.zeros((d, d)), np.eye(d))),
+                      np.linspace(t_a, t_b, n_steps + 1), history=False)[:d]
     return JacobiBoundarySolution(
         B_dot_a=_invert_boundary(b_tb, "DirectODE", t_b - t_a),
         t_a=float(t_a), t_b=float(t_b), method="DirectODE")

@@ -68,9 +68,13 @@ class LagrangianModel:
         endpoint map is then exactly affine in the initial state and the
         variational flow does not depend on the trajectory, so
         ``solve_bvp`` solves the boundary problem from one run, and only
-        then is ``energy_hessian_factor`` valid.  A model that sets it
-        without such equations gets a wrong path.  The builtins affine by
-        construction set it, and ``cli.build_model`` sets it on a
+        then is ``energy_hessian_factor`` valid.  The flag also picks the
+        integrator: every run on such a model is ``dynamics.linear_rk4``,
+        which reads g and da once at the start point and Hess V and
+        grad V at x = 0 only; the rest follows from linearity.  A model
+        that sets it without such equations therefore gets a wrong path
+        and a wrong flow, silently.  The builtins affine by construction
+        set it, and ``cli.build_model`` sets it on a
         ``one_dim_potential`` whose expression has degree <= 2 in x.
     label : str
         Identifier used in serialized reports.

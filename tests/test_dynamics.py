@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vanvleck import (
     state_at,
 )
 from vanvleck import dynamics
-from vanvleck.cli import build_model
+from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum
 
@@ -225,7 +226,9 @@ def _expression_quartic():
         "time-dependent-omega2"])
 def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
     # the unflagged copy runs el_linearization, whose central-difference
-    # columns are exactly zero for these models
+    # columns are exactly zero for these models; both copies drop
+    # affine_flow, which would step them by maps instead
+    model = dataclasses.replace(model, affine_flow=False)
     general = dataclasses.replace(model, kinetic_gradients_constant=False)
     identity = np.eye(2 * model.dim)
     _, fast = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
@@ -486,6 +489,10 @@ AFFINE_IDS = ["free", "ho1", "ho2-matrix-mass", "time-dependent-omega2",
               "expression-time-dependent"]
 
 
+def _max_rel(actual, desired):
+    return np.max(np.abs(actual - desired)) / np.max(np.abs(desired))
+
+
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
 @pytest.mark.parametrize("n", [40, 1000])
 def test_affine_solve_makes_one_run(monkeypatch, model, x_a, x_b, t_b, n):
@@ -495,13 +502,72 @@ def test_affine_solve_makes_one_run(monkeypatch, model, x_a, x_b, t_b, n):
     steps = _count_runs(monkeypatch)
     path = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
     assert steps == [n]
-    # the flow does not depend on the trajectory, so the seed run's flow
-    # is the Newton iterate's to the bit
-    np.testing.assert_array_equal(path.flow, newton.flow)
+    # the step maps are the generic RK4 step of the same linear system,
+    # so the flows differ only at roundoff
+    assert _max_rel(path.flow, newton.flow) <= 1e-13
     scale = np.max(np.abs(newton.positions))
     assert np.max(np.abs(path.positions - newton.positions)) <= 1e-12 * scale
     assert path.action == pytest.approx(newton.action, rel=1e-12)
     assert path.bvp_residual <= dynamics.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
+@pytest.mark.parametrize("n", [40, 1000])
+def test_step_map_run_matches_the_generic_stepper(model, x_a, x_b, t_b, n):
+    # one run from the same seed: states and tangent columns at every
+    # grid time, against rk4 on the same model without the flag
+    identity = np.eye(2 * model.dim)
+    v0 = (np.asarray(x_b) - np.asarray(x_a)) / t_b
+    _, maps = _rk4_run(model, x_a, v0, 0.0, t_b, n, identity)
+    _, ref = _rk4_run(dataclasses.replace(model, affine_flow=False), x_a, v0,
+                      0.0, t_b, n, identity)
+    assert _max_rel(maps[:, :, 0], ref[:, :, 0]) <= 1e-13
+    assert _max_rel(maps[:, :, 1:], ref[:, :, 1:]) <= 1e-13
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
+def test_step_map_flow_does_not_depend_on_the_seed(model, x_a, x_b, t_b):
+    # the flow does not depend on the trajectory, so two step-map runs
+    # from different seed velocities carry the same tangent bits, which
+    # is what lets _newton keep the seed run's flow
+    identity = np.eye(2 * model.dim)
+    v0 = (np.asarray(x_b) - np.asarray(x_a)) / t_b
+    _, seed = _rk4_run(model, x_a, v0, 0.0, t_b, 300, identity)
+    _, other = _rk4_run(model, x_a, v0 + 0.7, 0.0, t_b, 300, identity)
+    assert not np.array_equal(seed[:, :, 0], other[:, :, 0])
+    np.testing.assert_array_equal(seed[:, :, 1:], other[:, :, 1:])
+
+
+def test_step_map_run_memory_stays_near_its_history():
+    # the step maps are built in blocks, so beside the returned history
+    # the run holds O(STEP_MAP_BLOCK) memory; unblocked, one
+    # (2n + 1, 2D, 2D) stack alone would be 1.7 times the history
+    model = magnetic_field(mass=1.5, omega=0.8, dim=3)
+    tracemalloc.start()
+    try:
+        _, ys = _rk4_run(model, [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 0.0, 1.4,
+                         MAX_N_STEPS, np.eye(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ys.shape == (MAX_N_STEPS + 1, 6, 7)
+    assert peak <= 1.25 * ys.nbytes
+
+
+@pytest.mark.parametrize("model, x_a, x_b", [
+    (make_quartic(), [0.0], [1.0]),
+    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
+     [1.0, -0.5, 0.2]),
+], ids=["quartic", "magnetic-3"])
+def test_lazy_action_is_the_eager_arithmetic(model, x_a, x_b):
+    path = solve_bvp(model, x_a, x_b, 0.0, 0.9, n_steps=200)
+    assert "action" not in vars(path)
+    # the expression solve_bvp evaluated before the action became lazy
+    traj = Trajectory(path.times, path.positions, path.velocities)
+    eager = (simpson_action(model, traj)
+             - float(path.p_b @ (path.positions[-1] - path.x_b)))
+    assert path.action == eager
+    assert vars(path)["action"] == eager
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)

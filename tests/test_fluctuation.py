@@ -133,6 +133,26 @@ def test_flow_seeded_stencils_take_one_run_per_solve(monkeypatch):
     assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
 
 
+def test_energy_route_computes_no_action(monkeypatch):
+    # the 2 D^2 stencil solves read only energy_a, so none of them, nor
+    # the route itself, integrates the Lagrangian
+    model = magnetic_field(mass=1.0, omega=1.2, dim=2)
+    path = solve_bvp(model, [0.0, 0.0], [0.8, -0.1], 0.0, 1.0)
+    calls = []
+    real = dynamics.simpson_action
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "simpson_action", counted)
+    energy_hessian_factor(path)
+    assert calls == []
+    # the counter does see the path's own action, on its first read
+    assert np.isfinite(path.action)
+    assert len(calls) == 1
+
+
 def test_energy_hessian_rejects_anharmonic(quartic):
     path = solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5)
     with pytest.raises(NotQuadraticModel):

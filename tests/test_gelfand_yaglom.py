@@ -18,7 +18,8 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
-from vanvleck.gelfand_yaglom import _collocation
+from vanvleck.dynamics import rk4
+from vanvleck.gelfand_yaglom import _collocation, _omega2_callable
 
 TIME_DEP = lambda t: (1.0 + 0.2 * np.sin(t)) ** 2  # noqa: E731
 
@@ -144,6 +145,32 @@ def test_time_ordered_matches_per_slice_expm():
         np.testing.assert_allclose(
             sol.B_dot_a, _expm_slice_product_slope(omega2, t_b, n),
             rtol=1e-13)
+
+
+def _direct_reference(omega2, t_a, t_b, n_steps):
+    """B_dot_a from the [B; Bdot] right-hand side stepped by ``rk4``."""
+    w2, d = _omega2_callable(omega2, t_a)
+
+    def rhs(t, y):
+        return np.vstack((y[d:], -w2(t) @ y[:d]))
+
+    b_tb = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))),
+               np.linspace(t_a, t_b, n_steps + 1))[-1, :d]
+    return np.linalg.inv(b_tb)
+
+
+@pytest.mark.parametrize("omega2, t_b", [
+    (1.7, 1.1),
+    (np.array([[2.0, 0.4], [0.4, 1.0]]), 1.2),
+    (lambda t: np.array([[1.0 + 0.5 * t, 0.2 * np.sin(3 * t)],
+                         [0.2 * np.sin(3 * t), 2.0 + t**2]]), 1.0),
+], ids=["scalar", "constant-2x2", "time-dependent-2x2"])
+@pytest.mark.parametrize("n", [40, 1000])
+def test_direct_matches_the_rk4_right_hand_side(omega2, t_b, n):
+    # the step maps are the classical RK4 step of the same linear system
+    got = solve_B_direct(omega2, 0.3, 0.3 + t_b, n_steps=n).B_dot_a
+    ref = _direct_reference(omega2, 0.3, 0.3 + t_b, n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_direct_evaluates_each_stage_time_once():
