@@ -35,6 +35,7 @@ from .errors import (
     FocalPoint,
     MidpointOffPath,
     NoConvergence,
+    NonConstantMetric,
     NonSPDMass,
     NotQuadraticModel,
     SeriesDivergence,
@@ -99,6 +100,7 @@ __all__ = [
     "LagrangianModel",
     "MidpointOffPath",
     "NoConvergence",
+    "NonConstantMetric",
     "NonSPDMass",
     "NotQuadraticModel",
     "SeriesDivergence",

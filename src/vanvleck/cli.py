@@ -279,10 +279,6 @@ class Scenario:
         return self.t_b - self.t_a
 
 
-def serialize_scenario(scenario: Scenario) -> dict:
-    return json.loads(json.dumps(scenario.raw))
-
-
 _SCENARIO_KEYS = {"model", "x_a", "x_b", "t_a", "t_b", "hbar", "methods",
                   "numerics", "output"}
 
@@ -475,7 +471,7 @@ def run_factor(scenario: Scenario, full_grid: bool = False) -> dict:
     factors, path, analytic_extras = compute_factors(scenario)
     report = {
         "command": "factor",
-        "config": serialize_scenario(scenario),
+        "config": scenario.raw,
         "factors": {name: f.as_dict() for name, f in factors.items()},
         "pairwise_deviations": pairwise_deviations(factors),
         "path": path_to_dict(path, full_grid) if path is not None else None,
@@ -552,7 +548,7 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     all_passed = all(rep["passed"] for rep in reports)
     report = {
         "command": "verify",
-        "config": serialize_scenario(scenario),
+        "config": scenario.raw,
         "reports": reports,
         "all_passed": all_passed,
         "diagnostic_mode": diagnostic_mode,

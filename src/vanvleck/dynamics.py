@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
 from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
-                     legendre_momentum, metric_inverse)
+                     legendre_momentum, metric_inverse, metric_is_constant)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
@@ -73,8 +73,9 @@ class ClassicalPath:
         first order endpoint-miss correction ``- p_b . (x(t_b) - x_b)`` so
         the value stays differentiable in the endpoints to machine
         precision (the raw miss is below ``bvp_residual`` anyway).
-        Computed on first read and cached, so a solve whose action nobody
-        reads (an energy-Hessian stencil solve) does not pay for it.
+        Computed on first read and cached, so a caller that reads only
+        the flow or the endpoint data, as the Hessian and fluctuation
+        routes do, does not pay for it.
     p_a, p_b : ndarray
         Conjugate momenta at the endpoints.
     energy_a : float
@@ -209,14 +210,12 @@ def _constant_kinetic_blocks(model: LagrangianModel, x, t):
 def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     """``el_linearization`` for one run on a constant metric, or None.
 
-    Applies when the model is flagged ``kinetic_gradients_constant`` and
-    metric_grad vanishes at (x, t): g is then constant and a is linear, so
-    ``_constant_kinetic_blocks`` are computed once.  The returned callable
-    is ``el_linearization``'s arithmetic with the zero terms dropped, so it
-    returns the same bits.
+    Applies when ``metric_is_constant`` holds at (x, t): g is then
+    constant and a is linear, so ``_constant_kinetic_blocks`` are computed
+    once.  The returned callable is ``el_linearization``'s arithmetic with
+    the zero terms dropped, so it returns the same bits.
     """
-    if (not model.kinetic_gradients_constant
-            or np.any(np.asarray(model.metric_grad(x, t)))):
+    if not metric_is_constant(model, x, t):
         return None
     gi, curl, jv = _constant_kinetic_blocks(model, x, t)
 

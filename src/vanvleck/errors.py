@@ -53,6 +53,11 @@ class NotQuadraticModel(VanVleckError):
     """A route valid only on ``affine_flow`` models got a model without it."""
 
 
+class NonConstantMetric(VanVleckError):
+    """An operation that assumes a constant kinetic metric got one that
+    depends on position."""
+
+
 class VectorPotentialPresent(VanVleckError):
     """An operation restricted to zero vector potential was called with one."""
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClassicalPath, solve_bvp
+from .dynamics import ClassicalPath
 from .errors import CausticRegion, NotQuadraticModel, SingularMetric
 from .hessian import ActionHessian, flow_seed, variational_blocks
-from .models import LagrangianModel, central_hessian
+from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
+                     legendre_momentum)
 
 METHOD_VVPM = "VVPM"
 METHOD_SHORT_TIME = "ShortTime"
@@ -137,15 +138,17 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     i.e. where the Euler-Lagrange equations are linear in (x, v), so a
     model not flagged ``affine_flow`` raises NotQuadraticModel.
     E(x_a, x_b) is the conserved energy of the classical path as a function
-    of the endpoints.  ``central_hessian`` differentiates it in x_b over
-    2 D^2 boundary problems re-solved to 1e-13 on the path's grid, with f0
-    the path's own energy_a.  Each solve is seeded with the stored flow's
-    prediction ``flow_seed``, exact on these models, so each accepts its
-    first run.  On these models E is exactly quadratic in the endpoints,
-    so the stencil step is a large 0.05 * max(1, |x_b - x_a|):
-    no truncation error, and the Newton termination noise is suppressed
-    far below tolerance.  The quartic roots are fixed by continuity with
-    the short-interval free limit.
+    of the endpoints.  On these models the path's stored flow fixes the
+    initial velocity of every path from x_a: ``flow_seed`` predicts it
+    exactly up to roundoff, so E(x_a, x_b) is the Hamiltonian at x_a with
+    that velocity, and no boundary problem is solved.  It is the energy a
+    flow-seeded ``solve_bvp`` returns, since that solve accepts its seed as
+    its first iterate.  ``central_hessian`` differentiates E in x_b over
+    2 D^2 such evaluations, with f0 the path's own energy_a.  E is exactly
+    quadratic in the endpoints, so the stencil step is a large
+    0.05 * max(1, |x_b - x_a|): no truncation error, and roundoff is
+    suppressed far below tolerance.  The quartic roots are fixed by
+    continuity with the short-interval free limit.
     """
     model = path.model
     if not model.affine_flow:
@@ -153,13 +156,13 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
             f"the energy-Hessian route needs a model flagged affine_flow "
             f"(linear Euler-Lagrange equations); {model.label!r} is not")
     d = model.dim
-    h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
+    x_a, t_a = path.x_a, path.t_a
+    h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - x_a)))
 
     def energy(xb):
-        return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,
-                         v0_guess=flow_seed(path, path.x_a, xb),
-                         n_steps=path.n_steps,
-                         tol=1e-13).energy_a
+        v_a = flow_seed(path, x_a, xb)
+        return evaluate_hamiltonian(
+            model, x_a, legendre_momentum(model, x_a, v_a, t_a), t_a)
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
 

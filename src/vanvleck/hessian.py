@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ClassicalPath, require_nonsingular, solve_bvp, state_at
-from .errors import (ConjugatePoint, SingularShootingJacobian,
-                     VectorPotentialPresent)
-from .models import LagrangianModel, central_hessian, metric_solve
+from .errors import (ConjugatePoint, NonConstantMetric,
+                     SingularShootingJacobian, VectorPotentialPresent)
+from .models import (LagrangianModel, central_hessian, metric_inverse,
+                     metric_is_constant)
 
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
 
@@ -67,7 +68,9 @@ def flow_seed(path: ClassicalPath, x_a: np.ndarray,
 
     On an ``affine_flow`` model (a linear builtin, or an expression
     potential of degree at most 2 in x) the prediction is exact up to
-    roundoff, so the seeded solve accepts its one run as it stands.
+    roundoff: a seeded solve accepts its one run as it stands, and
+    ``energy_hessian_factor`` takes the prediction as the initial velocity
+    of each stencil path without solving.
     Raises SingularShootingJacobian when Pxv is singular.
     """
     pxx, pxv, _, _ = variational_blocks(path)
@@ -142,7 +145,13 @@ def frequency_matrix_along_path(path: ClassicalPath):
 
     Only meaningful for vanishing vector potential; raises
     VectorPotentialPresent if |a| exceeds 1e-14 anywhere on the grid.
-    The returned callable interpolates the path with ``state_at``.
+    Omega^2 and the constant sqrt(det M) of ``gy_fluctuation_factor``
+    both assume a constant metric, so a model for which
+    ``metric_is_constant`` fails at the start point raises
+    NonConstantMetric; g^-1 is computed once, there.  On an
+    ``affine_flow`` model Hess V does not depend on x, so the callable
+    reads it at x = 0, as ``dynamics.linear_rk4``'s sampler does; on any
+    other model it interpolates the path with ``state_at``.
     """
     model = path.model
     worst = max(
@@ -153,10 +162,16 @@ def frequency_matrix_along_path(path: ClassicalPath):
         raise VectorPotentialPresent(
             f"|a| reaches {worst:.3e} along the path; the scalar Jacobi "
             "frequency form only applies to zero vector potential")
+    if not metric_is_constant(model, path.x_a, path.t_a):
+        raise NonConstantMetric(
+            f"the Gelfand-Yaglom frequency needs a constant metric; "
+            f"{model.label!r} is not flagged kinetic_gradients_constant or "
+            "its metric_grad does not vanish")
+    gi = metric_inverse(model, path.x_a, path.t_a)
+    origin = np.zeros(model.dim)
 
     def omega2(t):
-        x, _ = state_at(path, t)
-        return metric_solve(model, x, t,
-                            np.asarray(model.potential_hess(x, t), float))
+        x = origin if model.affine_flow else state_at(path, t)[0]
+        return gi @ np.asarray(model.potential_hess(x, t), float)
 
     return omega2

@@ -68,14 +68,17 @@ class LagrangianModel:
         endpoint map is then exactly affine in the initial state and the
         variational flow does not depend on the trajectory, so
         ``solve_bvp`` solves the boundary problem from one run, and only
-        then is ``energy_hessian_factor`` valid.  The flag also picks the
-        integrator: every run on such a model is ``dynamics.linear_rk4``,
-        which reads g and da once at the start point and Hess V and
-        grad V at x = 0 only; the rest follows from linearity.  A model
-        that sets it without such equations therefore gets a wrong path
-        and a wrong flow, silently.  The builtins affine by construction
-        set it, and ``cli.build_model`` sets it on a
-        ``one_dim_potential`` whose expression has degree <= 2 in x.
+        then is ``energy_hessian_factor`` valid; it reads the endpoint
+        energies off the flow.  The flag also picks the integrator: every
+        run on such a model is ``dynamics.linear_rk4``, which reads g and
+        da once at the start point and Hess V and grad V at x = 0 only;
+        the rest follows from linearity.  ``frequency_matrix_along_path``
+        reads Hess V at x = 0 too, without interpolating the path.  A
+        model that sets it without such equations therefore gets a wrong
+        path, flow, energy Hessian and Gelfand-Yaglom frequency,
+        silently.  The builtins affine by construction set it, and
+        ``cli.build_model`` sets it on a ``one_dim_potential`` whose
+        expression has degree <= 2 in x.
     label : str
         Identifier used in serialized reports.
     """
@@ -120,6 +123,13 @@ def metric_inverse(model: LagrangianModel, x, t) -> np.ndarray:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+
+
+def metric_is_constant(model: LagrangianModel, x, t) -> bool:
+    """True when g is constant: the model is flagged
+    ``kinetic_gradients_constant`` and metric_grad vanishes at (x, t)."""
+    return (model.kinetic_gradients_constant
+            and not np.any(np.asarray(model.metric_grad(x, t))))
 
 
 def evaluate_lagrangian(model: LagrangianModel, x, v, t) -> float:

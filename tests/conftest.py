@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from vanvleck import LagrangianModel, one_dim_potential
+from vanvleck import (LagrangianModel, free_particle, harmonic_oscillator,
+                      magnetic_field, one_dim_potential)
+from vanvleck.cli import build_model
 
 
 def make_quartic(mass: float = 1.0, hbar: float = 1.0):
@@ -78,6 +82,35 @@ def make_curled_metric(mass: float = 1.0, b: float = 0.7, c: float = 0.3):
         potential_hess=lambda x, t: zero22,
         label="curled_metric",
     )
+
+
+def _expression_model(text):
+    model, _ = build_model(
+        {"tag": "one_dim_potential", "params": {"potential": text}}, 1.0)
+    return model
+
+
+# models flagged affine_flow, with a boundary problem (x_a, x_b, t_b)
+# from t_a = 0 on each
+AFFINE_CASES = [
+    (free_particle(mass=1.5), [0.2], [1.1], 0.9),
+    (harmonic_oscillator(omega2=1.0), [0.0], [1.0], 1.2),
+    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
+     [0.1, -0.2], [0.7, 0.4], 1.1),
+    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
+     [0.3], [-0.4], 1.3),
+    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
+     [1.0, -0.5, 0.2], 1.4),
+    # expression potentials of degree 2, flagged by their degree
+    *[(_expression_model(text), x_a, x_b, t_b) for text, x_a, x_b, t_b in [
+        ("0.5*x^2", [0.0], [1.0], 1.2),
+        ("x^2 + t*x/4", [0.2], [-0.5], 0.9),
+        ("0.3*(1 + 0.2*sin(t))*(x - 0.5)^2", [0.0], [1.0], 1.5)]],
+]
+AFFINE_IDS = ["free", "ho1", "ho2-matrix-mass", "time-dependent-omega2",
+              "magnetic-3", "expression-ho", "expression-driven",
+              "expression-time-dependent"]
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vanvleck import cli, composition, dynamics
-from vanvleck.cli import main, parse_scenario, serialize_scenario
+from vanvleck.cli import main, parse_scenario
 from vanvleck.models import BUILTIN_TAGS
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -295,7 +295,7 @@ def test_report_determinism(tmp_path):
 def test_scenario_round_trip():
     raw = _free_config(numerics={"n_steps": 400}, hbar=0.5)
     scenario = parse_scenario(raw)
-    assert serialize_scenario(scenario) == raw
+    assert scenario.raw == raw
 
 
 def test_verify_free_particle(tmp_path):
@@ -543,8 +543,8 @@ def test_sweep_runs_in_one_process_one_run_a_row(tmp_path, monkeypatch):
 
 
 def test_quadratic_demo_factor_runs_only_fine_runs(tmp_path, monkeypatch):
-    # a degree-2 expression is affine_flow: the path and the two energy
-    # stencil solves take one run each, and no coarse grid runs
+    # a degree-2 expression is affine_flow: the path takes one run, no
+    # coarse grid runs, and the energy route reads the path's flow
     steps = []
     real_run = dynamics._rk4_run
 
@@ -557,7 +557,7 @@ def test_quadratic_demo_factor_runs_only_fine_runs(tmp_path, monkeypatch):
     assert main(["factor", "--config",
                  str(DEMO_CONFIGS / "quadratic_factor.json"),
                  "--out", str(out)]) == 0
-    assert steps == [1000] * 3
+    assert steps == [1000]
     for pair, dev in json.loads(out.read_text())[
             "pairwise_deviations"].items():
         # dalembert's velocity quadrature is the one looser route

@@ -22,11 +22,12 @@ from vanvleck import (
     state_at,
 )
 from vanvleck import dynamics
-from vanvleck.cli import MAX_N_STEPS, build_model
+from vanvleck.cli import MAX_N_STEPS
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum
 
-from conftest import make_curled_metric, make_polar_free_particle, make_quartic
+from conftest import (AFFINE_CASES, AFFINE_IDS, make_curled_metric,
+                      make_polar_free_particle, make_quartic)
 
 
 def test_free_ivp_is_exact():
@@ -460,33 +461,6 @@ def test_given_seed_runs_no_coarse_phase(monkeypatch):
     steps = _count_runs(monkeypatch)
     solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=[0.9, 0.7], n_steps=n)
     assert set(steps) == {n}
-
-
-def _expression_model(text):
-    model, _ = build_model(
-        {"tag": "one_dim_potential", "params": {"potential": text}}, 1.0)
-    return model
-
-
-AFFINE_CASES = [
-    (free_particle(mass=1.5), [0.2], [1.1], 0.9),
-    (harmonic_oscillator(omega2=1.0), [0.0], [1.0], 1.2),
-    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
-                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
-     [0.1, -0.2], [0.7, 0.4], 1.1),
-    (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
-     [0.3], [-0.4], 1.3),
-    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
-     [1.0, -0.5, 0.2], 1.4),
-    # expression potentials of degree 2, flagged by their degree
-    *[(_expression_model(text), x_a, x_b, t_b) for text, x_a, x_b, t_b in [
-        ("0.5*x^2", [0.0], [1.0], 1.2),
-        ("x^2 + t*x/4", [0.2], [-0.5], 0.9),
-        ("0.3*(1 + 0.2*sin(t))*(x - 0.5)^2", [0.0], [1.0], 1.5)]],
-]
-AFFINE_IDS = ["free", "ho1", "ho2-matrix-mass", "time-dependent-omega2",
-              "magnetic-3", "expression-ho", "expression-driven",
-              "expression-time-dependent"]
 
 
 def _max_rel(actual, desired):

@@ -19,9 +19,11 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck import dynamics
-from vanvleck.hessian import ActionHessian
+from vanvleck.fluctuation import fresnel_prefactor
+from vanvleck.hessian import ActionHessian, flow_seed
+from vanvleck.models import central_hessian
 
-from conftest import make_quartic
+from conftest import AFFINE_CASES, AFFINE_IDS
 
 
 def _plain_hessian(mixed):
@@ -119,25 +121,53 @@ def _fine_runs(monkeypatch):
 
 def test_flow_seeded_stencils_take_one_run_per_solve(monkeypatch):
     # a two-dimensional coupled oscillator with a matrix mass: the endpoint
-    # map is affine, so the flow's prediction is each solve's first run
+    # map is affine, so the flow's prediction is each FD solve's first
+    # run, and the energy route reads its stencil energies off the flow
     model = harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
                                 stiffness=[[1.0, 0.2], [0.2, 3.0]])
     path = solve_bvp(model, [0.1, -0.2], [0.7, 0.4], 0.0, 1.1)
     steps = _fine_runs(monkeypatch)
     eh = energy_hessian_factor(path)
-    assert steps == [path.n_steps] * 2 * 2**2
-    steps.clear()
+    assert steps == []
     action_hessian_fd(path)
     assert steps == [path.n_steps] * (8 * 2**2 + 1)
     vv = vvpm_factor(action_hessian_jacobi(path))
     assert abs(eh.value - vv.value) / abs(vv.value) < 1e-6
 
 
-def test_energy_route_computes_no_action(monkeypatch):
-    # the 2 D^2 stencil solves read only energy_a, so none of them, nor
-    # the route itself, integrates the Lagrangian
-    model = magnetic_field(mass=1.0, omega=1.2, dim=2)
-    path = solve_bvp(model, [0.0, 0.0], [0.8, -0.1], 0.0, 1.0)
+def _resolved_energy_hessian_factor(path):
+    """Reference energy route: each stencil energy from a flow-seeded
+    boundary problem re-solved to 1e-13 on the path's grid."""
+    model = path.model
+    h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
+
+    def energy(xb):
+        return solve_bvp(model, path.x_a, xb, path.t_a, path.t_b,
+                         v0_guess=flow_seed(path, path.x_a, xb),
+                         n_steps=path.n_steps, tol=1e-13).energy_a
+
+    ehess = central_hessian(energy, path.x_b, h, path.energy_a)
+    det_g = np.linalg.det(model.metric(path.x_a, path.t_a))
+    return (fresnel_prefactor(model.dim, model.hbar)
+            * det_g ** 0.25 * np.linalg.det(ehess) ** 0.25)
+
+
+ENERGY_IDS = ["ho2-matrix-mass", "magnetic-3", "time-dependent-omega2",
+              "expression-driven"]
+
+
+@pytest.mark.parametrize(
+    "model, x_a, x_b, t_b",
+    [AFFINE_CASES[AFFINE_IDS.index(name)] for name in ENERGY_IDS],
+    ids=ENERGY_IDS)
+def test_energy_route_is_the_seeded_resolve_without_runs(monkeypatch, model,
+                                                         x_a, x_b, t_b):
+    # each seeded re-solve accepts its seed, so its energy is the
+    # Hamiltonian at the seed: the route computes that with no run, and
+    # no action either, since it reads only energies
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b)
+    reference = _resolved_energy_hessian_factor(path)
+    steps = _fine_runs(monkeypatch)
     calls = []
     real = dynamics.simpson_action
 
@@ -146,11 +176,12 @@ def test_energy_route_computes_no_action(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(dynamics, "simpson_action", counted)
-    energy_hessian_factor(path)
-    assert calls == []
-    # the counter does see the path's own action, on its first read
+    assert energy_hessian_factor(path).value == reference
+    assert steps == [] and calls == []
+    # the counters do see a solve and the path's own action
+    solve_bvp(model, x_a, x_b, 0.0, t_b)
     assert np.isfinite(path.action)
-    assert len(calls) == 1
+    assert steps == [path.n_steps] and len(calls) == 1
 
 
 def test_energy_hessian_rejects_anharmonic(quartic):

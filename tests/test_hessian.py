@@ -6,6 +6,7 @@ import pytest
 from vanvleck import (
     ConjugatePoint,
     LagrangianModel,
+    NonConstantMetric,
     VectorPotentialPresent,
     action_hessian_fd,
     action_hessian_jacobi,
@@ -20,8 +21,12 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck import hessian as hessian_module
+from vanvleck.dynamics import _affine_sampler
+from vanvleck.gelfand_yaglom import _collocation
+from vanvleck.models import metric_solve
 
-from conftest import make_curled_metric, make_polar_free_particle
+from conftest import (AFFINE_CASES, AFFINE_IDS, make_curled_metric,
+                      make_polar_free_particle)
 
 
 def test_free_particle_mixed_block_matrix_mass():
@@ -169,6 +174,55 @@ def test_frequency_matrix_examples(quartic):
     x_probe, _ = state_at(qpath, t_probe)
     val = frequency_matrix_along_path(qpath)(t_probe)[0, 0]
     assert val == pytest.approx(3.0 * x_probe[0] ** 2, abs=1e-10)
+
+
+def _interpolated_frequency(path, t):
+    """Reference Omega^2(t): g^-1 Hess V by a metric solve at the path's
+    interpolated point."""
+    x, _ = state_at(path, t)
+    return metric_solve(path.model, x, t,
+                        np.asarray(path.model.potential_hess(x, t), float))
+
+
+FREQUENCY_IDS = [name for name in AFFINE_IDS if name != "magnetic-3"]
+
+
+@pytest.mark.parametrize(
+    "model, x_a, x_b, t_b",
+    [AFFINE_CASES[AFFINE_IDS.index(name)] for name in FREQUENCY_IDS],
+    ids=FREQUENCY_IDS)
+def test_affine_frequency_reads_no_state(monkeypatch, model, x_a, x_b, t_b):
+    # times the Gelfand-Yaglom solvers sample: RK4 grid points and
+    # midpoints (DirectODE) and Gauss-Legendre nodes (NeumannSeries)
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b)
+    h = t_b / path.n_steps
+    times = np.concatenate((path.times, path.times[:-1] + 0.5 * h,
+                            _collocation(0.0, t_b, 64)[0]))
+    reference = np.array([_interpolated_frequency(path, t) for t in times])
+    d = model.dim
+    sampled = -_affine_sampler(model, path.x_a, 0.0)(times)[0][:, d:, :d]
+
+    def no_state(*args):
+        raise AssertionError("state_at called on an affine_flow model")
+
+    monkeypatch.setattr(hessian_module, "state_at", no_state)
+    omega2 = frequency_matrix_along_path(path)
+    values = np.array([omega2(t) for t in times])
+    # the path's own RK4 runs step the same g^-1 Hess V, bit for bit; a
+    # metric solve rounds differently on a non-diagonal mass, by an ulp
+    np.testing.assert_array_equal(values, sampled)
+    np.testing.assert_allclose(values, reference, rtol=0.0,
+                               atol=1e-15 * np.max(np.abs(reference)))
+
+
+def test_frequency_matrix_rejects_a_position_dependent_metric():
+    # Omega^2 = g^-1 Hess V and the constant sqrt(det M) of the factor
+    # assume a constant metric; on polar coordinates the route would
+    # return a wrong factor
+    model = make_polar_free_particle(mass=1.3)
+    path = solve_bvp(model, [1.0, 0.2], [1.2, 0.9], 0.0, 1.1)
+    with pytest.raises(NonConstantMetric):
+        frequency_matrix_along_path(path)
 
 
 def test_frequency_matrix_rejects_vector_potential():

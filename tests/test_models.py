@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from vanvleck import (
     one_dim_potential,
 )
 from vanvleck.models import (central_hessian, fd_jacobian, mass_matrix,
-                             metric_solve, velocity_from_momentum)
+                             metric_is_constant, metric_solve,
+                             velocity_from_momentum)
 
-from conftest import make_quartic, random_spd
+from conftest import make_polar_free_particle, make_quartic, random_spd
 
 
 def test_free_particle_lagrangian_and_momentum():
@@ -174,6 +177,21 @@ def test_metric_solve_matches_dense_solve(rng):
     np.testing.assert_allclose(
         metric_solve(model, np.zeros(3), 0.0, rhs),
         np.linalg.solve(m, rhs), atol=1e-12)
+
+
+def test_metric_is_constant_needs_the_flag_and_a_zero_gradient():
+    model = free_particle(mass=[[2.0, 0.3], [0.3, 1.0]])
+    assert metric_is_constant(model, [0.3, -0.1], 0.0)
+    # the same constant metric, unflagged: the test trusts only the flag
+    assert not metric_is_constant(
+        dataclasses.replace(model, kinetic_gradients_constant=False),
+        [0.3, -0.1], 0.0)
+    polar = make_polar_free_particle()
+    assert not metric_is_constant(polar, [1.0, 0.2], 0.0)
+    # flagged but with a metric_grad that does not vanish
+    assert not metric_is_constant(
+        dataclasses.replace(polar, kinetic_gradients_constant=True),
+        [1.0, 0.2], 0.0)
 
 
 def test_time_dependent_omega2_callable():
