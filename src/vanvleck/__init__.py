@@ -36,6 +36,7 @@ from .errors import (
     MidpointOffPath,
     NoConvergence,
     NonConstantMetric,
+    NonFiniteResult,
     NonSPDMass,
     NotQuadraticModel,
     SeriesDivergence,
@@ -64,7 +65,6 @@ from .gelfand_yaglom import (
 )
 from .hessian import (
     ActionHessian,
-    action_hessian_fd,
     action_hessian_jacobi,
     frequency_matrix_along_path,
     variational_blocks,
@@ -101,6 +101,7 @@ __all__ = [
     "MidpointOffPath",
     "NoConvergence",
     "NonConstantMetric",
+    "NonFiniteResult",
     "NonSPDMass",
     "NotQuadraticModel",
     "SeriesDivergence",
@@ -110,7 +111,6 @@ __all__ = [
     "TurningPoint",
     "VanVleckError",
     "VectorPotentialPresent",
-    "action_hessian_fd",
     "action_hessian_jacobi",
     "builtin_model",
     "compile_potential",

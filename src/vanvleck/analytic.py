@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import ClassicalPath, simpson
 from .errors import FocalPoint, TurningPoint
 from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, fresnel_prefactor
-from .models import mass_matrix
+from .models import along, mass_matrix
 
 TURNING_POINT_RATIO = 1e-8
 
@@ -209,8 +209,7 @@ def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
         raise TurningPoint(
             "velocity vanishes or changes sign on the grid; the reduction "
             "breaks down at a turning point")
-    g = np.array([path.model.metric(x, t)[0, 0]
-                  for x, t in zip(path.positions, path.times)], dtype=float)
+    g = along(path.model.metric, path.positions, path.times)[:, 0, 0]
     integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)
     bracket = v[0] * v[-1] * integral
     value = fresnel_prefactor(1, hbar) * bracket ** (-0.5)

@@ -31,7 +31,7 @@ from .analytic import (free_particle_factor, harmonic_constant_factor,
 from .composition import verify_composition
 from .dynamics import (DEFAULT_MAX_ITER, DEFAULT_N_STEPS, DEFAULT_TOL,
                        ClassicalPath, solve_bvp)
-from .errors import ConfigError, NonSPDMass, VanVleckError
+from .errors import ConfigError, NonFiniteResult, NonSPDMass, VanVleckError
 from .expressions import (TOO_DEEP, compile_node, compile_potential,
                           parse_expression)
 from .fluctuation import (FluctuationFactor, energy_hessian_factor,
@@ -39,7 +39,7 @@ from .fluctuation import (FluctuationFactor, energy_hessian_factor,
 from .gelfand_yaglom import (gy_fluctuation_factor, solve_B_direct,
                              solve_B_neumann, solve_B_time_ordered)
 from .hessian import action_hessian_jacobi, frequency_matrix_along_path
-from .models import BUILTIN_TAGS, LagrangianModel, builtin_model
+from .models import BUILTIN_TAGS, LagrangianModel, builtin_model, stacked
 
 METHOD_IDS = ("vvpm", "general", "energy-hessian", "gelfand-yaglom",
               "short-time", "dalembert", "analytic")
@@ -91,9 +91,13 @@ def _json_default(obj):
 
 
 def dumps_canonical(obj) -> str:
-    """Sorted keys, shortest round-trip floats; non-finite floats raise."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      ensure_ascii=False, default=_json_default) + "\n"
+    """Sorted keys, shortest round-trip floats; a non-finite float raises
+    NonFiniteResult."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          ensure_ascii=False, default=_json_default) + "\n"
+    except ValueError as exc:   # json's "Out of range float values ..."
+        raise NonFiniteResult(f"a report value is not finite: {exc}") from exc
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -157,7 +161,7 @@ def _time_expression(text: str):
     if uses_x:
         raise ConfigError("a time-dependent frequency may not depend on x")
     if uses_t:
-        return lambda t: f(0.0, t)
+        return stacked(lambda t: f(0.0, t))
     try:
         value = float(f(0.0, 0.0))
     except (ArithmeticError, ValueError, TypeError) as exc:
@@ -485,12 +489,12 @@ def cmd_factor(cfg: dict, out_path: Optional[str], full_grid: bool) -> int:
     scenario = parse_scenario(cfg)
     out_path = out_path or scenario.output
     try:
-        report = run_factor(scenario, full_grid)
+        text = dumps_canonical(run_factor(scenario, full_grid))
     except _NUMERICAL_ERRORS as exc:
         _emit(dumps_canonical(_error_report("factor", scenario.raw, exc)),
               out_path)
         return 2
-    _emit(dumps_canonical(report), out_path)
+    _emit(text, out_path)
     return 0
 
 
@@ -533,6 +537,7 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
             raise ConfigError("midpoint_offset must match the model dimension")
 
     reports = []
+    diagnostic_mode = offset is not None
     try:
         full = _solve_scenario_path(scenario)
         for t_mid in t_mid_values:
@@ -540,20 +545,19 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
                                      momentum_tol=momentum_tol,
                                      midpoint_offset=offset)
             reports.append(asdict(rep) | {"passed": rep.passed})
+        all_passed = all(rep["passed"] for rep in reports)
+        text = dumps_canonical({
+            "command": "verify",
+            "config": scenario.raw,
+            "reports": reports,
+            "all_passed": all_passed,
+            "diagnostic_mode": diagnostic_mode,
+        })
     except _NUMERICAL_ERRORS as exc:
         _emit(dumps_canonical(_error_report("verify", scenario.raw, exc)),
               out_path)
         return 2
-    diagnostic_mode = offset is not None
-    all_passed = all(rep["passed"] for rep in reports)
-    report = {
-        "command": "verify",
-        "config": scenario.raw,
-        "reports": reports,
-        "all_passed": all_passed,
-        "diagnostic_mode": diagnostic_mode,
-    }
-    _emit(dumps_canonical(report), out_path)
+    _emit(text, out_path)
     return 0 if all_passed or diagnostic_mode else 2
 
 

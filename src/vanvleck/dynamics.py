@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .models import (FD_STEP, LagrangianModel, evaluate_hamiltonian,
+from .models import (FD_STEP, LagrangianModel, along, evaluate_hamiltonian,
                      legendre_momentum, metric_inverse, metric_is_constant)
 
 DEFAULT_N_STEPS = 1000
@@ -339,19 +339,18 @@ def _affine_sampler(model: LagrangianModel, x, t):
     The metric is constant and the vector potential linear, so g^-1 and
     jv = g^-1 (da^T - da) are computed once, at (x, t).  The potential is
     quadratic in x, so acc = acc0(t) + jx(t) x + jv v with
-    jx = -g^-1 Hess V(0, t) and acc0 = -g^-1 grad V(0, t): one
-    potential_hess and one potential_grad call per stage time, at x = 0.
+    jx = -g^-1 Hess V(0, t) and acc0 = -g^-1 grad V(0, t): potential_hess
+    and potential_grad at x = 0 and every stage time of a block, one call
+    each when they are stacked (``models.along``).
     The state is (x, v), so M = [[0, 1], [jx, jv]] and c = (0, acc0).
     """
     d = model.dim
     gi, _, jv = _constant_kinetic_blocks(model, x, t)
-    origin = np.zeros(d)
 
     def sample(ts):
-        hess = np.array([model.potential_hess(origin, s) for s in ts],
-                        dtype=float).reshape(len(ts), d, d)
-        grad = np.array([model.potential_grad(origin, s) for s in ts],
-                        dtype=float).reshape(len(ts), d)
+        origin = np.zeros((len(ts), d))
+        hess = along(model.potential_hess, origin, ts).reshape(len(ts), d, d)
+        grad = along(model.potential_grad, origin, ts).reshape(len(ts), d)
         gen = np.zeros((len(ts), 2 * d, 2 * d))
         gen[:, :d, d:] = np.eye(d)
         gen[:, d:, :d] = gi @ -hess
@@ -448,16 +447,21 @@ def simpson(samples, h: float) -> float:
 
 
 def simpson_action(model: LagrangianModel, traj: Trajectory) -> float:
-    """Simpson's rule over the Lagrangian samples; grid count must be even."""
+    """Simpson's rule over the Lagrangian samples; grid count must be even.
+
+    The callbacks are read along the whole grid by ``models.along``, and a
+    constant metric (``metric_is_constant``) once, at the first sample.
+    """
     n = len(traj.times) - 1
-    lag = np.array([
-        0.5 * traj.velocities[k] @ model.metric(traj.positions[k], traj.times[k])
-        @ traj.velocities[k]
-        + traj.velocities[k] @ model.vector_potential(traj.positions[k], traj.times[k])
-        - model.potential(traj.positions[k], traj.times[k])
-        for k in range(n + 1)
-    ])
-    return simpson(lag, (traj.times[-1] - traj.times[0]) / n)
+    x, v, t = traj.positions, traj.velocities, traj.times
+    if metric_is_constant(model, x[0], t[0]):
+        g = np.asarray(model.metric(x[0], t[0]), dtype=float)
+    else:
+        g = along(model.metric, x, t)
+    lag = (np.sum(((0.5 * v)[:, None, :] @ g)[:, 0] * v, axis=1)
+           + np.sum(v * along(model.vector_potential, x, t), axis=1)
+           - along(model.potential, x, t))
+    return simpson(lag, (t[-1] - t[0]) / n)
 
 
 def require_nonsingular(mat: np.ndarray, duration: float, error: type,
@@ -606,21 +610,29 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 # lookups along a stored path
 
 
-def _bracket(times: np.ndarray, t: float):
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+def _bracket(times: np.ndarray, t):
+    """Index k of the grid step [times[k], times[k + 1]] holding each t."""
+    if (np.any(np.less(t, times[0] - 1e-12))
+            or np.any(np.greater(t, times[-1] + 1e-12))):
         raise ValueError(f"t={t} outside path interval [{times[0]}, {times[-1]}]")
-    k = int(np.searchsorted(times, t, side="right") - 1)
-    return min(max(k, 0), len(times) - 2)
+    k = np.searchsorted(times, t, side="right") - 1
+    return np.clip(k, 0, len(times) - 2)
 
 
-def state_at(path, t: float):
-    """Cubic Hermite interpolation of (x, v) between grid samples."""
+def state_at(path, t):
+    """Cubic Hermite interpolation of (x, v) between grid samples.
+
+    ``t`` is one time, giving (D,) arrays, or a 1-D array of times, giving
+    (len(t), D) arrays.
+    """
     times = path.times
     k = _bracket(times, t)
     h = times[k + 1] - times[k]
     s = (t - times[k]) / h
     x0, x1 = path.positions[k], path.positions[k + 1]
     v0, v1 = path.velocities[k], path.velocities[k + 1]
+    if np.ndim(s):   # one row of weights per time
+        s, h = s[:, None], h[:, None]
     h00 = 2 * s**3 - 3 * s**2 + 1
     h10 = s**3 - 2 * s**2 + s
     h01 = -2 * s**3 + 3 * s**2

@@ -70,5 +70,9 @@ class MidpointOffPath(VanVleckError):
     """Re-solved half paths disagree with the through path at the junction."""
 
 
+class NonFiniteResult(VanVleckError):
+    """A value a report must carry is infinite or NaN."""
+
+
 class ConfigError(VanVleckError):
     """Invalid configuration document handed to the command line driver."""

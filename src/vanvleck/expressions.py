@@ -9,7 +9,9 @@ the solvers, and ``degree`` gives a tree's exact polynomial degree in x
 (None when it is not a polynomial in x).  ``^`` is ``math.pow``, so a
 power with no real value raises ValueError and one that overflows raises
 OverflowError, not a complex number or infinity.  ``compile_node`` turns a
-tree into one straight-line Python function of ``evaluate``'s arithmetic.
+tree into one straight-line Python function of ``evaluate``'s arithmetic,
+marked as a stacked model callback: it evaluates one point on Python
+floats and arrays of points with numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import math
 import re
 import warnings
 
+import numpy as np
+
 from .errors import ConfigError
+from .models import stacked
 
 _DECIMAL_LITERAL = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _BAD_CHARACTER = re.compile(r"[^\w.+\-*/() ]", re.ASCII)
@@ -219,6 +224,37 @@ def parse_expression(text: str):
 
 
 _PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+_NUMPY_FUNCTIONS = {"pow": np.power, "sin": np.sin, "cos": np.cos,
+                    "exp": np.exp}
+
+
+def _stacked_call(point, array, x, t):
+    """``array`` on stacked x and t, broadcast to their common shape.
+
+    It runs under ``np.errstate(all="raise")``, with the constants as
+    numpy floats, so a step on finite numbers that leaves them raises
+    FloatingPointError.  After one, or when x, t or the result is not
+    finite, every point is evaluated again by ``point``, on Python floats:
+    an array raises the ValueError, OverflowError or ZeroDivisionError its
+    first failing point raises alone, and a step that only numpy flags
+    (an underflow, an inf that Python float arithmetic returns quietly)
+    gives the pointwise values.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    out = None
+    if np.isfinite(x).all() and np.isfinite(t).all():
+        try:
+            with np.errstate(all="raise"):
+                out = array(x, t)
+        except FloatingPointError:
+            pass
+    if out is None or not np.isfinite(out).all():
+        out = np.reshape([point(a, b) for a, b in zip(
+            np.broadcast_to(x, shape).ravel().tolist(),
+            np.broadcast_to(t, shape).ravel().tolist())], shape)
+    return np.array(np.broadcast_to(out, shape), dtype=float)
 
 
 def compile_node(node):
@@ -226,12 +262,17 @@ def compile_node(node):
 
     Every distinct node (by identity, so subtrees that ``diff`` shares are
     computed once) becomes one local, emitted in ``evaluate``'s order with
-    the same operators (``^`` as ``math.pow``).  Numeric constants are
-    bound as names in the function's globals, so the generated source
-    holds only local names, ``x``, ``t`` and the whitelisted function
-    names: no config text.
+    the same operators.  Numeric constants are bound as names in the
+    function's globals, so the generated source holds only local names,
+    ``x``, ``t`` and the whitelisted function names: no config text.
+
+    The body is bound twice.  At a point (x and t numbers, not arrays) it
+    runs on Python floats with ``math``, so ``^`` is ``math.pow`` and a
+    division by zero raises ZeroDivisionError, also at a numpy float t;
+    when x or t is an array it goes to the numpy binding through
+    ``_stacked_call``.  The function is marked ``models.stacked``.
     """
-    scope = {"__builtins__": {}, "pow": math.pow, **_FUNCTIONS}
+    constants = {}
     names = {}
     lines = []
 
@@ -240,7 +281,7 @@ def compile_node(node):
             return names[id(n)]
         if isinstance(n, _Num):
             name = f"c{len(names)}"
-            scope[name] = n.value
+            constants[name] = n.value
         elif isinstance(n, _Var):
             name = "x" if n.name == "x" else "t"
         else:
@@ -260,8 +301,22 @@ def compile_node(node):
         return name
 
     result = emit(node)
-    exec("\n".join(["def f(x, t):", *lines, f"    return {result}"]), scope)
-    return scope["f"]
+    body = [*lines, f"    return {result}"]
+    array_scope = {"__builtins__": {}, **_NUMPY_FUNCTIONS,
+                   **{name: np.float64(c) for name, c in constants.items()}}
+    exec("\n".join(["def f(x, t):", *body]), array_scope)
+    scope = {"__builtins__": {"type": type, "float": float},
+             "pow": math.pow, **_FUNCTIONS, **constants, "_ndarray": np.ndarray}
+    exec("\n".join([
+        "def f(x, t):",
+        "    if type(x) is _ndarray or type(t) is _ndarray:",
+        "        return _stacked(x, t)",
+        "    x = float(x)",
+        "    t = float(t)",
+        *body]), scope)
+    point, array = scope["f"], array_scope["f"]
+    scope["_stacked"] = lambda x, t: _stacked_call(point, array, x, t)
+    return stacked(point)
 
 
 def compile_potential(text: str):

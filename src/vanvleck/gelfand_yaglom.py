@@ -34,7 +34,7 @@ from numpy.polynomial import legendre as npleg
 from .dynamics import DEFAULT_N_STEPS, linear_rk4, require_nonsingular
 from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
-from .models import mass_matrix
+from .models import along, mass_matrix
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,20 @@ class JacobiBoundarySolution:
         return self.B_dot_a.shape[0]
 
 
-def _omega2_callable(omega2, t_probe: float):
-    """Normalize scalar / matrix / callable frequency input to t -> (D, D)."""
+def _omega2_sampler(omega2, t_probe: float):
+    """Normalize scalar / matrix / callable frequency input to a sampler
+    ts -> (len(ts), D, D) of Omega2 at a 1-D array of times.
+
+    A callable is probed once at ``t_probe`` for D and then read by
+    ``models.along``: one call per sampler call when it is marked
+    ``models.stacked``, one per time otherwise.
+    """
     if callable(omega2):
-        probe = np.atleast_2d(np.asarray(omega2(t_probe), dtype=float))
-        d = probe.shape[0]
-        return (lambda t: np.atleast_2d(np.asarray(omega2(t), dtype=float))), d
+        d = np.atleast_2d(np.asarray(omega2(t_probe), dtype=float)).shape[0]
+        return (lambda ts: along(omega2, ts).reshape(len(ts), d, d)), d
     const = np.atleast_2d(np.asarray(omega2, dtype=float))
-    return (lambda t: const), const.shape[0]
+    d = const.shape[0]
+    return (lambda ts: np.broadcast_to(const, (len(ts), d, d))), d
 
 
 def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray:
@@ -80,16 +86,16 @@ def solve_B_direct(omega2, t_a: float, t_b: float,
     The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a,
     and the system [B; Bdot]' = [[0, 1], [-Omega2, 0]] [B; Bdot] is
     linear, so ``dynamics.linear_rk4`` steps it by precomputed maps and
-    keeps only the running state; Omega2 is evaluated once per distinct
-    stage time.  ``omega2`` is a scalar, a matrix or a callable
-    t -> (D, D).
+    keeps only the running state; Omega2 is read at the distinct stage
+    times of each block of steps at once.  ``omega2`` is a scalar, a
+    matrix or a callable t -> (D, D).
     """
-    w2, d = _omega2_callable(omega2, t_a)
+    w2, d = _omega2_sampler(omega2, t_a)
 
     def sample(ts):
         gen = np.zeros((len(ts), 2 * d, 2 * d))
         gen[:, :d, d:] = np.eye(d)
-        gen[:, d:, :d] = [-w2(t) for t in ts]
+        gen[:, d:, :d] = -w2(ts)
         return gen, None
 
     b_tb = linear_rk4(sample, np.vstack((np.zeros((d, d)), np.eye(d))),
@@ -124,10 +130,10 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    w2, d = _omega2_callable(omega2, t_a)
+    w2, d = _omega2_sampler(omega2, t_a)
     q = quad_points
     nodes, qmat, wfull = _collocation(t_a, t_b, q)
-    w_nodes = np.array([w2(t) for t in nodes])        # (q, D, D)
+    w_nodes = w2(nodes)                               # (q, D, D)
     eye = np.eye(d)
 
     term_nodes = (nodes - t_a)[:, None, None] * eye   # m = 0 term at nodes
@@ -187,9 +193,9 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
     """
     if n_slices < 1:
         raise ValueError("n_slices must be positive")
-    w2, d = _omega2_callable(omega2, t_a)
+    w2, d = _omega2_sampler(omega2, t_a)
     dt = (t_b - t_a) / n_slices
-    w = np.array([w2(t_a + (j + 0.5) * dt) for j in range(n_slices)])
+    w = w2(t_a + (np.arange(n_slices) + 0.5) * dt)
 
     u = np.vstack((np.zeros((d, d)), np.eye(d)))   # raw (B, Bdot) at t_a
     for e in _slice_propagators(w, dt):

@@ -10,9 +10,9 @@ dv_b/dv_a = Pvv, and using p = g v + a:
     aa    =  d2A/dx_a dx_a = -Gamma_a - da_a + g_a Pxv^-1 Pxx
     bb    =  d2A/dx_b dx_b =  Gamma_b + da_b + g_b Pvv Pxv^-1
 
-with Gamma[i, j] = (d_j g_ik) v_k at the respective endpoint.  A finite
-difference fallback over re-solved boundary problems serves as an
-independent oracle.
+with Gamma[i, j] = (d_j g_ik) v_k at the respective endpoint.  The
+tests check these blocks against central differences of the action over
+re-solved boundary problems.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClassicalPath, require_nonsingular, solve_bvp, state_at
+from .dynamics import ClassicalPath, require_nonsingular, state_at
 from .errors import (ConjugatePoint, NonConstantMetric,
                      SingularShootingJacobian, VectorPotentialPresent)
-from .models import (LagrangianModel, central_hessian, metric_inverse,
-                     metric_is_constant)
+from .models import (LagrangianModel, along, metric_inverse,
+                     metric_is_constant, stacked)
 
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
 
 METHOD_JACOBI = "JacobiField"
-METHOD_FD = "FiniteDifference"
 
 
 @dataclass(frozen=True)
@@ -112,52 +111,27 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
     return ActionHessian(mixed=mixed, aa=aa, bb=bb, method=METHOD_JACOBI)
 
 
-def action_hessian_fd(path: ClassicalPath) -> ActionHessian:
-    """Independent oracle: ``central_hessian`` of A(z) over re-solved BVPs.
-
-    The stencil runs once over the stacked endpoints z = (x_a, x_b) of the
-    solved ``path``, so the three blocks are slices of one (2D, 2D) Hessian
-    and the oracle solves 8 D^2 + 1 boundary problems to 1e-12 on the
-    path's grid.  The step is 1e-4 * max(1, |x_b - x_a|).  Every stencil
-    solve is seeded with the stored flow's first-order prediction
-    ``flow_seed``, so all of them land on the same branch of the classical
-    flow, and on an ``affine_flow`` model each accepts its first run.  The
-    seed only picks Newton's starting point: the blocks come from the
-    re-solved actions alone.
-    """
-    model, t_a, t_b, n_steps = path.model, path.t_a, path.t_b, path.n_steps
-    h = 1e-4 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
-    d = model.dim
-
-    def action(z):
-        return solve_bvp(model, z[:d], z[d:], t_a, t_b,
-                         v0_guess=flow_seed(path, z[:d], z[d:]),
-                         n_steps=n_steps, tol=1e-12).action
-
-    z = np.concatenate((path.x_a, path.x_b))
-    hess = central_hessian(action, z, h, action(z))
-    return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
-                         method=METHOD_FD)
-
-
 def frequency_matrix_along_path(path: ClassicalPath):
     """Jacobi frequency matrix t -> Omega^2(t) = g^-1 d2V/dx2 along the path.
 
     Only meaningful for vanishing vector potential; raises
-    VectorPotentialPresent if |a| exceeds 1e-14 anywhere on the grid.
+    VectorPotentialPresent if |a| exceeds 1e-14 at any of about 64 grid
+    samples, read in one ``models.along`` call.
     Omega^2 and the constant sqrt(det M) of ``gy_fluctuation_factor``
     both assume a constant metric, so a model for which
     ``metric_is_constant`` fails at the start point raises
     NonConstantMetric; g^-1 is computed once, there.  On an
     ``affine_flow`` model Hess V does not depend on x, so the callable
     reads it at x = 0, as ``dynamics.linear_rk4``'s sampler does; on any
-    other model it interpolates the path with ``state_at``.
+    other model it interpolates the path with ``state_at``.  The callable
+    is marked ``models.stacked``: one time gives (D, D), a 1-D array of
+    times (len(t), D, D), from one ``along`` read of potential_hess.
     """
     model = path.model
-    worst = max(
-        float(np.max(np.abs(model.vector_potential(path.positions[k], path.times[k]))))
-        for k in range(0, len(path.times), max(1, len(path.times) // 64))
-    )
+    step = max(1, len(path.times) // 64)
+    a = along(model.vector_potential, path.positions[::step],
+              path.times[::step])
+    worst = float(np.max(np.abs(a)))
     if worst > VECTOR_POTENTIAL_ZERO_TOL:
         raise VectorPotentialPresent(
             f"|a| reaches {worst:.3e} along the path; the scalar Jacobi "
@@ -168,10 +142,16 @@ def frequency_matrix_along_path(path: ClassicalPath):
             f"{model.label!r} is not flagged kinetic_gradients_constant or "
             "its metric_grad does not vanish")
     gi = metric_inverse(model, path.x_a, path.t_a)
-    origin = np.zeros(model.dim)
+    d = model.dim
 
+    @stacked
     def omega2(t):
-        x = origin if model.affine_flow else state_at(path, t)[0]
-        return gi @ np.asarray(model.potential_hess(x, t), float)
+        ts = np.atleast_1d(t)
+        if model.affine_flow:
+            x = np.zeros((len(ts), d))
+        else:
+            x = state_at(path, ts)[0]
+        w = gi @ along(model.potential_hess, x, ts).reshape(len(ts), d, d)
+        return w if np.ndim(t) else w[0]
 
     return omega2

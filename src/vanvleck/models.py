@@ -12,6 +12,16 @@ Hamiltonian obtained by Legendre transform is
 
 A model is a bundle of evaluation callbacks plus first derivatives; the
 integrators never differentiate symbolically, they only call these hooks.
+
+Every callback takes one point: ``x`` of shape (D,) and a scalar ``t``.
+A callback marked with ``stacked`` also takes an ndarray ``x`` of shape
+(..., D) and ``t`` a scalar or an array of the same leading shape, and
+returns one value per point, stacked on those leading axes.  ``along``
+evaluates a callback on a whole grid: one call of a marked callback, a
+loop over the points for any other.  The marker sits on each callable,
+not on the model, so a callback swapped in by ``dataclasses.replace`` or
+wrapped by a caller is called pointwise unless it is marked itself.  The
+builtins' closed forms are marked; callables a user passes in are not.
 """
 
 from __future__ import annotations
@@ -166,6 +176,43 @@ def velocity_from_momentum(model: LagrangianModel, x, p, t) -> np.ndarray:
     return metric_solve(model, x, t, p - model.vector_potential(x, t))
 
 
+def stacked(fn: Callable) -> Callable:
+    """Mark ``fn`` as a stacked callback (see the module docstring)."""
+    fn.stacked = True
+    return fn
+
+
+def is_stacked(fn) -> bool:
+    """True when ``fn`` carries the ``stacked`` marker."""
+    return getattr(fn, "stacked", False) is True
+
+
+def along(fn: Callable, *arrays) -> np.ndarray:
+    """``fn`` at each row of ``arrays``, stacked as a float array.
+
+    The arrays share their leading axis, one row per point (the positions
+    (N, D) and times (N,) of a grid, or only the times for a callable of
+    t).  A marked callback is called once on the whole arrays; any other
+    is called once per row, the one pointwise fallback.
+    """
+    if is_stacked(fn):
+        return np.asarray(fn(*arrays), dtype=float)
+    return np.array([fn(*row) for row in zip(*arrays)], dtype=float)
+
+
+def _constant(value) -> Callable:
+    """A stacked callback equal to ``value`` at every point.  One point
+    gets ``value`` itself, stacked points a read-only broadcast of it."""
+    shape = np.shape(value)
+
+    def f(x, t):
+        if type(x) is np.ndarray and x.ndim > 1:
+            return np.broadcast_to(value, x.shape[:-1] + shape)
+        return value
+
+    return stacked(f)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference adapters for value-only callables
 
@@ -261,21 +308,20 @@ def _constant_metric_model(m: np.ndarray, label: str, hbar: float,
 
     Every builtin is built here, so the flag is set in one place.
     ``potential`` is the callback triple (V, grad V, Hess V) and
-    ``vector_potential`` the pair (a, da); either defaults to zero.
+    ``vector_potential`` the pair (a, da); either defaults to zero.  The
+    metric, its gradient and the zero defaults are stacked.
     """
     d = m.shape[0]
-    zero_vec = np.zeros(d)
-    zero_mat = np.zeros((d, d))
-    zero3 = np.zeros((d, d, d))
+    zero_vec = _constant(np.zeros(d))
+    zero_mat = _constant(np.zeros((d, d)))
     if potential is None:
-        potential = (lambda x, t: 0.0, lambda x, t: zero_vec,
-                     lambda x, t: zero_mat)
+        potential = (_constant(0.0), zero_vec, zero_mat)
     if vector_potential is None:
-        vector_potential = (lambda x, t: zero_vec, lambda x, t: zero_mat)
+        vector_potential = (zero_vec, zero_mat)
     return LagrangianModel(
         dim=d,
-        metric=lambda x, t: m,
-        metric_grad=lambda x, t: zero3,
+        metric=_constant(m),
+        metric_grad=_constant(np.zeros((d, d, d))),
         vector_potential=vector_potential[0],
         vector_potential_grad=vector_potential[1],
         potential=potential[0],
@@ -319,10 +365,14 @@ def harmonic_oscillator(
         raise ValueError("give exactly one of omega2 and stiffness")
     if omega2 is not None:
         if callable(omega2):
-            k_of_t = lambda t: float(omega2(t)) * m
+            def k_of_t(t):
+                if type(t) is np.ndarray:
+                    return np.asarray(omega2(t), dtype=float)[..., None, None] * m
+                return float(omega2(t)) * m
         else:
             k_const = float(omega2) * m
             k_of_t = lambda t: k_const
+        frequency = omega2
     else:
         if callable(stiffness):
             k_of_t = lambda t: np.asarray(stiffness(t), dtype=float)
@@ -331,11 +381,41 @@ def harmonic_oscillator(
             if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
                 raise ValueError("stiffness must be a symmetric (D, D) matrix")
             k_of_t = lambda t: k_arr
+        frequency = stiffness
+    marked = not callable(frequency) or is_stacked(frequency)
     return _constant_metric_model(
         m, f"harmonic_oscillator(D={d})", hbar,
-        potential=(lambda x, t: float(0.5 * x @ k_of_t(t) @ x),
-                   lambda x, t: k_of_t(t) @ x,
-                   lambda x, t: k_of_t(t)))
+        potential=_quadratic_potential(k_of_t, d, marked))
+
+
+def _quadratic_potential(k_of_t, d: int, marked: bool):
+    """(V, grad V, Hess V) of V = 1/2 x.K(t).x, stacked when ``marked``.
+
+    ``k_of_t(t)`` is K, (D, D) at a scalar t and (..., D, D) at stacked t;
+    a K(t) from an unmarked user callable is only ever asked for at one
+    t, so its callbacks are left unmarked.  One point takes the pointwise
+    products; stacked points the same products batched, to roundoff.
+    """
+
+    def potential(x, t):
+        k = k_of_t(t)
+        if type(x) is np.ndarray and x.ndim > 1:
+            return ((0.5 * x)[..., None, :] @ k @ x[..., None])[..., 0, 0]
+        return float(0.5 * x @ k @ x)
+
+    def grad(x, t):
+        k = k_of_t(t)
+        if type(x) is np.ndarray and x.ndim > 1:
+            return (k @ x[..., None])[..., 0]
+        return k @ x
+
+    def hess(x, t):
+        if type(x) is np.ndarray and x.ndim > 1:
+            return np.broadcast_to(k_of_t(t), x.shape[:-1] + (d, d))
+        return k_of_t(t)
+
+    triple = (potential, grad, hess)
+    return tuple(stacked(f) for f in triple) if marked else triple
 
 
 def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
@@ -353,13 +433,15 @@ def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
     da = np.zeros((dim, dim))
     da[1, 0] = -coupling
 
+    @stacked
     def a(x, t):
-        out = np.zeros(dim)
-        out[1] = -coupling * x[0]
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        out[..., 1] = -coupling * x[..., 0]
         return out
 
     return _constant_metric_model(m, f"magnetic_field(D={dim})", hbar,
-                                  vector_potential=(a, lambda x, t: da))
+                                  vector_potential=(a, _constant(da)))
 
 
 def one_dim_potential(
@@ -373,20 +455,37 @@ def one_dim_potential(
     """One dimensional particle in an arbitrary potential V(x, t).
 
     The callables take a scalar position.  Missing derivatives fall back to
-    central differences.
+    central differences.  A callable marked ``stacked`` (the compiled
+    expressions of ``expressions.compile_potential`` are) takes an array
+    of positions too, and its model callback is then stacked.
     """
-    v_arr = lambda x, t: float(potential(float(x[0]), t))
+    v_arr = _first_coordinate(potential, 0)
     if potential_grad is not None:
-        grad = lambda x, t: np.array([potential_grad(float(x[0]), t)], dtype=float)
+        grad = _first_coordinate(potential_grad, 1)
     else:
         grad = fd_jacobian(v_arr, (1,))
     if potential_hess is not None:
-        hess = lambda x, t: np.array([[potential_hess(float(x[0]), t)]], dtype=float)
+        hess = _first_coordinate(potential_hess, 2)
     else:
         hess = fd_hessian(v_arr)
     return _constant_metric_model(mass_matrix(float(mass)), label, hbar,
                                   potential=(v_arr, grad, hess),
                                   affine_flow=False)
+
+
+def _first_coordinate(f: Callable, ndim: int) -> Callable:
+    """The model callback (x, t) -> f(x[0], t) for ``f`` of a scalar
+    position: a float (``ndim`` 0) or a float array of ``ndim`` axes of
+    length 1 at one point.  Stacked when ``f`` is."""
+
+    def callback(x, t):
+        if type(x) is np.ndarray and x.ndim > 1:
+            return np.asarray(f(x[..., 0], t), dtype=float).reshape(
+                x.shape[:-1] + (1,) * ndim)
+        y = f(float(x[0]), t)
+        return np.array(y, dtype=float, ndmin=ndim) if ndim else float(y)
+
+    return stacked(callback) if is_stacked(f) else callback
 
 
 BUILTIN_TAGS = {

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from vanvleck import (LagrangianModel, free_particle, harmonic_oscillator,
-                      magnetic_field, one_dim_potential)
+from vanvleck import (ActionHessian, LagrangianModel, free_particle,
+                      harmonic_oscillator, magnetic_field, one_dim_potential,
+                      solve_bvp)
 from vanvleck.cli import build_model
+from vanvleck.hessian import flow_seed
+from vanvleck.models import central_hessian
 
 
 def make_quartic(mass: float = 1.0, hbar: float = 1.0):
@@ -82,6 +85,34 @@ def make_curled_metric(mass: float = 1.0, b: float = 0.7, c: float = 0.3):
         potential_hess=lambda x, t: zero22,
         label="curled_metric",
     )
+
+
+def action_hessian_fd(path) -> ActionHessian:
+    """Independent oracle: ``central_hessian`` of A(z) over re-solved BVPs.
+
+    The stencil runs once over the stacked endpoints z = (x_a, x_b) of the
+    solved ``path``, so the three blocks are slices of one (2D, 2D) Hessian
+    and the oracle solves 8 D^2 + 1 boundary problems to 1e-12 on the
+    path's grid.  The step is 1e-4 * max(1, |x_b - x_a|).  Every stencil
+    solve is seeded with the stored flow's first-order prediction
+    ``flow_seed``, so all of them land on the same branch of the classical
+    flow, and on an ``affine_flow`` model each accepts its first run.  The
+    seed only picks Newton's starting point: the blocks come from the
+    re-solved actions alone.
+    """
+    model, t_a, t_b, n_steps = path.model, path.t_a, path.t_b, path.n_steps
+    h = 1e-4 * max(1.0, float(np.linalg.norm(path.x_b - path.x_a)))
+    d = model.dim
+
+    def action(z):
+        return solve_bvp(model, z[:d], z[d:], t_a, t_b,
+                         v0_guess=flow_seed(path, z[:d], z[d:]),
+                         n_steps=n_steps, tol=1e-12).action
+
+    z = np.concatenate((path.x_a, path.x_b))
+    hess = central_hessian(action, z, h, action(z))
+    return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
+                         method="FiniteDifference")
 
 
 def _expression_model(text):

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,37 @@ def test_expression_arithmetic_failure_is_a_numerical_error(tmp_path, model,
     out = tmp_path / "report.json"
     assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
     assert json.loads(out.read_text())["error"]["name"] == error
+
+
+@pytest.mark.parametrize("command", ["factor", "verify"])
+def test_frequency_pole_on_a_grid_time_is_a_zero_division(tmp_path, command):
+    # 1/(t-0.5) has its pole at the grid time 0.5, a numpy float: the
+    # expression still divides Python floats and raises, where it used to
+    # warn and return inf, which ended in NoConvergence
+    cfg = {"model": {"tag": "harmonic_oscillator",
+                     "params": {"omega2": "1/(t-0.5)"}},
+           "x_a": [0.0], "x_b": [1.0], "t_b": 1.0}
+    cfg.update({"methods": ["vvpm", "gelfand-yaglom"]} if command == "factor"
+               else {"t_mid": 0.3})
+    path, out = _write(tmp_path, "pole.json", cfg), tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "ZeroDivisionError"
+
+
+@pytest.mark.parametrize("command", ["factor", "verify"])
+def test_non_finite_report_value_is_a_typed_error(tmp_path, command):
+    # the action of this path overflows; the report is written inside the
+    # error guard, so this is exit 2 with an error report, not a traceback
+    cfg = _free_config(x_b=[1e308])
+    if command == "verify":
+        cfg["t_mid"] = 0.5
+    path, out = _write(tmp_path, "big.json", cfg), tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "NonFiniteResult"
 
 
 def test_constant_string_frequency_is_a_number(tmp_path):

@@ -14,17 +14,19 @@ from vanvleck import (
     SingularShootingJacobian,
     compile_potential,
     free_particle,
+    frequency_matrix_along_path,
     harmonic_oscillator,
     integrate_ivp,
     magnetic_field,
     one_dim_potential,
+    solve_B_direct,
     solve_bvp,
     state_at,
 )
 from vanvleck import dynamics
-from vanvleck.cli import MAX_N_STEPS
+from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
-from vanvleck.models import evaluate_hamiltonian, legendre_momentum
+from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
 from conftest import (AFFINE_CASES, AFFINE_IDS, make_curled_metric,
                       make_polar_free_particle, make_quartic)
@@ -569,3 +571,63 @@ def test_affine_seed_within_tolerance_is_accepted_as_it_stands(monkeypatch):
                      np.eye(2 * model.dim))
     np.testing.assert_array_equal(again.positions, ys[:, :model.dim, 0])
     np.testing.assert_array_equal(again.flow, ys[-1, :, 1:])
+
+
+def _loop_action(model, traj):
+    """Reference Simpson action: three callbacks at each grid sample."""
+    lag = [0.5 * v @ model.metric(x, t) @ v + v @ model.vector_potential(x, t)
+           - model.potential(x, t)
+           for x, v, t in zip(traj.positions, traj.velocities, traj.times)]
+    h = (traj.times[-1] - traj.times[0]) / (len(traj.times) - 1)
+    return dynamics.simpson(lag, h), dynamics.simpson(np.abs(lag), h)
+
+
+@pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES + [
+    (make_quartic(), [0.0], [1.0], 0.8),
+    (make_polar_free_particle(), [1.0, 0.2], [1.2, 0.9], 1.1),
+    (make_curled_metric(), [0.2, -0.1], [0.9, 0.4], 0.7),
+], ids=AFFINE_IDS + ["quartic", "polar", "curled-metric"])
+def test_simpson_action_matches_the_per_sample_loop(model, x_a, x_b, t_b):
+    path = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=200)
+    traj = Trajectory(path.times, path.positions, path.velocities)
+    reference, scale = _loop_action(model, traj)
+    assert abs(simpson_action(model, traj) - reference) <= 1e-14 * scale
+
+
+def test_grid_consumers_make_one_call_per_block(monkeypatch):
+    # a stacked model: the sampler reads the potential once per block of
+    # STEP_MAP_BLOCK steps, the action each callback once, and the
+    # Gelfand-Yaglom frequency potential_hess once per block
+    model = build_model({"tag": "harmonic_oscillator", "params": {
+        "omega2": "(1 + 0.2*sin(t))^2"}}, 1.0)[0]
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def callback(x, t):
+            calls[name, "stacked" if np.ndim(t) else "point"] += 1
+            return fn(x, t)
+        return stacked(callback)
+
+    model = dataclasses.replace(model, **{
+        name: counted(name, getattr(model, name)) for name in (
+            "metric", "metric_grad", "vector_potential",
+            "vector_potential_grad", "potential", "potential_grad",
+            "potential_hess")})
+    n = 1000
+    blocks = -(-n // dynamics.STEP_MAP_BLOCK)
+    path = solve_bvp(model, [0.0], [1.0], 0.0, 1.2, n_steps=n)
+    assert calls["potential_hess", "stacked"] == blocks
+    assert calls["potential_grad", "stacked"] == blocks
+    calls.clear()
+    path.action
+    assert {key: count for key, count in calls.items()
+            if key[1] == "stacked"} == {
+        ("vector_potential", "stacked"): 1, ("potential", "stacked"): 1}
+    assert sum(calls.values()) <= 4   # and metric, metric_grad at t_a
+    calls.clear()
+    solve_B_direct(frequency_matrix_along_path(path), 0.0, 1.2, n_steps=n)
+    # one more for the probe that reads D; the vector-potential scan is one
+    assert calls["potential_hess", "stacked"] == blocks + 1
+    assert calls["vector_potential", "stacked"] == 1
+    assert not any(kind == "point" for name, kind in calls
+                   if name.startswith(("potential", "vector_potential")))

@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanvleck import ConfigError, compile_potential, parse_expression
 from vanvleck.expressions import _Bin, _Call, _Neg, _Num, _Var, compile_node
+from vanvleck.models import is_stacked
 
 X, T = _Var("x"), _Var("t")
 N = _Num
@@ -349,3 +351,70 @@ def test_degree_d_has_vanishing_differences_of_order_d_plus_1(tree, x, t, u):
     difference = sum((-1) ** (order - k) * math.comb(order, k) * v
                      for k, v in enumerate(values))
     assert abs(difference) <= 1e-12 * (1.0 + scale), (degree, difference)
+
+
+# ---------------------------------------------------------------------------
+# the stacked binding
+
+
+@pytest.mark.parametrize("text, x, t, error", [
+    ("x^0.5", -1.0, 0.0, ValueError),
+    ("(-1)^0.5 + t", 0.0, 0.0, ValueError),
+    ("x^400", 10.0, 0.0, OverflowError),
+    ("1/(t-0.5)", 0.0, 0.5, ZeroDivisionError),
+])
+def test_point_and_array_raise_the_same_error(text, x, t, error):
+    f = compile_node(parse_expression(text))
+    assert is_stacked(f)
+    # grid times are numpy floats: a point is still evaluated on Python
+    # floats, so 1/(t-0.5) raises instead of warning and returning inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            f(np.float64(x), np.float64(t))
+        xs = np.array([0.5, 0.25, x, 0.75])
+        ts = np.array([0.0, 0.1, t, 0.2])
+        with pytest.raises(error):
+            f(xs, ts)
+        with pytest.raises(error):
+            f(x, ts)
+        with pytest.raises(error):
+            f(xs, t)
+
+
+def test_steps_only_numpy_flags_give_the_pointwise_values():
+    # exp underflows and 1e200 * x overflows to inf: Python returns both
+    # quietly, numpy's raise mode flags them, and the stacked call falls
+    # back to the point values
+    for text in ("exp(x)", "1e200 * 1e200 * x", "1/(1e200 * 1e200 * x)"):
+        f = compile_node(parse_expression(text))
+        xs = np.array([-800.0, 0.5, 2.0])
+        np.testing.assert_array_equal(f(xs, 0.0), [f(x, 0.0) for x in xs])
+
+
+def _pointwise(f, xs, ts):
+    """The point values of f, or the error of the first point that raises."""
+    try:
+        return np.array([f(x, t) for x, t in zip(xs, ts)], dtype=float), None
+    except (ArithmeticError, ValueError) as exc:
+        return None, type(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tree=_TREES, xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+       t=st.floats(-2.0, 2.0))
+def test_stacked_call_equals_the_pointwise_loop(tree, xs, t):
+    f = compile_node(tree)
+    xs = np.array(xs)
+    ts = t + 0.25 * np.arange(len(xs))
+    values, error = _pointwise(f, xs.tolist(), ts.tolist())
+    if error is not None:
+        with pytest.raises(error):
+            f(xs, ts)
+        return
+    stacked_values = f(xs, ts)
+    assert stacked_values.shape == xs.shape
+    finite = np.isfinite(values)
+    np.testing.assert_array_equal(stacked_values[~finite], values[~finite])
+    np.testing.assert_array_max_ulp(stacked_values[finite], values[finite],
+                                    maxulp=4)

@@ -5,7 +5,6 @@ import pytest
 
 from vanvleck import (
     CausticRegion,
-    action_hessian_fd,
     NotQuadraticModel,
     energy_hessian_factor,
     free_particle,
@@ -23,7 +22,7 @@ from vanvleck.fluctuation import fresnel_prefactor
 from vanvleck.hessian import ActionHessian, flow_seed
 from vanvleck.models import central_hessian
 
-from conftest import AFFINE_CASES, AFFINE_IDS
+from conftest import AFFINE_CASES, AFFINE_IDS, action_hessian_fd
 
 
 def _plain_hessian(mixed):

@@ -19,7 +19,7 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck.dynamics import rk4
-from vanvleck.gelfand_yaglom import _collocation, _omega2_callable
+from vanvleck.gelfand_yaglom import _collocation, _omega2_sampler
 
 TIME_DEP = lambda t: (1.0 + 0.2 * np.sin(t)) ** 2  # noqa: E731
 
@@ -149,10 +149,10 @@ def test_time_ordered_matches_per_slice_expm():
 
 def _direct_reference(omega2, t_a, t_b, n_steps):
     """B_dot_a from the [B; Bdot] right-hand side stepped by ``rk4``."""
-    w2, d = _omega2_callable(omega2, t_a)
+    w2, d = _omega2_sampler(omega2, t_a)
 
     def rhs(t, y):
-        return np.vstack((y[d:], -w2(t) @ y[:d]))
+        return np.vstack((y[d:], -w2(np.array([t]))[0] @ y[:d]))
 
     b_tb = rk4(rhs, np.vstack((np.zeros((d, d)), np.eye(d))),
                np.linspace(t_a, t_b, n_steps + 1))[-1, :d]

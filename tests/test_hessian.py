@@ -8,7 +8,6 @@ from vanvleck import (
     LagrangianModel,
     NonConstantMetric,
     VectorPotentialPresent,
-    action_hessian_fd,
     action_hessian_jacobi,
     free_particle,
     free_particle_factor,
@@ -21,12 +20,14 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck import hessian as hessian_module
+from vanvleck.cli import build_model
 from vanvleck.dynamics import _affine_sampler
 from vanvleck.gelfand_yaglom import _collocation
 from vanvleck.models import metric_solve
 
-from conftest import (AFFINE_CASES, AFFINE_IDS, make_curled_metric,
-                      make_polar_free_particle)
+import conftest
+from conftest import (AFFINE_CASES, AFFINE_IDS, action_hessian_fd,
+                      make_curled_metric, make_polar_free_particle)
 
 
 def test_free_particle_mixed_block_matrix_mass():
@@ -89,7 +90,7 @@ def test_magnetic_blocks_match_closed_form_and_fd(monkeypatch):
         solves.append(args)
         return solve_bvp(*args, **kwargs)
 
-    monkeypatch.setattr(hessian_module, "solve_bvp", counted_solve)
+    monkeypatch.setattr(conftest, "solve_bvp", counted_solve)
     fd = action_hessian_fd(path)
     assert len(solves) == 8 * 2**2 + 1
     # aa and bb carry off-diagonal +-skew entries from the stacked stencil
@@ -302,3 +303,23 @@ def test_polar_free_particle_matches_point_transformation():
                 * np.sqrt(q_a[0] * q_b[0]))
     value = vvpm_factor(hess).value
     assert abs(value - expected) / abs(expected) < 1e-8
+
+
+@pytest.mark.parametrize("model", [
+    harmonic_oscillator(omega2=1.3), build_model({
+        "tag": "one_dim_potential",
+        "params": {"potential": "0.3*x^2 + 0.25*x^4*(1 + t)"}}, 1.0)[0],
+], ids=["affine", "expression-quartic"])
+def test_frequency_on_an_array_of_times_is_the_pointwise_values(model):
+    path = solve_bvp(model, [0.1], [0.9], 0.0, 0.8, n_steps=100)
+    times = np.concatenate((path.times, _collocation(0.0, 0.8, 16)[0]))
+    x, v = state_at(path, times)
+    points = [state_at(path, t) for t in times]
+    for got, want in ((x, [p[0] for p in points]), (v, [p[1] for p in points])):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=4e-16 * np.max(np.abs(want)))
+    omega2 = frequency_matrix_along_path(path)
+    values = omega2(times)
+    assert values.shape == (len(times), 1, 1)
+    np.testing.assert_array_max_ulp(
+        values, np.array([omega2(t) for t in times]), maxulp=4)

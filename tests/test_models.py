@@ -12,14 +12,17 @@ from vanvleck import (
     evaluate_hamiltonian,
     evaluate_lagrangian,
     free_particle,
+    frequency_matrix_along_path,
     harmonic_oscillator,
     legendre_momentum,
     magnetic_field,
     one_dim_potential,
+    solve_bvp,
 )
-from vanvleck.models import (central_hessian, fd_jacobian, mass_matrix,
-                             metric_is_constant, metric_solve,
-                             velocity_from_momentum)
+from vanvleck.cli import build_model
+from vanvleck.models import (along, central_hessian, fd_jacobian, is_stacked,
+                             mass_matrix, metric_is_constant, metric_solve,
+                             stacked, velocity_from_momentum)
 
 from conftest import make_polar_free_particle, make_quartic, random_spd
 
@@ -240,3 +243,115 @@ def test_central_hessian_exact_on_quadratic():
     hess = central_hessian(f, x0, 0.5, f(x0))
     np.testing.assert_array_equal(hess, a)
     assert len(calls) == 1 + 2 * 3**2
+
+
+# ---------------------------------------------------------------------------
+# stacked callbacks
+
+CALLBACKS = ("metric", "metric_grad", "vector_potential",
+             "vector_potential_grad", "potential", "potential_grad",
+             "potential_hess")
+
+
+def _config_model(tag, **params):
+    return build_model({"tag": tag, "params": params}, 1.0)[0]
+
+
+def _stacked_builtins():
+    rng = np.random.default_rng(11)
+    cases = []
+    for d in (1, 2, 3):
+        mass = random_spd(rng, d)
+        cases += [
+            (f"free-{d}", free_particle(mass=mass)),
+            (f"omega2-{d}", harmonic_oscillator(mass=mass, omega2=1.7)),
+            (f"stiffness-{d}", harmonic_oscillator(
+                mass=mass, stiffness=random_spd(rng, d))),
+            (f"omega2-expression-{d}", _config_model(
+                "harmonic_oscillator", dim=d,
+                omega2="(1 + 0.2*sin(3*t))^2 * exp(-t/4)")),
+        ]
+    cases += [(f"magnetic-{d}", magnetic_field(mass=1.3, omega=0.7, dim=d))
+              for d in (2, 3)]
+    cases += [(f"expression-{i}", _config_model("one_dim_potential",
+                                                mass=1.4, potential=text))
+              for i, text in enumerate((
+                  "0.3*x^2 + 0.5*x^4*(1 + t)",
+                  "-sin(x)^2 + cos(t*x) * exp(-x/2)",
+                  "x^2 / (1 + x^2) - 3 / (x + 5)"))]
+    return cases
+
+
+STACKED_BUILTINS = _stacked_builtins()
+
+
+def _assert_within_ulp(stacked, pointwise, maxulp=4):
+    assert stacked.shape == pointwise.shape
+    assert stacked.dtype == pointwise.dtype == float
+    np.testing.assert_array_max_ulp(stacked, pointwise, maxulp=maxulp)
+
+
+@pytest.mark.parametrize("model", [m for _, m in STACKED_BUILTINS],
+                         ids=[name for name, _ in STACKED_BUILTINS])
+def test_stacked_callbacks_equal_the_pointwise_loop(model):
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.5, 1.5, size=(9, model.dim))
+    ts = rng.uniform(-1.0, 2.0, size=9)
+    for name in CALLBACKS:
+        fn = getattr(model, name)
+        assert is_stacked(fn), name
+        pointwise = np.array([fn(x, t) for x, t in zip(xs, ts)], dtype=float)
+        _assert_within_ulp(along(fn, xs, ts), pointwise)
+        # a (3, 3) grid of points with its times, and one time for all
+        _assert_within_ulp(np.asarray(fn(xs.reshape(3, 3, -1),
+                                         ts.reshape(3, 3))),
+                           pointwise.reshape((3, 3) + pointwise.shape[1:]))
+        _assert_within_ulp(
+            np.asarray(fn(xs, ts[0]), dtype=float),
+            np.array([fn(x, ts[0]) for x in xs], dtype=float))
+
+
+def test_user_callables_stay_pointwise():
+    calls = []
+
+    def omega2(t):
+        calls.append(np.shape(t))
+        return 1.0 + 0.1 * t
+
+    models = [harmonic_oscillator(omega2=omega2),
+              harmonic_oscillator(stiffness=lambda t: [[1.0 + t]]),
+              make_quartic()]
+    for model in models:
+        for name in ("potential", "potential_grad", "potential_hess"):
+            assert not is_stacked(getattr(model, name)), name
+    # a marked omega2 gives a stacked model; the model is read on a grid
+    # by along, one call per point for the unmarked one
+    stacked_model = harmonic_oscillator(omega2=stacked(omega2))
+    assert is_stacked(stacked_model.potential_hess)
+    xs, ts = np.zeros((5, 1)), np.linspace(0.0, 1.0, 5)
+    along(models[0].potential_hess, xs, ts)
+    assert calls == [()] * 5
+    calls.clear()
+    along(stacked_model.potential_hess, xs, ts)
+    assert calls == [(5,)]
+
+
+def test_replaced_or_wrapped_callbacks_are_called_pointwise():
+    # the marker sits on each callable: swapping one in with
+    # dataclasses.replace, or wrapping a stacked one, leaves it unmarked
+    base = _config_model("one_dim_potential", potential="0.25*x^4")
+    seen = []
+
+    def wrapper(x, t):
+        seen.append(np.shape(x))
+        return base.potential_hess(x, t)
+
+    def plain(x, t):
+        seen.append(np.shape(x))
+        return base.potential(x, t)
+
+    model = dataclasses.replace(base, potential_hess=wrapper, potential=plain)
+    path = solve_bvp(model, [0.0], [1.0], 0.0, 0.5, n_steps=64)
+    path.action
+    frequency_matrix_along_path(path)(np.linspace(0.0, 0.5, 7))
+    assert seen and set(seen) == {(1,)}
