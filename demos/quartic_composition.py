@@ -1,9 +1,10 @@
 """Group property of the fluctuation factor on an anharmonic potential.
 
 Splitting a trajectory at an interior time and recombining the two halves
-must reproduce the full factor, match momenta at the junction, and satisfy
-the block identity relating the three mixed Hessians.  A deliberately
-displaced junction is the negative control.
+must reproduce the full factor, match momenta at the junction, and join
+the two halves' mixed Hessians into the through path's (its determinant
+is the "jacobian res" column).  A deliberately displaced junction is the
+negative control.
 """
 import numpy as np
 

@@ -18,8 +18,8 @@ from .analytic import (
 )
 from .composition import (
     CompositionReport,
+    compose,
     verify_composition,
-    verify_jacobian_identity,
 )
 from .dynamics import (
     ClassicalPath,
@@ -53,6 +53,7 @@ from .fluctuation import (
     fresnel_det_inv_sqrt,
     fresnel_prefactor,
     general_factor,
+    prefactor,
     short_time_factor,
     vvpm_factor,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "action_hessian_jacobi",
     "builtin_model",
     "compile_potential",
+    "compose",
     "energy_hessian_factor",
     "evaluate_hamiltonian",
     "evaluate_lagrangian",
@@ -134,6 +136,7 @@ __all__ = [
     "one_dim_dalembert_factor",
     "one_dim_potential",
     "parse_expression",
+    "prefactor",
     "short_time_factor",
     "solve_B_direct",
     "solve_B_neumann",
@@ -142,6 +145,5 @@ __all__ = [
     "state_at",
     "variational_blocks",
     "verify_composition",
-    "verify_jacobian_identity",
     "vvpm_factor",
 ]

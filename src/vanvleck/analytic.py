@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import ClassicalPath, simpson
 from .errors import FocalPoint, TurningPoint
-from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, fresnel_prefactor
+from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, prefactor
 from .models import along, mass_matrix
 
 TURNING_POINT_RATIO = 1e-8
@@ -49,16 +49,14 @@ def free_particle_factor(mass, duration: float, hbar: float = 1.0,
     m = mass_matrix(mass, dim)
     d = m.shape[0]
     evals, axes = np.linalg.eigh(m)
-    value = (np.sqrt(np.linalg.det(m)) * fresnel_prefactor(d, hbar)
-             * duration ** (-0.5 * d))
+    factor = prefactor(np.linalg.det(m) / duration**d, d, hbar,
+                       METHOD_ANALYTIC, "free-particle")
     action = None
     if x_a is not None and x_b is not None:
         dx = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
         action = 0.5 * float(dx @ m @ dx) / duration
     return AnalyticResult(
-        factor=FluctuationFactor(value=value, dim=d, hbar=hbar,
-                                 method=METHOD_ANALYTIC),
-        action=action,
+        factor=factor, action=action,
         aux={"mass_eigenvalues": evals, "mass_axes": axes,
              "energy_hessian": m / duration**2})
 
@@ -99,8 +97,8 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
             f"mode phase w*T = {worst:.6g} has reached the first focal "
             "point (pi)")
     ratio = float(np.prod([_sine_ratio(p) for p in phases]))
-    value = (np.sqrt(np.linalg.det(m)) * fresnel_prefactor(d, hbar)
-             * duration ** (-0.5 * d) * np.sqrt(ratio))
+    factor = prefactor(np.linalg.det(m) / duration**d * ratio, d, hbar,
+                       METHOD_ANALYTIC, "normal-mode")
     action = None
     if x_a is not None and x_b is not None:
         y_a = modes.T @ m @ np.asarray(x_a, dtype=float)
@@ -112,9 +110,7 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
                               - 2.0 * ya * yb)
         action = float(action)
     return AnalyticResult(
-        factor=FluctuationFactor(value=value, dim=d, hbar=hbar,
-                                 method=METHOD_ANALYTIC),
-        action=action,
+        factor=factor, action=action,
         aux={"normal_mode_frequencies": omegas, "mode_matrix": modes})
 
 
@@ -154,8 +150,8 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
             f"half-phase w*T/2 = {half:.6g} has reached the first focal "
             "point (pi)")
     multiplier = _sine_ratio(half)
-    value = (mass ** (0.5 * dim) * fresnel_prefactor(dim, hbar)
-             * duration ** (-0.5 * dim) * multiplier)
+    factor = prefactor((mass / duration) ** dim * multiplier**2, dim, hbar,
+                       METHOD_ANALYTIC, "uniform-field")
 
     # Endpoint Hessian blocks: in-plane 2x2 from the circular motion,
     # free-particle M/T on the spectator axes.
@@ -183,10 +179,7 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
         if omega != 0.0:
             aux["orbit_center"] = magnetic_orbit_center(
                 x_a, x_b, omega, duration)
-    return AnalyticResult(
-        factor=FluctuationFactor(value=value, dim=dim, hbar=hbar,
-                                 method=METHOD_ANALYTIC),
-        action=action, aux=aux)
+    return AnalyticResult(factor=factor, action=action, aux=aux)
 
 
 def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
@@ -211,10 +204,8 @@ def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
             "breaks down at a turning point")
     g = along(path.model.metric, path.positions, path.times)[:, 0, 0]
     integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)
-    bracket = v[0] * v[-1] * integral
-    value = fresnel_prefactor(1, hbar) * bracket ** (-0.5)
+    factor = prefactor(1.0 / (v[0] * v[-1] * integral), 1, hbar,
+                       METHOD_ANALYTIC, "velocity-integral")
     return AnalyticResult(
-        factor=FluctuationFactor(value=value, dim=1, hbar=hbar,
-                                 method=METHOD_ANALYTIC),
-        action=path.action,
+        factor=factor, action=path.action,
         aux={"velocity_integral": integral})

@@ -338,6 +338,13 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
             if tag == "harmonic_oscillator" and callable(params.get("omega2")):
                 raise ConfigError(
                     "method 'analytic' needs a constant frequency")
+            # the builder took exactly one of omega2 and a symmetric stiffness
+            if tag == "harmonic_oscillator" and (
+                    params["omega2"] if "omega2" in params
+                    else np.linalg.eigvalsh(params["stiffness"])[0]) <= 0.0:
+                raise ConfigError("method 'analytic' needs positive normal-"
+                                  "mode frequencies: omega2 > 0 or a positive "
+                                  "definite stiffness")
         if "gelfand-yaglom" in methods and tag == "magnetic_field":
             raise ConfigError(
                 "method 'gelfand-yaglom' needs a vanishing vector potential")
@@ -734,6 +741,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# An overflow gives inf, which a report refuses as NonFiniteResult: exit 2
+# whether or not warnings are errors.
+@np.errstate(over="ignore")
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="vanvleck",

@@ -8,10 +8,10 @@ the two halves times a Fresnel integral over the junction point:
 
 where the junction Hessian is the bb block of the left half plus the aa
 block of the right half, and the saddle point of the junction integral
-is the point the through trajectory actually passes at t_mid.  The
-routines here measure how well a model's numerics realize that, plus the
-two scalar identities that come with it: matching of left/right momenta
-at the junction and additivity of the classical actions.
+is the point the through trajectory actually passes at t_mid.  ``compose``
+is that rule; ``verify_composition`` measures how well a model's numerics
+realize it, plus the two scalar identities that come with it: matching of
+left/right momenta at the junction and additivity of the classical actions.
 """
 
 from __future__ import annotations
@@ -56,16 +56,18 @@ def _even_steps(fraction: float, n_steps: int) -> int:
     return n if n % 2 == 0 else n + 1
 
 
-def verify_jacobian_identity(hess_full: ActionHessian, hess_left: ActionHessian,
-                             hess_right: ActionHessian) -> float:
-    """det(mixed) det(bb_L + aa_R) = det(mixed_L) det(mixed_R), relatively."""
-    lhs = (np.linalg.det(hess_full.mixed)
-           * np.linalg.det(hess_left.bb + hess_right.aa))
-    rhs = np.linalg.det(hess_left.mixed) * np.linalg.det(hess_right.mixed)
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+def compose(left: ActionHessian, right: ActionHessian, f_left: complex,
+            f_right: complex, hbar: float):
+    """(mixed, F) of two adjacent segments joined at their common point.
+
+    With J = bb_L + aa_R, the Hessian of A_L + A_R in the junction point,
+    mixed = mixed_L J^-1 mixed_R and F = F_L F_R (2 pi i hbar)^(D/2)
+    det(J)^(-1/2), with the per-eigenvalue roots of ``fresnel_det_inv_sqrt``.
+    """
+    junction = left.bb + right.aa
+    value = (f_left * f_right / fresnel_prefactor(left.dim, hbar)
+             * fresnel_det_inv_sqrt(junction))
+    return left.mixed @ np.linalg.solve(junction, right.mixed), value
 
 
 def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
@@ -110,15 +112,16 @@ def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
     h_full = action_hessian_jacobi(full)
     h_left = action_hessian_jacobi(left)
     h_right = action_hessian_jacobi(right)
-    junction = h_left.bb + h_right.aa
     f_full = vvpm_factor(h_full, hbar=model.hbar)
     f_left = vvpm_factor(h_left, hbar=model.hbar)
     f_right = vvpm_factor(h_right, hbar=model.hbar)
-    rhs = (f_left.value * f_right.value
-           / fresnel_prefactor(model.dim, model.hbar)
-           * fresnel_det_inv_sqrt(junction))
-    factor_residual = abs(rhs - f_full.value) / abs(f_full.value)
-    jacobian_residual = verify_jacobian_identity(h_full, h_left, h_right)
+    mixed, joined = compose(h_left, h_right, f_left.value, f_right.value,
+                            model.hbar)
+    factor_residual = abs(joined - f_full.value) / abs(f_full.value)
+    det_full = np.linalg.det(h_full.mixed)   # positive: vvpm_factor took it
+    det_joined = np.linalg.det(mixed)
+    jacobian_residual = abs(det_joined - det_full) / max(abs(det_joined),
+                                                         det_full)
 
     thresholds = {"momentum_mismatch": momentum_tol,
                   "action_additivity_residual": tol * (1.0 + abs(full.action)),
@@ -128,7 +131,7 @@ def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
         "factor_full": f_full.as_dict(),
         "factor_left": f_left.as_dict(),
         "factor_right": f_right.as_dict(),
-        "junction_determinant": float(np.linalg.det(junction)),
+        "junction_determinant": float(np.linalg.det(h_left.bb + h_right.aa)),
         "action_full": full.action,
         "action_left": left.action,
         "action_right": right.action,

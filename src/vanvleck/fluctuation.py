@@ -5,22 +5,24 @@ All routes compute the same object
     F = (2 pi i hbar)^(-D/2) sqrt(det mixed),
     mixed = -d2A/dx_a dx_b,
 
-they only differ in how the determinant is obtained.  Branch convention
-throughout: principal complex roots, i^(-1/2) = exp(-i pi / 4), so the
-free particle carries the phase -D pi / 4 and every factor here has that
-phase exactly as long as the determinant is real and positive.  A
-determinant that is not positive raises instead of silently picking a
-branch (index counting past caustics is out of scope).
+they only differ in how the determinant is obtained; each hands it to
+``prefactor``.  Branch convention throughout: principal complex roots,
+i^(-1/2) = exp(-i pi / 4), so the free particle carries the phase
+-D pi / 4 and every factor here has that phase exactly as long as the
+determinant is real and positive.  A determinant that is not positive
+raises instead of silently picking a branch (index counting past caustics
+is out of scope).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ClassicalPath
-from .errors import CausticRegion, NotQuadraticModel, SingularMetric
+from .dynamics import ClassicalPath, require_nonsingular
+from .errors import (CausticRegion, ConjugatePoint, NotQuadraticModel,
+                     SingularMetric)
 from .hessian import ActionHessian, flow_seed, variational_blocks
 from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
                      legendre_momentum)
@@ -97,12 +99,19 @@ def fresnel_det_inv_sqrt(mat: np.ndarray) -> complex:
     return complex(np.prod(1.0 / np.sqrt(evals.astype(complex))))
 
 
-def _positive_det(mat: np.ndarray, what: str) -> float:
-    det = float(np.linalg.det(np.asarray(mat, dtype=float)))
+def prefactor(det: float, dim: int, hbar: float, method: str, what: str,
+              error: type = CausticRegion, root=np.sqrt) -> FluctuationFactor:
+    """F = (2 pi i hbar)^(-D/2) sqrt(det), the rule of every route.
+
+    Raises ``error`` when ``det`` is not positive.  The energy-Hessian
+    route passes det(g) det(d2E/dx_b dx_b) = det(mixed)^2 with a quartic
+    ``root``.
+    """
+    det = float(det)
     if det <= 0.0:
-        raise CausticRegion(f"{what} determinant is {det:.3e}, not positive; "
-                            "a caustic was crossed")
-    return det
+        raise error(f"{what} determinant is {det:.3e}, not positive")
+    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * root(det),
+                             dim=dim, hbar=hbar, method=method)
 
 
 def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
@@ -110,11 +119,8 @@ def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
 
     Raises CausticRegion when the determinant is not positive.
     """
-    d = hess.dim
-    det = _positive_det(hess.mixed, "Van Vleck")
-    return FluctuationFactor(
-        value=fresnel_prefactor(d, hbar) * np.sqrt(det),
-        dim=d, hbar=hbar, method=METHOD_VVPM)
+    return prefactor(np.linalg.det(hess.mixed), hess.dim, hbar, METHOD_VVPM,
+                     "Van Vleck")
 
 
 def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
@@ -123,10 +129,8 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     g = np.asarray(model.metric(np.asarray(x_a, float), t_a), dtype=float)
-    det = _positive_det(g / dt, "short-time metric")
-    return FluctuationFactor(
-        value=fresnel_prefactor(model.dim, model.hbar) * np.sqrt(det),
-        dim=model.dim, hbar=model.hbar, method=METHOD_SHORT_TIME)
+    return prefactor(np.linalg.det(g / dt), model.dim, model.hbar,
+                     METHOD_SHORT_TIME, "short-time metric")
 
 
 def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
@@ -148,7 +152,8 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     quadratic in the endpoints, so the stencil step is a large
     0.05 * max(1, |x_b - x_a|): no truncation error, and roundoff is
     suppressed far below tolerance.  The quartic roots are fixed by
-    continuity with the short-interval free limit.
+    continuity with the short-interval free limit.  Raises SingularMetric
+    unless det(g) > 0.
     """
     model = path.model
     if not model.affine_flow:
@@ -170,13 +175,12 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     det_g = float(np.linalg.det(g))
     if det_g <= 0.0:
         raise SingularMetric("metric determinant must be positive")
-    det_e = _positive_det(ehess, "endpoint energy Hessian")
-    value = (fresnel_prefactor(d, model.hbar)
-             * det_g ** 0.25 * det_e ** 0.25)
-    return FluctuationFactor(
-        value=value, dim=d, hbar=model.hbar, method=METHOD_ENERGY_HESSIAN,
-        branch_note="principal quartic roots of positive determinants, "
-                    "short-interval continuity anchor")
+    factor = prefactor(det_g * np.linalg.det(ehess), d, model.hbar,
+                       METHOD_ENERGY_HESSIAN,
+                       "metric times endpoint energy Hessian",
+                       root=lambda square: square ** 0.25)
+    return replace(factor, branch_note="principal quartic roots of positive "
+                   "determinants, short-interval continuity anchor")
 
 
 def general_factor(path: ClassicalPath) -> FluctuationFactor:
@@ -185,18 +189,14 @@ def general_factor(path: ClassicalPath) -> FluctuationFactor:
     dv_a/dx_b is the inverse of the dx_b/dv_a block of the path's stored
     variational flow, the same matrix the VVPM route inverts, so this
     equals the VVPM value identically up to roundoff; kept as a separate
-    route for cross-checks.
+    route for cross-checks.  Raises ConjugatePoint when dx_b/dv_a is
+    singular, as ``action_hessian_jacobi`` does.
     """
     model = path.model
-    d = model.dim
     _, pxv, _, _ = variational_blocks(path)
+    require_nonsingular(pxv, path.duration, ConjugatePoint,
+                        "boundary Jacobi matrix dx_b/dv_a")
     g_a = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
-    det_pxv = float(np.linalg.det(pxv))
-    if det_pxv == 0.0:
-        raise CausticRegion("dx_b/dv_a is singular")
-    squared = float(np.linalg.det(g_a)) / det_pxv
-    if squared <= 0.0:
-        raise CausticRegion("initial velocity gradient determinant not positive")
-    value = fresnel_prefactor(d, model.hbar) * np.sqrt(squared)
-    return FluctuationFactor(value=value, dim=d, hbar=model.hbar,
-                             method=METHOD_GENERAL)
+    return prefactor(np.linalg.det(g_a) / np.linalg.det(pxv),
+                     model.dim, model.hbar, METHOD_GENERAL,
+                     "initial velocity gradient")

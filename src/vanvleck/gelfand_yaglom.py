@@ -33,7 +33,7 @@ from numpy.polynomial import legendre as npleg
 
 from .dynamics import DEFAULT_N_STEPS, linear_rk4, require_nonsingular
 from .errors import FocalPoint, SeriesDivergence
-from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, fresnel_prefactor
+from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, prefactor
 from .models import along, mass_matrix
 
 
@@ -210,19 +210,11 @@ def gy_fluctuation_factor(sol: JacobiBoundarySolution, mass_metric,
                           hbar: float = 1.0) -> FluctuationFactor:
     """F = sqrt(det M) / (2 pi i hbar T)^(D/2) * sqrt(det(T Bdot(t_a))).
 
-    Requires det(T Bdot(t_a)) > 0, i.e. the interval lies before the first
-    focal time; raises FocalPoint otherwise, and NonSPDMass unless the mass
-    passes ``models.mass_matrix``.
+    T^D cancels, so this is ``prefactor`` of det(M Bdot(t_a)).  Raises
+    FocalPoint unless that is positive (a focal time lies inside the
+    interval), and NonSPDMass unless the mass passes ``models.mass_matrix``.
     """
     d = sol.dim
-    duration = sol.t_b - sol.t_a
-    det_m = float(np.linalg.det(mass_matrix(mass_metric, d)))
-    det_tb = float(np.linalg.det(duration * sol.B_dot_a))
-    if det_tb <= 0.0:
-        raise FocalPoint(
-            f"det(T Bdot(t_a)) = {det_tb:.3e} is not positive; a focal "
-            "time lies inside the interval")
-    value = (np.sqrt(det_m) * fresnel_prefactor(d, hbar)
-             * duration ** (-0.5 * d) * np.sqrt(det_tb))
-    return FluctuationFactor(value=value, dim=d, hbar=hbar,
-                             method=METHOD_GELFAND_YAGLOM)
+    return prefactor(np.linalg.det(mass_matrix(mass_metric, d) @ sol.B_dot_a),
+                     d, hbar, METHOD_GELFAND_YAGLOM, "M Bdot(t_a)",
+                     error=FocalPoint)

@@ -259,13 +259,14 @@ def test_frequency_pole_on_a_grid_time_is_a_zero_division(tmp_path, command):
 @pytest.mark.parametrize("command", ["factor", "verify"])
 def test_non_finite_report_value_is_a_typed_error(tmp_path, command):
     # the action of this path overflows; the report is written inside the
-    # error guard, so this is exit 2 with an error report, not a traceback
+    # error guard, so this is exit 2 with an error report, not a traceback,
+    # also when warnings are errors: the overflow itself does not warn
     cfg = _free_config(x_b=[1e308])
     if command == "verify":
         cfg["t_mid"] = 0.5
     path, out = _write(tmp_path, "big.json", cfg), tmp_path / "report.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow
+        warnings.simplefilter("error")
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert json.loads(out.read_text())["error"]["name"] == "NonFiniteResult"
 
@@ -608,6 +609,39 @@ def test_energy_hessian_on_a_nonlinear_model_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "energy-hessian" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"omega2": -1.0}, {"omega2": 0}, {"omega2": "1 - 2"},
+    {"stiffness": [[1.0, 0.0], [0.0, -2.0]], "dim": 2},
+], ids=["negative", "zero", "negative-expression", "indefinite-stiffness"])
+def test_analytic_without_positive_frequencies_is_config_error(
+        tmp_path, capsys, monkeypatch, params):
+    # refused by parse_scenario: no path is solved first
+    monkeypatch.setattr(cli, "solve_bvp", lambda *args, **kwargs: pytest.fail(
+        "a path was solved before the config was checked"))
+    dim = params.get("dim", 1)
+    cfg = _write(tmp_path, "w2.json", _free_config(
+        model={"tag": "harmonic_oscillator", "params": params},
+        x_a=[0.0] * dim, x_b=[1.0] * dim, methods=["vvpm", "analytic"]))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'analytic'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["vvpm", "general"])
+def test_conjugate_endpoints_are_refused_by_every_flow_route(tmp_path,
+                                                             method):
+    # omega T = pi with x_a = x_b: dx_b/dv_a vanishes.  general used to
+    # take the affine solve's one run and report |F| = 2.5e5
+    cfg = _write(tmp_path, "conj.json", {
+        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1}},
+        "x_a": [0.0], "x_b": [0.0], "t_b": np.pi, "methods": [method]})
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "ConjugatePoint"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from vanvleck import (
+    ActionHessian,
     MidpointOffPath,
     action_hessian_jacobi,
+    compose,
     free_particle,
-    fresnel_det_inv_sqrt,
     fresnel_prefactor,
     harmonic_oscillator,
     magnetic_field,
     solve_bvp,
     state_at,
     verify_composition,
-    verify_jacobian_identity,
+    vvpm_factor,
 )
 
 from conftest import make_quartic
@@ -28,6 +29,19 @@ def _split(model, x_a, x_b, t_a, t_b, t_mid, n_steps=1000):
     right = solve_bvp(model, x_mid, x_b, t_mid, t_b,
                       v0_guess=v_mid, n_steps=n_steps)
     return full, left, right
+
+
+def _compose_residuals(full, left, right):
+    """Relative distance of the joined mixed block and factor from the
+    through path's Jacobi block and VVPM factor."""
+    hbar = full.model.hbar
+    h_full, h_left, h_right = (action_hessian_jacobi(p)
+                               for p in (full, left, right))
+    mixed, value = compose(h_left, h_right, vvpm_factor(h_left, hbar).value,
+                           vvpm_factor(h_right, hbar).value, hbar)
+    through = vvpm_factor(h_full, hbar).value
+    return (np.linalg.norm(mixed - h_full.mixed) / np.linalg.norm(h_full.mixed),
+            abs(value - through) / abs(through))
 
 
 def test_free_particle_composition_exact():
@@ -94,28 +108,38 @@ def test_jacobian_identity_free_exact():
     model = free_particle(mass=1.0, dim=1)
     full, left, right = _split(model, [0.0], [1.0], 0.0, 2.0, 1.0,
                                n_steps=200)
-    res = verify_jacobian_identity(action_hessian_jacobi(full),
-                                   action_hessian_jacobi(left),
-                                   action_hessian_jacobi(right))
-    assert res < 1e-12
+    assert max(_compose_residuals(full, left, right)) < 1e-12
 
 
 def test_jacobian_identity_harmonic():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
     full, left, right = _split(model, [0.0], [1.0], 0.0, 1.0, 0.4)
-    res = verify_jacobian_identity(action_hessian_jacobi(full),
-                                   action_hessian_jacobi(left),
-                                   action_hessian_jacobi(right))
-    assert res <= 1e-9
+    assert max(_compose_residuals(full, left, right)) <= 1e-9
 
 
 def test_jacobian_identity_magnetic():
     model = magnetic_field(mass=1.0, omega=1.0, dim=2)
     full, left, right = _split(model, [0.0, 0.0], [1.0, 0.5], 0.0, 1.0, 0.5)
-    res = verify_jacobian_identity(action_hessian_jacobi(full),
-                                   action_hessian_jacobi(left),
-                                   action_hessian_jacobi(right))
-    assert res <= 1e-7
+    assert max(_compose_residuals(full, left, right)) <= 1e-7
+
+
+@pytest.mark.parametrize("model, x_a, x_b", [
+    (free_particle(mass=[[2.0, 0.3], [0.3, 1.0]]), [0.0, 0.1], [1.0, -0.4]),
+    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
+     [0.1, -0.2], [0.7, 0.4]),
+    (magnetic_field(mass=1.2, omega=1.5, dim=2), [0.0, 0.0], [1.0, 0.5]),
+    (magnetic_field(mass=0.8, omega=-0.9, dim=3), [0.0, 0.0, 0.1],
+     [1.0, 0.5, -0.2]),
+], ids=["free-2", "oscillator-2", "magnetic-2", "magnetic-3"])
+def test_compose_joins_to_the_through_path(model, x_a, x_b):
+    # the magnetic mixed blocks are not symmetric, so the order of the
+    # product mixed_L J^-1 mixed_R matters
+    full, left, right = _split(model, x_a, x_b, 0.0, 1.3, 0.45)
+    mixed = action_hessian_jacobi(full).mixed
+    assert np.allclose(mixed, mixed.T) == ("magnetic" not in model.label)
+    mixed_residual, factor_residual = _compose_residuals(full, left, right)
+    assert mixed_residual < 1e-11 and factor_residual < 1e-11
 
 
 def test_saddle_sits_on_through_trajectory(quartic):
@@ -176,25 +200,33 @@ def _mode_factor(tau, masses, omegas, hbar):
     return value
 
 
+def _mode_hessian(tau, masses, omegas):
+    mixed, diag = np.array([_mode_mixed_and_diag(tau, m, w)
+                            for m, w in zip(masses, omegas)]).T
+    return ActionHessian(mixed=np.diag(mixed), aa=np.diag(diag),
+                         bb=np.diag(diag), method="closed form")
+
+
 def acausal_identity_residual(mass, omegas, t_a, t_b, t_mid, hbar=1.0):
     """Closed-form splitting residual of decoupled quadratic modes with
     the junction time outside the interval (frequency 0 means free).
 
     With t_mid > t_b the right leg runs backward in time; under principal
     roots each backward leg carries an extra factor i per mode, and
-    ``fresnel_det_inv_sqrt``'s -i per negative junction eigenvalue must
-    cancel it for the recombination identity to close.
+    ``compose``'s -i per negative junction eigenvalue must cancel it for
+    the recombination identity to close.  The larger of the factor and
+    mixed-block residuals is returned.
     """
     masses = np.full(len(omegas), float(mass))
     legs = (t_b - t_a, t_mid - t_a, t_b - t_mid)
     f_full, f_left, f_right = (_mode_factor(tau, masses, omegas, hbar)
                                for tau in legs)
-    junction = np.diag([_mode_mixed_and_diag(legs[1], m, w)[1]
-                        + _mode_mixed_and_diag(legs[2], m, w)[1]
-                        for m, w in zip(masses, omegas)])
-    rhs = (f_left * f_right / fresnel_prefactor(len(omegas), hbar)
-           * fresnel_det_inv_sqrt(junction))
-    return abs(rhs - f_full) / abs(f_full)
+    h_full, h_left, h_right = (_mode_hessian(tau, masses, omegas)
+                               for tau in legs)
+    mixed, rhs = compose(h_left, h_right, f_left, f_right, hbar)
+    return max(abs(rhs - f_full) / abs(f_full),
+               np.linalg.norm(mixed - h_full.mixed)
+               / np.linalg.norm(h_full.mixed))
 
 
 def test_acausal_identity_free_and_harmonic():

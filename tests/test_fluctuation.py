@@ -1,24 +1,36 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vanvleck import (
     CausticRegion,
+    FocalPoint,
+    NonSPDMass,
     NotQuadraticModel,
+    SingularMetric,
+    TurningPoint,
     energy_hessian_factor,
     free_particle,
+    free_particle_factor,
     general_factor,
+    gy_fluctuation_factor,
+    harmonic_constant_factor,
     harmonic_oscillator,
+    magnetic_factor,
     magnetic_field,
+    one_dim_dalembert_factor,
     one_dim_potential,
     action_hessian_jacobi,
     short_time_factor,
+    solve_B_direct,
     solve_bvp,
     vvpm_factor,
 )
 from vanvleck import dynamics
-from vanvleck.fluctuation import fresnel_prefactor
+from vanvleck.fluctuation import METHOD_ENERGY_HESSIAN, prefactor
 from vanvleck.hessian import ActionHessian, flow_seed
 from vanvleck.models import central_hessian
 
@@ -147,8 +159,9 @@ def _resolved_energy_hessian_factor(path):
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
     det_g = np.linalg.det(model.metric(path.x_a, path.t_a))
-    return (fresnel_prefactor(model.dim, model.hbar)
-            * det_g ** 0.25 * np.linalg.det(ehess) ** 0.25)
+    return prefactor(det_g * np.linalg.det(ehess), model.dim, model.hbar,
+                     METHOD_ENERGY_HESSIAN, "energy",
+                     root=lambda square: square ** 0.25).value
 
 
 ENERGY_IDS = ["ho2-matrix-mass", "magnetic-3", "time-dependent-omega2",
@@ -245,3 +258,46 @@ def test_branch_note_present():
     assert "principal" in f.branch_note
     d = f.as_dict()
     assert set(d) >= {"re", "im", "magnitude", "phase", "method"}
+
+
+def _past_first_focal_time():
+    # omega T = 4 lies between pi and 2 pi, so det(mixed) = 1 / sin 4 < 0
+    return solve_bvp(harmonic_oscillator(omega2=1.0), [0.0], [0.3], 0.0, 4.0)
+
+
+def _indefinite_metric():
+    return replace(free_particle(dim=2), label="indefinite",
+                   metric=lambda x, t: np.diag([1.0, -1.0]))
+
+
+# route -> (call, documented error).  The energy route cannot see a
+# caustic: det(g) det(d2E/dx_b dx_b) = det(mixed)^2 is a square, so its
+# refusal is the metric's.  The closed forms and the d'Alembert reduction
+# refuse before their determinant is formed.
+REFUSALS = {
+    "vvpm": (lambda: vvpm_factor(action_hessian_jacobi(
+        _past_first_focal_time())), CausticRegion),
+    "general": (lambda: general_factor(_past_first_focal_time()),
+                CausticRegion),
+    "gelfand-yaglom": (lambda: gy_fluctuation_factor(
+        solve_B_direct(1.0, 0.0, 4.0), 1.0), FocalPoint),
+    "short-time": (lambda: short_time_factor(
+        _indefinite_metric(), [0.0, 0.0], 0.0, 1.0), CausticRegion),
+    "energy-hessian": (lambda: energy_hessian_factor(solve_bvp(
+        _indefinite_metric(), [0.0, 0.0], [1.0, 1.0], 0.0, 1.0)),
+        SingularMetric),
+    "analytic-free": (lambda: free_particle_factor(-1.0, 1.0), NonSPDMass),
+    "analytic-harmonic": (lambda: harmonic_constant_factor(1.0, 1.0, 4.0),
+                          FocalPoint),
+    "analytic-magnetic": (lambda: magnetic_factor(1.0, 1.0, 2, 7.0),
+                          FocalPoint),
+    "dalembert": (lambda: one_dim_dalembert_factor(_past_first_focal_time()),
+                  TurningPoint),
+}
+
+
+@pytest.mark.parametrize("route", sorted(REFUSALS))
+def test_each_route_refuses_a_nonpositive_determinant(route):
+    call, error = REFUSALS[route]
+    with pytest.raises(error):
+        call()
