@@ -449,15 +449,11 @@ def simpson(samples, h: float) -> float:
 def simpson_action(model: LagrangianModel, traj: Trajectory) -> float:
     """Simpson's rule over the Lagrangian samples; grid count must be even.
 
-    The callbacks are read along the whole grid by ``models.along``, and a
-    constant metric (``metric_is_constant``) once, at the first sample.
+    The callbacks are read along the whole grid by ``models.along``.
     """
     n = len(traj.times) - 1
     x, v, t = traj.positions, traj.velocities, traj.times
-    if metric_is_constant(model, x[0], t[0]):
-        g = np.asarray(model.metric(x[0], t[0]), dtype=float)
-    else:
-        g = along(model.metric, x, t)
+    g = along(model.metric, x, t)
     lag = (np.sum(((0.5 * v)[:, None, :] @ g)[:, 0] * v, axis=1)
            + np.sum(v * along(model.vector_potential, x, t), axis=1)
            - along(model.potential, x, t))

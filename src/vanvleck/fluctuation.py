@@ -16,13 +16,12 @@ is out of scope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ClassicalPath, require_nonsingular
-from .errors import (CausticRegion, ConjugatePoint, NotQuadraticModel,
-                     SingularMetric)
+from .dynamics import ClassicalPath
+from .errors import CausticRegion, NotQuadraticModel
 from .hessian import ActionHessian, flow_seed, variational_blocks
 from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
                      legendre_momentum)
@@ -47,15 +46,13 @@ class FluctuationFactor:
         The prefactor, dimension length^-D for unit mass conventions.
     method : str
         Which route produced it (VVPM, ShortTime, ...).
-    branch_note : str
-        Human-readable record of the root convention used.
+
+    Every route uses the one rule of ``prefactor``, so its report records
+    the one root convention, ``BRANCH_NOTE_PRINCIPAL``.
     """
 
     value: complex
-    dim: int
-    hbar: float
     method: str
-    branch_note: str = BRANCH_NOTE_PRINCIPAL
 
     @property
     def magnitude(self) -> float:
@@ -72,7 +69,7 @@ class FluctuationFactor:
             "magnitude": self.magnitude,
             "phase": self.phase,
             "method": self.method,
-            "branch_note": self.branch_note,
+            "branch_note": BRANCH_NOTE_PRINCIPAL,
         }
 
 
@@ -100,18 +97,16 @@ def fresnel_det_inv_sqrt(mat: np.ndarray) -> complex:
 
 
 def prefactor(det: float, dim: int, hbar: float, method: str, what: str,
-              error: type = CausticRegion, root=np.sqrt) -> FluctuationFactor:
+              error: type = CausticRegion) -> FluctuationFactor:
     """F = (2 pi i hbar)^(-D/2) sqrt(det), the rule of every route.
 
-    Raises ``error`` when ``det`` is not positive.  The energy-Hessian
-    route passes det(g) det(d2E/dx_b dx_b) = det(mixed)^2 with a quartic
-    ``root``.
+    Raises ``error`` unless ``det > 0``; NaN is refused too.
     """
     det = float(det)
-    if det <= 0.0:
+    if not det > 0.0:
         raise error(f"{what} determinant is {det:.3e}, not positive")
-    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * root(det),
-                             dim=dim, hbar=hbar, method=method)
+    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * np.sqrt(det),
+                             method=method)
 
 
 def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
@@ -134,9 +129,7 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
 
 
 def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
-    """Prefactor from the endpoint energy Hessian, ``affine_flow`` only,
-
-        F = (2 pi i hbar)^(-D/2) det(g)^(1/4) det(d2E/dx_b dx_b)^(1/4).
+    """Prefactor from the endpoint energy Hessian, ``affine_flow`` only.
 
     The formula holds only where F is the Van Vleck determinant alone,
     i.e. where the Euler-Lagrange equations are linear in (x, v), so a
@@ -151,16 +144,20 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     2 D^2 such evaluations, with f0 the path's own energy_a.  E is exactly
     quadratic in the endpoints, so the stencil step is a large
     0.05 * max(1, |x_b - x_a|): no truncation error, and roundoff is
-    suppressed far below tolerance.  The quartic roots are fixed by
-    continuity with the short-interval free limit.  Raises SingularMetric
-    unless det(g) > 0.
+    suppressed far below tolerance.
+
+    det(g) det(d2E/dx_b dx_b) = det(mixed)^2, so its root is |det mixed|;
+    the sign of det mixed = det(g) / det(dx_b/dv_a) is read off the stored
+    flow.  ``prefactor`` gets that signed determinant, so a caustic raises
+    CausticRegion, and ``variational_blocks`` raises ConjugatePoint at
+    conjugate endpoints, as on the ``vvpm`` and ``general`` routes.
     """
     model = path.model
     if not model.affine_flow:
         raise NotQuadraticModel(
             f"the energy-Hessian route needs a model flagged affine_flow "
             f"(linear Euler-Lagrange equations); {model.label!r} is not")
-    d = model.dim
+    _, pxv, _, _ = variational_blocks(path)
     x_a, t_a = path.x_a, path.t_a
     h = 0.05 * max(1.0, float(np.linalg.norm(path.x_b - x_a)))
 
@@ -170,17 +167,11 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
             model, x_a, legendre_momentum(model, x_a, v_a, t_a), t_a)
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
-
-    g = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
-    det_g = float(np.linalg.det(g))
-    if det_g <= 0.0:
-        raise SingularMetric("metric determinant must be positive")
-    factor = prefactor(det_g * np.linalg.det(ehess), d, model.hbar,
-                       METHOD_ENERGY_HESSIAN,
-                       "metric times endpoint energy Hessian",
-                       root=lambda square: square ** 0.25)
-    return replace(factor, branch_note="principal quartic roots of positive "
-                   "determinants, short-interval continuity anchor")
+    det_g = np.linalg.det(model.metric(x_a, t_a))
+    det = np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
+                      det_g * np.linalg.det(pxv))
+    return prefactor(det, model.dim, model.hbar, METHOD_ENERGY_HESSIAN,
+                     "signed metric times endpoint energy Hessian")
 
 
 def general_factor(path: ClassicalPath) -> FluctuationFactor:
@@ -189,13 +180,11 @@ def general_factor(path: ClassicalPath) -> FluctuationFactor:
     dv_a/dx_b is the inverse of the dx_b/dv_a block of the path's stored
     variational flow, the same matrix the VVPM route inverts, so this
     equals the VVPM value identically up to roundoff; kept as a separate
-    route for cross-checks.  Raises ConjugatePoint when dx_b/dv_a is
-    singular, as ``action_hessian_jacobi`` does.
+    route for cross-checks.  ``variational_blocks`` raises ConjugatePoint
+    when dx_b/dv_a is singular.
     """
     model = path.model
     _, pxv, _, _ = variational_blocks(path)
-    require_nonsingular(pxv, path.duration, ConjugatePoint,
-                        "boundary Jacobi matrix dx_b/dv_a")
     g_a = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
     return prefactor(np.linalg.det(g_a) / np.linalg.det(pxv),
                      model.dim, model.hbar, METHOD_GENERAL,

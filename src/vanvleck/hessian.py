@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ClassicalPath, require_nonsingular, state_at
-from .errors import (ConjugatePoint, NonConstantMetric,
-                     SingularShootingJacobian, VectorPotentialPresent)
+from .errors import ConjugatePoint, NonConstantMetric, VectorPotentialPresent
 from .models import (LagrangianModel, along, metric_inverse,
                      metric_is_constant, stacked)
 
@@ -52,10 +51,18 @@ class ActionHessian:
 
 
 def variational_blocks(path: ClassicalPath):
-    """Blocks (Pxx, Pxv, Pvx, Pvv) of the path's stored flow Phi(t_b)."""
+    """Blocks (Pxx, Pxv, Pvx, Pvv) of the path's stored flow Phi(t_b).
+
+    The one conjugate-point test: raises ConjugatePoint when Pxv =
+    dx_b/dv_a is singular, so every route that reads the flow refuses
+    conjugate endpoints alike.
+    """
     d = path.model.dim
     flow = path.flow
-    return flow[:d, :d], flow[:d, d:], flow[d:, :d], flow[d:, d:]
+    pxv = flow[:d, d:]
+    require_nonsingular(pxv, path.duration, ConjugatePoint,
+                        "boundary Jacobi matrix dx_b/dv_a")
+    return flow[:d, :d], pxv, flow[d:, :d], flow[d:, d:]
 
 
 def flow_seed(path: ClassicalPath, x_a: np.ndarray,
@@ -69,12 +76,10 @@ def flow_seed(path: ClassicalPath, x_a: np.ndarray,
     potential of degree at most 2 in x) the prediction is exact up to
     roundoff: a seeded solve accepts its one run as it stands, and
     ``energy_hessian_factor`` takes the prediction as the initial velocity
-    of each stencil path without solving.
-    Raises SingularShootingJacobian when Pxv is singular.
+    of each stencil path without solving.  Raises ConjugatePoint when Pxv
+    is singular (``variational_blocks``).
     """
     pxx, pxv, _, _ = variational_blocks(path)
-    require_nonsingular(pxv, path.duration, SingularShootingJacobian,
-                        "shooting Jacobian dx(t_b)/dv0")
     rhs = x_b - path.positions[-1] - pxx @ (x_a - path.positions[0])
     return path.v_a + np.linalg.solve(pxv, rhs)
 
@@ -90,12 +95,11 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
     Raises
     ------
     ConjugatePoint
-        When dx_b/dv_a is singular, i.e. the endpoints are conjugate.
+        When dx_b/dv_a is singular, i.e. the endpoints are conjugate
+        (``variational_blocks``).
     """
     model = path.model
     pxx, pxv, _, pvv = variational_blocks(path)
-    require_nonsingular(pxv, path.duration, ConjugatePoint,
-                        "boundary Jacobi matrix dx_b/dv_a")
     pxv_inv = np.linalg.inv(pxv)
 
     x_a, v_a, t_a = path.positions[0], path.velocities[0], path.t_a

@@ -33,10 +33,9 @@ import numpy as np
 
 from .errors import NonSPDMass, SingularMetric
 
-# Central-difference steps.  First derivatives use the cube root of machine
-# epsilon, second derivatives the fourth root (noise floor vs truncation).
+# Central first-difference step: the cube root of machine epsilon balances
+# the noise floor against truncation.
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
-FD_STEP_SECOND = float(np.finfo(float).eps ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def _constant(value) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference adapters for value-only callables
+# central second differences
 
 
 def central_hessian(f: Callable, x, h: float, f0: float) -> np.ndarray:
@@ -240,40 +239,6 @@ def central_hessian(f: Callable, x, h: float, f0: float) -> np.ndarray:
                 - f(x - ei + ej) + f(x - ei - ej)
             ) / (4.0 * h * h)
     return out
-
-
-def fd_hessian(f: Callable) -> Callable:
-    """Hessian of a scalar field f(x, t) by ``central_hessian``.
-
-    The step is eps^(1/4) max(1, |x|_inf), which balances the stencil's
-    truncation error against roundoff in f.
-    """
-
-    def hess(x, t):
-        x = np.asarray(x, dtype=float)
-        h = FD_STEP_SECOND * max(1.0, float(np.max(np.abs(x))))
-        return central_hessian(lambda y: f(y, t), x, h, f(x, t))
-
-    return hess
-
-
-def fd_jacobian(vf: Callable, shape) -> Callable:
-    """Central-difference x-Jacobian of a field vf(x, t).
-
-    For a scalar field, ``shape`` (D,) gives the gradient.
-    """
-
-    def jac(x, t):
-        x = np.asarray(x, dtype=float)
-        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
-        cols = []
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            cols.append((np.asarray(vf(x + e, t)) - np.asarray(vf(x - e, t))) / (2 * h))
-        return np.stack(cols, axis=-1).reshape(shape)
-
-    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +411,25 @@ def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,
 
 def one_dim_potential(
     potential: Callable,
-    potential_grad: Optional[Callable] = None,
-    potential_hess: Optional[Callable] = None,
+    potential_grad: Callable,
+    potential_hess: Callable,
     mass: float = 1.0,
     hbar: float = 1.0,
     label: str = "one_dim_potential",
 ) -> LagrangianModel:
     """One dimensional particle in an arbitrary potential V(x, t).
 
-    The callables take a scalar position.  Missing derivatives fall back to
-    central differences.  A callable marked ``stacked`` (the compiled
-    expressions of ``expressions.compile_potential`` are) takes an array
-    of positions too, and its model callback is then stacked.
+    The callables take a scalar position and return V, dV/dx and
+    d2V/dx2 (``expressions.compile_potential`` gives all three).  A
+    callable marked ``stacked`` (the compiled expressions are) takes an
+    array of positions too, and its model callback is then stacked.
     """
-    v_arr = _first_coordinate(potential, 0)
-    if potential_grad is not None:
-        grad = _first_coordinate(potential_grad, 1)
-    else:
-        grad = fd_jacobian(v_arr, (1,))
-    if potential_hess is not None:
-        hess = _first_coordinate(potential_hess, 2)
-    else:
-        hess = fd_hessian(v_arr)
-    return _constant_metric_model(mass_matrix(float(mass)), label, hbar,
-                                  potential=(v_arr, grad, hess),
-                                  affine_flow=False)
+    return _constant_metric_model(
+        mass_matrix(float(mass)), label, hbar,
+        potential=(_first_coordinate(potential, 0),
+                   _first_coordinate(potential_grad, 1),
+                   _first_coordinate(potential_hess, 2)),
+        affine_flow=False)
 
 
 def _first_coordinate(f: Callable, ndim: int) -> Callable:

@@ -631,17 +631,30 @@ def test_analytic_without_positive_frequencies_is_config_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["vvpm", "general"])
+@pytest.mark.parametrize("method", ["vvpm", "general", "energy-hessian"])
 def test_conjugate_endpoints_are_refused_by_every_flow_route(tmp_path,
                                                              method):
     # omega T = pi with x_a = x_b: dx_b/dv_a vanishes.  general used to
-    # take the affine solve's one run and report |F| = 2.5e5
+    # take the affine solve's one run and report |F| = 2.5e5, and the
+    # energy route failed in its stencil's shooting Jacobian instead
     cfg = _write(tmp_path, "conj.json", {
         "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1}},
         "x_a": [0.0], "x_b": [0.0], "t_b": np.pi, "methods": [method]})
     out = tmp_path / "report.json"
     assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
     assert json.loads(out.read_text())["error"]["name"] == "ConjugatePoint"
+
+
+def test_energy_route_refuses_past_the_first_focal_time(tmp_path):
+    # omega T = 4 lies between pi and 2 pi: det(mixed) = 1 / sin 4 < 0.
+    # The route used to square it away and report |F| = 0.4586
+    cfg = _write(tmp_path, "caustic.json", {
+        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1}},
+        "x_a": [0.0], "x_b": [0.3], "t_b": 4.0,
+        "methods": ["energy-hessian", "short-time"]})
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"]["name"] == "CausticRegion"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,6 @@ from vanvleck import (
     FocalPoint,
     NonSPDMass,
     NotQuadraticModel,
-    SingularMetric,
     TurningPoint,
     energy_hessian_factor,
     free_particle,
@@ -31,7 +30,7 @@ from vanvleck import (
 )
 from vanvleck import dynamics
 from vanvleck.fluctuation import METHOD_ENERGY_HESSIAN, prefactor
-from vanvleck.hessian import ActionHessian, flow_seed
+from vanvleck.hessian import ActionHessian, flow_seed, variational_blocks
 from vanvleck.models import central_hessian
 
 from conftest import AFFINE_CASES, AFFINE_IDS, action_hessian_fd
@@ -60,7 +59,6 @@ def test_vvpm_free_two_dim_matrix_mass():
     f = vvpm_factor(_plain_hessian(np.diag([0.5, 2.0])))
     assert abs(f.value) == pytest.approx(0.15915494309189535, abs=1e-15)
     assert np.angle(f.value) == pytest.approx(-np.pi / 2, abs=1e-15)
-    assert f.dim == 2
 
 
 def test_vvpm_caustic_region_on_nonpositive_determinant():
@@ -159,9 +157,11 @@ def _resolved_energy_hessian_factor(path):
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
     det_g = np.linalg.det(model.metric(path.x_a, path.t_a))
-    return prefactor(det_g * np.linalg.det(ehess), model.dim, model.hbar,
-                     METHOD_ENERGY_HESSIAN, "energy",
-                     root=lambda square: square ** 0.25).value
+    det_pxv = np.linalg.det(variational_blocks(path)[1])
+    return prefactor(np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
+                                 det_g * det_pxv),
+                     model.dim, model.hbar, METHOD_ENERGY_HESSIAN,
+                     "energy").value
 
 
 ENERGY_IDS = ["ho2-matrix-mass", "magnetic-3", "time-dependent-omega2",
@@ -255,8 +255,8 @@ def test_phase_window_before_caustic():
 
 def test_branch_note_present():
     f = vvpm_factor(_plain_hessian(1.0))
-    assert "principal" in f.branch_note
     d = f.as_dict()
+    assert "principal" in d["branch_note"]
     assert set(d) >= {"re", "im", "magnitude", "phase", "method"}
 
 
@@ -270,10 +270,10 @@ def _indefinite_metric():
                    metric=lambda x, t: np.diag([1.0, -1.0]))
 
 
-# route -> (call, documented error).  The energy route cannot see a
-# caustic: det(g) det(d2E/dx_b dx_b) = det(mixed)^2 is a square, so its
-# refusal is the metric's.  The closed forms and the d'Alembert reduction
-# refuse before their determinant is formed.
+# route -> (call, documented error).  The energy route takes the sign of
+# det(mixed) from the flow, so it refuses what vvpm refuses.  The closed
+# forms and the d'Alembert reduction refuse before their determinant is
+# formed.
 REFUSALS = {
     "vvpm": (lambda: vvpm_factor(action_hessian_jacobi(
         _past_first_focal_time())), CausticRegion),
@@ -283,9 +283,11 @@ REFUSALS = {
         solve_B_direct(1.0, 0.0, 4.0), 1.0), FocalPoint),
     "short-time": (lambda: short_time_factor(
         _indefinite_metric(), [0.0, 0.0], 0.0, 1.0), CausticRegion),
-    "energy-hessian": (lambda: energy_hessian_factor(solve_bvp(
+    "energy-hessian": (lambda: energy_hessian_factor(
+        _past_first_focal_time()), CausticRegion),
+    "energy-hessian-indefinite": (lambda: energy_hessian_factor(solve_bvp(
         _indefinite_metric(), [0.0, 0.0], [1.0, 1.0], 0.0, 1.0)),
-        SingularMetric),
+        CausticRegion),
     "analytic-free": (lambda: free_particle_factor(-1.0, 1.0), NonSPDMass),
     "analytic-harmonic": (lambda: harmonic_constant_factor(1.0, 1.0, 4.0),
                           FocalPoint),
@@ -301,3 +303,9 @@ def test_each_route_refuses_a_nonpositive_determinant(route):
     call, error = REFUSALS[route]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("det", [0.0, -1.0, float("nan")])
+def test_prefactor_refuses_a_determinant_that_is_not_positive(det):
+    with pytest.raises(CausticRegion):
+        prefactor(det, 1, 1.0, METHOD_ENERGY_HESSIAN, "test")

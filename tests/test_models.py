@@ -20,7 +20,8 @@ from vanvleck import (
     solve_bvp,
 )
 from vanvleck.cli import build_model
-from vanvleck.models import (along, central_hessian, fd_jacobian, is_stacked,
+from vanvleck.expressions import compile_potential
+from vanvleck.models import (FD_STEP, along, central_hessian, is_stacked,
                              mass_matrix, metric_is_constant, metric_solve,
                              stacked, velocity_from_momentum)
 
@@ -73,7 +74,9 @@ def test_matrix_mass_free_particle():
 
 def _default_params(tag):
     if tag == "one_dim_potential":
-        return {"potential": "0.25 * x^4", "mass": 1.0}
+        v, dv, d2v = compile_potential("0.25 * x^4")
+        return {"potential": v, "potential_grad": dv, "potential_hess": d2v,
+                "mass": 1.0}
     if tag == "harmonic_oscillator":
         return {"mass": 1.0, "omega2": 2.0, "dim": 2}
     if tag == "magnetic_field":
@@ -126,6 +129,25 @@ def test_legendre_round_trip(rng):
             p = legendre_momentum(model, x, v, t)
             back = velocity_from_momentum(model, x, p, t)
             np.testing.assert_allclose(back, v, atol=1e-12)
+
+
+def fd_jacobian(vf, shape):
+    """Central-difference x-Jacobian of a field vf(x, t), the oracle of
+    the derivative probe.  For a scalar field, ``shape`` (D,) gives the
+    gradient."""
+
+    def jac(x, t):
+        x = np.asarray(x, dtype=float)
+        h = FD_STEP * max(1.0, float(np.max(np.abs(x))))
+        cols = []
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            cols.append((np.asarray(vf(x + e, t))
+                         - np.asarray(vf(x - e, t))) / (2 * h))
+        return np.stack(cols, axis=-1).reshape(shape)
+
+    return jac
 
 
 def probe_derivative_consistency(model, rng, n_points):
@@ -220,7 +242,8 @@ def test_mass_matrix_requires_symmetric_positive_definite(mass):
     lambda m: free_particle(mass=m, dim=2),
     lambda m: harmonic_oscillator(mass=m, omega2=1.0, dim=2),
     lambda m: magnetic_field(mass=m, omega=1.0, dim=2),
-    lambda m: one_dim_potential(lambda x, t: x * x, mass=m),
+    lambda m: one_dim_potential(lambda x, t: x * x, lambda x, t: 2.0 * x,
+                                lambda x, t: 2.0, mass=m),
 ], ids=["free_particle", "harmonic_oscillator", "magnetic_field",
         "one_dim_potential"])
 @pytest.mark.parametrize("mass", [0.0, -1.0])
