@@ -19,6 +19,8 @@ form and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -59,11 +61,12 @@ NUMERICS_DEFAULTS = {
 
 # Upper bounds of the dimension and of the counts that size arrays.  Each
 # count's bound comes from the largest array it sizes (float64) at
-# D = MAX_DIM: the RK4 state history of a path, (n_steps + 1, 2D, 1 + 2D),
-# is 336 B a step, 34 MB at the bound (58 MB at D = 4, which is why the
-# dimension stops at 3); a q x q
-# Neumann collocation matrix is 8 MB at the bound; the time-ordered slice
-# propagator stack, (n_slices, 2D, 2D), is 288 B a slice, 29 MB at the bound.
+# D = MAX_DIM: the RK4 state history of a path on an ``affine_flow`` model,
+# (n_steps + 1, 2D + 1, 1 + 2D) with its homogeneous row, is 392 B a step,
+# 39 MB at the bound (65 MB at D = 4, which is why the dimension stops at
+# 3); a q x q Neumann collocation matrix is 8 MB at the bound; the
+# time-ordered slice propagator stack, (n_slices, 2D, 2D), is 288 B a
+# slice, 29 MB at the bound.
 # A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
 # its CSV is written, so its row count, the product of the parameter
 # counts, is bounded too: under 20 MB at the bound.
@@ -667,19 +670,16 @@ def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
     for method in sorted(scenario.methods):
         method_columns += [f"{method}_magnitude", f"{method}_phase"]
     header = names + method_columns + ["max_deviation", "action", "error"]
-    lines = [",".join(header)]
+    # csv writes a Python float as its shortest round-trip repr and None
+    # as an empty cell, and quotes a cell that holds a comma
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        cells = []
-        for column in header:
-            value = row.get(column, "")
-            if isinstance(value, float):
-                cells.append(repr(float(value)))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(str(value).replace(",", ";"))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", out_path)
+        cells = [row.get(column, "") for column in header]
+        writer.writerow([float(c) if isinstance(c, float) else c
+                         for c in cells])
+    _emit(text.getvalue(), out_path)
     return 0
 
 

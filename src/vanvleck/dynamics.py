@@ -8,20 +8,21 @@ alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
 quadratically.  On a model flagged ``affine_flow`` (a linear builtin, or
 an expression potential of degree at most 2 in x) the Euler-Lagrange
-system itself is linear, so each RK4 step is one affine map of the state:
-``linear_rk4`` samples the system once per distinct stage time, builds
-the maps in blocks of batched matmuls and applies one small matmul per
-step, with no Python right-hand side per stage.  The endpoint map is then
-exactly affine, so Newton's first correction is exact and is applied by
-superposition of the first run's tangent columns: one run gives the
-path and its flow.  On any other model ``rk4`` steps a Python right-hand
-side, and an unseeded solve on a fine grid first shoots on a grid
-COARSE_FACTOR times coarser, so most Newton iterations cost an eighth of
-a fine run and the fine grid takes about two.  The full flow of the
-accepted iterate is kept on the path, so every later consumer of the
-Jacobi system reads it instead of integrating it again.  The action is
-Simpson quadrature on the grid, which matches the integrator order,
-computed the first time it is read.
+system itself is linear, so each RK4 step is one affine map of the state,
+a linear map in homogeneous coordinates: ``linear_rk4`` samples the
+system at the stage times of a block of steps, builds the block's maps
+by batched matmuls and applies one small matmul per step, with no Python
+right-hand side per stage.  The endpoint map is then exactly affine, so
+Newton's first correction is exact and is applied by superposition of
+the first run's tangent columns: one run gives the path and its flow.
+On any other model ``rk4`` steps a Python right-hand side, and an
+unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR times
+coarser, so most Newton iterations cost an eighth of a fine run and the
+fine grid takes about two.  The full flow of the accepted iterate is
+kept on the path, so every later consumer of the Jacobi system reads it
+instead of integrating it again.  The action is Simpson quadrature on
+the grid, which matches the integrator order, computed the first time it
+is read.
 """
 
 from __future__ import annotations
@@ -255,49 +256,41 @@ def rk4(rhs, y0, times) -> np.ndarray:
     return ys
 
 
-def _rk4_step_maps(gen: np.ndarray, force, h: float):
-    """RK4 step maps of the linear system y' = M(t) y + c(t).
+def _rk4_step_maps(gen: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step maps of the linear system y' = M(t) y.
 
     ``gen``, shape (2b + 1, N, N), samples M at the stage times t_0,
-    t_0 + h/2, t_0 + h, ..., t_0 + b h of b consecutive steps; ``force``,
-    shape (2b + 1, N), samples c there, or is None when c = 0.  The
-    classical RK4 step of this system is the affine map y -> S y + s with
+    t_0 + h/2, t_0 + h, ..., t_0 + b h of b consecutive steps.  The
+    classical RK4 step of this system is the linear map y -> S y with
 
         K1 = M0, K2 = Mh (1 + h/2 K1), K3 = Mh (1 + h/2 K2),
-        K4 = M1 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4),
+        K4 = M1 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    and s from the forcing terms of the same stages.  Returns
-    ``(S - 1, s)``, shapes (b, N, N) and (b, N), s None without forcing:
-    a step is applied as y + ((S - 1) y + s), as ``rk4`` adds its
-    increment, because S itself would round away the low bits of the
-    increment at every step, an error that grows like n eps.
+    Returns ``S - 1``, shape (b, N, N): a step is applied as
+    y + (S - 1) y, as ``rk4`` adds its increment, because S itself would
+    round away the low bits of the increment at every step, an error that
+    grows like n eps.
     """
     eye = np.eye(gen.shape[-1])
     m0, mh, m1 = gen[:-2:2], gen[1::2], gen[2::2]
     k2 = mh @ (eye + 0.5 * h * m0)
     k3 = mh @ (eye + 0.5 * h * k2)
     k4 = m1 @ (eye + h * k3)
-    increments = (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
-    if force is None:
-        return increments, None
-    c0, ch, c1 = force[:-2:2], force[1::2], force[2::2]
-    l2 = (mh @ (0.5 * h * c0)[..., None])[..., 0] + ch
-    l3 = (mh @ (0.5 * h * l2)[..., None])[..., 0] + ch
-    l4 = (m1 @ (h * l3)[..., None])[..., 0] + c1
-    return increments, (h / 6.0) * (c0 + 2.0 * l2 + 2.0 * l3 + l4)
+    return (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
-    """Classical RK4 of Y' = M(t) Y + c(t) e_0^T by precomputed step maps.
+    """Classical RK4 of Y' = M(t) Y by precomputed step maps.
 
-    ``sample(ts)`` returns ``(M, c)`` at an array of stage times, shapes
-    (len(ts), N, N) and (len(ts), N), with c None when the system has no
-    forcing; the forcing drives column 0 of the (N, m) state only.  M and
-    c are sampled once at each of the 2n + 1 distinct stage times (grid
-    points and midpoints), and the maps of ``_rk4_step_maps`` are built
-    STEP_MAP_BLOCK steps at a time, so the memory beside the result does
-    not grow with n.  Each step is then one (N, N) @ (N, m) product and
-    its addition to the state.  Returns the state at every grid time, as
+    ``sample(ts)`` returns M at an array of stage times, shape
+    (len(ts), N, N).  An affine system Y' = M Y + c is stepped in
+    homogeneous coordinates: c is the last column of M, and the last row
+    of the state is constant.  Each block of STEP_MAP_BLOCK steps samples
+    M once at its own 2b + 1 stage times (grid points and midpoints; a
+    block boundary is read by both blocks) and builds the maps of
+    ``_rk4_step_maps``, so the memory beside the result does not grow
+    with n.  Each step is then one (N, N) @ (N, m) product and its
+    addition to the state.  Returns the state at every grid time, as
     ``rk4`` does, or with ``history=False`` only the last one.
     """
     h = _step_size(times)
@@ -307,29 +300,15 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
     if history:
         ys = np.empty((n + 1,) + y.shape)
         ys[0] = y
-    last = None   # M and c at the end of the previous block
     for k in range(0, n, STEP_MAP_BLOCK):
         b = min(STEP_MAP_BLOCK, n - k)
         ts = np.empty(2 * b + 1)
         ts[0::2] = times[k:k + b + 1]
         ts[1::2] = times[k:k + b] + 0.5 * h
-        gen, force = sample(ts if last is None else ts[1:])
-        if last is not None:
-            gen = np.concatenate((last[0][None], gen))
-            if force is not None:
-                force = np.concatenate((last[1][None], force))
-        last = gen[-1], None if force is None else force[-1]
-        increments, shifts = _rk4_step_maps(gen, force, h)
         out = ys[k + 1:k + b + 1] if history else np.empty((b,) + y.shape)
-        if shifts is None:
-            for inc, o in zip(increments, out):
-                np.matmul(inc, y, out=o)
-                y = np.add(y, o, out=o)
-        else:
-            for inc, shift, o in zip(increments, shifts, out):
-                np.matmul(inc, y, out=o)
-                o[:, 0] += shift
-                y = np.add(y, o, out=o)
+        for inc, o in zip(_rk4_step_maps(sample(ts), h), out):
+            np.matmul(inc, y, out=o)
+            y = np.add(y, o, out=o)
     return ys if history else y.copy()
 
 
@@ -341,8 +320,9 @@ def _affine_sampler(model: LagrangianModel, x, t):
     quadratic in x, so acc = acc0(t) + jx(t) x + jv v with
     jx = -g^-1 Hess V(0, t) and acc0 = -g^-1 grad V(0, t): potential_hess
     and potential_grad at x = 0 and every stage time of a block, one call
-    each when they are stacked (``models.along``).
-    The state is (x, v), so M = [[0, 1], [jx, jv]] and c = (0, acc0).
+    each when they are stacked (``models.along``).  The state is
+    (x, v, 1) in homogeneous coordinates, so M = [[0, 1, 0],
+    [jx, jv, acc0], [0, 0, 0]], of side 2D + 1.
     """
     d = model.dim
     gi, _, jv = _constant_kinetic_blocks(model, x, t)
@@ -351,13 +331,12 @@ def _affine_sampler(model: LagrangianModel, x, t):
         origin = np.zeros((len(ts), d))
         hess = along(model.potential_hess, origin, ts).reshape(len(ts), d, d)
         grad = along(model.potential_grad, origin, ts).reshape(len(ts), d)
-        gen = np.zeros((len(ts), 2 * d, 2 * d))
-        gen[:, :d, d:] = np.eye(d)
-        gen[:, d:, :d] = gi @ -hess
-        gen[:, d:, d:] = jv
-        force = np.zeros((len(ts), 2 * d))
-        force[:, d:] = -grad @ gi.T
-        return gen, force
+        gen = np.zeros((len(ts), 2 * d + 1, 2 * d + 1))
+        gen[:, :d, d:2 * d] = np.eye(d)
+        gen[:, d:2 * d, :d] = gi @ -hess
+        gen[:, d:2 * d, d:2 * d] = jv
+        gen[:, d:2 * d, -1] = -grad @ gi.T
+        return gen
 
     return sample
 
@@ -373,7 +352,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     ``(times, ys)``, the grid and the state history of shape
     ``(n_steps + 1, 2D, 1 + m)``; ``ys[-1, :, 1:]`` is vblock(t_b).  On an
     ``affine_flow`` model the system is linear and ``linear_rk4`` steps it
-    by precomputed maps; every other model runs ``rk4``.
+    by precomputed maps, on the state with one more row (1, 0, ..., 0)
+    that carries the forcing; the history is then a view without that
+    row.  Every other model runs ``rk4``.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
@@ -384,7 +365,9 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
                     np.asarray(vblock0, dtype=float)))
     times = np.linspace(t_a, t_b, n_steps + 1)
     if model.affine_flow:
-        return times, linear_rk4(_affine_sampler(model, x, t_a), y0, times)
+        y0 = np.vstack((y0, np.eye(1, y0.shape[1])))
+        sample = _affine_sampler(model, x, t_a)
+        return times, linear_rk4(sample, y0, times)[:, :-1]
     linearize = (_constant_kinetic_linearization(model, x, t_a)
                  or el_linearization)
 
@@ -623,12 +606,11 @@ def state_at(path, t):
     """
     times = path.times
     k = _bracket(times, t)
-    h = times[k + 1] - times[k]
-    s = (t - times[k]) / h
+    # one row of weights per time, broadcast against the (D,) samples
+    h = (times[k + 1] - times[k])[..., None]
+    s = (t - times[k])[..., None] / h
     x0, x1 = path.positions[k], path.positions[k + 1]
     v0, v1 = path.velocities[k], path.velocities[k + 1]
-    if np.ndim(s):   # one row of weights per time
-        s, h = s[:, None], h[:, None]
     h00 = 2 * s**3 - 3 * s**2 + 1
     h10 = s**3 - 2 * s**2 + s
     h01 = -2 * s**3 + 3 * s**2

@@ -59,7 +59,8 @@ class NonConstantMetric(VanVleckError):
 
 
 class VectorPotentialPresent(VanVleckError):
-    """An operation restricted to zero vector potential was called with one."""
+    """An operation restricted to a zero magnetic field (the antisymmetric
+    part of the vector potential's gradient) met a nonzero one."""
 
 
 class SeriesDivergence(VanVleckError):

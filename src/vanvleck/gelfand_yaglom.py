@@ -96,7 +96,7 @@ def solve_B_direct(omega2, t_a: float, t_b: float,
         gen = np.zeros((len(ts), 2 * d, 2 * d))
         gen[:, :d, d:] = np.eye(d)
         gen[:, d:, :d] = -w2(ts)
-        return gen, None
+        return gen
 
     b_tb = linear_rk4(sample, np.vstack((np.zeros((d, d)), np.eye(d))),
                       np.linspace(t_a, t_b, n_steps + 1), history=False)[:d]

@@ -118,28 +118,33 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
 def frequency_matrix_along_path(path: ClassicalPath):
     """Jacobi frequency matrix t -> Omega^2(t) = g^-1 d2V/dx2 along the path.
 
-    Only meaningful for vanishing vector potential; raises
-    VectorPotentialPresent if |a| exceeds 1e-14 at any of about 64 grid
-    samples, read in one ``models.along`` call.
+    Only meaningful for a vanishing magnetic field, the antisymmetric
+    part of da = d a_i / d x_j, which the Jacobi equation sees; a pure
+    gauge a = grad chi, with symmetric da, leaves it unchanged.  Raises
+    VectorPotentialPresent if |da - da^T| exceeds
+    VECTOR_POTENTIAL_ZERO_TOL at any of about 64 grid samples, read in
+    one ``models.along`` call of vector_potential_grad.
     Omega^2 and the constant sqrt(det M) of ``gy_fluctuation_factor``
     both assume a constant metric, so a model for which
     ``metric_is_constant`` fails at the start point raises
     NonConstantMetric; g^-1 is computed once, there.  On an
     ``affine_flow`` model Hess V does not depend on x, so the callable
-    reads it at x = 0, as ``dynamics.linear_rk4``'s sampler does; on any
-    other model it interpolates the path with ``state_at``.  The callable
-    is marked ``models.stacked``: one time gives (D, D), a 1-D array of
-    times (len(t), D, D), from one ``along`` read of potential_hess.
+    reads it at x = 0, as the path's own ``dynamics.linear_rk4`` runs do;
+    on any other model it interpolates the path with ``state_at``.  The
+    callable is marked ``models.stacked``: one time gives (D, D), a 1-D
+    array of times (len(t), D, D), from one ``along`` read of
+    potential_hess.
     """
     model = path.model
     step = max(1, len(path.times) // 64)
-    a = along(model.vector_potential, path.positions[::step],
-              path.times[::step])
-    worst = float(np.max(np.abs(a)))
+    da = along(model.vector_potential_grad, path.positions[::step],
+               path.times[::step]).reshape(-1, model.dim, model.dim)
+    worst = float(np.max(np.abs(da - da.swapaxes(1, 2))))
     if worst > VECTOR_POTENTIAL_ZERO_TOL:
         raise VectorPotentialPresent(
-            f"|a| reaches {worst:.3e} along the path; the scalar Jacobi "
-            "frequency form only applies to zero vector potential")
+            f"the magnetic field |da - da^T| reaches {worst:.3e} along the "
+            "path; the scalar Jacobi frequency form only applies to zero "
+            "field")
     if not metric_is_constant(model, path.x_a, path.t_a):
         raise NonConstantMetric(
             f"the Gelfand-Yaglom frequency needs a constant metric; "

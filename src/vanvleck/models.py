@@ -200,14 +200,13 @@ def along(fn: Callable, *arrays) -> np.ndarray:
 
 
 def _constant(value) -> Callable:
-    """A stacked callback equal to ``value`` at every point.  One point
-    gets ``value`` itself, stacked points a read-only broadcast of it."""
+    """A stacked callback equal to ``value`` at every point: a read-only
+    broadcast of it over the leading axes of ``x``, one body for one point
+    and for stacked points."""
     shape = np.shape(value)
 
     def f(x, t):
-        if type(x) is np.ndarray and x.ndim > 1:
-            return np.broadcast_to(value, x.shape[:-1] + shape)
-        return value
+        return np.broadcast_to(value, np.shape(x)[:-1] + shape)
 
     return stacked(f)
 
@@ -331,9 +330,7 @@ def harmonic_oscillator(
     if omega2 is not None:
         if callable(omega2):
             def k_of_t(t):
-                if type(t) is np.ndarray:
-                    return np.asarray(omega2(t), dtype=float)[..., None, None] * m
-                return float(omega2(t)) * m
+                return np.asarray(omega2(t), dtype=float)[..., None, None] * m
         else:
             k_const = float(omega2) * m
             k_of_t = lambda t: k_const
@@ -358,26 +355,21 @@ def _quadratic_potential(k_of_t, d: int, marked: bool):
 
     ``k_of_t(t)`` is K, (D, D) at a scalar t and (..., D, D) at stacked t;
     a K(t) from an unmarked user callable is only ever asked for at one
-    t, so its callbacks are left unmarked.  One point takes the pointwise
-    products; stacked points the same products batched, to roundoff.
+    t, so its callbacks are left unmarked.  Each callback is one body that
+    broadcasts over the leading axes of ``x`` (a point given as a list
+    too), so one point and stacked points take the same products.
     """
 
     def potential(x, t):
-        k = k_of_t(t)
-        if type(x) is np.ndarray and x.ndim > 1:
-            return ((0.5 * x)[..., None, :] @ k @ x[..., None])[..., 0, 0]
-        return float(0.5 * x @ k @ x)
+        x = np.asarray(x, dtype=float)
+        return ((0.5 * x)[..., None, :] @ k_of_t(t) @ x[..., None])[..., 0, 0]
 
     def grad(x, t):
-        k = k_of_t(t)
-        if type(x) is np.ndarray and x.ndim > 1:
-            return (k @ x[..., None])[..., 0]
-        return k @ x
+        x = np.asarray(x, dtype=float)
+        return (k_of_t(t) @ x[..., None])[..., 0]
 
     def hess(x, t):
-        if type(x) is np.ndarray and x.ndim > 1:
-            return np.broadcast_to(k_of_t(t), x.shape[:-1] + (d, d))
-        return k_of_t(t)
+        return np.broadcast_to(k_of_t(t), np.shape(x)[:-1] + (d, d))
 
     triple = (potential, grad, hess)
     return tuple(stacked(f) for f in triple) if marked else triple
@@ -435,7 +427,10 @@ def one_dim_potential(
 def _first_coordinate(f: Callable, ndim: int) -> Callable:
     """The model callback (x, t) -> f(x[0], t) for ``f`` of a scalar
     position: a float (``ndim`` 0) or a float array of ``ndim`` axes of
-    length 1 at one point.  Stacked when ``f`` is."""
+    length 1 at one point.  Stacked when ``f`` is.  One point keeps its
+    own branch: there ``x[..., 0]`` is a 0-d array, which sends a compiled
+    expression down its numpy path, about 40 times slower per call than a
+    float, and a nonlinear model's RK4 stage makes two such calls."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:

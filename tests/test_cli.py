@@ -509,6 +509,24 @@ def test_sweep_rows_survive_errors(tmp_path):
     assert any(e == "" for e in errors)
 
 
+def test_sweep_error_cell_keeps_its_comma(tmp_path):
+    # the T = 4 row lies past the first focal time; its message has a
+    # comma, which the CSV quotes rather than rewrites
+    cfg = _write(tmp_path, "caustic.json", {
+        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
+        "x_a": [0.0], "x_b": [0.3], "t_b": 1.0,
+        "methods": ["vvpm"],
+        "sweep": {"parameters": [
+            {"name": "T", "start": 1.0, "stop": 4.0, "count": 2}]},
+    })
+    out = tmp_path / "caustic.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert [row["error"] for row in rows] == [
+        "", "CausticRegion: Van Vleck determinant is -1.321e+00, not positive"]
+    assert rows[1]["vvpm_magnitude"] == rows[1]["action"] == ""
+
+
 def _sweep_config_error(tmp_path, capsys, parameters):
     cfg = _write(tmp_path, "names.json", {
         "model": {"tag": "harmonic_oscillator",

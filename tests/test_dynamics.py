@@ -626,8 +626,8 @@ def test_grid_consumers_make_one_call_per_block(monkeypatch):
                      ("potential", "stacked"): 1}
     calls.clear()
     solve_B_direct(frequency_matrix_along_path(path), 0.0, 1.2, n_steps=n)
-    # one more for the probe that reads D; the vector-potential scan is one
+    # one more for the probe that reads D; the field scan is one
     assert calls["potential_hess", "stacked"] == blocks + 1
-    assert calls["vector_potential", "stacked"] == 1
+    assert calls["vector_potential_grad", "stacked"] == 1
     assert not any(kind == "point" for name, kind in calls
                    if name.startswith(("potential", "vector_potential")))

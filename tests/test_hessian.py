@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ from vanvleck import (
 from vanvleck import hessian as hessian_module
 from vanvleck.cli import build_model
 from vanvleck.dynamics import _affine_sampler
-from vanvleck.gelfand_yaglom import _collocation
-from vanvleck.models import metric_solve
+from vanvleck.gelfand_yaglom import (_collocation, gy_fluctuation_factor,
+                                     solve_B_direct)
+from vanvleck.models import _constant, metric_solve, stacked
 
 import conftest
 from conftest import (AFFINE_CASES, AFFINE_IDS, action_hessian_fd,
@@ -201,7 +204,7 @@ def test_affine_frequency_reads_no_state(monkeypatch, model, x_a, x_b, t_b):
                             _collocation(0.0, t_b, 64)[0]))
     reference = np.array([_interpolated_frequency(path, t) for t in times])
     d = model.dim
-    sampled = -_affine_sampler(model, path.x_a, 0.0)(times)[0][:, d:, :d]
+    sampled = -_affine_sampler(model, path.x_a, 0.0)(times)[:, d:2 * d, :d]
 
     def no_state(*args):
         raise AssertionError("state_at called on an affine_flow model")
@@ -231,6 +234,33 @@ def test_frequency_matrix_rejects_vector_potential():
     path = solve_bvp(model, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0)
     with pytest.raises(VectorPotentialPresent):
         frequency_matrix_along_path(path)
+
+
+def test_frequency_matrix_rejects_a_field_where_the_potential_vanishes():
+    # a path resting at the origin sees a = 0 but the field of
+    # magnetic_field: the free-particle frequency would be 4.1% off
+    model = magnetic_field(mass=1.0, omega=1.0, dim=2)
+    path = solve_bvp(model, [0.0, 0.0], [0.0, 0.0], 0.0, 1.0)
+    assert not np.any(path.positions)
+    with pytest.raises(VectorPotentialPresent, match="field"):
+        frequency_matrix_along_path(path)
+
+
+def test_frequency_matrix_accepts_a_pure_gauge():
+    # a = grad(0.4 x0 x1) has no field, so the Jacobi equation is free and
+    # the Gelfand-Yaglom factor is the vvpm one
+    @stacked
+    def gauge(x, t):
+        return 0.4 * np.asarray(x, dtype=float)[..., ::-1]
+
+    model = dataclasses.replace(
+        free_particle(dim=2), vector_potential=gauge,
+        vector_potential_grad=_constant(np.array([[0.0, 0.4], [0.4, 0.0]])))
+    path = solve_bvp(model, [0.1, 0.2], [0.7, -0.4], 0.0, 1.0)
+    assert np.max(np.abs(path.positions)) > 0.5
+    gy = gy_fluctuation_factor(
+        solve_B_direct(frequency_matrix_along_path(path), 0.0, 1.0), 1.0)
+    assert gy.value == vvpm_factor(action_hessian_jacobi(path)).value
 
 
 def split_block_residual(full, left, right):

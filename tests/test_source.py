@@ -40,3 +40,54 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SOURCE / module).read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """Module-level names with a leading underscore that no source reads.
+
+    ``sources`` maps module names to their text; the result lists
+    ``module:name`` in module and definition order.  A name is read where
+    it is loaded (``_name``) or taken as an attribute (``module._name``);
+    an assignment to it is no read.  Dunder names are exempt.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.endswith("__")
+                        and name not in read):
+                    unread[f"{module}:{name}"] = None
+    return list(unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    assert unread_private_names({
+        "a.py": "_A, _b = 1, 2\n_b = 3\n__all__ = []\n"
+                "def _f():\n    return _A\nclass _C:\n    pass\n"
+                "def _g():\n    pass\n",
+        "b.py": "from .a import _f\nimport a\n_f()\na._C\n",
+    }) == ["a.py:_b", "a.py:_g"]
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text()
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_private_names(sources) == []
