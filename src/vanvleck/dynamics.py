@@ -15,10 +15,14 @@ by batched matmuls and applies one small matmul per step, with no Python
 right-hand side per stage.  The endpoint map is then exactly affine, so
 Newton's first correction is exact and is applied by superposition of
 the first run's tangent columns: one run gives the path and its flow.
-On any other model ``rk4`` steps a Python right-hand side, and an
+On any other model a run takes two passes: ``rk4`` steps the path
+(x, v) alone, each stage computing only the acceleration, and records
+its stages; the flow then reads the linearization once per block of
+steps, on the block's recorded stages as a stack, and is stepped by the
+same step maps as a linear system, keeping only its value at t_b.  An
 unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR times
 coarser, so most Newton iterations cost an eighth of a fine run and the
-fine grid takes about two.  The full flow of the accepted iterate is
+fine grid takes about two.  The flow Phi(t_b) of the accepted iterate is
 kept on the path, so every later consumer of the Jacobi system reads it
 instead of integrating it again.  The action is Simpson quadrature on
 the grid, which matches the integrator order, computed the first time it
@@ -34,7 +38,8 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
 from .models import (FD_STEP, LagrangianModel, along, evaluate_hamiltonian,
-                     legendre_momentum, metric_inverse, metric_is_constant)
+                     invert_metric, legendre_momentum, metric_inverse,
+                     metric_is_constant)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
@@ -48,7 +53,8 @@ MIN_COARSE_STEPS = 32
 # |det M| below this times scale^D marks a boundary Jacobi matrix singular
 CAUSTIC_DET_THRESHOLD = 1e-12
 
-# ``linear_rk4`` builds the step maps of this many steps at a time
+# ``linear_rk4`` and the flow pass of a nonlinear run build the step maps
+# of this many steps at a time
 STEP_MAP_BLOCK = 256
 
 
@@ -132,69 +138,103 @@ class ClassicalPath:
 # Euler-Lagrange right-hand side and its linearization
 
 
+def _matvec(mat, vec) -> np.ndarray:
+    """``mat @ vec`` of matrices (..., N, N) and vectors (..., N), stacked
+    on broadcast leading axes."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _read(fn, x, t, shape: tuple) -> np.ndarray:
+    """Callback ``fn`` at the points x (..., D) and times t (...), read by
+    ``models.along`` and shaped (...) + ``shape``."""
+    values = along(fn, x.reshape(-1, x.shape[-1]), t.reshape(-1))
+    return values.reshape(x.shape[:-1] + shape)
+
+
 def _kinetic_force(dg, da, v) -> np.ndarray:
     """Generalized force without the -grad V term,
 
         F_i = 1/2 v.(d_i g).v - (d_k g_ij) v_k v_j + (da^T - da).v,
 
-    from ``dg = metric_grad`` and ``da = vector_potential_grad`` at one
-    point.  F is linear in (dg, da), so leading axes stack: given the
-    x-derivatives ``(d_m dg, d_m da)`` it returns ``d_m F`` as row m.
+    from ``dg = metric_grad`` (..., D, D, D), ``da =
+    vector_potential_grad`` (..., D, D) and v (..., D), stacked on
+    broadcast leading axes.  F is linear in (dg, da), so given their
+    x-derivatives on one more axis m, with v broadcast over it, it returns
+    ``d_m F`` as row m.
     """
-    dgv = dg @ v
-    return 0.5 * (dgv @ v) - v @ dgv + (da.swapaxes(-1, -2) - da) @ v
+    dgv = _matvec(dg, v[..., None, :])
+    return (0.5 * _matvec(dgv, v) - _matvec(dgv.swapaxes(-1, -2), v)
+            + _matvec(da.swapaxes(-1, -2) - da, v))
+
+
+def _acceleration(gi, dg, da, grad_v, v) -> np.ndarray:
+    """g^-1 (F - grad V) from the callback values at stacked points."""
+    return _matvec(gi, _kinetic_force(dg, da, v) - grad_v)
 
 
 def _kinetic_force_x(model: LagrangianModel, x, v, t) -> np.ndarray:
     """x-Jacobian of ``_kinetic_force`` at fixed v, by central differences.
 
-    Only metric_grad and vector_potential_grad are differenced, in one
-    pass over the 2D points x +- h e_m with h = FD_STEP max(1, |x|_inf);
+    Only metric_grad and vector_potential_grad are differenced, at the 2D
+    shifted stacks x +- h e_m with h = FD_STEP max(1, |x|_inf) per point;
     the stacked differences d_m dg and d_m da are contracted with v once.
     """
-    d = x.size
-    h = FD_STEP * max(1.0, float(np.abs(x).max()))
-    ddg = np.empty((d, d, d, d))
-    dda = np.empty((d, d, d))
-    for m, e in enumerate(h * np.eye(d)):
-        ddg[m] = np.subtract(model.metric_grad(x + e, t),
-                             model.metric_grad(x - e, t))
-        dda[m] = np.subtract(model.vector_potential_grad(x + e, t),
-                             model.vector_potential_grad(x - e, t))
-    return _kinetic_force(ddg, dda, v).T / (2.0 * h)
+    d = x.shape[-1]
+    h = FD_STEP * np.maximum(1.0, np.abs(x).max(axis=-1))
+    ddg = np.empty(x.shape[:-1] + (d, d, d, d))
+    dda = np.empty(x.shape[:-1] + (d, d, d))
+    for m in range(d):
+        step = np.zeros_like(x)
+        step[..., m] = h
+        ddg[..., m, :, :, :] = np.subtract(
+            _read(model.metric_grad, x + step, t, (d, d, d)),
+            _read(model.metric_grad, x - step, t, (d, d, d)))
+        dda[..., m, :, :] = np.subtract(
+            _read(model.vector_potential_grad, x + step, t, (d, d)),
+            _read(model.vector_potential_grad, x - step, t, (d, d)))
+    force_x = _kinetic_force(ddg, dda, v[..., None, :]).swapaxes(-1, -2)
+    return force_x / (2.0 * h[..., None, None])
 
 
-def el_linearization(model: LagrangianModel, x, v, t):
+def el_linearization(model: LagrangianModel, x, v, t, acc=None):
     """Acceleration and its phase-space Jacobian blocks.
 
-    Returns ``(acc, jx, jv)`` with ``jx = d acc / d x`` and
-    ``jv = d acc / d v``.  The potential contribution to jx is analytic
-    (potential_hess).  The x-derivatives of metric_grad and
+    ``x`` and ``v`` are one point (D,) or a stack (..., D), ``t`` a time
+    or times of the same leading shape.  Returns ``(acc, jx, jv)``,
+    stacked the same way, with ``jx = d acc / d x`` and
+    ``jv = d acc / d v``.  Each callback is read by ``models.along``, one
+    call per stack when it is stacked.  The potential contribution to jx
+    is analytic (potential_hess).  The x-derivatives of metric_grad and
     vector_potential_grad vanish for models flagged
     ``kinetic_gradients_constant``; otherwise only those two callbacks are
-    central-differenced (``_kinetic_force_x``).  One call evaluates
-    metric, potential_grad and potential_hess once each, and metric_grad
-    and vector_potential_grad once, plus 2D times when unflagged.
+    central-differenced (``_kinetic_force_x``), at 2D shifted stacks.  A
+    given ``acc``, the acceleration a run has already computed at these
+    points, enters the g^-1 variation term in place of a potential_grad
+    read.  So one call reads metric, potential_hess and, without ``acc``,
+    potential_grad once each, and metric_grad and vector_potential_grad
+    once, plus 2D times when unflagged.  A singular metric at any point
+    raises SingularMetric.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1])
     d = model.dim
-    dg = np.asarray(model.metric_grad(x, t))
-    da = np.asarray(model.vector_potential_grad(x, t))
-    hv = np.asarray(model.potential_hess(x, t))
+    dg = _read(model.metric_grad, x, t, (d, d, d))
+    da = _read(model.vector_potential_grad, x, t, (d, d))
+    gi = invert_metric(_read(model.metric, x, t, (d, d)), x, t)
+    if acc is None:
+        acc = _acceleration(gi, dg, da,
+                            _read(model.potential_grad, x, t, (d,)), v)
 
-    force = _kinetic_force(dg, da, v) - np.asarray(model.potential_grad(x, t))
-    gi = metric_inverse(model, x, t)
-    acc = gi @ force
+    dgv = _matvec(dg, v[..., None, :])
+    vdg = _matvec(np.moveaxis(dg, -3, -1), v[..., None, :])
+    dfdv = dgv - dgv.swapaxes(-1, -2) - vdg + (da.swapaxes(-1, -2) - da)
 
-    dgv = dg @ v
-    dfdv = dgv - dgv.T - (v @ dg.reshape(d, d * d)).reshape(d, d) + (da.T - da)
-
-    dfdx = -hv
+    dfdx = -_read(model.potential_hess, x, t, (d, d))
     if not model.kinetic_gradients_constant:
         dfdx = dfdx + _kinetic_force_x(model, x, v, t)
     # variation of g^-1: d acc / d x_m -= g^-1 (d_m g) acc
-    dfdx = dfdx - (dg @ acc).T
+    dfdx = dfdx - _matvec(dg, acc[..., None, :]).swapaxes(-1, -2)
     return acc, gi @ dfdx, gi @ dfdv
 
 
@@ -208,23 +248,46 @@ def _constant_kinetic_blocks(model: LagrangianModel, x, t):
     return gi, curl, gi @ curl
 
 
+def _general_linearization(model: LagrangianModel):
+    """``(acceleration, jacobians)`` of one run on any model:
+    ``el_linearization``'s arithmetic, the first at one point, the second
+    at a stack of points with their accelerations."""
+
+    def acceleration(x, v, t):
+        return _acceleration(metric_inverse(model, x, t),
+                             np.asarray(model.metric_grad(x, t)),
+                             np.asarray(model.vector_potential_grad(x, t)),
+                             np.asarray(model.potential_grad(x, t)), v)
+
+    def jacobians(x, v, t, acc):
+        return el_linearization(model, x, v, t, acc)[1:]
+
+    return acceleration, jacobians
+
+
 def _constant_kinetic_linearization(model: LagrangianModel, x, t):
-    """``el_linearization`` for one run on a constant metric, or None.
+    """``_general_linearization`` for one run on a constant metric, or None.
 
     Applies when ``metric_is_constant`` holds at (x, t): g is then
     constant and a is linear, so ``_constant_kinetic_blocks`` are computed
-    once.  The returned callable is ``el_linearization``'s arithmetic with
-    the zero terms dropped, so it returns the same bits.
+    once, and jv is one of them.  The acceleration reads only
+    potential_grad and the Jacobians only potential_hess; both are
+    ``el_linearization``'s arithmetic with the zero terms dropped, so they
+    return the same bits.
     """
     if not metric_is_constant(model, x, t):
         return None
     gi, curl, jv = _constant_kinetic_blocks(model, x, t)
+    d = model.dim
 
-    def linearize(model, x, v, t):
-        acc = gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
-        return acc, gi @ -np.asarray(model.potential_hess(x, t)), jv
+    def acceleration(x, v, t):
+        return gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
 
-    return linearize
+    def jacobians(x, v, t, acc):
+        hess = _read(model.potential_hess, x, t, (d, d))
+        return gi @ -hess, np.broadcast_to(jv, hess.shape)
+
+    return acceleration, jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +319,28 @@ def rk4(rhs, y0, times) -> np.ndarray:
     return ys
 
 
-def _rk4_step_maps(gen: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step_maps(m1, m2, m3, m4, h: float) -> np.ndarray:
     """RK4 step maps of the linear system y' = M(t) y.
 
-    ``gen``, shape (2b + 1, N, N), samples M at the stage times t_0,
-    t_0 + h/2, t_0 + h, ..., t_0 + b h of b consecutive steps.  The
-    classical RK4 step of this system is the linear map y -> S y with
+    ``m1`` to ``m4``, each of shape (b, N, N), sample M at the four RK4
+    stages of b consecutive steps (at t, t + h/2, t + h/2 and t + h; a
+    system whose M depends on the state as well is sampled at the stage
+    states of its path).  The classical RK4 step of this system is the
+    linear map y -> S y with
 
-        K1 = M0, K2 = Mh (1 + h/2 K1), K3 = Mh (1 + h/2 K2),
-        K4 = M1 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4).
+        K1 = M1, K2 = M2 (1 + h/2 K1), K3 = M3 (1 + h/2 K2),
+        K4 = M4 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     Returns ``S - 1``, shape (b, N, N): a step is applied as
     y + (S - 1) y, as ``rk4`` adds its increment, because S itself would
     round away the low bits of the increment at every step, an error that
     grows like n eps.
     """
-    eye = np.eye(gen.shape[-1])
-    m0, mh, m1 = gen[:-2:2], gen[1::2], gen[2::2]
-    k2 = mh @ (eye + 0.5 * h * m0)
-    k3 = mh @ (eye + 0.5 * h * k2)
-    k4 = m1 @ (eye + h * k3)
-    return (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
+    eye = np.eye(m1.shape[-1])
+    k2 = m2 @ (eye + 0.5 * h * m1)
+    k3 = m3 @ (eye + 0.5 * h * k2)
+    k4 = m4 @ (eye + h * k3)
+    return (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
@@ -288,10 +352,11 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
     of the state is constant.  Each block of STEP_MAP_BLOCK steps samples
     M once at its own 2b + 1 stage times (grid points and midpoints; a
     block boundary is read by both blocks) and builds the maps of
-    ``_rk4_step_maps``, so the memory beside the result does not grow
-    with n.  Each step is then one (N, N) @ (N, m) product and its
-    addition to the state.  Returns the state at every grid time, as
-    ``rk4`` does, or with ``history=False`` only the last one.
+    ``_rk4_step_maps``, with the midpoint sample as both middle stages,
+    so the memory beside the result does not grow with n.  Each step is
+    then one (N, N) @ (N, m) product and its addition to the state.
+    Returns the state at every grid time, as ``rk4`` does, or with
+    ``history=False`` only the last one.
     """
     h = _step_size(times)
     n = len(times) - 1
@@ -305,8 +370,10 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
         ts = np.empty(2 * b + 1)
         ts[0::2] = times[k:k + b + 1]
         ts[1::2] = times[k:k + b] + 0.5 * h
+        gen = sample(ts)
+        maps = _rk4_step_maps(gen[:-2:2], gen[1::2], gen[1::2], gen[2::2], h)
         out = ys[k + 1:k + b + 1] if history else np.empty((b,) + y.shape)
-        for inc, o in zip(_rk4_step_maps(sample(ts), h), out):
+        for inc, o in zip(maps, out):
             np.matmul(inc, y, out=o)
             y = np.add(y, o, out=o)
     return ys if history else y.copy()
@@ -343,43 +410,82 @@ def _affine_sampler(model: LagrangianModel, x, t):
 
 def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
              n_steps: int, vblock0: np.ndarray):
-    """Integrate the EL system with m >= 0 tangent columns.
+    """Integrate the EL system from (x0, v0) with m >= 0 tangent columns.
 
     ``vblock0`` is a (2D, m) matrix of initial variations; its columns are
     propagated through the linearized flow evaluated at the RK4 stage
-    points of the base trajectory.  The state is one (2D, 1 + m) array:
-    column 0 is (x, v), columns 1..m the tangent block.  Returns
-    ``(times, ys)``, the grid and the state history of shape
-    ``(n_steps + 1, 2D, 1 + m)``; ``ys[-1, :, 1:]`` is vblock(t_b).  On an
-    ``affine_flow`` model the system is linear and ``linear_rk4`` steps it
-    by precomputed maps, on the state with one more row (1, 0, ..., 0)
-    that carries the forcing; the history is then a view without that
-    row.  Every other model runs ``rk4``.
+    points of the base trajectory.  Returns ``(times, states, tangents)``:
+    the grid, the (n_steps + 1, 2D) history of (x, v) and the tangent
+    block at the grid times the run keeps, of which ``tangents[-1]`` is
+    vblock(t_b) = Phi(t_b) vblock0.
+
+    On an ``affine_flow`` model the system is linear and ``linear_rk4``
+    steps the (2D, 1 + m) state [(x, v), vblock] by precomputed maps, with
+    one more row (1, 0, ..., 0) that carries the forcing; ``tangents`` is
+    then the block at every grid time, shape (n_steps + 1, 2D, m), which
+    Newton's superposition reads.  Every other model runs in two passes.
+    The path pass runs ``rk4`` on (x, v) alone, each stage computing only
+    the acceleration, and records each stage's time, point and
+    acceleration.  The flow pass (``_flow_pass``) steps vblock by the RK4
+    steps of the linearized system on those same stages, with the
+    Jacobian blocks read at the recorded stages as stacks, a block of
+    steps at a time, and the recorded accelerations, so potential_grad is
+    not read again.  ``tangents`` is then vblock(t_b) alone, shape
+    (1, 2D, m).  A run with m = 0, or whose path ends non-finite, makes no
+    flow pass; the latter's tangent block is NaN.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
     if x.shape != (d,) or v.shape != (d,):
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
-    y0 = np.hstack((np.concatenate((x, v))[:, None],
-                    np.asarray(vblock0, dtype=float)))
+    vblock = np.asarray(vblock0, dtype=float)
     times = np.linspace(t_a, t_b, n_steps + 1)
     if model.affine_flow:
+        y0 = np.hstack((np.concatenate((x, v))[:, None], vblock))
         y0 = np.vstack((y0, np.eye(1, y0.shape[1])))
-        sample = _affine_sampler(model, x, t_a)
-        return times, linear_rk4(sample, y0, times)[:, :-1]
-    linearize = (_constant_kinetic_linearization(model, x, t_a)
-                 or el_linearization)
+        ys = linear_rk4(_affine_sampler(model, x, t_a), y0, times)[:, :-1]
+        return times, ys[:, :, 0], ys[:, :, 1:]
+    acceleration, jacobians = (_constant_kinetic_linearization(model, x, t_a)
+                               or _general_linearization(model))
+    # row j holds stage j's (t, x, v, acc); rk4 calls rhs stage by stage
+    stages = np.empty((4 * n_steps, 1 + 3 * d))
+    rows = iter(stages)
 
     def rhs(t, y):
-        dy = np.empty_like(y)
-        dy[:d] = y[d:]
-        acc, jx, jv = linearize(model, y[:d, 0], y[d:, 0], t)
-        dy[d:, 0] = acc
-        dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
-        return dy
+        row = next(rows)
+        row[0] = t
+        row[1:2 * d + 1] = y
+        row[2 * d + 1:] = acceleration(y[:d], y[d:], t)
+        return row[d + 1:]   # (v, acc)
 
-    return times, rk4(rhs, y0, times)
+    states = rk4(rhs, np.concatenate((x, v)), times)
+    if not np.all(np.isfinite(states[-1])):
+        vblock = np.full(vblock.shape, np.nan)
+    elif vblock.size:
+        vblock = _flow_pass(jacobians, stages, vblock, _step_size(times))
+    return times, states, vblock[None]
+
+
+def _flow_pass(jacobians, stages, vblock, h: float) -> np.ndarray:
+    """vblock(t_b) of a recorded path pass: ``stages`` holds each RK4
+    stage's (t, x, v, acc), four rows a step, and ``jacobians`` reads
+    (jx, jv) at a stack of them.  Each block of STEP_MAP_BLOCK steps is
+    one ``jacobians`` call on its 4b stages and one ``_rk4_step_maps``
+    call on M = [[0, 1], [jx, jv]]."""
+    d = (stages.shape[1] - 1) // 3
+    for k in range(0, len(stages), 4 * STEP_MAP_BLOCK):
+        block = stages[k:k + 4 * STEP_MAP_BLOCK]
+        jx, jv = jacobians(block[:, 1:d + 1], block[:, d + 1:2 * d + 1],
+                           block[:, 0], block[:, 2 * d + 1:])
+        gen = np.zeros((len(block), 2 * d, 2 * d))
+        gen[:, :d, d:] = np.eye(d)
+        gen[:, d:, :d] = jx
+        gen[:, d:, d:] = jv
+        per_stage = gen.reshape(-1, 4, 2 * d, 2 * d).swapaxes(0, 1)
+        for inc in _rk4_step_maps(*per_stage, h):
+            vblock = vblock + inc @ vblock
+    return vblock
 
 
 def _trajectory(times: np.ndarray, states: np.ndarray) -> Trajectory:
@@ -405,9 +511,9 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     Trajectory
         Samples at the n_steps + 1 grid times.
     """
-    times, ys = _rk4_run(model, x0, v0, t_a, t_b, n_steps,
-                         np.empty((2 * model.dim, 0)))
-    return _trajectory(times, ys[:, :, 0])
+    times, states, _ = _rk4_run(model, x0, v0, t_a, t_b, n_steps,
+                                np.empty((2 * model.dim, 0)))
+    return _trajectory(times, states)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +587,14 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
     identity = np.eye(2 * d)
     best_res = np.inf
     for iteration in range(1, max_iter + 1):
-        times, ys = _rk4_run(model, x_a, v0, t_a, t_b, n_steps, identity)
-        states = ys[:, :, 0]
+        times, states, tangents = _rk4_run(model, x_a, v0, t_a, t_b, n_steps,
+                                           identity)
         miss = states[-1, :d] - x_b
         res = float(np.max(np.abs(miss)))
         if not np.isfinite(res):
             raise NoConvergence(iteration, best_res)
         best_res = min(best_res, res)
-        flow = ys[-1, :, 1:]
+        flow = tangents[-1]
         if res <= tol and not (must_step and iteration == 1):
             return _trajectory(times, states), flow.copy(), res
         jac = flow[:d, d:]
@@ -496,7 +602,7 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
                             "shooting Jacobian dx(t_b)/dv0")
         dv = -np.linalg.solve(jac, miss)
         if model.affine_flow:
-            states = states + ys[:, :, 1 + d:] @ dv
+            states = states + tangents[:, :, d:] @ dv
             return (_trajectory(times, states), flow.copy(),
                     float(np.max(np.abs(states[-1, :d] - x_b))))
         v0 = v0 + dv

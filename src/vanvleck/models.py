@@ -21,7 +21,8 @@ evaluates a callback on a whole grid: one call of a marked callback, a
 loop over the points for any other.  The marker sits on each callable,
 not on the model, so a callback swapped in by ``dataclasses.replace`` or
 wrapped by a caller is called pointwise unless it is marked itself.  The
-builtins' closed forms are marked; callables a user passes in are not.
+builtins' closed forms are marked, those built on a user's ``omega2`` or
+``stiffness`` callable too; callables a user passes in are not.
 """
 
 from __future__ import annotations
@@ -127,9 +128,14 @@ def metric_solve(model: LagrangianModel, x, t, rhs) -> np.ndarray:
 
 def metric_inverse(model: LagrangianModel, x, t) -> np.ndarray:
     """g(x, t)^-1, raising SingularMetric when g is degenerate."""
-    g = np.asarray(model.metric(x, t), dtype=float)
+    return invert_metric(model.metric(x, t), x, t)
+
+
+def invert_metric(g, x, t) -> np.ndarray:
+    """g^-1 of metric values g, (..., D, D), read at the points x and
+    times t, raising SingularMetric when any of them is degenerate."""
     try:
-        return np.linalg.inv(g)
+        return np.linalg.inv(np.asarray(g, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
 
@@ -329,50 +335,68 @@ def harmonic_oscillator(
         raise ValueError("give exactly one of omega2 and stiffness")
     if omega2 is not None:
         if callable(omega2):
+            scalar = _at_each_time(omega2)
+
             def k_of_t(t):
-                return np.asarray(omega2(t), dtype=float)[..., None, None] * m
+                return scalar(t)[..., None, None] * m
         else:
             k_const = float(omega2) * m
             k_of_t = lambda t: k_const
-        frequency = omega2
     else:
         if callable(stiffness):
-            k_of_t = lambda t: np.asarray(stiffness(t), dtype=float)
+            k_of_t = _at_each_time(stiffness)
         else:
             k_arr = np.asarray(stiffness, dtype=float)
             if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
                 raise ValueError("stiffness must be a symmetric (D, D) matrix")
             k_of_t = lambda t: k_arr
-        frequency = stiffness
-    marked = not callable(frequency) or is_stacked(frequency)
     return _constant_metric_model(
         m, f"harmonic_oscillator(D={d})", hbar,
-        potential=_quadratic_potential(k_of_t, d, marked))
+        potential=_quadratic_potential(k_of_t, d))
 
 
-def _quadratic_potential(k_of_t, d: int, marked: bool):
-    """(V, grad V, Hess V) of V = 1/2 x.K(t).x, stacked when ``marked``.
+def _at_each_time(fn: Callable) -> Callable:
+    """A user's ``omega2`` or ``stiffness`` callable as a float array
+    function of a scalar t or of an array of times.  A marked ``fn`` takes
+    the array itself; any other is called with one scalar t at a time, so
+    a model read on a grid of times makes one call of its own callback
+    and the loop over the times runs here."""
+    if is_stacked(fn):
+        return lambda t: np.asarray(fn(t), dtype=float)
 
-    ``k_of_t(t)`` is K, (D, D) at a scalar t and (..., D, D) at stacked t;
-    a K(t) from an unmarked user callable is only ever asked for at one
-    t, so its callbacks are left unmarked.  Each callback is one body that
-    broadcasts over the leading axes of ``x`` (a point given as a list
-    too), so one point and stacked points take the same products.
+    def f(t):
+        if np.ndim(t) == 0:
+            return np.asarray(fn(t), dtype=float)
+        values = np.array([fn(s) for s in np.ravel(t)], dtype=float)
+        return values.reshape(np.shape(t) + values.shape[1:])
+
+    return f
+
+
+def _quadratic_potential(k_of_t, d: int):
+    """(V, grad V, Hess V) of V = 1/2 x.K(t).x, stacked.
+
+    ``k_of_t(t)`` is K, (D, D) at a scalar t and (..., D, D) at stacked
+    t.  Each callback is one body that broadcasts over the leading axes
+    of ``x`` (a point given as a list too), so one point and stacked
+    points take the same products.
     """
 
+    @stacked
     def potential(x, t):
         x = np.asarray(x, dtype=float)
         return ((0.5 * x)[..., None, :] @ k_of_t(t) @ x[..., None])[..., 0, 0]
 
+    @stacked
     def grad(x, t):
         x = np.asarray(x, dtype=float)
         return (k_of_t(t) @ x[..., None])[..., 0]
 
+    @stacked
     def hess(x, t):
         return np.broadcast_to(k_of_t(t), np.shape(x)[:-1] + (d, d))
 
-    triple = (potential, grad, hess)
-    return tuple(stacked(f) for f in triple) if marked else triple
+    return potential, grad, hess
 
 
 def magnetic_field(mass: float = 1.0, omega: float = 1.0, dim: int = 2,

@@ -9,6 +9,7 @@ from vanvleck import (ActionHessian, LagrangianModel, free_particle,
                       harmonic_oscillator, magnetic_field, one_dim_potential,
                       solve_bvp)
 from vanvleck.cli import build_model
+from vanvleck.dynamics import el_linearization, rk4
 from vanvleck.hessian import flow_seed
 from vanvleck.models import central_hessian
 
@@ -113,6 +114,33 @@ def action_hessian_fd(path) -> ActionHessian:
     hess = central_hessian(action, z, h, action(z))
     return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
                          method="FiniteDifference")
+
+
+def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
+    """Independent oracle of one Euler-Lagrange run: ``rk4`` on the
+    (2D, 1 + m) state [(x, v), vblock], with ``el_linearization`` at one
+    point in each stage.
+
+    Column 0 is the path and columns 1..m the tangent block, both at
+    every grid time: returns ``(times, ys)`` with ys of shape
+    (n_steps + 1, 2D, 1 + m).  Every model runs it, ``affine_flow`` or
+    not, so it checks both the step maps and the two-pass run.
+    """
+    d = model.dim
+    y0 = np.hstack((np.concatenate((np.asarray(x0, float),
+                                    np.asarray(v0, float)))[:, None],
+                    np.asarray(vblock0, dtype=float)))
+    times = np.linspace(t_a, t_b, n_steps + 1)
+
+    def rhs(t, y):
+        dy = np.empty_like(y)
+        dy[:d] = y[d:]
+        acc, jx, jv = el_linearization(model, y[:d, 0], y[d:, 0], t)
+        dy[d:, 0] = acc
+        dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
+        return dy
+
+    return times, rk4(rhs, y0, times)
 
 
 def _expression_model(text):

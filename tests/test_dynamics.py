@@ -28,8 +28,9 @@ from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
-from conftest import (AFFINE_CASES, AFFINE_IDS, make_curled_metric,
-                      make_polar_free_particle, make_quartic)
+from conftest import (AFFINE_CASES, AFFINE_IDS, combined_rk4_run,
+                      make_curled_metric, make_polar_free_particle,
+                      make_quartic)
 
 
 def test_free_ivp_is_exact():
@@ -184,13 +185,13 @@ def test_stored_flow_is_the_accepted_iterates(model, x_a, x_b):
     n = 40
     path = solve_bvp(model, x_a, x_b, 0.0, 0.5, n_steps=n)
     identity = np.eye(2 * model.dim)
-    _, ys = _rk4_run(model, path.x_a, path.v_a, path.t_a, path.t_b, n,
-                     identity)
+    _, _, tangents = _rk4_run(model, path.x_a, path.v_a, path.t_a, path.t_b,
+                              n, identity)
     assert path.flow.shape == identity.shape
-    assert np.array_equal(path.flow, ys[-1, :, 1:])
-    _, ys = _rk4_run(model, path.x_a, (path.x_b - path.x_a) / 0.5,
-                     path.t_a, path.t_b, n, identity)
-    assert not np.array_equal(path.flow, ys[-1, :, 1:])
+    assert np.array_equal(path.flow, tangents[-1])
+    _, _, tangents = _rk4_run(model, path.x_a, (path.x_b - path.x_a) / 0.5,
+                              path.t_a, path.t_b, n, identity)
+    assert not np.array_equal(path.flow, tangents[-1])
 
 
 def test_bvp_requires_even_step_count(quartic):
@@ -234,9 +235,10 @@ def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
     model = dataclasses.replace(model, affine_flow=False)
     general = dataclasses.replace(model, kinetic_gradients_constant=False)
     identity = np.eye(2 * model.dim)
-    _, fast = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
-    _, ref = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
+    _, fast, fast_flow = _rk4_run(model, x0, v0, 0.0, 1.3, 50, identity)
+    _, ref, ref_flow = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
     np.testing.assert_array_equal(fast, ref)
+    np.testing.assert_array_equal(fast_flow, ref_flow)
 
 
 def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
@@ -300,32 +302,70 @@ def test_linearization_matches_differenced_acceleration(model, rng):
                                    atol=1e-6 * np.max(np.abs(num_v)))
 
 
-def test_linearization_callback_counts():
-    # metric_grad and vector_potential_grad at x and at the 2D stencil
-    # points x +- h e_m; metric, potential_grad and potential_hess once;
-    # the values a and V never
+@pytest.mark.parametrize("model", [make_polar_free_particle(mass=1.5),
+                                   make_curled_metric()],
+                         ids=["polar", "curled-metric"])
+def test_stacked_linearization_equals_the_point_calls(model, rng):
+    # one (k, D) stack against k calls at one point each: acc, jv and the
+    # jx that carries the differenced columns, within 4 ulp; a given acc
+    # replaces the computed one
+    k = 9
+    x = np.column_stack([rng.uniform(0.7, 1.4, k), rng.uniform(-1.0, 1.0, k)])
+    v = rng.normal(size=(k, 2))
+    t = rng.uniform(size=k)
+    stack = dynamics.el_linearization(model, x, v, t)
+    points = [dynamics.el_linearization(model, *row) for row in zip(x, v, t)]
+    for got, want in zip(stack, zip(*points)):
+        assert got.shape == (k,) + want[0].shape
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+    given = dynamics.el_linearization(model, x, v, t, acc=stack[0])
+    for got, want in zip(given, stack):
+        np.testing.assert_array_equal(got, want)
+
+
+def _counted_curled_metric(marked):
+    """The curled metric with every callback counted; ``marked`` makes
+    each a stacked callback, which loops over a stack itself."""
     model = make_curled_metric()
     calls = collections.Counter()
+    names = ("metric", "metric_grad", "vector_potential",
+             "vector_potential_grad", "potential", "potential_grad",
+             "potential_hess")
 
     def counted(name):
         callback = getattr(model, name)
 
-        def wrapper(*args):
+        def wrapper(x, t):
             calls[name] += 1
-            return callback(*args)
+            if np.ndim(t) == 0:
+                return callback(x, t)
+            return np.array([callback(*row) for row in zip(x, t)])
 
-        return wrapper
+        return stacked(wrapper) if marked else wrapper
 
-    names = ("metric", "metric_grad", "vector_potential",
-             "vector_potential_grad", "potential", "potential_grad",
-             "potential_hess")
-    counted_model = dataclasses.replace(
-        model, **{name: counted(name) for name in names})
-    dynamics.el_linearization(counted_model, [1.1, 0.2], [0.3, -0.4], 0.0)
-    d = model.dim
-    assert calls == {"metric": 1, "metric_grad": 1 + 2 * d,
-                     "vector_potential_grad": 1 + 2 * d,
-                     "potential_grad": 1, "potential_hess": 1}
+    return dataclasses.replace(
+        model, **{name: counted(name) for name in names}), calls
+
+
+def test_linearization_callback_counts():
+    # metric_grad and vector_potential_grad at x and at the 2D stencil
+    # stacks x +- h e_m; metric, potential_grad and potential_hess once;
+    # the values a and V never: one call each per stack when marked, one
+    # per point through models.along otherwise
+    x, v = np.array([1.1, 0.2]), np.array([0.3, -0.4])
+    for marked in (True, False):
+        for k in (None, 7):
+            model, calls = _counted_curled_metric(marked)
+            if k is None:
+                dynamics.el_linearization(model, x, v, 0.0)
+            else:
+                dynamics.el_linearization(model, np.tile(x, (k, 1)),
+                                          np.tile(v, (k, 1)), np.zeros(k))
+            d = model.dim
+            per = 1 if marked or k is None else k
+            assert calls == {"metric": per, "metric_grad": (1 + 2 * d) * per,
+                             "vector_potential_grad": (1 + 2 * d) * per,
+                             "potential_grad": per, "potential_hess": per}
 
 
 def _count_runs(monkeypatch, fail_at=None, failure=None):
@@ -339,12 +379,12 @@ def _count_runs(monkeypatch, fail_at=None, failure=None):
 
     def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
         steps.append(n_steps)
-        times, ys = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+        run = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
         if n_steps == fail_at:
             if failure is not None:
                 raise failure
-            ys[:, :model.dim, 0] = np.nan
-        return times, ys
+            run[1][:, :model.dim] = np.nan
+        return run
 
     monkeypatch.setattr(dynamics, "_rk4_run", counted)
     return steps
@@ -491,14 +531,116 @@ def test_affine_solve_makes_one_run(monkeypatch, model, x_a, x_b, t_b, n):
 @pytest.mark.parametrize("n", [40, 1000])
 def test_step_map_run_matches_the_generic_stepper(model, x_a, x_b, t_b, n):
     # one run from the same seed: states and tangent columns at every
-    # grid time, against rk4 on the same model without the flag
+    # grid time, against the combined rk4 stepper on the same model
     identity = np.eye(2 * model.dim)
     v0 = (np.asarray(x_b) - np.asarray(x_a)) / t_b
-    _, maps = _rk4_run(model, x_a, v0, 0.0, t_b, n, identity)
-    _, ref = _rk4_run(dataclasses.replace(model, affine_flow=False), x_a, v0,
-                      0.0, t_b, n, identity)
-    assert _max_rel(maps[:, :, 0], ref[:, :, 0]) <= 1e-13
-    assert _max_rel(maps[:, :, 1:], ref[:, :, 1:]) <= 1e-13
+    _, states, tangents = _rk4_run(model, x_a, v0, 0.0, t_b, n, identity)
+    _, ref = combined_rk4_run(model, x_a, v0, 0.0, t_b, n, identity)
+    assert _max_rel(states, ref[:, :, 0]) <= 1e-13
+    assert _max_rel(tangents, ref[:, :, 1:]) <= 1e-13
+
+
+TWO_PASS_CASES = [
+    (make_quartic(), [0.0], [1.3]),
+    (make_polar_free_particle(mass=1.5), [1.0, 0.3], [0.4, 1.1]),
+    (make_curled_metric(), [0.2, -0.1], [0.9, 0.4]),
+    (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
+                         affine_flow=False),
+     [0.1, 0.0, -0.3], [1.0, -0.5, 0.2]),
+]
+TWO_PASS_IDS = ["quartic", "polar", "curled-metric", "magnetic-3"]
+
+
+@pytest.mark.parametrize("model, x0, v0", TWO_PASS_CASES, ids=TWO_PASS_IDS)
+@pytest.mark.parametrize("n", [40, 1000])
+def test_two_pass_run_matches_the_combined_stepper(model, x0, v0, n):
+    # the path pass takes the combined stepper's column-0 arithmetic, so
+    # its states are the same bits; the flow pass sums the same stages
+    # as step maps, in another order
+    identity = np.eye(2 * model.dim)
+    _, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, identity)
+    _, ref = combined_rk4_run(model, x0, v0, 0.0, 1.1, n, identity)
+    np.testing.assert_array_equal(states, ref[:, :, 0])
+    assert tangents.shape == (1,) + identity.shape
+    assert _max_rel(tangents[-1], ref[-1, :, 1:]) <= 1e-13
+
+
+def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
+    # a stacked nonlinear model: the path pass reads potential_grad at
+    # each stage, the flow pass potential_hess once per block of
+    # STEP_MAP_BLOCK steps, and no stage calls el_linearization
+    base = _expression_quartic()
+    assert not base.affine_flow
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def callback(x, t):
+            calls[name, "stacked" if np.ndim(t) else "point"] += 1
+            return fn(x, t)
+        return stacked(callback)
+
+    model = dataclasses.replace(base, **{
+        name: counted(name, getattr(base, name))
+        for name in ("potential_grad", "potential_hess")})
+    linearizations = []
+    real = dynamics.el_linearization
+
+    def counted_linearization(*args, **kwargs):
+        linearizations.append(np.shape(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "el_linearization", counted_linearization)
+    n = 1000
+    blocks = -(-n // dynamics.STEP_MAP_BLOCK)
+    _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, np.eye(2))
+    assert calls == {("potential_grad", "point"): 4 * n,
+                     ("potential_hess", "stacked"): blocks}
+    assert linearizations == []
+    # the same on a position-dependent metric: one el_linearization
+    # call per block, on the block's 4b stage points
+    polar = make_polar_free_particle()
+    _rk4_run(polar, [1.0, 0.3], [0.4, 1.1], 0.0, 1.1, n, np.eye(4))
+    sizes = [4 * min(dynamics.STEP_MAP_BLOCK, n - k)
+             for k in range(0, n, dynamics.STEP_MAP_BLOCK)]
+    assert linearizations == [(size, 2) for size in sizes]
+
+
+def test_ivp_and_non_finite_paths_make_no_flow_pass(recwarn):
+    # m = 0, or a path that ends non-finite, never reads potential_hess;
+    # Newton then stops at its first run, with no numpy warning
+    hess_calls = []
+    base = make_quartic()
+
+    def hess(x, t):
+        hess_calls.append(t)
+        return base.potential_hess(x, t)
+
+    model = dataclasses.replace(base, potential_hess=hess)
+    integrate_ivp(model, [0.0], [1.0], 0.0, 1.0, n_steps=40)
+    assert hess_calls == []
+    broken = dataclasses.replace(
+        model, potential_grad=lambda x, t: np.full(1, np.nan))
+    _, states, tangents = _rk4_run(broken, [0.0], [1.0], 0.0, 1.0, 40,
+                                   np.eye(2))
+    assert np.isnan(states[-1]).all() and np.isnan(tangents).all()
+    with pytest.raises(NoConvergence) as info:
+        solve_bvp(broken, [0.0], [1.0], 0.0, 1.0, n_steps=40)
+    assert info.value.iterations == 1
+    assert hess_calls == []
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_singular_metric_at_a_stage_raises():
+    # r = 0 is the polar chart's coordinate singularity: the path pass
+    # inverts the metric there at its first stage, and a stacked
+    # linearization refuses a stack that holds it
+    model = make_polar_free_particle()
+    with pytest.raises(SingularMetric):
+        _rk4_run(model, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0, 40, np.eye(4))
+    points = np.array([[1.0, 0.2], [0.0, 0.3], [1.2, 0.1]])
+    with pytest.raises(SingularMetric):
+        dynamics.el_linearization(model, points, np.ones((3, 2)),
+                                  np.zeros(3))
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
@@ -508,10 +650,11 @@ def test_step_map_flow_does_not_depend_on_the_seed(model, x_a, x_b, t_b):
     # is what lets _newton keep the seed run's flow
     identity = np.eye(2 * model.dim)
     v0 = (np.asarray(x_b) - np.asarray(x_a)) / t_b
-    _, seed = _rk4_run(model, x_a, v0, 0.0, t_b, 300, identity)
-    _, other = _rk4_run(model, x_a, v0 + 0.7, 0.0, t_b, 300, identity)
-    assert not np.array_equal(seed[:, :, 0], other[:, :, 0])
-    np.testing.assert_array_equal(seed[:, :, 1:], other[:, :, 1:])
+    _, seed, seed_flow = _rk4_run(model, x_a, v0, 0.0, t_b, 300, identity)
+    _, other, other_flow = _rk4_run(model, x_a, v0 + 0.7, 0.0, t_b, 300,
+                                    identity)
+    assert not np.array_equal(seed, other)
+    np.testing.assert_array_equal(seed_flow, other_flow)
 
 
 def test_step_map_run_memory_stays_near_its_history():
@@ -521,13 +664,15 @@ def test_step_map_run_memory_stays_near_its_history():
     model = magnetic_field(mass=1.5, omega=0.8, dim=3)
     tracemalloc.start()
     try:
-        _, ys = _rk4_run(model, [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 0.0, 1.4,
-                         MAX_N_STEPS, np.eye(6))
+        _, states, tangents = _rk4_run(model, [0.1, 0.0, -0.3],
+                                       [1.0, -0.5, 0.2], 0.0, 1.4,
+                                       MAX_N_STEPS, np.eye(6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ys.shape == (MAX_N_STEPS + 1, 6, 7)
-    assert peak <= 1.25 * ys.nbytes
+    assert states.shape == (MAX_N_STEPS + 1, 6)
+    assert tangents.shape == (MAX_N_STEPS + 1, 6, 6)
+    assert peak <= 1.25 * (states.nbytes + tangents.nbytes)
 
 
 @pytest.mark.parametrize("model, x_a, x_b", [
@@ -567,10 +712,10 @@ def test_affine_seed_within_tolerance_is_accepted_as_it_stands(monkeypatch):
     again = solve_bvp(model, x_a, x_b, 0.0, t_b, v0_guess=path.v_a,
                       n_steps=200)
     assert steps == [200]
-    _, ys = _rk4_run(model, x_a, path.v_a, 0.0, t_b, 200,
-                     np.eye(2 * model.dim))
-    np.testing.assert_array_equal(again.positions, ys[:, :model.dim, 0])
-    np.testing.assert_array_equal(again.flow, ys[-1, :, 1:])
+    _, states, tangents = _rk4_run(model, x_a, path.v_a, 0.0, t_b, 200,
+                                   np.eye(2 * model.dim))
+    np.testing.assert_array_equal(again.positions, states[:, :model.dim])
+    np.testing.assert_array_equal(again.flow, tangents[-1])
 
 
 def _loop_action(model, traj):

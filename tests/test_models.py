@@ -290,6 +290,11 @@ def _stacked_builtins():
             (f"omega2-{d}", harmonic_oscillator(mass=mass, omega2=1.7)),
             (f"stiffness-{d}", harmonic_oscillator(
                 mass=mass, stiffness=random_spd(rng, d))),
+            (f"omega2-callable-{d}", harmonic_oscillator(
+                mass=mass, omega2=lambda t: 1.0 + 0.3 * np.sin(t))),
+            (f"stiffness-callable-{d}", harmonic_oscillator(
+                mass=mass, stiffness=lambda t, k=random_spd(rng, d):
+                (1.0 + 0.2 * t * t) * k)),
             (f"omega2-expression-{d}", _config_model(
                 "harmonic_oscillator", dim=d,
                 omega2="(1 + 0.2*sin(3*t))^2 * exp(-t/4)")),
@@ -340,6 +345,10 @@ def test_stacked_callbacks_equal_the_pointwise_loop(case, model):
 
 
 def test_user_callables_stay_pointwise():
+    # a builtin built on a user's omega2 or stiffness callable is marked
+    # all the same: read on a grid, its callback is called once and calls
+    # the user's callable at one scalar t at a time; a marked omega2 takes
+    # the array of times itself; callbacks a user passes in stay unmarked
     calls = []
 
     def omega2(t):
@@ -347,20 +356,18 @@ def test_user_callables_stay_pointwise():
         return 1.0 + 0.1 * t
 
     models = [harmonic_oscillator(omega2=omega2),
-              harmonic_oscillator(stiffness=lambda t: [[1.0 + t]]),
-              make_quartic()]
-    for model in models:
-        for name in ("potential", "potential_grad", "potential_hess"):
-            assert not is_stacked(getattr(model, name)), name
-    # a marked omega2 gives a stacked model; the model is read on a grid
-    # by along, one call per point for the unmarked one
+              harmonic_oscillator(stiffness=lambda t: [[1.0 + t]])]
+    for name in ("potential", "potential_grad", "potential_hess"):
+        assert all(is_stacked(getattr(model, name)) for model in models)
+        assert not is_stacked(getattr(make_quartic(), name)), name
     stacked_model = harmonic_oscillator(omega2=stacked(omega2))
     assert is_stacked(stacked_model.potential_hess)
     xs, ts = np.zeros((5, 1)), np.linspace(0.0, 1.0, 5)
-    along(models[0].potential_hess, xs, ts)
+    values = along(models[0].potential_hess, xs, ts)
     assert calls == [()] * 5
     calls.clear()
-    along(stacked_model.potential_hess, xs, ts)
+    np.testing.assert_array_equal(
+        along(stacked_model.potential_hess, xs, ts), values)
     assert calls == [(5,)]
 
 
