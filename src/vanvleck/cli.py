@@ -70,12 +70,16 @@ NUMERICS_DEFAULTS = {
 # 288 B a slice, 29 MB at the bound.
 # A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
 # its CSV is written, so its row count, the product of the parameter
-# counts, is bounded too: under 20 MB at the bound.
+# counts, is bounded too: under 20 MB at the bound.  ``verify`` keeps
+# every split's report (nested dicts of about 40 floats, about 5 KB, and
+# 1.5 KB of report text) until it writes them, so its count of ``t_mid``
+# entries is bounded as well: under 10 MB at the bound.
 MAX_DIM = 3
 MAX_N_STEPS = 100_000
 MAX_QUAD_POINTS = 1_000
 MAX_N_SLICES = 100_000
 MAX_SWEEP_ROWS = 10_000
+MAX_SPLITS = 1_000
 
 MAX_SERIALIZED_SAMPLES = 256
 
@@ -527,6 +531,8 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
         t_mid_values = [t_mid_values]
     if not isinstance(t_mid_values, list) or not t_mid_values:
         raise ConfigError("t_mid must be a number or a nonempty list")
+    if len(t_mid_values) > MAX_SPLITS:
+        raise ConfigError(f"t_mid may list at most {MAX_SPLITS} split times")
     for t_mid in t_mid_values:
         if not _is_number(t_mid):
             raise ConfigError("t_mid entries must be numbers")

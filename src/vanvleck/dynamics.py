@@ -6,27 +6,30 @@ boundary problems are solved by Newton shooting on the initial velocity.
 The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically.  On a model flagged ``affine_flow`` (a linear builtin, or
-an expression potential of degree at most 2 in x) the Euler-Lagrange
-system itself is linear, so each RK4 step is one affine map of the state,
-a linear map in homogeneous coordinates: ``linear_rk4`` samples the
-system at the stage times of a block of steps, builds the block's maps
-by batched matmuls and applies one small matmul per step, with no Python
-right-hand side per stage.  The endpoint map is then exactly affine, so
-Newton's first correction is exact and is applied by superposition of
-the first run's tangent columns: one run gives the path and its flow.
-On any other model a run takes two passes: ``rk4`` steps the path
-(x, v) alone, each stage computing only the acceleration, and records
-its stages; the flow then reads the linearization once per block of
-steps, on the block's recorded stages as a stack, and is stepped by the
-same step maps as a linear system, keeping only its value at t_b.  An
-unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR times
-coarser, so most Newton iterations cost an eighth of a fine run and the
-fine grid takes about two.  The flow Phi(t_b) of the accepted iterate is
-kept on the path, so every later consumer of the Jacobi system reads it
-instead of integrating it again.  The action is Simpson quadrature on
-the grid, which matches the integrator order, computed the first time it
-is read.
+quadratically on each grid.  On a model flagged ``affine_flow`` (a linear
+builtin, or an expression potential of degree at most 2 in x) the
+Euler-Lagrange system itself is linear, so each RK4 step is one affine
+map of the state, a linear map in homogeneous coordinates: ``linear_rk4``
+samples the system at the stage times of a block of steps, builds the
+block's maps by batched matmuls and applies one small matmul per step,
+with no Python right-hand side per stage.  The endpoint map is then
+exactly affine, so Newton's first correction is exact and is applied by
+superposition of the first run's tangent columns: one run gives the path
+and its flow.  On any other model a run takes two passes: ``rk4`` steps
+the path (x, v) alone, each stage computing only the acceleration, and
+records its stages; the flow then reads the linearization once per block
+of steps, on the block's recorded stages as a stack, and is stepped by
+the same step maps as a linear system, keeping only its value at t_b.
+An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
+times coarser, so most Newton iterations cost an eighth of a fine run
+and the fine grid takes about two runs.  The first of them takes a chord
+step with the coarse flow's shooting Jacobian, which differs from the
+fine one by O(h^4), so it makes no flow pass; the second is a Newton
+iterate with the fine grid's own flow.  The flow Phi(t_b) of the
+accepted iterate is kept on the path, so every later consumer of the
+Jacobi system reads it instead of integrating it again.  The action is
+Simpson quadrature on the grid, which matches the integrator order,
+computed the first time it is read.
 """
 
 from __future__ import annotations
@@ -273,15 +276,25 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     once, and jv is one of them.  The acceleration reads only
     potential_grad and the Jacobians only potential_hess; both are
     ``el_linearization``'s arithmetic with the zero terms dropped, so they
-    return the same bits.
+    return the same bits.  The acceleration has two rules, chosen once
+    per run from the field ``curl = da^T - da``: g^-1 (curl v - grad V)
+    in a field, and (-g^-1) grad V, one matvec, where curl is all zero
+    (always in D = 1).  Negation is exact, so the two agree bit for bit
+    but for the sign of an exactly zero acceleration.
     """
     if not metric_is_constant(model, x, t):
         return None
     gi, curl, jv = _constant_kinetic_blocks(model, x, t)
     d = model.dim
 
-    def acceleration(x, v, t):
-        return gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
+    if np.any(curl):
+        def acceleration(x, v, t):
+            return gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
+    else:
+        neg_gi = -gi
+
+        def acceleration(x, v, t):
+            return neg_gi @ np.asarray(model.potential_grad(x, t))
 
     def jacobians(x, v, t, acc):
         hess = _read(model.potential_hess, x, t, (d, d))
@@ -572,30 +585,36 @@ def require_nonsingular(mat: np.ndarray, duration: float, error: type,
 
 
 def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
-            n_steps: int, tol: float, max_iter: int, must_step: bool = False):
+            n_steps: int, tol: float, max_iter: int,
+            must_step: np.ndarray | None = None):
     """Newton shooting on one grid of ``n_steps`` RK4 steps from ``v0``.
 
-    Returns ``(traj, flow, res)`` of the accepted iterate.  With
-    ``must_step`` the first iterate is never accepted: at least one Newton
-    step is taken on this grid, whatever its endpoint miss.  On a model
-    flagged ``affine_flow`` the first correction dv = -Pxv^-1 miss is
-    exact: the path from v0 + dv is the run's base column plus its
+    Returns ``(traj, flow, res)`` of the accepted iterate.  ``must_step``
+    is None or the (2D, 2D) flow of a coarser solve that ended at ``v0``.
+    When it is given, the first iterate is never accepted, whatever its
+    endpoint miss, so it runs with no tangent columns and takes a chord
+    step with that flow's Pxv block; Newton then runs on this grid as
+    without it, so the accepted iterate's flow is this grid's own.  On a
+    model flagged ``affine_flow`` the first correction dv = -Pxv^-1 miss
+    is exact: the path from v0 + dv is the run's base column plus its
     velocity tangent columns times dv, and the flow is the run's, since
     it does not depend on the trajectory, so no second run is made.
     """
     d = model.dim
     identity = np.eye(2 * d)
     best_res = np.inf
+    chord = must_step
     for iteration in range(1, max_iter + 1):
+        vblock = identity if chord is None else identity[:, :0]
         times, states, tangents = _rk4_run(model, x_a, v0, t_a, t_b, n_steps,
-                                           identity)
+                                           vblock)
         miss = states[-1, :d] - x_b
         res = float(np.max(np.abs(miss)))
         if not np.isfinite(res):
             raise NoConvergence(iteration, best_res)
         best_res = min(best_res, res)
-        flow = tangents[-1]
-        if res <= tol and not (must_step and iteration == 1):
+        flow = tangents[-1] if chord is None else chord
+        if res <= tol and chord is None:
             return _trajectory(times, states), flow.copy(), res
         jac = flow[:d, d:]
         require_nonsingular(jac, t_b - t_a, SingularShootingJacobian,
@@ -606,6 +625,7 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
             return (_trajectory(times, states), flow.copy(),
                     float(np.max(np.abs(states[-1, :d] - x_b))))
         v0 = v0 + dv
+        chord = None
     raise NoConvergence(max_iter, best_res)
 
 
@@ -624,12 +644,14 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     ``COARSE_FACTOR * MIN_COARSE_STEPS``, Newton first runs from the
     straight-line velocity on a coarse grid of ``n_steps // COARSE_FACTOR``
     steps (rounded down to even), and the coarse answer seeds Newton on
-    the ``n_steps`` grid.  A coarse answer that moved the seed is refined
-    by at least one fine-grid Newton step, so the accepted iterate is a
-    Newton iterate of the fine endpoint map.  When the coarse phase keeps
-    the seed, or raises NoConvergence, SingularShootingJacobian or
-    SingularMetric, the fine grid starts from the straight-line velocity
-    exactly as without a coarse phase.
+    the ``n_steps`` grid.  A coarse answer that moved the seed is handed
+    to ``_newton`` as ``must_step`` with its flow: the fine grid's first
+    run carries no tangent columns and takes a chord step with the coarse
+    Pxv, and Newton then runs on the fine grid, so the accepted iterate
+    is a Newton iterate of the fine endpoint map with its own flow.  When
+    the coarse phase keeps the seed, or raises NoConvergence,
+    SingularShootingJacobian or SingularMetric, the fine grid starts from
+    the straight-line velocity exactly as without a coarse phase.
 
     Parameters
     ----------
@@ -665,20 +687,21 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    moved = False
+    chord = None
     if (not model.affine_flow and v0_guess is None
             and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS):
         coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
         try:
-            coarse, _, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
-                                   coarse_steps, tol, max_iter)
+            coarse, coarse_flow, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
+                                             coarse_steps, tol, max_iter)
         except (NoConvergence, SingularShootingJacobian, SingularMetric):
             pass
         else:
-            moved = not np.array_equal(coarse.velocities[0], v0)
+            if not np.array_equal(coarse.velocities[0], v0):
+                chord = coarse_flow
             v0 = coarse.velocities[0]
     traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
-                              max_iter, must_step=moved)
+                              max_iter, must_step=chord)
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)

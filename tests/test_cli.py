@@ -414,6 +414,20 @@ def test_verify_non_positive_threshold_is_config_error(
     assert not out.exists()
 
 
+def test_verify_split_count_is_bounded(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the through path must not be solved")
+
+    monkeypatch.setattr(cli, "solve_bvp", no_solve)
+    t_mid = list(np.linspace(0.1, 0.4, cli.MAX_SPLITS + 1))
+    cfg = _write(tmp_path, "vsplits.json", _quartic_verify_config(t_mid=t_mid))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_mid may list at most")
+    assert not out.exists()
+
+
 def test_verify_negative_control_diagnostic(tmp_path):
     cfg = _write(tmp_path, "vneg.json", {
         "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},

@@ -368,17 +368,20 @@ def test_linearization_callback_counts():
                              "potential_grad": per, "potential_hess": per}
 
 
-def _count_runs(monkeypatch, fail_at=None, failure=None):
+def _count_runs(monkeypatch, fail_at=None, failure=None, columns=None):
     """Step counts of every _rk4_run call; a run on ``fail_at`` steps fails.
 
     ``failure`` None makes that run return NaN positions; otherwise it is
-    the exception the run raises.
+    the exception the run raises.  A ``columns`` list receives each run's
+    number of tangent columns.
     """
     steps = []
     real_run = dynamics._rk4_run
 
     def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
         steps.append(n_steps)
+        if columns is not None:
+            columns.append(np.shape(vblock0)[1])
         run = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
         if n_steps == fail_at:
             if failure is not None:
@@ -414,12 +417,19 @@ def test_coarse_warm_start_lands_on_the_cold_path(monkeypatch, model, x_a,
     # the cold solve may stop anywhere below the default tolerance (the
     # polar one stops at 1.5e-11), so it is driven to roundoff here
     cold = _cold(model, x_a, x_b, t_b, n, tol=1e-13)
-    steps = _count_runs(monkeypatch)
+    columns = []
+    steps = _count_runs(monkeypatch, columns=columns)
     warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
     coarse = n // dynamics.COARSE_FACTOR // 2 * 2
     assert set(steps) == {coarse, n}
     assert steps.index(n) == len(steps) - steps.count(n)   # coarse first
     assert steps.count(n) == 2   # the seeded run and one Newton step
+    # the seeded run steps with the coarse flow, so it carries no tangents
+    assert columns[-2:] == [0, 2 * model.dim]
+    _assert_lands_on(warm, cold)
+
+
+def _assert_lands_on(warm, cold):
     assert warm.bvp_residual <= 1e-13
     assert warm.action == pytest.approx(cold.action, rel=1e-11)
     scale = np.max(np.abs(cold.positions))
@@ -428,18 +438,57 @@ def test_coarse_warm_start_lands_on_the_cold_path(monkeypatch, model, x_a,
             <= 1e-11 * np.linalg.norm(cold.flow))
 
 
+@pytest.mark.parametrize("model, x_a, x_b, t_b, n", WARM_CASES[:3],
+                         ids=WARM_IDS[:3])
+def test_poor_chord_step_falls_back_to_newton(monkeypatch, model, x_a, x_b,
+                                              t_b, n):
+    # a coarse flow with the sign of Pxv flipped takes a chord step the
+    # wrong way, doubling the fine miss past tol; Newton on the fine grid
+    # then takes over, each later iterate with its own tangent columns
+    cold = _cold(model, x_a, x_b, t_b, n, tol=1e-13)
+    real_newton = dynamics._newton
+    d = model.dim
+
+    def skewed(*args, must_step=None):
+        if must_step is not None:
+            must_step = must_step.copy()
+            must_step[:d, d:] *= -1.0
+        return real_newton(*args, must_step=must_step)
+
+    monkeypatch.setattr(dynamics, "_newton", skewed)
+    misses = []
+    real_run = dynamics._rk4_run
+
+    def recorded(model, x0, v0, t_a, t_b, n_steps, vblock0):
+        run = real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+        if n_steps == n:
+            misses.append((vblock0.shape[1],
+                           np.max(np.abs(run[1][-1, :d] - x_b))))
+        return run
+
+    monkeypatch.setattr(dynamics, "_rk4_run", recorded)
+    warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    assert misses[0][0] == 0
+    assert misses[1][1] > dynamics.DEFAULT_TOL   # the chord step missed
+    assert len(misses) >= 3
+    assert all(m == 2 * d for m, _ in misses[1:])
+    _assert_lands_on(warm, cold)
+
+
 def test_must_step_refines_an_accepted_seed(monkeypatch):
     model, x_a, x_b, t_b, n = WARM_CASES[3]
     x_a, x_b = np.asarray(x_a, float), np.asarray(x_b, float)
     path = _cold(model, x_a, x_b, t_b, n)
     assert 1e-13 < path.bvp_residual <= dynamics.DEFAULT_TOL
-    steps = _count_runs(monkeypatch)
+    columns = []
+    steps = _count_runs(monkeypatch, columns=columns)
     args = (model, x_a, x_b, 0.0, t_b, path.v_a, n, dynamics.DEFAULT_TOL,
             dynamics.DEFAULT_MAX_ITER)
     _, _, res = dynamics._newton(*args)
     assert (steps, res) == ([n], path.bvp_residual)
-    _, _, res = dynamics._newton(*args, must_step=True)
+    _, _, res = dynamics._newton(*args, must_step=path.flow)
     assert steps == [n, n, n]
+    assert columns == [4, 0, 4]
     assert res <= 1e-13
 
 
