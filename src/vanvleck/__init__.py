@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     ConjugatePoint,
     FocalPoint,
-    MidpointOffPath,
     NoConvergence,
     NonConstantMetric,
     NonFiniteResult,
@@ -99,7 +98,6 @@ __all__ = [
     "FocalPoint",
     "JacobiBoundarySolution",
     "LagrangianModel",
-    "MidpointOffPath",
     "NoConvergence",
     "NonConstantMetric",
     "NonFiniteResult",

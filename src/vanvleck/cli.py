@@ -517,7 +517,7 @@ def cmd_factor(cfg: dict, out_path: Optional[str], full_grid: bool) -> int:
 # verify
 
 
-_VERIFY_KEYS = {"t_mid", "thresholds", "midpoint_offset"}
+_VERIFY_KEYS = {"t_mid", "thresholds"}
 
 
 def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
@@ -547,20 +547,13 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     for key, value in (("factor", factor_tol), ("momentum", momentum_tol)):
         if not value > 0.0:
             raise ConfigError(f"thresholds.{key} must be positive")
-    offset = cfg.get("midpoint_offset")
-    if offset is not None:
-        offset = _vector(offset, "midpoint_offset")
-        if offset.shape != (scenario.model.dim,):
-            raise ConfigError("midpoint_offset must match the model dimension")
 
     reports = []
-    diagnostic_mode = offset is not None
     try:
         full = _solve_scenario_path(scenario)
         for t_mid in t_mid_values:
             rep = verify_composition(full, float(t_mid), tol=factor_tol,
-                                     momentum_tol=momentum_tol,
-                                     midpoint_offset=offset)
+                                     momentum_tol=momentum_tol)
             reports.append(asdict(rep) | {"passed": rep.passed})
         all_passed = all(rep["passed"] for rep in reports)
         text = dumps_canonical({
@@ -568,14 +561,13 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
             "config": scenario.raw,
             "reports": reports,
             "all_passed": all_passed,
-            "diagnostic_mode": diagnostic_mode,
         })
     except _NUMERICAL_ERRORS as exc:
         _emit(dumps_canonical(_error_report("verify", scenario.raw, exc)),
               out_path)
         return 2
     _emit(text, out_path)
-    return 0 if all_passed or diagnostic_mode else 2
+    return 0 if all_passed else 2
 
 
 # ---------------------------------------------------------------------------

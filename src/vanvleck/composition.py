@@ -21,11 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ClassicalPath, solve_bvp, state_at
-from .errors import MidpointOffPath
 from .fluctuation import fresnel_det_inv_sqrt, fresnel_prefactor, vvpm_factor
 from .hessian import ActionHessian, action_hessian_jacobi
-
-JUNCTION_VELOCITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,40 +68,26 @@ def compose(left: ActionHessian, right: ActionHessian, f_left: complex,
 
 
 def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
-                       momentum_tol: float = 1e-8,
-                       midpoint_offset=None) -> CompositionReport:
+                       momentum_tol: float = 1e-8) -> CompositionReport:
     """Split the solved path ``full`` at t_mid, recombine, report all residuals.
 
     The model, endpoints, times and step count are those of ``full``; the
-    two halves are re-solved independently on proportional grids.  The
-    junction position is read off the through trajectory; passing
-    ``midpoint_offset`` displaces it deliberately (negative control),
-    which suppresses the on-path consistency check that otherwise raises
-    MidpointOffPath.
+    two halves are re-solved on proportional grids through the junction
+    position read off the through trajectory.  Halves that leave that
+    trajectory show as a momentum mismatch and fail the split.
     """
     model, t_a, t_b, n_steps = full.model, full.t_a, full.t_b, full.n_steps
     if not (t_a < t_mid < t_b):
         raise ValueError("t_mid must lie strictly inside (t_a, t_b)")
     duration = full.duration
-    x_on_path, v_on_path = state_at(full, t_mid)
-    x_mid = np.array(x_on_path)
-    if midpoint_offset is not None:
-        x_mid = x_mid + np.asarray(midpoint_offset, dtype=float)
+    x_mid, v_mid = state_at(full, t_mid)
 
     left = solve_bvp(model, full.x_a, x_mid, t_a, t_mid,
                      v0_guess=full.v_a,
                      n_steps=_even_steps((t_mid - t_a) / duration, n_steps))
     right = solve_bvp(model, x_mid, full.x_b, t_mid, t_b,
-                      v0_guess=v_on_path,
+                      v0_guess=v_mid,
                       n_steps=_even_steps((t_b - t_mid) / duration, n_steps))
-    if midpoint_offset is None:
-        vscale = 1.0 + float(np.max(np.abs(v_on_path)))
-        jump = max(float(np.max(np.abs(left.v_b - v_on_path))),
-                   float(np.max(np.abs(right.v_a - v_on_path))))
-        if jump > JUNCTION_VELOCITY_TOL * vscale:
-            raise MidpointOffPath(
-                f"re-solved halves leave the through trajectory by {jump:.3e} "
-                f"in velocity at t_mid={t_mid}")
 
     momentum_mismatch = float(np.max(np.abs(left.p_b - right.p_a)))
     action_residual = abs(left.action + right.action - full.action)
@@ -137,7 +120,6 @@ def verify_composition(full: ClassicalPath, t_mid: float, tol: float = 1e-6,
         "action_right": right.action,
         "bvp_residuals": [full.bvp_residual, left.bvp_residual,
                           right.bvp_residual],
-        "midpoint_offset_applied": midpoint_offset is not None,
     }
     return CompositionReport(
         t_mid=float(t_mid), x_mid=x_mid,

@@ -67,10 +67,6 @@ class SeriesDivergence(VanVleckError):
     """Iterated-integral series terms stopped decreasing at this horizon."""
 
 
-class MidpointOffPath(VanVleckError):
-    """Re-solved half paths disagree with the through path at the junction."""
-
-
 class NonFiniteResult(VanVleckError):
     """A value a report must carry is infinite or NaN."""
 

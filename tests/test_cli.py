@@ -428,20 +428,19 @@ def test_verify_split_count_is_bounded(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_verify_negative_control_diagnostic(tmp_path):
-    cfg = _write(tmp_path, "vneg.json", {
-        "model": {"tag": "harmonic_oscillator", "params": {"omega2": 1.0}},
-        "x_a": [0.0], "x_b": [1.0], "t_b": 1.0,
-        "t_mid": [0.5],
-        "midpoint_offset": [0.01],
-        "numerics": {"n_steps": 400},
-    })
+def test_verify_midpoint_offset_is_an_unknown_key(tmp_path, capsys,
+                                                 monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the through path must not be solved")
+
+    monkeypatch.setattr(cli, "solve_bvp", no_solve)
+    cfg = _write(tmp_path, "voffset.json", _quartic_verify_config(
+        midpoint_offset=[0.01]))
     out = tmp_path / "verify.json"
-    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["diagnostic_mode"] is True
-    assert report["all_passed"] is False
-    assert report["reports"][0]["momentum_mismatch"] > 1e-4
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key 'midpoint_offset'")
+    assert not out.exists()
 
 
 def _read_csv(path):

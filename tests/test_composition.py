@@ -5,7 +5,6 @@ import pytest
 
 from vanvleck import (
     ActionHessian,
-    MidpointOffPath,
     action_hessian_jacobi,
     compose,
     free_particle,
@@ -21,9 +20,12 @@ from vanvleck import (
 from conftest import make_quartic
 
 
-def _split(model, x_a, x_b, t_a, t_b, t_mid, n_steps=1000):
+def _split(model, x_a, x_b, t_a, t_b, t_mid, n_steps=1000, offset=0.0):
+    """Through path and its two halves, re-solved through the point the
+    through path passes at t_mid, displaced by ``offset``."""
     full = solve_bvp(model, x_a, x_b, t_a, t_b, n_steps=n_steps)
     x_mid, v_mid = state_at(full, t_mid)
+    x_mid = x_mid + offset
     left = solve_bvp(model, x_a, x_mid, t_a, t_mid,
                      v0_guess=full.v_a, n_steps=n_steps)
     right = solve_bvp(model, x_mid, x_b, t_mid, t_b,
@@ -90,18 +92,17 @@ def test_momentum_matching_harmonic():
 def test_momentum_mismatch_negative_control():
     # junction displaced off the saddle: mismatch responds linearly
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    report = verify_composition(solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.5,
-                                midpoint_offset=[1e-2])
-    assert report.momentum_mismatch > 1e-4
+    _, left, right = _split(model, [0.0], [1.0], 0.0, 1.0, 0.5, offset=1e-2)
+    assert np.max(np.abs(left.p_b - right.p_a)) > 1e-4
 
 
 def test_action_additivity_check_raises_when_off():
     model = harmonic_oscillator(mass=1.0, omega2=1.0, dim=1)
-    report = verify_composition(solve_bvp(model, [0.0], [1.0], 0.0, 1.0), 0.5,
-                                midpoint_offset=[5e-2])
-    assert (report.action_additivity_residual
-            > report.thresholds["action_additivity_residual"])
-    assert not report.passed
+    full, left, right = _split(model, [0.0], [1.0], 0.0, 1.0, 0.5,
+                               offset=5e-2)
+    # verify_composition's default tol = 1e-6, relative to 1 + |A|
+    assert (abs(left.action + right.action - full.action)
+            > 1e-6 * (1.0 + abs(full.action)))
 
 
 def test_jacobian_identity_free_exact():
@@ -169,19 +170,23 @@ def test_mid_time_sweep_invariance(quartic):
         assert report.factor_residual <= 1e-6, t_mid
 
 
-def test_off_path_junction_raises(quartic):
-    # grid too coarse: the interpolated junction leaves the true trajectory
-    with pytest.raises(MidpointOffPath):
-        verify_composition(
-            solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5, n_steps=8), 0.2)
+def test_off_path_junction_fails_its_split(quartic):
+    # grid too coarse: the interpolated junction leaves the true trajectory,
+    # so the re-solved halves meet it with a kink
+    report = verify_composition(
+        solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5, n_steps=8), 0.2)
+    assert (report.momentum_mismatch
+            > report.thresholds["momentum_mismatch"])
+    assert not report.passed
 
 
 def test_midpoint_offset_is_diagnostic_negative_control(quartic):
-    report = verify_composition(solve_bvp(quartic, [0.0], [1.0], 0.0, 0.5),
-                                0.2, midpoint_offset=np.array([0.05]))
-    assert report.diagnostic["midpoint_offset_applied"]
-    assert report.momentum_mismatch > 1e-4
-    assert not report.passed
+    # a kinked junction fails both the momentum match and the factor
+    full, left, right = _split(quartic, [0.0], [1.0], 0.0, 0.5, 0.2,
+                               offset=0.05)
+    assert np.max(np.abs(left.p_b - right.p_a)) > 1e-4
+    # verify_composition's default factor tol
+    assert _compose_residuals(full, left, right)[1] > 1e-6
 
 
 def _mode_mixed_and_diag(tau, mass, omega):

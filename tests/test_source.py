@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "vanvleck"
+README = SOURCE.parent.parent / "README.md"
 MODULES = sorted(path.name for path in SOURCE.glob("*.py")
                  if path.name != "__init__.py")
 
@@ -91,3 +93,23 @@ def test_no_unread_private_names():
     sources = {path.name: path.read_text()
                for path in sorted(SOURCE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def error_classes(source: str) -> set[str]:
+    """Classes in ``source`` that derive, directly or not, from
+    ``VanVleckError``, which is not itself included."""
+    family = {"VanVleckError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in family
+                for base in node.bases):
+            family.add(node.name)
+    return family - {"VanVleckError"}
+
+
+def test_readme_names_every_failure_mode():
+    text = README.read_text()
+    start = text.index("Failure modes are typed exceptions")
+    sentence = text[start:text.index("(all subclass `VanVleckError`)", start)]
+    named = set(re.findall(r"`(\w+)`", sentence))
+    assert named == error_classes((SOURCE / "errors.py").read_text())
