@@ -15,11 +15,12 @@ block's maps by batched matmuls and applies one small matmul per step,
 with no Python right-hand side per stage.  The endpoint map is then
 exactly affine, so Newton's first correction is exact and is applied by
 superposition of the first run's tangent columns: one run gives the path
-and its flow.  On any other model a run takes two passes: ``rk4`` steps
-the path (x, v) alone, each stage computing only the acceleration, and
-records its stages; the flow then reads the linearization once per block
-of steps, on the block's recorded stages as a stack, and is stepped by
-the same step maps as a linear system, keeping only its value at t_b.
+and its flow.  On any other model a run takes two passes: the path pass
+steps (x, v) alone as a list of Python floats, each stage computing only
+the acceleration, and records its stages; the flow then reads the
+linearization once per block of steps, on the block's recorded stages as
+a stack, and is stepped by the same step maps as a linear system,
+keeping only its value at t_b.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -34,6 +35,7 @@ computed the first time it is read.
 
 from __future__ import annotations
 
+import array
 import functools
 from dataclasses import dataclass
 
@@ -253,14 +255,18 @@ def _constant_kinetic_blocks(model: LagrangianModel, x, t):
 
 def _general_linearization(model: LagrangianModel):
     """``(acceleration, jacobians)`` of one run on any model:
-    ``el_linearization``'s arithmetic, the first at one point, the second
-    at a stack of points with their accelerations."""
+    ``el_linearization``'s arithmetic, the first at one state, a list of
+    2D floats (x, v), as a list of D floats, the second at a stack of
+    points with their accelerations."""
+    d = model.dim
 
-    def acceleration(x, v, t):
+    def acceleration(y, t):
+        x = np.array(y[:d])
         return _acceleration(metric_inverse(model, x, t),
                              np.asarray(model.metric_grad(x, t)),
                              np.asarray(model.vector_potential_grad(x, t)),
-                             np.asarray(model.potential_grad(x, t)), v)
+                             np.asarray(model.potential_grad(x, t)),
+                             np.array(y[d:])).tolist()
 
     def jacobians(x, v, t, acc):
         return el_linearization(model, x, v, t, acc)[1:]
@@ -279,8 +285,10 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     return the same bits.  The acceleration has two rules, chosen once
     per run from the field ``curl = da^T - da``: g^-1 (curl v - grad V)
     in a field, and (-g^-1) grad V, one matvec, where curl is all zero
-    (always in D = 1).  Negation is exact, so the two agree bit for bit
-    but for the sign of an exactly zero acceleration.
+    (always in D = 1, where the matvec is one float product, the same
+    bits).  Negation is exact, so the two agree bit for bit but for the
+    sign of an exactly zero acceleration.  Both take and return what
+    ``_general_linearization``'s do.
     """
     if not metric_is_constant(model, x, t):
         return None
@@ -288,13 +296,21 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     d = model.dim
 
     if np.any(curl):
-        def acceleration(x, v, t):
-            return gi @ (curl @ v - np.asarray(model.potential_grad(x, t)))
+        def acceleration(y, t):
+            grad = np.asarray(model.potential_grad(np.array(y[:d]), t))
+            return (gi @ (curl @ np.array(y[d:]) - grad)).tolist()
+    elif d == 1:
+        neg_g = -float(gi[0, 0])
+
+        def acceleration(y, t):
+            grad = model.potential_grad(np.array(y[:1]), t)
+            return [neg_g * float(grad[0])]
     else:
         neg_gi = -gi
 
-        def acceleration(x, v, t):
-            return neg_gi @ np.asarray(model.potential_grad(x, t))
+        def acceleration(y, t):
+            grad = np.asarray(model.potential_grad(np.array(y[:d]), t))
+            return (neg_gi @ grad).tolist()
 
     def jacobians(x, v, t, acc):
         hess = _read(model.potential_hess, x, t, (d, d))
@@ -304,7 +320,7 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4: the general stepper, and step maps of a linear system
+# fixed-step RK4: step maps of a linear system, and one Euler-Lagrange run
 
 
 def _step_size(times) -> float:
@@ -312,24 +328,6 @@ def _step_size(times) -> float:
     if len(times) < 9:
         raise ValueError("n_steps must be at least 8")
     return (times[-1] - times[0]) / (len(times) - 1)
-
-
-def rk4(rhs, y0, times) -> np.ndarray:
-    """Classical RK4 of y' = rhs(t, y) on the uniform grid ``times``.
-
-    The state may have any shape; returns the state at every grid time,
-    shape ``(len(times),) + y0.shape``.
-    """
-    h = _step_size(times)
-    ys = np.empty((len(times),) + y0.shape)
-    ys[0] = y = y0
-    for k, t in enumerate(times[:-1]):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        ys[k + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ys
 
 
 def _rk4_step_maps(m1, m2, m3, m4, h: float) -> np.ndarray:
@@ -345,9 +343,9 @@ def _rk4_step_maps(m1, m2, m3, m4, h: float) -> np.ndarray:
         K4 = M4 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
     Returns ``S - 1``, shape (b, N, N): a step is applied as
-    y + (S - 1) y, as ``rk4`` adds its increment, because S itself would
-    round away the low bits of the increment at every step, an error that
-    grows like n eps.
+    y + (S - 1) y, as the path pass adds its increment, because S itself
+    would round away the low bits of the increment at every step, an
+    error that grows like n eps.
     """
     eye = np.eye(m1.shape[-1])
     k2 = m2 @ (eye + 0.5 * h * m1)
@@ -368,8 +366,8 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
     ``_rk4_step_maps``, with the midpoint sample as both middle stages,
     so the memory beside the result does not grow with n.  Each step is
     then one (N, N) @ (N, m) product and its addition to the state.
-    Returns the state at every grid time, as ``rk4`` does, or with
-    ``history=False`` only the last one.
+    Returns the state at every grid time, shape ``(n + 1,) + y0.shape``,
+    or with ``history=False`` only the last one.
     """
     h = _step_size(times)
     n = len(times) - 1
@@ -437,9 +435,13 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     one more row (1, 0, ..., 0) that carries the forcing; ``tangents`` is
     then the block at every grid time, shape (n_steps + 1, 2D, m), which
     Newton's superposition reads.  Every other model runs in two passes.
-    The path pass runs ``rk4`` on (x, v) alone, each stage computing only
-    the acceleration, and records each stage's time, point and
-    acceleration.  The flow pass (``_flow_pass``) steps vblock by the RK4
+    The path pass steps (x, v) alone, as a list of 2D Python floats with
+    a float h, in the classical RK4 order of operations, y + (h/2) k and
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
+    numpy RK4 stepper's; each stage computes only the acceleration, a
+    list of D floats from the callbacks read at a (D,) ndarray, and
+    appends its time, point and acceleration to a flat float64 record,
+    8 B a float.  The flow pass (``_flow_pass``) steps vblock by the RK4
     steps of the linearized system on those same stages, with the
     Jacobian blocks read at the recorded stages as stacks, a block of
     steps at a time, and the recorded accelerations, so potential_grad is
@@ -461,22 +463,33 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         return times, ys[:, :, 0], ys[:, :, 1:]
     acceleration, jacobians = (_constant_kinetic_linearization(model, x, t_a)
                                or _general_linearization(model))
-    # row j holds stage j's (t, x, v, acc); rk4 calls rhs stage by stage
-    stages = np.empty((4 * n_steps, 1 + 3 * d))
-    rows = iter(stages)
+    h = float(_step_size(times))
+    half, sixth = 0.5 * h, h / 6.0
+    # each stage appends its (t, x, v, acc) to the record
+    record = array.array("d")
+    push = record.fromlist
 
-    def rhs(t, y):
-        row = next(rows)
-        row[0] = t
-        row[1:2 * d + 1] = y
-        row[2 * d + 1:] = acceleration(y[:d], y[d:], t)
-        return row[d + 1:]   # (v, acc)
+    def slope(y, t):
+        acc = acceleration(y, t)
+        push([t, *y, *acc])
+        return y[d:] + acc   # (v, acc)
 
-    states = rk4(rhs, np.concatenate((x, v)), times)
-    if not np.all(np.isfinite(states[-1])):
+    y = x.tolist() + v.tolist()
+    for t in times[:-1].tolist():
+        k1 = slope(y, t)
+        k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
+        k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
+        k4 = slope([a + h * b for a, b in zip(y, k3)], t + h)
+        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    stages = np.frombuffer(record).reshape(4 * n_steps, 1 + 3 * d)
+    states = np.empty((n_steps + 1, 2 * d))
+    states[:-1] = stages[::4, 1:2 * d + 1]
+    states[-1] = y
+    if not np.all(np.isfinite(y)):
         vblock = np.full(vblock.shape, np.nan)
     elif vblock.size:
-        vblock = _flow_pass(jacobians, stages, vblock, _step_size(times))
+        vblock = _flow_pass(jacobians, stages, vblock, h)
     return times, states, vblock[None]
 
 

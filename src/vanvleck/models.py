@@ -454,7 +454,9 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
     length 1 at one point.  Stacked when ``f`` is.  One point keeps its
     own branch: there ``x[..., 0]`` is a 0-d array, which sends a compiled
     expression down its numpy path, about 40 times slower per call than a
-    float, and a nonlinear model's RK4 stage makes two such calls."""
+    float.  The path pass of a nonlinear run makes one such call a stage,
+    of potential_grad, at a (1,) ndarray built from the pass's Python
+    float x."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:

@@ -9,7 +9,7 @@ from vanvleck import (ActionHessian, LagrangianModel, free_particle,
                       harmonic_oscillator, magnetic_field, one_dim_potential,
                       solve_bvp)
 from vanvleck.cli import build_model
-from vanvleck.dynamics import el_linearization, rk4
+from vanvleck.dynamics import el_linearization
 from vanvleck.hessian import flow_seed
 from vanvleck.models import central_hessian
 
@@ -114,6 +114,26 @@ def action_hessian_fd(path) -> ActionHessian:
     hess = central_hessian(action, z, h, action(z))
     return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
                          method="FiniteDifference")
+
+
+def rk4(rhs, y0, times) -> np.ndarray:
+    """Classical RK4 of y' = rhs(t, y) on the uniform grid ``times``.
+
+    The state may have any shape; returns the state at every grid time,
+    shape ``(len(times),) + y0.shape``.  The numpy stepper of the
+    oracles: the package's path pass steps Python floats in the same
+    order of operations.
+    """
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    ys = np.empty((len(times),) + y0.shape)
+    ys[0] = y = y0
+    for k, t in enumerate(times[:-1]):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        ys[k + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ys
 
 
 def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):

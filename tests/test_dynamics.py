@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -679,6 +680,37 @@ def test_ivp_and_non_finite_paths_make_no_flow_pass(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_path_that_overflows_partway_makes_no_flow_pass():
+    # V = -x^10 / 10 pushes the path out to inf at t = 0.31 from (1, 2);
+    # on 40 steps the state is first non-finite at step 14.  The force
+    # overflows quietly under np.errstate, and the path pass steps on inf
+    # and NaN with no numpy warning
+    hess_calls = []
+    base = make_quartic()
+
+    def grad(x, t):
+        with np.errstate(over="ignore"):
+            return -np.asarray(x) ** 9
+
+    def hess(x, t):
+        hess_calls.append(t)
+        return base.potential_hess(x, t)
+
+    model = dataclasses.replace(base, potential_grad=grad,
+                                potential_hess=hess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, states, tangents = _rk4_run(model, [1.0], [2.0], 0.0, 1.0, 40,
+                                       np.eye(2))
+        with pytest.raises(NoConvergence) as info:
+            solve_bvp(model, [1.0], [3.0], 0.0, 1.0, n_steps=40)
+    finite = np.isfinite(states).all(axis=1)
+    assert finite[:10].all() and not finite[-1]
+    assert np.isnan(tangents).all()
+    assert info.value.iterations == 1
+    assert hess_calls == []
+
+
 def test_singular_metric_at_a_stage_raises():
     # r = 0 is the polar chart's coordinate singularity: the path pass
     # inverts the metric there at its first stage, and a stacked
@@ -722,6 +754,28 @@ def test_step_map_run_memory_stays_near_its_history():
     assert states.shape == (MAX_N_STEPS + 1, 6)
     assert tangents.shape == (MAX_N_STEPS + 1, 6, 6)
     assert peak <= 1.25 * (states.nbytes + tangents.nbytes)
+
+
+def test_two_pass_run_memory_stays_near_its_stage_record():
+    # the path pass records 1 + 3D float64s a stage, 8 B each, and the
+    # flow pass works a block of STEP_MAP_BLOCK steps at a time, so beside
+    # the record and the history the run holds O(STEP_MAP_BLOCK) memory;
+    # a record of Python floats would be about 4 times the bound
+    model = dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
+                                affine_flow=False)
+    n = 8_000
+    tracemalloc.start()
+    try:
+        _, states, tangents = _rk4_run(model, [0.1, 0.0, -0.3],
+                                       [1.0, -0.5, 0.2], 0.0, 1.4, n,
+                                       np.eye(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (n + 1, 6)
+    assert tangents.shape == (1, 6, 6)
+    record = 4 * n * (1 + 3 * 3) * 8
+    assert peak <= 1.5 * (record + states.nbytes + tangents.nbytes)
 
 
 @pytest.mark.parametrize("model, x_a, x_b", [

@@ -18,8 +18,9 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
-from vanvleck.dynamics import rk4
 from vanvleck.gelfand_yaglom import _collocation, _omega2_sampler
+
+from conftest import rk4
 
 TIME_DEP = lambda t: (1.0 + 0.2 * np.sin(t)) ** 2  # noqa: E731
 

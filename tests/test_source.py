@@ -44,6 +44,19 @@ def test_no_unused_imports(module):
     assert unused_imports((SOURCE / module).read_text()) == []
 
 
+def read_names(trees) -> set[str]:
+    """Names the parsed ``trees`` read: loaded (``name``) or taken as an
+    attribute (``module.name``); an assignment to a name is no read."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def unread_private_names(sources: dict) -> list[str]:
     """Module-level names with a leading underscore that no source reads.
 
@@ -53,13 +66,7 @@ def unread_private_names(sources: dict) -> list[str]:
     an assignment to it is no read.  Dunder names are exempt.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = read_names(trees.values())
     unread = {}
     for module, tree in trees.items():
         for node in tree.body:
@@ -93,6 +100,43 @@ def test_no_unread_private_names():
     sources = {path.name: path.read_text()
                for path in sorted(SOURCE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def idle_public_functions(sources: dict) -> list[str]:
+    """Public module-level functions that ``__init__.py`` does not export
+    and no source reads.
+
+    ``sources`` maps module names, ``__init__.py`` among them, to their
+    text; the result lists ``module:name`` in module and definition
+    order.  A function is exported when ``__init__.py`` imports it by
+    name, and read as ``read_names`` says in any module, its own
+    included; its definition is no read.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    exported = {alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = read_names(trees.values())
+    return [f"{module}:{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in exported | read]
+
+
+def test_the_check_sees_an_idle_public_function():
+    assert idle_public_functions({
+        "__init__.py": "from .a import f\n",
+        "a.py": "def f():\n    return g()\ndef g():\n    pass\n"
+                "def h():\n    pass\ndef _p():\n    pass\n"
+                "def k():\n    pass\n",
+        "b.py": "from . import a\na.k()\ndef m():\n    pass\n",
+    }) == ["a.py:h", "b.py:m"]
+
+
+def test_no_idle_public_functions():
+    sources = {path.name: path.read_text()
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert idle_public_functions(sources) == []
 
 
 def error_classes(source: str) -> set[str]:
