@@ -19,18 +19,18 @@ from vanvleck import (
 omega2 = lambda t: (1.0 + 0.2 * np.sin(t)) ** 2  # noqa: E731
 t_a, t_b = 0.0, 1.0
 
-reference = solve_B_direct(omega2, t_a, t_b, n_steps=8000).B_dot_a[0, 0]
+reference = solve_B_direct(omega2, t_a, t_b, n_steps=8000)[0, 0]
 print(f"reference Bdot(t_a) = {reference:.15f}\n")
 
 print("series truncation order vs relative error:")
 for order in range(0, 9, 2):
-    approx = solve_B_neumann(omega2, t_a, t_b, order=order).B_dot_a[0, 0]
+    approx = solve_B_neumann(omega2, t_a, t_b, order=order)[0, 0]
     print(f"  k = {order}:  {abs(approx - reference) / abs(reference):.3e}")
 
 print("\nslice count vs relative error:")
 for n_slices in (10, 40, 160, 640):
     approx = solve_B_time_ordered(omega2, t_a, t_b,
-                                  n_slices=n_slices).B_dot_a[0, 0]
+                                  n_slices=n_slices)[0, 0]
     print(f"  n = {n_slices:4d}: {abs(approx - reference) / abs(reference):.3e}")
 
 factor = gy_fluctuation_factor(solve_B_direct(omega2, t_a, t_b),

@@ -57,7 +57,6 @@ from .fluctuation import (
     vvpm_factor,
 )
 from .gelfand_yaglom import (
-    JacobiBoundarySolution,
     gy_fluctuation_factor,
     solve_B_direct,
     solve_B_neumann,
@@ -96,7 +95,6 @@ __all__ = [
     "ConjugatePoint",
     "FluctuationFactor",
     "FocalPoint",
-    "JacobiBoundarySolution",
     "LagrangianModel",
     "NoConvergence",
     "NonConstantMetric",
@@ -142,6 +140,7 @@ __all__ = [
     "solve_bvp",
     "state_at",
     "variational_blocks",
+    "velocity_from_momentum",
     "verify_composition",
     "vvpm_factor",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import ClassicalPath, simpson
 from .errors import FocalPoint, TurningPoint
-from .fluctuation import FluctuationFactor, METHOD_ANALYTIC, prefactor
+from .fluctuation import FluctuationFactor, prefactor
 from .models import along, mass_matrix
 
 TURNING_POINT_RATIO = 1e-8
@@ -50,7 +50,7 @@ def free_particle_factor(mass, duration: float, hbar: float = 1.0,
     d = m.shape[0]
     evals, axes = np.linalg.eigh(m)
     factor = prefactor(np.linalg.det(m) / duration**d, d, hbar,
-                       METHOD_ANALYTIC, "free-particle")
+                       "free-particle")
     action = None
     if x_a is not None and x_b is not None:
         dx = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
@@ -98,7 +98,7 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
             "point (pi)")
     ratio = float(np.prod([_sine_ratio(p) for p in phases]))
     factor = prefactor(np.linalg.det(m) / duration**d * ratio, d, hbar,
-                       METHOD_ANALYTIC, "normal-mode")
+                       "normal-mode")
     action = None
     if x_a is not None and x_b is not None:
         y_a = modes.T @ m @ np.asarray(x_a, dtype=float)
@@ -151,7 +151,7 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
             "point (pi)")
     multiplier = _sine_ratio(half)
     factor = prefactor((mass / duration) ** dim * multiplier**2, dim, hbar,
-                       METHOD_ANALYTIC, "uniform-field")
+                       "uniform-field")
 
     # Endpoint Hessian blocks: in-plane 2x2 from the circular motion,
     # free-particle M/T on the spectator axes.
@@ -205,7 +205,7 @@ def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
     g = along(path.model.metric, path.positions, path.times)[:, 0, 0]
     integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)
     factor = prefactor(1.0 / (v[0] * v[-1] * integral), 1, hbar,
-                       METHOD_ANALYTIC, "velocity-integral")
+                       "velocity-integral")
     return AnalyticResult(
         factor=factor, action=path.action,
         aux={"velocity_integral": integral})

@@ -19,8 +19,10 @@ form and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -362,7 +364,7 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
             raise ConfigError(
                 "method 'energy-hessian' needs linear Euler-Lagrange "
                 "equations: a potential of degree at most 2 in x")
-    return Scenario(raw=json.loads(json.dumps(cfg)), model=model,
+    return Scenario(raw=copy.deepcopy(cfg), model=model,
                     tag=cfg["model"]["tag"], params=params, x_a=x_a, x_b=x_b,
                     t_a=t_a, t_b=t_b, hbar=hbar, methods=tuple(methods),
                     numerics=numerics, output=output)
@@ -385,17 +387,17 @@ def _gy_factor(scenario: Scenario, path: ClassicalPath) -> FluctuationFactor:
     numerics = scenario.numerics
     solver = numerics["gy_solver"]
     if solver == "direct":
-        sol = solve_B_direct(omega2, path.t_a, path.t_b,
-                             n_steps=numerics["n_steps"])
+        b_dot_a = solve_B_direct(omega2, path.t_a, path.t_b,
+                                 n_steps=numerics["n_steps"])
     elif solver == "neumann":
-        sol = solve_B_neumann(omega2, path.t_a, path.t_b,
-                              order=numerics["series_order"],
-                              quad_points=numerics["quad_points"])
+        b_dot_a = solve_B_neumann(omega2, path.t_a, path.t_b,
+                                  order=numerics["series_order"],
+                                  quad_points=numerics["quad_points"])
     else:
-        sol = solve_B_time_ordered(omega2, path.t_a, path.t_b,
-                                   n_slices=numerics["n_slices"])
+        b_dot_a = solve_B_time_ordered(omega2, path.t_a, path.t_b,
+                                       n_slices=numerics["n_slices"])
     mass = np.asarray(path.model.metric(path.x_a, path.t_a), dtype=float)
-    return gy_fluctuation_factor(sol, mass, hbar=scenario.hbar)
+    return gy_fluctuation_factor(b_dot_a, mass, hbar=scenario.hbar)
 
 
 def _analytic_result(scenario: Scenario):
@@ -451,11 +453,9 @@ def compute_factors(scenario: Scenario):
 
 def pairwise_deviations(factors: dict) -> dict:
     out = {}
-    names = sorted(factors)
-    for i, first in enumerate(names):
-        for second in names[i + 1:]:
-            a, b = factors[first].value, factors[second].value
-            out[f"{first}|{second}"] = abs(a - b) / max(abs(a), abs(b))
+    for first, second in itertools.combinations(sorted(factors), 2):
+        a, b = factors[first].value, factors[second].value
+        out[f"{first}|{second}"] = abs(a - b) / max(abs(a), abs(b))
     return out
 
 
@@ -464,8 +464,10 @@ def path_to_dict(path: ClassicalPath, full_grid: bool) -> dict:
     if full_grid or n <= MAX_SERIALIZED_SAMPLES:
         idx = np.arange(n)
     else:
-        idx = np.unique(np.round(
-            np.linspace(0, n - 1, MAX_SERIALIZED_SAMPLES)).astype(int))
+        # n > MAX_SERIALIZED_SAMPLES, so the index spacing exceeds 1 and
+        # the rounded indices strictly increase
+        idx = np.round(
+            np.linspace(0, n - 1, MAX_SERIALIZED_SAMPLES)).astype(int)
     return {
         "t": path.times[idx],
         "x": path.positions[idx],
@@ -616,7 +618,7 @@ def _parse_sweep_block(cfg: dict, tag: str) -> list:
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
-    patched = json.loads(json.dumps(cfg))
+    patched = copy.deepcopy(cfg)
     patched.pop("sweep", None)
     patched.pop("output", None)
     for name, value in overrides:
@@ -653,19 +655,16 @@ def _sweep_row(cfg: dict, overrides) -> dict:
 def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
     if "sweep" not in cfg:
         raise ConfigError("missing key 'sweep' in config")
-    base = json.loads(json.dumps(cfg))
+    base = copy.deepcopy(cfg)
     base.pop("sweep")
-    scenario = parse_scenario(base, extra_keys=())  # validate before running
+    scenario = parse_scenario(base)  # validate before running
     sweep_params = _parse_sweep_block(cfg["sweep"], scenario.tag)
     out_path = out_path or scenario.output
 
     names = [name for name, _ in sweep_params]
     grids = [grid for _, grid in sweep_params]
-    combos = [[(names[0], float(v))] for v in grids[0]]
-    if len(grids) == 2:
-        combos = [first + [(names[1], float(w))]
-                  for first in combos for w in grids[1]]
-    rows = [_sweep_row(base, combo) for combo in combos]
+    rows = [_sweep_row(base, list(zip(names, map(float, values))))
+            for values in itertools.product(*grids)]
 
     method_columns = []
     for method in sorted(scenario.methods):

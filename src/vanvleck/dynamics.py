@@ -282,35 +282,27 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     once, and jv is one of them.  The acceleration reads only
     potential_grad and the Jacobians only potential_hess; both are
     ``el_linearization``'s arithmetic with the zero terms dropped, so they
-    return the same bits.  The acceleration has two rules, chosen once
-    per run from the field ``curl = da^T - da``: g^-1 (curl v - grad V)
-    in a field, and (-g^-1) grad V, one matvec, where curl is all zero
-    (always in D = 1, where the matvec is one float product, the same
-    bits).  Negation is exact, so the two agree bit for bit but for the
-    sign of an exactly zero acceleration.  Both take and return what
-    ``_general_linearization``'s do.
+    return the same bits.  The acceleration is g^-1 (curl v - grad V),
+    with the field ``curl = da^T - da``; in D = 1 curl is zero and it is
+    the one float product (-g^-1) grad V, the same bits but for the sign
+    of an exactly zero acceleration.  It takes and returns what
+    ``_general_linearization``'s does.
     """
     if not metric_is_constant(model, x, t):
         return None
     gi, curl, jv = _constant_kinetic_blocks(model, x, t)
     d = model.dim
 
-    if np.any(curl):
-        def acceleration(y, t):
-            grad = np.asarray(model.potential_grad(np.array(y[:d]), t))
-            return (gi @ (curl @ np.array(y[d:]) - grad)).tolist()
-    elif d == 1:
+    if d == 1:
         neg_g = -float(gi[0, 0])
 
         def acceleration(y, t):
             grad = model.potential_grad(np.array(y[:1]), t)
             return [neg_g * float(grad[0])]
     else:
-        neg_gi = -gi
-
         def acceleration(y, t):
             grad = np.asarray(model.potential_grad(np.array(y[:d]), t))
-            return (neg_gi @ grad).tolist()
+            return (gi @ (curl @ np.array(y[d:]) - grad)).tolist()
 
     def jacobians(x, v, t, acc):
         hess = _read(model.potential_hess, x, t, (d, d))

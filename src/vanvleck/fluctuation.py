@@ -26,33 +26,24 @@ from .hessian import ActionHessian, flow_seed, variational_blocks
 from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
                      legendre_momentum)
 
-METHOD_VVPM = "VVPM"
-METHOD_SHORT_TIME = "ShortTime"
-METHOD_ENERGY_HESSIAN = "EnergyHessian"
-METHOD_GENERAL = "GeneralVelocityGradient"
-METHOD_GELFAND_YAGLOM = "GelfandYaglom"
-METHOD_ANALYTIC = "Analytic"
-
 BRANCH_NOTE_PRINCIPAL = "principal roots, free-particle phase anchor -D*pi/4"
 
 
 @dataclass(frozen=True)
 class FluctuationFactor:
-    """One computed prefactor, tagged with the method that produced it.
+    """One computed prefactor.
 
     Attributes
     ----------
     value : complex
         The prefactor, dimension length^-D for unit mass conventions.
-    method : str
-        Which route produced it (VVPM, ShortTime, ...).
 
     Every route uses the one rule of ``prefactor``, so its report records
-    the one root convention, ``BRANCH_NOTE_PRINCIPAL``.
+    the one root convention, ``BRANCH_NOTE_PRINCIPAL``; the CLI names the
+    route by its method id.
     """
 
     value: complex
-    method: str
 
     @property
     def magnitude(self) -> float:
@@ -68,7 +59,6 @@ class FluctuationFactor:
             "im": float(self.value.imag),
             "magnitude": self.magnitude,
             "phase": self.phase,
-            "method": self.method,
             "branch_note": BRANCH_NOTE_PRINCIPAL,
         }
 
@@ -96,7 +86,7 @@ def fresnel_det_inv_sqrt(mat: np.ndarray) -> complex:
     return complex(np.prod(1.0 / np.sqrt(evals.astype(complex))))
 
 
-def prefactor(det: float, dim: int, hbar: float, method: str, what: str,
+def prefactor(det: float, dim: int, hbar: float, what: str,
               error: type = CausticRegion) -> FluctuationFactor:
     """F = (2 pi i hbar)^(-D/2) sqrt(det), the rule of every route.
 
@@ -105,8 +95,7 @@ def prefactor(det: float, dim: int, hbar: float, method: str, what: str,
     det = float(det)
     if not det > 0.0:
         raise error(f"{what} determinant is {det:.3e}, not positive")
-    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * np.sqrt(det),
-                             method=method)
+    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * np.sqrt(det))
 
 
 def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
@@ -114,8 +103,7 @@ def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
 
     Raises CausticRegion when the determinant is not positive.
     """
-    return prefactor(np.linalg.det(hess.mixed), hess.dim, hbar, METHOD_VVPM,
-                     "Van Vleck")
+    return prefactor(np.linalg.det(hess.mixed), hess.dim, hbar, "Van Vleck")
 
 
 def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
@@ -125,7 +113,7 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
         raise ValueError("dt must be positive")
     g = np.asarray(model.metric(np.asarray(x_a, float), t_a), dtype=float)
     return prefactor(np.linalg.det(g / dt), model.dim, model.hbar,
-                     METHOD_SHORT_TIME, "short-time metric")
+                     "short-time metric")
 
 
 def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
@@ -170,7 +158,7 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     det_g = np.linalg.det(model.metric(x_a, t_a))
     det = np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
                       det_g * np.linalg.det(pxv))
-    return prefactor(det, model.dim, model.hbar, METHOD_ENERGY_HESSIAN,
+    return prefactor(det, model.dim, model.hbar,
                      "signed metric times endpoint energy Hessian")
 
 
@@ -187,5 +175,4 @@ def general_factor(path: ClassicalPath) -> FluctuationFactor:
     _, pxv, _, _ = variational_blocks(path)
     g_a = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
     return prefactor(np.linalg.det(g_a) / np.linalg.det(pxv),
-                     model.dim, model.hbar, METHOD_GENERAL,
-                     "initial velocity gradient")
+                     model.dim, model.hbar, "initial velocity gradient")

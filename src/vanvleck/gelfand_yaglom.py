@@ -13,7 +13,7 @@ whose initial slope Bdot(t_a) carries the whole determinant:
 The normalization det(T Bdot(t_a)) -> 1 for Omega2 = 0 anchors the free
 particle exactly.  By linearity the boundary solution is obtained from the
 seeded initial problem B_raw(t_a) = 0, Bdot_raw(t_a) = 1 through
-Bdot(t_a) = B_raw(t_b)^-1, which is what all three solvers compute:
+Bdot(t_a) = B_raw(t_b)^-1, the (D, D) array all three solvers return:
 
 * DirectODE: RK4 on the stacked matrix state [B; Bdot], by the
   precomputed step maps of ``dynamics.linear_rk4``.
@@ -26,36 +26,13 @@ Bdot(t_a) = B_raw(t_b)^-1, which is what all three solvers compute:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .dynamics import DEFAULT_N_STEPS, linear_rk4, require_nonsingular
 from .errors import FocalPoint, SeriesDivergence
-from .fluctuation import FluctuationFactor, METHOD_GELFAND_YAGLOM, prefactor
+from .fluctuation import FluctuationFactor, prefactor
 from .models import along, mass_matrix
-
-
-@dataclass(frozen=True)
-class JacobiBoundarySolution:
-    """Initial slope of the boundary Jacobi matrix.
-
-    Attributes
-    ----------
-    B_dot_a : (D, D) array
-        Initial slope of the normalized solution; its determinant is the
-        quantity the fluctuation factor needs.
-    """
-
-    B_dot_a: np.ndarray
-    t_a: float
-    t_b: float
-    method: str
-
-    @property
-    def dim(self) -> int:
-        return self.B_dot_a.shape[0]
 
 
 def _omega2_sampler(omega2, t_probe: float):
@@ -80,7 +57,7 @@ def _invert_boundary(b_tb: np.ndarray, what: str, duration: float) -> np.ndarray
 
 
 def solve_B_direct(omega2, t_a: float, t_b: float,
-                   n_steps: int = DEFAULT_N_STEPS) -> JacobiBoundarySolution:
+                   n_steps: int = DEFAULT_N_STEPS) -> np.ndarray:
     """RK4 on the seeded initial problem, then inversion.
 
     The state is the stacked (2D, D) array [B; Bdot], from (0, 1) at t_a,
@@ -100,9 +77,7 @@ def solve_B_direct(omega2, t_a: float, t_b: float,
 
     b_tb = linear_rk4(sample, np.vstack((np.zeros((d, d)), np.eye(d))),
                       np.linspace(t_a, t_b, n_steps + 1), history=False)[:d]
-    return JacobiBoundarySolution(
-        B_dot_a=_invert_boundary(b_tb, "DirectODE", t_b - t_a),
-        t_a=float(t_a), t_b=float(t_b), method="DirectODE")
+    return _invert_boundary(b_tb, "DirectODE", t_b - t_a)
 
 
 def _collocation(t_a: float, t_b: float, q: int):
@@ -118,7 +93,7 @@ def _collocation(t_a: float, t_b: float, q: int):
 
 
 def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
-                    quad_points: int = 64) -> JacobiBoundarySolution:
+                    quad_points: int = 64) -> np.ndarray:
     """Truncated iterated-integral series for B_raw(t_b), then inversion.
 
     The m-th term is the 2m-fold nested integral of Omega2 against the
@@ -156,9 +131,7 @@ def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
             f"term {order} norm {norm:.3e} exceeds term {order - 1} norm "
             f"{prev_norm:.3e}; series not decreasing at this truncation")
 
-    return JacobiBoundarySolution(
-        B_dot_a=_invert_boundary(g_tb, f"NeumannSeries({order})", t_b - t_a),
-        t_a=float(t_a), t_b=float(t_b), method=f"NeumannSeries({order})")
+    return _invert_boundary(g_tb, f"NeumannSeries({order})", t_b - t_a)
 
 
 def _slice_propagators(w: np.ndarray, dt: float) -> np.ndarray:
@@ -184,7 +157,7 @@ def _slice_propagators(w: np.ndarray, dt: float) -> np.ndarray:
 
 
 def solve_B_time_ordered(omega2, t_a: float, t_b: float,
-                         n_slices: int = 2000) -> JacobiBoundarySolution:
+                         n_slices: int = 2000) -> np.ndarray:
     """Ordered product of per-slice exponentials of [[0, 1], [-Omega2, 0]].
 
     Omega2 is frozen at each slice midpoint.  One pass carries the raw
@@ -200,13 +173,10 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
     u = np.vstack((np.zeros((d, d)), np.eye(d)))   # raw (B, Bdot) at t_a
     for e in _slice_propagators(w, dt):
         u = e @ u
-    return JacobiBoundarySolution(
-        B_dot_a=_invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})",
-                                 t_b - t_a),
-        t_a=float(t_a), t_b=float(t_b), method=f"TimeOrderedSinh({n_slices})")
+    return _invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})", t_b - t_a)
 
 
-def gy_fluctuation_factor(sol: JacobiBoundarySolution, mass_metric,
+def gy_fluctuation_factor(b_dot_a: np.ndarray, mass_metric,
                           hbar: float = 1.0) -> FluctuationFactor:
     """F = sqrt(det M) / (2 pi i hbar T)^(D/2) * sqrt(det(T Bdot(t_a))).
 
@@ -214,7 +184,6 @@ def gy_fluctuation_factor(sol: JacobiBoundarySolution, mass_metric,
     FocalPoint unless that is positive (a focal time lies inside the
     interval), and NonSPDMass unless the mass passes ``models.mass_matrix``.
     """
-    d = sol.dim
-    return prefactor(np.linalg.det(mass_matrix(mass_metric, d) @ sol.B_dot_a),
-                     d, hbar, METHOD_GELFAND_YAGLOM, "M Bdot(t_a)",
-                     error=FocalPoint)
+    d = b_dot_a.shape[0]
+    return prefactor(np.linalg.det(mass_matrix(mass_metric, d) @ b_dot_a),
+                     d, hbar, "M Bdot(t_a)", error=FocalPoint)

@@ -28,8 +28,6 @@ from .models import (LagrangianModel, along, metric_inverse,
 
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
 
-METHOD_JACOBI = "JacobiField"
-
 
 @dataclass(frozen=True)
 class ActionHessian:
@@ -43,7 +41,6 @@ class ActionHessian:
     mixed: np.ndarray
     aa: np.ndarray
     bb: np.ndarray
-    method: str
 
     @property
     def dim(self) -> int:
@@ -112,7 +109,7 @@ def action_hessian_jacobi(path: ClassicalPath) -> ActionHessian:
     mixed = g_a @ pxv_inv
     aa = -_gamma(model, x_a, v_a, t_a) - da_a + g_a @ pxv_inv @ pxx
     bb = _gamma(model, x_b, v_b, t_b) + da_b + g_b @ pvv @ pxv_inv
-    return ActionHessian(mixed=mixed, aa=aa, bb=bb, method=METHOD_JACOBI)
+    return ActionHessian(mixed=mixed, aa=aa, bb=bb)
 
 
 def frequency_matrix_along_path(path: ClassicalPath):

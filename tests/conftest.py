@@ -112,8 +112,7 @@ def action_hessian_fd(path) -> ActionHessian:
 
     z = np.concatenate((path.x_a, path.x_b))
     hess = central_hessian(action, z, h, action(z))
-    return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:],
-                         method="FiniteDifference")
+    return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:])
 
 
 def rk4(rhs, y0, times) -> np.ndarray:

@@ -294,10 +294,10 @@ def test_criterion_8_property_suites():
 
     # Neumann truncation error keeps falling by at least (wT)^2 per order
     t_tot = 0.9
-    exact = solve_B_direct(1.0, 0.0, t_tot, n_steps=4000).B_dot_a[0, 0]
+    exact = solve_B_direct(1.0, 0.0, t_tot, n_steps=4000)[0, 0]
     errs = []
     for order in range(6):
-        approx = solve_B_neumann(1.0, 0.0, t_tot, order=order).B_dot_a[0, 0]
+        approx = solve_B_neumann(1.0, 0.0, t_tot, order=order)[0, 0]
         errs.append(abs(approx - exact) / abs(exact))
     gains = np.diff(np.log(errs))
     assert np.all(gains < 2.0 * np.log(t_tot))

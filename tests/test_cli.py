@@ -19,6 +19,8 @@ from vanvleck.cli import main, parse_scenario
 from vanvleck.models import BUILTIN_TAGS
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+# a factor entry; the method id that keys it names the route
+FACTOR_KEYS = {"re", "im", "magnitude", "phase", "branch_note"}
 
 
 def _write(tmp_path, name, payload):
@@ -70,6 +72,8 @@ def test_factor_all_methods_close(tmp_path):
     out = tmp_path / "report.json"
     assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    for entry in report["factors"].values():
+        assert set(entry) == FACTOR_KEYS
     # short-time is only O(dt) accurate; every other pair is tight
     for pair, dev in report["pairwise_deviations"].items():
         if "short-time" not in pair:
@@ -345,6 +349,8 @@ def test_verify_free_particle(tmp_path):
     for row in report["reports"]:
         assert row["factor_residual"] < 1e-10
         assert row["momentum_mismatch"] < 1e-10
+        for key in ("factor_full", "factor_left", "factor_right"):
+            assert set(row["diagnostic"][key]) == FACTOR_KEYS
 
 
 def test_verify_quartic(tmp_path):
@@ -766,9 +772,11 @@ def test_full_grid_flag(tmp_path):
     assert main(["factor", "--config", str(cfg), "--out", str(small)]) == 0
     assert main(["factor", "--config", str(cfg), "--out", str(big),
                  "--full-grid"]) == 0
-    n_small = len(json.loads(small.read_text())["path"]["t"])
+    t_small = json.loads(small.read_text())["path"]["t"]
     n_big = len(json.loads(big.read_text())["path"]["t"])
-    assert n_small <= 256
+    # the rounded sample indices strictly increase: no time repeats
+    assert len(t_small) == cli.MAX_SERIALIZED_SAMPLES
+    assert np.all(np.diff(t_small) > 0)
     assert n_big == 1001
 
 

@@ -209,7 +209,7 @@ def _mode_hessian(tau, masses, omegas):
     mixed, diag = np.array([_mode_mixed_and_diag(tau, m, w)
                             for m, w in zip(masses, omegas)]).T
     return ActionHessian(mixed=np.diag(mixed), aa=np.diag(diag),
-                         bb=np.diag(diag), method="closed form")
+                         bb=np.diag(diag))
 
 
 def acausal_identity_residual(mass, omegas, t_a, t_b, t_mid, hbar=1.0):

@@ -29,7 +29,7 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck import dynamics
-from vanvleck.fluctuation import METHOD_ENERGY_HESSIAN, prefactor
+from vanvleck.fluctuation import prefactor
 from vanvleck.hessian import ActionHessian, flow_seed, variational_blocks
 from vanvleck.models import central_hessian
 
@@ -38,7 +38,7 @@ from conftest import AFFINE_CASES, AFFINE_IDS, action_hessian_fd
 
 def _plain_hessian(mixed):
     mixed = np.atleast_2d(np.asarray(mixed, dtype=float))
-    return ActionHessian(mixed=mixed, aa=mixed, bb=mixed, method="JacobiField")
+    return ActionHessian(mixed=mixed, aa=mixed, bb=mixed)
 
 
 def test_vvpm_unit_mixed():
@@ -160,8 +160,7 @@ def _resolved_energy_hessian_factor(path):
     det_pxv = np.linalg.det(variational_blocks(path)[1])
     return prefactor(np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
                                  det_g * det_pxv),
-                     model.dim, model.hbar, METHOD_ENERGY_HESSIAN,
-                     "energy").value
+                     model.dim, model.hbar, "energy").value
 
 
 ENERGY_IDS = ["ho2-matrix-mass", "magnetic-3", "time-dependent-omega2",
@@ -217,7 +216,7 @@ def test_general_factor_free_particle():
     path = solve_bvp(model, [0.0], [1.0], 0.0, 2.0, n_steps=100)
     f = general_factor(path)
     assert abs(f.value) == pytest.approx(1.0 / np.sqrt(4 * np.pi), rel=1e-12)
-    assert f.method == "GeneralVelocityGradient"
+    assert f.phase == pytest.approx(-np.pi / 4, abs=1e-12)
 
 
 def test_general_equals_vvpm_harmonic():
@@ -257,7 +256,7 @@ def test_branch_note_present():
     f = vvpm_factor(_plain_hessian(1.0))
     d = f.as_dict()
     assert "principal" in d["branch_note"]
-    assert set(d) >= {"re", "im", "magnitude", "phase", "method"}
+    assert set(d) == {"re", "im", "magnitude", "phase", "branch_note"}
 
 
 def _past_first_focal_time():
@@ -308,4 +307,4 @@ def test_each_route_refuses_a_nonpositive_determinant(route):
 @pytest.mark.parametrize("det", [0.0, -1.0, float("nan")])
 def test_prefactor_refuses_a_determinant_that_is_not_positive(det):
     with pytest.raises(CausticRegion):
-        prefactor(det, 1, 1.0, METHOD_ENERGY_HESSIAN, "test")
+        prefactor(det, 1, 1.0, "test")

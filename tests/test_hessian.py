@@ -40,7 +40,6 @@ def test_free_particle_mixed_block_matrix_mass():
     np.testing.assert_allclose(hess.mixed, np.diag([0.5, 1.0]), atol=1e-12)
     np.testing.assert_allclose(hess.aa, np.diag([0.5, 1.0]), atol=1e-12)
     np.testing.assert_allclose(hess.bb, np.diag([0.5, 1.0]), atol=1e-12)
-    assert hess.method == "JacobiField"
 
 
 def test_harmonic_mixed_block_quarter_period():
@@ -58,7 +57,6 @@ def test_fd_free_particle_unit_values():
     hess = action_hessian_fd(
         solve_bvp(model, [0.0], [1.0], 0.0, 1.0, n_steps=64))
     assert hess.mixed[0, 0] == pytest.approx(1.0, abs=1e-8)
-    assert hess.method == "FiniteDifference"
 
 
 def test_fd_harmonic_closed_form():

@@ -139,6 +139,31 @@ def test_no_idle_public_functions():
     assert idle_public_functions(sources) == []
 
 
+def imported_and_listed(source: str) -> tuple[list[str], list[str]]:
+    """The names ``source`` binds by ``from ... import``, and the names
+    its ``__all__`` lists, each sorted."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    listed = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [target.id for target in node.targets] == ["__all__"]]
+    return sorted(imported), sorted(name for names in listed
+                                    for name in names)
+
+
+def test_the_check_sees_an_unlisted_import():
+    assert imported_and_listed(
+        "from .a import f, g as h\nfrom .b import k\n"
+        "__all__ = ['f', 'k', 'z']\n") == (["f", "h", "k"], ["f", "k", "z"])
+
+
+def test_all_lists_exactly_what_init_imports():
+    imported, listed = imported_and_listed(
+        (SOURCE / "__init__.py").read_text())
+    assert listed == imported
+
+
 def error_classes(source: str) -> set[str]:
     """Classes in ``source`` that derive, directly or not, from
     ``VanVleckError``, which is not itself included."""
