@@ -20,7 +20,12 @@ steps (x, v) alone as a list of Python floats, each stage computing only
 the acceleration, and records its stages; the flow then reads the
 linearization once per block of steps, on the block's recorded stages as
 a stack, and is stepped by the same step maps as a linear system,
-keeping only its value at t_b.
+keeping only its value at t_b.  The path pass's acceleration is Python
+floats too: one rule builds the generalized force F from the callback
+values and solves g acc = F by Gaussian elimination with partial
+pivoting (``_lu``, ``_lu_solve``), with no numpy.linalg call a stage; on
+a constant metric it reads only potential_grad and reuses one
+elimination of g per run.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -43,8 +48,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
 from .models import (FD_STEP, LagrangianModel, along, evaluate_hamiltonian,
-                     invert_metric, legendre_momentum, metric_inverse,
-                     metric_is_constant)
+                     invert_metric, legendre_momentum, metric_is_constant)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
@@ -172,11 +176,6 @@ def _kinetic_force(dg, da, v) -> np.ndarray:
             + _matvec(da.swapaxes(-1, -2) - da, v))
 
 
-def _acceleration(gi, dg, da, grad_v, v) -> np.ndarray:
-    """g^-1 (F - grad V) from the callback values at stacked points."""
-    return _matvec(gi, _kinetic_force(dg, da, v) - grad_v)
-
-
 def _kinetic_force_x(model: LagrangianModel, x, v, t) -> np.ndarray:
     """x-Jacobian of ``_kinetic_force`` at fixed v, by central differences.
 
@@ -201,24 +200,24 @@ def _kinetic_force_x(model: LagrangianModel, x, v, t) -> np.ndarray:
     return force_x / (2.0 * h[..., None, None])
 
 
-def el_linearization(model: LagrangianModel, x, v, t, acc=None):
-    """Acceleration and its phase-space Jacobian blocks.
+def el_linearization(model: LagrangianModel, x, v, t, acc):
+    """Phase-space Jacobian blocks of the acceleration.
 
     ``x`` and ``v`` are one point (D,) or a stack (..., D), ``t`` a time
-    or times of the same leading shape.  Returns ``(acc, jx, jv)``,
-    stacked the same way, with ``jx = d acc / d x`` and
+    or times of the same leading shape, and ``acc`` the acceleration a run
+    has already computed at these points, stacked the same way.  Returns
+    ``(jx, jv)``, stacked the same way, with ``jx = d acc / d x`` and
     ``jv = d acc / d v``.  Each callback is read by ``models.along``, one
     call per stack when it is stacked.  The potential contribution to jx
-    is analytic (potential_hess).  The x-derivatives of metric_grad and
-    vector_potential_grad vanish for models flagged
-    ``kinetic_gradients_constant``; otherwise only those two callbacks are
-    central-differenced (``_kinetic_force_x``), at 2D shifted stacks.  A
-    given ``acc``, the acceleration a run has already computed at these
-    points, enters the g^-1 variation term in place of a potential_grad
-    read.  So one call reads metric, potential_hess and, without ``acc``,
-    potential_grad once each, and metric_grad and vector_potential_grad
-    once, plus 2D times when unflagged.  A singular metric at any point
-    raises SingularMetric.
+    is analytic (potential_hess), and ``acc`` enters the g^-1 variation
+    term.  The x-derivatives of metric_grad and vector_potential_grad
+    vanish for models flagged ``kinetic_gradients_constant``; otherwise
+    only those two callbacks are central-differenced
+    (``_kinetic_force_x``), at 2D shifted stacks.  So one call reads
+    metric and potential_hess once each, metric_grad and
+    vector_potential_grad once, plus 2D times when unflagged, and
+    potential_grad never.  A singular metric at any point raises
+    SingularMetric.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -227,9 +226,6 @@ def el_linearization(model: LagrangianModel, x, v, t, acc=None):
     dg = _read(model.metric_grad, x, t, (d, d, d))
     da = _read(model.vector_potential_grad, x, t, (d, d))
     gi = invert_metric(_read(model.metric, x, t, (d, d)), x, t)
-    if acc is None:
-        acc = _acceleration(gi, dg, da,
-                            _read(model.potential_grad, x, t, (d,)), v)
 
     dgv = _matvec(dg, v[..., None, :])
     vdg = _matvec(np.moveaxis(dg, -3, -1), v[..., None, :])
@@ -240,38 +236,118 @@ def el_linearization(model: LagrangianModel, x, v, t, acc=None):
         dfdx = dfdx + _kinetic_force_x(model, x, v, t)
     # variation of g^-1: d acc / d x_m -= g^-1 (d_m g) acc
     dfdx = dfdx - _matvec(dg, acc[..., None, :]).swapaxes(-1, -2)
-    return acc, gi @ dfdx, gi @ dfdv
+    return gi @ dfdx, gi @ dfdv
+
+
+def _floats(value) -> list:
+    """A callback's array value as nested lists of Python floats."""
+    return np.asarray(value, dtype=float).tolist()
+
+
+def _lu(g: list, x, t):
+    """Gaussian elimination with partial pivoting of the metric values g,
+    a (D, D) nested list of floats read at (x, t), which it overwrites.
+
+    Returns ``(perm, rows)``: g's rows in the pivot order ``perm``, each
+    holding the multipliers of L left of the diagonal, U right of it and
+    the reciprocal of U's pivot on it.  An exactly zero pivot raises
+    SingularMetric.
+    """
+    d = len(g)
+    perm = list(range(d))
+    for k in range(d):
+        p = k
+        for i in range(k + 1, d):
+            if abs(g[i][k]) > abs(g[p][k]):
+                p = i
+        if g[p][k] == 0.0:
+            raise SingularMetric(f"metric singular at x={x}, t={t}")
+        if p != k:
+            g[k], g[p] = g[p], g[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        pivot = g[k]
+        recip = pivot[k] = 1.0 / pivot[k]
+        for row in g[k + 1:]:
+            m = row[k] = row[k] * recip
+            for j in range(k + 1, d):
+                row[j] -= m * pivot[j]
+    return perm, g
+
+
+def _lu_solve(lu, rhs: list) -> list:
+    """g^-1 rhs from ``_lu``'s factors of g, as D floats.  Back
+    substitution multiplies by the reciprocal pivots, so in D = 1 it is
+    rhs * (1/g)."""
+    perm, rows = lu
+    y = [rhs[p] for p in perm]
+    d = len(y)
+    for i in range(1, d):
+        row = rows[i]
+        s = y[i]
+        for k in range(i):
+            s -= row[k] * y[k]
+        y[i] = s
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        s = y[i]
+        for j in range(i + 1, d):
+            s -= row[j] * y[j]
+        y[i] = s * row[i]
+    return y
 
 
 def _constant_kinetic_blocks(model: LagrangianModel, x, t):
-    """``(g^-1, da^T - da, g^-1 (da^T - da))`` at (x, t), for one run on a
-    constant metric and a linear vector potential, where they are the same
-    at every stage."""
-    gi = metric_inverse(model, x, t)
+    """``(g, g^-1, da^T - da, g^-1 (da^T - da))`` at (x, t), for one run
+    on a constant metric and a linear vector potential, where they are the
+    same at every stage."""
+    g = np.asarray(model.metric(x, t), dtype=float)
+    gi = invert_metric(g, x, t)
     da = np.asarray(model.vector_potential_grad(x, t))
     curl = da.T - da
-    return gi, curl, gi @ curl
+    return g, gi, curl, gi @ curl
 
 
 def _general_linearization(model: LagrangianModel):
-    """``(acceleration, jacobians)`` of one run on any model:
-    ``el_linearization``'s arithmetic, the first at one state, a list of
-    2D floats (x, v), as a list of D floats, the second at a stack of
-    points with their accelerations."""
+    """``(acceleration, jacobians)`` of one run on any model.
+
+    ``acceleration(y, t)`` takes one state, a list of 2D floats (x, v),
+    and returns the acceleration as D floats.  It reads metric,
+    metric_grad, vector_potential_grad and potential_grad once each, at
+    x as a (D,) ndarray, takes each value into Python floats once, and
+    computes in floats the generalized force
+
+        F_i = sum_m (curl_im + sum_j (1/2 d_i g_mj - d_m g_ij) v_j) v_m
+              - d_i V,
+
+    with ``curl = da^T - da``, then solves g acc = F by ``_lu`` and
+    ``_lu_solve``; it makes no numpy.linalg call.  ``jacobians(x, v, t,
+    acc)`` is ``el_linearization`` at a stack of points with their
+    accelerations.
+    """
     d = model.dim
+    span = range(d)
 
     def acceleration(y, t):
         x = np.array(y[:d])
-        return _acceleration(metric_inverse(model, x, t),
-                             np.asarray(model.metric_grad(x, t)),
-                             np.asarray(model.vector_potential_grad(x, t)),
-                             np.asarray(model.potential_grad(x, t)),
-                             np.array(y[d:])).tolist()
+        g = _floats(model.metric(x, t))
+        dg = _floats(model.metric_grad(x, t))
+        da = _floats(model.vector_potential_grad(x, t))
+        grad = _floats(model.potential_grad(x, t))
+        v = y[d:]
+        force = []
+        for i in span:
+            dg_i, da_i = dg[i], da[i]
+            f = 0.0
+            for m in span:
+                dg_im, dg_mi = dg_i[m], dg[m][i]
+                s = da[m][i] - da_i[m]
+                for j in span:
+                    s += (0.5 * dg_im[j] - dg_mi[j]) * v[j]
+                f += s * v[m]
+            force.append(f - grad[i])
+        return _lu_solve(_lu(g, x, t), force)
 
-    def jacobians(x, v, t, acc):
-        return el_linearization(model, x, v, t, acc)[1:]
-
-    return acceleration, jacobians
+    return acceleration, functools.partial(el_linearization, model)
 
 
 def _constant_kinetic_linearization(model: LagrangianModel, x, t):
@@ -280,17 +356,18 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
     Applies when ``metric_is_constant`` holds at (x, t): g is then
     constant and a is linear, so ``_constant_kinetic_blocks`` are computed
     once, and jv is one of them.  The acceleration reads only
-    potential_grad and the Jacobians only potential_hess; both are
-    ``el_linearization``'s arithmetic with the zero terms dropped, so they
-    return the same bits.  The acceleration is g^-1 (curl v - grad V),
-    with the field ``curl = da^T - da``; in D = 1 curl is zero and it is
-    the one float product (-g^-1) grad V, the same bits but for the sign
-    of an exactly zero acceleration.  It takes and returns what
-    ``_general_linearization``'s does.
+    potential_grad and the Jacobians only potential_hess; both are the
+    general rule's arithmetic with the zero terms dropped, so they return
+    the same bits but for the sign of an exactly zero acceleration.  In
+    D > 1 the acceleration is g^-1 (curl v - grad V) in floats, with the
+    field ``curl = da^T - da``, solved with ``_lu_solve`` from one ``_lu``
+    of g per run; in D = 1 curl is zero and it is the one float product
+    (-g^-1) grad V, the bits of ``_lu_solve``'s (-grad V) (1/g).  It takes
+    and returns what ``_general_linearization``'s does.
     """
     if not metric_is_constant(model, x, t):
         return None
-    gi, curl, jv = _constant_kinetic_blocks(model, x, t)
+    g, gi, curl, jv = _constant_kinetic_blocks(model, x, t)
     d = model.dim
 
     if d == 1:
@@ -300,9 +377,20 @@ def _constant_kinetic_linearization(model: LagrangianModel, x, t):
             grad = model.potential_grad(np.array(y[:1]), t)
             return [neg_g * float(grad[0])]
     else:
+        lu = _lu(g.tolist(), x, t)
+        curl = curl.tolist()
+        span = range(d)
+
         def acceleration(y, t):
-            grad = np.asarray(model.potential_grad(np.array(y[:d]), t))
-            return (gi @ (curl @ np.array(y[d:]) - grad)).tolist()
+            grad = _floats(model.potential_grad(np.array(y[:d]), t))
+            v = y[d:]
+            force = []
+            for curl_i, grad_i in zip(curl, grad):
+                f = 0.0
+                for m in span:
+                    f += curl_i[m] * v[m]
+                force.append(f - grad_i)
+            return _lu_solve(lu, force)
 
     def jacobians(x, v, t, acc):
         hess = _read(model.potential_hess, x, t, (d, d))
@@ -395,7 +483,7 @@ def _affine_sampler(model: LagrangianModel, x, t):
     [jx, jv, acc0], [0, 0, 0]], of side 2D + 1.
     """
     d = model.dim
-    gi, _, jv = _constant_kinetic_blocks(model, x, t)
+    _, gi, _, jv = _constant_kinetic_blocks(model, x, t)
 
     def sample(ts):
         origin = np.zeros((len(ts), d))
@@ -431,13 +519,15 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     a float h, in the classical RK4 order of operations, y + (h/2) k and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
     numpy RK4 stepper's; each stage computes only the acceleration, a
-    list of D floats from the callbacks read at a (D,) ndarray, and
-    appends its time, point and acceleration to a flat float64 record,
-    8 B a float.  The flow pass (``_flow_pass``) steps vblock by the RK4
-    steps of the linearized system on those same stages, with the
-    Jacobian blocks read at the recorded stages as stacks, a block of
-    steps at a time, and the recorded accelerations, so potential_grad is
-    not read again.  ``tangents`` is then vblock(t_b) alone, shape
+    list of D floats from the callbacks read at a (D,) ndarray: the
+    float force and the float elimination of ``_general_linearization``,
+    or of ``_constant_kinetic_linearization`` on a constant metric, with
+    no numpy.linalg call.  It appends its time, point and acceleration to
+    a flat float64 record, 8 B a float.  The flow pass (``_flow_pass``)
+    steps vblock by the RK4 steps of the linearized system on those same
+    stages, with the Jacobian blocks read at the recorded stages as
+    stacks, a block of steps at a time, and the recorded accelerations,
+    so potential_grad is not read again.  ``tangents`` is then vblock(t_b) alone, shape
     (1, 2D, m).  A run with m = 0, or whose path ends non-finite, makes no
     flow pass; the latter's tangent block is NaN.
     """

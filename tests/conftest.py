@@ -9,7 +9,8 @@ from vanvleck import (ActionHessian, LagrangianModel, free_particle,
                       harmonic_oscillator, magnetic_field, one_dim_potential,
                       solve_bvp)
 from vanvleck.cli import build_model
-from vanvleck.dynamics import el_linearization
+from vanvleck.dynamics import (_constant_kinetic_linearization,
+                               _general_linearization, el_linearization)
 from vanvleck.hessian import flow_seed
 from vanvleck.models import central_hessian
 
@@ -88,6 +89,63 @@ def make_curled_metric(mass: float = 1.0, b: float = 0.7, c: float = 0.3):
     )
 
 
+def make_skewed_metric(mass: float = 1.0):
+    """D = 3 position-dependent, non-diagonal metric with a curl.
+
+    g = m [[1 + x0^2/10, 3/2 + x1/5, 1/5], [3/2 + x1/5, 4 + 3 x2^2/10,
+    3 x0/10], [1/5, 3 x0/10, 2 + x1^2/10]] is positive definite near the
+    origin, and its largest first-column entry is off the diagonal, so
+    elimination with partial pivoting swaps rows.  a = (2 x1 x2/5,
+    -3 x0/10 + x2^2/10, x0 x1/5) carries a position-dependent field, and
+    V = (x0^2 + 2 x1^2 + x2^2/2)/2 + x0 x1 x2/10.
+    """
+
+    def metric(x, t):
+        return mass * np.array([
+            [1.0 + 0.1 * x[0] ** 2, 1.5 + 0.2 * x[1], 0.2],
+            [1.5 + 0.2 * x[1], 4.0 + 0.3 * x[2] ** 2, 0.3 * x[0]],
+            [0.2, 0.3 * x[0], 2.0 + 0.1 * x[1] ** 2]])
+
+    def metric_grad(x, t):
+        dg = np.zeros((3, 3, 3))
+        dg[0, 0, 0] = 0.2 * x[0]
+        dg[0, 1, 2] = dg[0, 2, 1] = 0.3
+        dg[1, 0, 1] = dg[1, 1, 0] = 0.2
+        dg[1, 2, 2] = 0.2 * x[1]
+        dg[2, 1, 1] = 0.6 * x[2]
+        return mass * dg
+
+    def vector_potential(x, t):
+        return np.array([0.4 * x[1] * x[2], -0.3 * x[0] + 0.1 * x[2] ** 2,
+                         0.2 * x[0] * x[1]])
+
+    def vector_potential_grad(x, t):
+        return np.array([[0.0, 0.4 * x[2], 0.4 * x[1]],
+                         [-0.3, 0.0, 0.2 * x[2]],
+                         [0.2 * x[1], 0.2 * x[0], 0.0]])
+
+    def potential(x, t):
+        return (0.5 * (x[0] ** 2 + 2.0 * x[1] ** 2 + 0.5 * x[2] ** 2)
+                + 0.1 * x[0] * x[1] * x[2])
+
+    def potential_grad(x, t):
+        return np.array([x[0] + 0.1 * x[1] * x[2], 2.0 * x[1] + 0.1 * x[0] * x[2],
+                         0.5 * x[2] + 0.1 * x[0] * x[1]])
+
+    def potential_hess(x, t):
+        return np.array([[1.0, 0.1 * x[2], 0.1 * x[1]],
+                         [0.1 * x[2], 2.0, 0.1 * x[0]],
+                         [0.1 * x[1], 0.1 * x[0], 0.5]])
+
+    return LagrangianModel(
+        dim=3, metric=metric, metric_grad=metric_grad,
+        vector_potential=vector_potential,
+        vector_potential_grad=vector_potential_grad, potential=potential,
+        potential_grad=potential_grad, potential_hess=potential_hess,
+        label="skewed_metric",
+    )
+
+
 def action_hessian_fd(path) -> ActionHessian:
     """Independent oracle: ``central_hessian`` of A(z) over re-solved BVPs.
 
@@ -137,8 +195,8 @@ def rk4(rhs, y0, times) -> np.ndarray:
 
 def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     """Independent oracle of one Euler-Lagrange run: ``rk4`` on the
-    (2D, 1 + m) state [(x, v), vblock], with ``el_linearization`` at one
-    point in each stage.
+    (2D, 1 + m) state [(x, v), vblock], with the path pass's acceleration
+    rule and ``el_linearization`` at one point in each stage.
 
     Column 0 is the path and columns 1..m the tangent block, both at
     every grid time: returns ``(times, ys)`` with ys of shape
@@ -150,11 +208,14 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
                                     np.asarray(v0, float)))[:, None],
                     np.asarray(vblock0, dtype=float)))
     times = np.linspace(t_a, t_b, n_steps + 1)
+    acceleration = (_constant_kinetic_linearization(model, y0[:d, 0], t_a)
+                    or _general_linearization(model))[0]
 
     def rhs(t, y):
         dy = np.empty_like(y)
         dy[:d] = y[d:]
-        acc, jx, jv = el_linearization(model, y[:d, 0], y[d:, 0], t)
+        acc = np.array(acceleration(y[:, 0].tolist(), t))
+        jx, jv = el_linearization(model, y[:d, 0], y[d:, 0], t, acc)
         dy[d:, 0] = acc
         dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]
         return dy

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vanvleck import (
+    LagrangianModel,
     NoConvergence,
     SingularMetric,
     SingularShootingJacobian,
@@ -31,7 +32,7 @@ from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
 from conftest import (AFFINE_CASES, AFFINE_IDS, combined_rk4_run,
                       make_curled_metric, make_polar_free_particle,
-                      make_quartic)
+                      make_quartic, make_skewed_metric)
 
 
 def test_free_ivp_is_exact():
@@ -213,9 +214,9 @@ def test_magnetic_bvp_circles_the_orbit_center():
     assert path.bvp_residual < 1e-10
 
 
-def _expression_quartic():
+def _expression_quartic(mass=1.0):
     v, dv, d2v = compile_potential("0.25 * x^4")
-    return one_dim_potential(v, dv, d2v)
+    return one_dim_potential(v, dv, d2v, mass=mass)
 
 
 @pytest.mark.parametrize("model, x0, v0", [
@@ -225,14 +226,17 @@ def _expression_quartic():
     (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
      [1.0, -0.5, 0.2]),
     (_expression_quartic(), [0.0], [1.2]),
+    (_expression_quartic(mass=1.7), [1.0], [1.2]),
     (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
      [0.3], [0.7]),
 ], ids=["ho2-matrix-mass", "magnetic-3", "quartic-expression",
-        "time-dependent-omega2"])
+        "quartic-expression-mass", "time-dependent-omega2"])
 def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
-    # the unflagged copy runs el_linearization, whose central-difference
-    # columns are exactly zero for these models; both copies drop
-    # affine_flow, which would step them by maps instead
+    # the unflagged copy runs the general rule, whose acceleration solves
+    # with the same elimination and whose central-difference columns are
+    # exactly zero for these models; both copies drop affine_flow, which
+    # would step them by maps instead.  A mass other than 1 makes 1/g
+    # inexact, so a division in place of the reciprocal pivot would show
     model = dataclasses.replace(model, affine_flow=False)
     general = dataclasses.replace(model, kinetic_gradients_constant=False)
     identity = np.eye(2 * model.dim)
@@ -258,6 +262,12 @@ def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
         solve_bvp(model, [0.0], [1.0], 0.0, 1.0, n_steps=20)
     assert len(runs) == 1
     assert info.value.iterations == 1
+
+
+def _path_acceleration(model, x, v, t):
+    """The path pass's acceleration rule at one point, as an ndarray."""
+    acceleration, _ = dynamics._general_linearization(model)
+    return np.array(acceleration(np.concatenate((x, v)).tolist(), t))
 
 
 def _reference_acceleration(model, x, v, t):
@@ -286,9 +296,10 @@ def test_linearization_matches_differenced_acceleration(model, rng):
         x = np.array([rng.uniform(0.7, 1.4), rng.uniform(-1.0, 1.0)])
         v = rng.normal(size=2)
         t = float(rng.uniform())
-        acc, jx, jv = dynamics.el_linearization(model, x, v, t)
+        acc = _path_acceleration(model, x, v, t)
         np.testing.assert_allclose(acc, _reference_acceleration(model, x, v, t),
                                    rtol=1e-12, atol=1e-14)
+        jx, jv = dynamics.el_linearization(model, x, v, t, acc)
         num_x = np.column_stack([
             (_reference_acceleration(model, x + e, v, t)
              - _reference_acceleration(model, x - e, v, t)) / (2 * h)
@@ -307,27 +318,24 @@ def test_linearization_matches_differenced_acceleration(model, rng):
                                    make_curled_metric()],
                          ids=["polar", "curled-metric"])
 def test_stacked_linearization_equals_the_point_calls(model, rng):
-    # one (k, D) stack against k calls at one point each: acc, jv and the
-    # jx that carries the differenced columns, within 4 ulp; a given acc
-    # replaces the computed one
+    # one (k, D) stack against k calls at one point each: jv and the jx
+    # that carries the differenced columns, within 4 ulp
     k = 9
     x = np.column_stack([rng.uniform(0.7, 1.4, k), rng.uniform(-1.0, 1.0, k)])
     v = rng.normal(size=(k, 2))
     t = rng.uniform(size=k)
-    stack = dynamics.el_linearization(model, x, v, t)
-    points = [dynamics.el_linearization(model, *row) for row in zip(x, v, t)]
+    acc = np.array([_path_acceleration(model, *row) for row in zip(x, v, t)])
+    stack = dynamics.el_linearization(model, x, v, t, acc)
+    points = [dynamics.el_linearization(model, *row)
+              for row in zip(x, v, t, acc)]
     for got, want in zip(stack, zip(*points)):
         assert got.shape == (k,) + want[0].shape
         np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
-    given = dynamics.el_linearization(model, x, v, t, acc=stack[0])
-    for got, want in zip(given, stack):
-        np.testing.assert_array_equal(got, want)
 
 
-def _counted_curled_metric(marked):
-    """The curled metric with every callback counted; ``marked`` makes
-    each a stacked callback, which loops over a stack itself."""
-    model = make_curled_metric()
+def _counted_callbacks(model, marked=False):
+    """``model`` with every callback counted; ``marked`` makes each a
+    stacked callback, which loops over a stack itself."""
     calls = collections.Counter()
     names = ("metric", "metric_grad", "vector_potential",
              "vector_potential_grad", "potential", "potential_grad",
@@ -350,23 +358,25 @@ def _counted_curled_metric(marked):
 
 def test_linearization_callback_counts():
     # metric_grad and vector_potential_grad at x and at the 2D stencil
-    # stacks x +- h e_m; metric, potential_grad and potential_hess once;
-    # the values a and V never: one call each per stack when marked, one
-    # per point through models.along otherwise
-    x, v = np.array([1.1, 0.2]), np.array([0.3, -0.4])
+    # stacks x +- h e_m; metric and potential_hess once; potential_grad,
+    # whose work the given acceleration carries, and the values a and V
+    # never: one call each per stack when marked, one per point through
+    # models.along otherwise
+    x, v, acc = np.array([1.1, 0.2]), np.array([0.3, -0.4]), np.ones(2)
     for marked in (True, False):
         for k in (None, 7):
-            model, calls = _counted_curled_metric(marked)
+            model, calls = _counted_callbacks(make_curled_metric(), marked)
             if k is None:
-                dynamics.el_linearization(model, x, v, 0.0)
+                dynamics.el_linearization(model, x, v, 0.0, acc)
             else:
                 dynamics.el_linearization(model, np.tile(x, (k, 1)),
-                                          np.tile(v, (k, 1)), np.zeros(k))
+                                          np.tile(v, (k, 1)), np.zeros(k),
+                                          np.tile(acc, (k, 1)))
             d = model.dim
             per = 1 if marked or k is None else k
             assert calls == {"metric": per, "metric_grad": (1 + 2 * d) * per,
                              "vector_potential_grad": (1 + 2 * d) * per,
-                             "potential_grad": per, "potential_hess": per}
+                             "potential_hess": per}
 
 
 def _count_runs(monkeypatch, fail_at=None, failure=None, columns=None):
@@ -597,8 +607,10 @@ TWO_PASS_CASES = [
     (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
                          affine_flow=False),
      [0.1, 0.0, -0.3], [1.0, -0.5, 0.2]),
+    (make_skewed_metric(), [0.1, -0.2, 0.3], [0.5, 0.4, -0.6]),
 ]
-TWO_PASS_IDS = ["quartic", "polar", "curled-metric", "magnetic-3"]
+TWO_PASS_IDS = ["quartic", "polar", "curled-metric", "magnetic-3",
+                "skewed-metric-3"]
 
 
 @pytest.mark.parametrize("model, x0, v0", TWO_PASS_CASES, ids=TWO_PASS_IDS)
@@ -721,7 +733,78 @@ def test_singular_metric_at_a_stage_raises():
     points = np.array([[1.0, 0.2], [0.0, 0.3], [1.2, 0.1]])
     with pytest.raises(SingularMetric):
         dynamics.el_linearization(model, points, np.ones((3, 2)),
-                                  np.zeros(3))
+                                  np.zeros(3), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("model", [make_polar_free_particle(mass=1.5),
+                                   make_curled_metric(), make_skewed_metric()],
+                         ids=["polar", "curled-metric", "skewed-metric-3"])
+def test_float_acceleration_matches_an_independent_solve(model, rng):
+    # the path pass's float force and elimination against the written-out
+    # force and np.linalg.solve; on the skewed metric partial pivoting
+    # takes row 1 first
+    d = model.dim
+    for _ in range(8):
+        x = rng.uniform(0.7, 1.4, d)
+        v = rng.normal(size=d)
+        t = float(rng.uniform())
+        np.testing.assert_allclose(_path_acceleration(model, x, v, t),
+                                   _reference_acceleration(model, x, v, t),
+                                   rtol=1e-12, atol=1e-14)
+    if d == 3:
+        perm, _ = dynamics._lu(model.metric(x, t).tolist(), x, t)
+        assert perm[0] == 1
+
+
+def _constant_metric_model(g):
+    """A D = 2 model on the constant metric ``g`` with a force, left
+    unflagged so that its runs take the general acceleration rule."""
+    zero2, zero22 = np.zeros(2), np.zeros((2, 2))
+    return LagrangianModel(
+        dim=2, metric=lambda x, t: np.array(g),
+        metric_grad=lambda x, t: np.zeros((2, 2, 2)),
+        vector_potential=lambda x, t: zero2,
+        vector_potential_grad=lambda x, t: zero22,
+        potential=lambda x, t: 0.5 * float(x @ x),
+        potential_grad=lambda x, t: np.array(x, dtype=float),
+        potential_hess=lambda x, t: np.eye(2))
+
+
+def test_elimination_pivots_past_a_zero_corner_and_refuses_a_singular_metric(
+        rng):
+    # g = [[0, 1.5], [1.5, 0]] is invertible with a zero (0, 0) entry:
+    # the pivot search swaps the rows.  [[1, 2], [2, 4]] eliminates to an
+    # exactly zero second pivot, so a run raises at its first stage
+    model = _constant_metric_model([[0.0, 1.5], [1.5, 0.0]])
+    for _ in range(4):
+        x, v = rng.normal(size=2), rng.normal(size=2)
+        np.testing.assert_allclose(_path_acceleration(model, x, v, 0.0),
+                                   _reference_acceleration(model, x, v, 0.0),
+                                   rtol=1e-12, atol=1e-14)
+    model, calls = _counted_callbacks(
+        _constant_metric_model([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SingularMetric):
+        _rk4_run(model, [0.3, 0.1], [1.0, 0.0], 0.0, 1.0, 40, np.eye(4))
+    assert calls["metric"] == 1
+
+
+def test_path_pass_on_a_metric_makes_no_linalg_call(monkeypatch):
+    # the position-dependent metric rule solves g acc = F in floats: a
+    # polar path pass calls neither numpy.linalg.inv nor solve, and reads
+    # each of its four callbacks once a stage
+    linalg = collections.Counter()
+    for name in ("inv", "solve"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name),
+                    **kwargs):
+            linalg[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    model, calls = _counted_callbacks(make_polar_free_particle())
+    n = 40
+    _rk4_run(model, [1.0, 0.3], [0.4, 1.1], 0.0, 1.1, n, np.empty((4, 0)))
+    assert linalg == {}
+    assert calls == {name: 4 * n for name in (
+        "metric", "metric_grad", "vector_potential_grad", "potential_grad")}
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
