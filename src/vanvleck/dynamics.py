@@ -21,11 +21,11 @@ the acceleration, and records its stages; the flow then reads the
 linearization once per block of steps, on the block's recorded stages as
 a stack, and is stepped by the same step maps as a linear system,
 keeping only its value at t_b.  The path pass's acceleration is Python
-floats too: one rule builds the generalized force F from the callback
-values and solves g acc = F by Gaussian elimination with partial
-pivoting (``_lu``, ``_lu_solve``), with no numpy.linalg call a stage; on
-a constant metric it reads only potential_grad and reuses one
-elimination of g per run.
+floats too, by one of two rules: (-1/g) V' in D = 1 on a constant
+metric, reading only potential_grad, and on every other model, a D > 1
+constant metric off ``affine_flow`` included, the generalized force F
+from four callbacks and g acc = F by one Gaussian elimination with
+partial pivoting (``_solve``), with no numpy.linalg call a stage.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -47,8 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .models import (FD_STEP, LagrangianModel, along, evaluate_hamiltonian,
-                     invert_metric, legendre_momentum, metric_is_constant)
+from .models import (FD_STEP, SINGULAR_METRIC_RTOL, LagrangianModel, along,
+                     evaluate_hamiltonian, invert_metric, legendre_momentum,
+                     metric_is_constant)
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
@@ -244,67 +245,49 @@ def _floats(value) -> list:
     return np.asarray(value, dtype=float).tolist()
 
 
-def _lu(g: list, x, t):
-    """Gaussian elimination with partial pivoting of the metric values g,
-    a (D, D) nested list of floats read at (x, t), which it overwrites.
+def _solve(g: list, rhs: list, x, t) -> list:
+    """g^-1 rhs as D floats, from the metric values g, a (D, D) nested
+    list of floats read at (x, t), and rhs, D floats; both are overwritten.
 
-    Returns ``(perm, rows)``: g's rows in the pivot order ``perm``, each
-    holding the multipliers of L left of the diagonal, U right of it and
-    the reciprocal of U's pivot on it.  An exactly zero pivot raises
-    SingularMetric.
+    One Gaussian elimination with partial pivoting works on g and rhs
+    together, multiplying by the reciprocal pivots, so in D = 1 it is
+    rhs * (1/g).  det g is the product of the pivots: a metric singular
+    by ``models``'s rule, |det g| <= SINGULAR_METRIC_RTOL * prod_i
+    max_j |g_ij|, raises SingularMetric before the back substitution.
     """
     d = len(g)
-    perm = list(range(d))
+    bound = SINGULAR_METRIC_RTOL
+    for row in g:
+        bound *= max(map(abs, row))
+    det = 1.0
     for k in range(d):
         p = k
         for i in range(k + 1, d):
             if abs(g[i][k]) > abs(g[p][k]):
                 p = i
-        if g[p][k] == 0.0:
-            raise SingularMetric(f"metric singular at x={x}, t={t}")
         if p != k:
             g[k], g[p] = g[p], g[k]
-            perm[k], perm[p] = perm[p], perm[k]
+            rhs[k], rhs[p] = rhs[p], rhs[k]
         pivot = g[k]
+        det *= pivot[k]
+        if det == 0.0:   # a zero pivot ends the elimination
+            break
         recip = pivot[k] = 1.0 / pivot[k]
-        for row in g[k + 1:]:
-            m = row[k] = row[k] * recip
+        for i in range(k + 1, d):
+            row = g[i]
+            m = row[k] * recip
             for j in range(k + 1, d):
                 row[j] -= m * pivot[j]
-    return perm, g
-
-
-def _lu_solve(lu, rhs: list) -> list:
-    """g^-1 rhs from ``_lu``'s factors of g, as D floats.  Back
-    substitution multiplies by the reciprocal pivots, so in D = 1 it is
-    rhs * (1/g)."""
-    perm, rows = lu
-    y = [rhs[p] for p in perm]
-    d = len(y)
-    for i in range(1, d):
-        row = rows[i]
-        s = y[i]
-        for k in range(i):
-            s -= row[k] * y[k]
-        y[i] = s
+            rhs[i] -= m * rhs[k]
+    if det == 0.0 or abs(det) <= bound:
+        raise SingularMetric(f"metric singular at x={x}, t={t}")
     for i in range(d - 1, -1, -1):
-        row = rows[i]
-        s = y[i]
+        row = g[i]
+        s = rhs[i]
         for j in range(i + 1, d):
-            s -= row[j] * y[j]
-        y[i] = s * row[i]
-    return y
-
-
-def _constant_kinetic_blocks(model: LagrangianModel, x, t):
-    """``(g, g^-1, da^T - da, g^-1 (da^T - da))`` at (x, t), for one run
-    on a constant metric and a linear vector potential, where they are the
-    same at every stage."""
-    g = np.asarray(model.metric(x, t), dtype=float)
-    gi = invert_metric(g, x, t)
-    da = np.asarray(model.vector_potential_grad(x, t))
-    curl = da.T - da
-    return g, gi, curl, gi @ curl
+            s -= row[j] * rhs[j]
+        rhs[i] = s * row[i]
+    return rhs
 
 
 def _general_linearization(model: LagrangianModel):
@@ -319,10 +302,9 @@ def _general_linearization(model: LagrangianModel):
         F_i = sum_m (curl_im + sum_j (1/2 d_i g_mj - d_m g_ij) v_j) v_m
               - d_i V,
 
-    with ``curl = da^T - da``, then solves g acc = F by ``_lu`` and
-    ``_lu_solve``; it makes no numpy.linalg call.  ``jacobians(x, v, t,
-    acc)`` is ``el_linearization`` at a stack of points with their
-    accelerations.
+    with ``curl = da^T - da``, then solves g acc = F by ``_solve``; it
+    makes no numpy.linalg call.  ``jacobians(x, v, t, acc)`` is
+    ``el_linearization`` at a stack of points with their accelerations.
     """
     d = model.dim
     span = range(d)
@@ -345,56 +327,30 @@ def _general_linearization(model: LagrangianModel):
                     s += (0.5 * dg_im[j] - dg_mi[j]) * v[j]
                 f += s * v[m]
             force.append(f - grad[i])
-        return _lu_solve(_lu(g, x, t), force)
+        return _solve(g, force, x, t)
 
     return acceleration, functools.partial(el_linearization, model)
 
 
-def _constant_kinetic_linearization(model: LagrangianModel, x, t):
-    """``_general_linearization`` for one run on a constant metric, or None.
+def _one_dim_linearization(model: LagrangianModel, x, t):
+    """``_general_linearization`` for one run in D = 1 on a constant
+    metric, where ``metric_is_constant`` holds at (x, t), or None.
 
-    Applies when ``metric_is_constant`` holds at (x, t): g is then
-    constant and a is linear, so ``_constant_kinetic_blocks`` are computed
-    once, and jv is one of them.  The acceleration reads only
-    potential_grad and the Jacobians only potential_hess; both are the
-    general rule's arithmetic with the zero terms dropped, so they return
-    the same bits but for the sign of an exactly zero acceleration.  In
-    D > 1 the acceleration is g^-1 (curl v - grad V) in floats, with the
-    field ``curl = da^T - da``, solved with ``_lu_solve`` from one ``_lu``
-    of g per run; in D = 1 curl is zero and it is the one float product
-    (-g^-1) grad V, the bits of ``_lu_solve``'s (-grad V) (1/g).  It takes
-    and returns what ``_general_linearization``'s does.
+    The acceleration is the one float product (-1/g) V', with 1/g from one
+    ``_solve`` per run, the general rule's bits (-V') (1/g) but for the
+    sign of an exactly zero acceleration; the Jacobians are (-1/g) V''
+    and 0.  A stage reads only potential_grad, a stack potential_hess.
     """
-    if not metric_is_constant(model, x, t):
+    if model.dim != 1 or not metric_is_constant(model, x, t):
         return None
-    g, gi, curl, jv = _constant_kinetic_blocks(model, x, t)
-    d = model.dim
+    neg_recip = -_solve(_floats(model.metric(x, t)), [1.0], x, t)[0]
 
-    if d == 1:
-        neg_g = -float(gi[0, 0])
-
-        def acceleration(y, t):
-            grad = model.potential_grad(np.array(y[:1]), t)
-            return [neg_g * float(grad[0])]
-    else:
-        lu = _lu(g.tolist(), x, t)
-        curl = curl.tolist()
-        span = range(d)
-
-        def acceleration(y, t):
-            grad = _floats(model.potential_grad(np.array(y[:d]), t))
-            v = y[d:]
-            force = []
-            for curl_i, grad_i in zip(curl, grad):
-                f = 0.0
-                for m in span:
-                    f += curl_i[m] * v[m]
-                force.append(f - grad_i)
-            return _lu_solve(lu, force)
+    def acceleration(y, t):
+        return [neg_recip * float(model.potential_grad(np.array(y[:1]), t)[0])]
 
     def jacobians(x, v, t, acc):
-        hess = _read(model.potential_hess, x, t, (d, d))
-        return gi @ -hess, np.broadcast_to(jv, hess.shape)
+        jx = neg_recip * _read(model.potential_hess, x, t, (1, 1))
+        return jx, np.zeros_like(jx)
 
     return acceleration, jacobians
 
@@ -483,7 +439,9 @@ def _affine_sampler(model: LagrangianModel, x, t):
     [jx, jv, acc0], [0, 0, 0]], of side 2D + 1.
     """
     d = model.dim
-    _, gi, _, jv = _constant_kinetic_blocks(model, x, t)
+    gi = invert_metric(model.metric(x, t), x, t)
+    da = np.asarray(model.vector_potential_grad(x, t))
+    jv = gi @ (da.T - da)
 
     def sample(ts):
         origin = np.zeros((len(ts), d))
@@ -519,17 +477,19 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     a float h, in the classical RK4 order of operations, y + (h/2) k and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
     numpy RK4 stepper's; each stage computes only the acceleration, a
-    list of D floats from the callbacks read at a (D,) ndarray: the
-    float force and the float elimination of ``_general_linearization``,
-    or of ``_constant_kinetic_linearization`` on a constant metric, with
-    no numpy.linalg call.  It appends its time, point and acceleration to
-    a flat float64 record, 8 B a float.  The flow pass (``_flow_pass``)
-    steps vblock by the RK4 steps of the linearized system on those same
-    stages, with the Jacobian blocks read at the recorded stages as
-    stacks, a block of steps at a time, and the recorded accelerations,
-    so potential_grad is not read again.  ``tangents`` is then vblock(t_b) alone, shape
-    (1, 2D, m).  A run with m = 0, or whose path ends non-finite, makes no
-    flow pass; the latter's tangent block is NaN.
+    list of D floats from the callbacks read at a (D,) ndarray, with no
+    numpy.linalg call.  There are two stage rules: in D = 1 on a constant
+    metric, ``_one_dim_linearization`` reads potential_grad alone; every
+    other model takes ``_general_linearization``'s float force and
+    ``_solve``, four callbacks a stage.  It appends its time, point and
+    acceleration to a flat float64 record, 8 B a float.  The flow pass
+    (``_flow_pass``) steps vblock by the RK4 steps of the linearized
+    system on those same stages, with the Jacobian blocks read at the
+    recorded stages as stacks, a block of steps at a time, and the
+    recorded accelerations, so potential_grad is not read again.
+    ``tangents`` is then vblock(t_b) alone, shape (1, 2D, m).  A run with
+    m = 0, or whose path ends non-finite, makes no flow pass; the
+    latter's tangent block is NaN.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
@@ -543,7 +503,7 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         y0 = np.vstack((y0, np.eye(1, y0.shape[1])))
         ys = linear_rk4(_affine_sampler(model, x, t_a), y0, times)[:, :-1]
         return times, ys[:, :, 0], ys[:, :, 1:]
-    acceleration, jacobians = (_constant_kinetic_linearization(model, x, t_a)
+    acceleration, jacobians = (_one_dim_linearization(model, x, t_a)
                                or _general_linearization(model))
     h = float(_step_size(times))
     half, sixth = 0.5 * h, h / 6.0

@@ -10,7 +10,8 @@ class VanVleckError(Exception):
 
 
 class SingularMetric(VanVleckError):
-    """Kinetic metric g(x, t) is singular at a queried point."""
+    """Kinetic metric g(x, t) is singular at a queried point, by the rule
+    of ``models.SINGULAR_METRIC_RTOL``."""
 
 
 class NonSPDMass(VanVleckError):

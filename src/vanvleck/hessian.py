@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import ClassicalPath, require_nonsingular, state_at
 from .errors import ConjugatePoint, NonConstantMetric, VectorPotentialPresent
-from .models import (LagrangianModel, along, metric_inverse,
+from .models import (LagrangianModel, along, invert_metric,
                      metric_is_constant, stacked)
 
 VECTOR_POTENTIAL_ZERO_TOL = 1e-14
@@ -147,7 +147,7 @@ def frequency_matrix_along_path(path: ClassicalPath):
             f"the Gelfand-Yaglom frequency needs a constant metric; "
             f"{model.label!r} is not flagged kinetic_gradients_constant or "
             "its metric_grad does not vanish")
-    gi = metric_inverse(model, path.x_a, path.t_a)
+    gi = invert_metric(model.metric(path.x_a, path.t_a), path.x_a, path.t_a)
     d = model.dim
 
     @stacked

@@ -38,6 +38,13 @@ from .errors import NonSPDMass, SingularMetric
 # the noise floor against truncation.
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
+# A metric value g is singular when |det g| <= SINGULAR_METRIC_RTOL *
+# prod_i max_j |g_ij|.  Dividing each row by its largest entry leaves the
+# test unchanged, so a metric whose coordinates differ in scale, such as
+# diag(1, 1e-14), passes; ``invert_metric``, ``metric_solve`` and the
+# path pass's float elimination in ``dynamics`` all apply it.
+SINGULAR_METRIC_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LagrangianModel:
@@ -72,6 +79,10 @@ class LagrangianModel:
         True when metric_grad and vector_potential_grad do not depend on x.
         The variational linearization is then exact; otherwise the missing
         second derivatives of g and a are filled in by central differences.
+        When metric_grad also vanishes (``metric_is_constant``), a D = 1
+        path pass reads potential_grad alone a stage; in D > 1 the flag
+        leaves the path pass alone, which reads four callbacks a stage
+        unless ``affine_flow`` is set.
     affine_flow : bool
         True when the Euler-Lagrange equations are linear in (x, v): g
         constant, a linear and V quadratic in x, at every t.  The RK4
@@ -117,27 +128,31 @@ def _check_point(model: LagrangianModel, x, name: str = "x") -> np.ndarray:
     return x
 
 
+def _require_regular(g: np.ndarray, x, t) -> None:
+    """Raise SingularMetric when any metric value in the stack g,
+    (..., D, D), read at the points x and times t, is singular by the
+    SINGULAR_METRIC_RTOL rule; a NaN value passes, quietly, as in the
+    float elimination."""
+    bound = SINGULAR_METRIC_RTOL * np.prod(np.abs(g).max(axis=-1), axis=-1)
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(g)
+    if np.any(np.abs(det) <= bound):
+        raise SingularMetric(f"metric singular at x={x}, t={t}")
+
+
 def metric_solve(model: LagrangianModel, x, t, rhs) -> np.ndarray:
-    """Solve g(x, t) y = rhs, raising SingularMetric when g is degenerate."""
+    """Solve g(x, t) y = rhs, raising SingularMetric when g is singular."""
     g = np.asarray(model.metric(x, t), dtype=float)
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
-
-
-def metric_inverse(model: LagrangianModel, x, t) -> np.ndarray:
-    """g(x, t)^-1, raising SingularMetric when g is degenerate."""
-    return invert_metric(model.metric(x, t), x, t)
+    _require_regular(g, x, t)
+    return np.linalg.solve(g, rhs)
 
 
 def invert_metric(g, x, t) -> np.ndarray:
     """g^-1 of metric values g, (..., D, D), read at the points x and
-    times t, raising SingularMetric when any of them is degenerate."""
-    try:
-        return np.linalg.inv(np.asarray(g, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"metric singular at x={x}, t={t}") from exc
+    times t, raising SingularMetric when any of them is singular."""
+    g = np.asarray(g, dtype=float)
+    _require_regular(g, x, t)
+    return np.linalg.inv(g)
 
 
 def metric_is_constant(model: LagrangianModel, x, t) -> bool:

@@ -9,8 +9,8 @@ from vanvleck import (ActionHessian, LagrangianModel, free_particle,
                       harmonic_oscillator, magnetic_field, one_dim_potential,
                       solve_bvp)
 from vanvleck.cli import build_model
-from vanvleck.dynamics import (_constant_kinetic_linearization,
-                               _general_linearization, el_linearization)
+from vanvleck.dynamics import (_general_linearization, _one_dim_linearization,
+                               el_linearization)
 from vanvleck.hessian import flow_seed
 from vanvleck.models import central_hessian
 
@@ -208,7 +208,7 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
                                     np.asarray(v0, float)))[:, None],
                     np.asarray(vblock0, dtype=float)))
     times = np.linspace(t_a, t_b, n_steps + 1)
-    acceleration = (_constant_kinetic_linearization(model, y0[:d, 0], t_a)
+    acceleration = (_one_dim_linearization(model, y0[:d, 0], t_a)
                     or _general_linearization(model))[0]
 
     def rhs(t, y):

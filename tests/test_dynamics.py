@@ -220,23 +220,18 @@ def _expression_quartic(mass=1.0):
 
 
 @pytest.mark.parametrize("model, x0, v0", [
-    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
-                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
-     [0.1, -0.2], [1.0, 0.5]),
-    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
-     [1.0, -0.5, 0.2]),
     (_expression_quartic(), [0.0], [1.2]),
     (_expression_quartic(mass=1.7), [1.0], [1.2]),
     (harmonic_oscillator(omega2=lambda t: (1 + 0.2 * math.sin(t)) ** 2),
      [0.3], [0.7]),
-], ids=["ho2-matrix-mass", "magnetic-3", "quartic-expression",
-        "quartic-expression-mass", "time-dependent-omega2"])
-def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
-    # the unflagged copy runs the general rule, whose acceleration solves
-    # with the same elimination and whose central-difference columns are
-    # exactly zero for these models; both copies drop affine_flow, which
-    # would step them by maps instead.  A mass other than 1 makes 1/g
-    # inexact, so a division in place of the reciprocal pivot would show
+], ids=["quartic-expression", "quartic-expression-mass",
+        "time-dependent-omega2"])
+def test_one_dim_rule_is_bit_identical_to_the_general_rule(model, x0, v0):
+    # the unflagged copy runs the general rule, whose _solve is (-V') (1/g)
+    # in D = 1 and whose central-difference columns are exactly zero for
+    # these models; both copies drop affine_flow, which would step them
+    # by maps instead.  A mass other than 1 makes 1/g inexact, so a
+    # division in place of the reciprocal pivot would show
     model = dataclasses.replace(model, affine_flow=False)
     general = dataclasses.replace(model, kinetic_gradients_constant=False)
     identity = np.eye(2 * model.dim)
@@ -244,6 +239,26 @@ def test_constant_kinetic_fast_path_is_bit_identical(model, x0, v0):
     _, ref, ref_flow = _rk4_run(general, x0, v0, 0.0, 1.3, 50, identity)
     np.testing.assert_array_equal(fast, ref)
     np.testing.assert_array_equal(fast_flow, ref_flow)
+
+
+@pytest.mark.parametrize("model, x0, v0", [
+    (harmonic_oscillator(mass=[[2.0, 0.3], [0.3, 1.0]],
+                         stiffness=[[1.0, 0.2], [0.2, 3.0]]),
+     [0.1, -0.2], [1.0, 0.5]),
+    (magnetic_field(mass=1.5, omega=0.8, dim=3), [0.1, 0.0, -0.3],
+     [1.0, -0.5, 0.2]),
+], ids=["ho2-matrix-mass", "magnetic-3"])
+def test_constant_metric_off_affine_flow_takes_the_general_rule(model, x0,
+                                                                v0):
+    # only D = 1 has a constant-metric stage rule: a D > 1 constant
+    # metric run off affine_flow reads the general rule's four callbacks
+    # once a stage
+    model, calls = _counted_callbacks(
+        dataclasses.replace(model, affine_flow=False))
+    n = 40
+    _rk4_run(model, x0, v0, 0.0, 1.3, n, np.empty((2 * model.dim, 0)))
+    assert calls == {name: 4 * n for name in (
+        "metric", "metric_grad", "vector_potential_grad", "potential_grad")}
 
 
 def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
@@ -741,8 +756,7 @@ def test_singular_metric_at_a_stage_raises():
                          ids=["polar", "curled-metric", "skewed-metric-3"])
 def test_float_acceleration_matches_an_independent_solve(model, rng):
     # the path pass's float force and elimination against the written-out
-    # force and np.linalg.solve; on the skewed metric partial pivoting
-    # takes row 1 first
+    # force and np.linalg.solve
     d = model.dim
     for _ in range(8):
         x = rng.uniform(0.7, 1.4, d)
@@ -751,9 +765,6 @@ def test_float_acceleration_matches_an_independent_solve(model, rng):
         np.testing.assert_allclose(_path_acceleration(model, x, v, t),
                                    _reference_acceleration(model, x, v, t),
                                    rtol=1e-12, atol=1e-14)
-    if d == 3:
-        perm, _ = dynamics._lu(model.metric(x, t).tolist(), x, t)
-        assert perm[0] == 1
 
 
 def _constant_metric_model(g):
@@ -786,6 +797,33 @@ def test_elimination_pivots_past_a_zero_corner_and_refuses_a_singular_metric(
     with pytest.raises(SingularMetric):
         _rk4_run(model, [0.3, 0.1], [1.0, 0.0], 0.0, 1.0, 40, np.eye(4))
     assert calls["metric"] == 1
+
+
+def test_nearly_singular_metric_raises_on_every_route():
+    # [[0.1, 0.3], [0.3, 0.9]] is singular in decimal; in binary its
+    # elimination leaves a pivot of -5.6e-17, far inside the relative
+    # bound, where a zero-pivot test accepted it.  diag(1, 1e-14) is
+    # regular whatever its scales: the bound is relative to each row
+    x, p = np.array([0.3, 0.1]), np.array([1.0, -0.5])
+    points = np.array([[0.3, 0.1], [0.2, -0.4], [1.0, 0.5]])
+    near = _constant_metric_model([[0.1, 0.3], [0.3, 0.9]])
+    with pytest.raises(SingularMetric):
+        _rk4_run(near, x, [1.0, 0.0], 0.0, 1.0, 40, np.empty((4, 0)))
+    with pytest.raises(SingularMetric):
+        dynamics.el_linearization(near, points, np.ones((3, 2)),
+                                  np.zeros(3), np.zeros((3, 2)))
+    with pytest.raises(SingularMetric):
+        evaluate_hamiltonian(near, x, p, 0.0)
+    scaled = _constant_metric_model([[1.0, 0.0], [0.0, 1e-14]])
+    _, states, _ = _rk4_run(scaled, [0.3, 0.0], [1.0, 0.0], 0.0, 1.0, 40,
+                            np.empty((4, 0)))
+    assert np.isfinite(states).all()
+    jx, _ = dynamics.el_linearization(scaled, points, np.ones((3, 2)),
+                                      np.zeros(3), np.zeros((3, 2)))
+    np.testing.assert_allclose(jx, np.broadcast_to(
+        np.diag([-1.0, -1e14]), (3, 2, 2)), rtol=1e-15)
+    assert evaluate_hamiltonian(scaled, x, p, 0.0) == pytest.approx(
+        0.5 + 0.125e14 + 0.05, rel=1e-15)
 
 
 def test_path_pass_on_a_metric_makes_no_linalg_call(monkeypatch):

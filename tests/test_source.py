@@ -182,3 +182,73 @@ def test_readme_names_every_failure_mode():
     sentence = text[start:text.index("(all subclass `VanVleckError`)", start)]
     named = set(re.findall(r"`(\w+)`", sentence))
     assert named == error_classes((SOURCE / "errors.py").read_text())
+
+
+def _bound_names(tree, top_level_only: bool) -> set[str]:
+    """Names a parsed module binds by def, class, assignment or import at
+    its top level, or, unless ``top_level_only``, anywhere in it, as an
+    argument too."""
+    bound = set()
+    for node in tree.body if top_level_only else ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound |= {leaf.id for leaf in ast.walk(node)
+                      if isinstance(leaf, ast.Name)
+                      and isinstance(leaf.ctx, ast.Store)}
+    return bound
+
+
+def stale_readme_names(text: str, sources: dict) -> list[str]:
+    """Backticked names in ``text`` that the package ``sources`` do not
+    define, in order of appearance.
+
+    ``sources`` maps module file names to their text.  A private name
+    (``_name``; dunders are exempt) must be bound somewhere in the
+    sources.  A ``module.name`` reference whose module is one of the
+    sources, with or without a ``vanvleck.`` prefix, must be bound at that
+    module's top level (``module.py`` names the file); ``vanvleck.module``
+    must name a source.  Fenced code blocks are skipped.
+    """
+    trees = {name.removesuffix(".py"): ast.parse(source)
+             for name, source in sources.items()}
+    anywhere = set().union(*(_bound_names(tree, False)
+                             for tree in trees.values()))
+    stale = {}
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    for span in re.findall(r"`([^`]+)`", prose):
+        for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span):
+            if name not in anywhere:
+                stale[name] = None
+        for module in re.findall(r"(?<![\w.])vanvleck\.(\w+)", span):
+            if module not in trees:
+                stale[f"vanvleck.{module}"] = None
+        for module, name in re.findall(
+                r"(?<![\w.])(?:vanvleck\.)?(\w+)\.(?!py\b)(\w+)", span):
+            if module in trees and name not in _bound_names(trees[module],
+                                                            True):
+                stale[f"{module}.{name}"] = None
+    return list(stale)
+
+
+def test_the_check_sees_a_stale_readme_name():
+    sources = {"a.py": "import os\nX = 1\ndef f(_arg):\n    _y = 2\n"
+                       "class C:\n    def _m(self):\n        pass\n",
+               "b.py": "def _g():\n    pass\n"}
+    text = ("`a.f`, `a.X + b._g()`, `vanvleck.a.os`, `_arg`, `_y`, `_m`, "
+            "`__init__.py`, `np.asarray`, `_gone` and `a._g`, "
+            "`vanvleck.b.h(x)`, `vanvleck.c`, `a.C._m` and `a.py`\n"
+            "```\nb._h\n```\n`b.z`")
+    assert stale_readme_names(text, sources) == [
+        "_gone", "a._g", "b.h", "vanvleck.c", "b.z"]
+
+
+def test_readme_names_only_what_the_package_defines():
+    sources = {path.name: path.read_text()
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert stale_readme_names(README.read_text(), sources) == []
