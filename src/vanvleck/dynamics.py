@@ -22,10 +22,12 @@ linearization once per block of steps, on the block's recorded stages as
 a stack, and is stepped by the same step maps as a linear system,
 keeping only its value at t_b.  The path pass's acceleration is Python
 floats too, by one of two rules: (-1/g) V' in D = 1 on a constant
-metric, reading only potential_grad, and on every other model, a D > 1
-constant metric off ``affine_flow`` included, the generalized force F
-from four callbacks and g acc = F by one Gaussian elimination with
-partial pivoting (``_solve``), with no numpy.linalg call a stage.
+metric, where the pass is one loop over the two floats x, v calling the
+scalar V' of ``potential_grad.scalar`` with no array a stage, and on
+every other model, a D > 1 constant metric off ``affine_flow`` included,
+the generalized force F from four callbacks and g acc = F by one
+Gaussian elimination with partial pivoting (``_solve``), with no
+numpy.linalg call a stage.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -333,20 +335,29 @@ def _general_linearization(model: LagrangianModel):
 
 
 def _one_dim_linearization(model: LagrangianModel, x, t):
-    """``_general_linearization`` for one run in D = 1 on a constant
+    """``(acceleration, jacobians)`` of one run in D = 1 on a constant
     metric, where ``metric_is_constant`` holds at (x, t), or None.
 
-    The acceleration is the one float product (-1/g) V', with 1/g from one
-    ``_solve`` per run, the general rule's bits (-V') (1/g) but for the
-    sign of an exactly zero acceleration; the Jacobians are (-1/g) V''
-    and 0.  A stage reads only potential_grad, a stack potential_hess.
+    ``acceleration(x, t)`` takes the position as one float and returns
+    the float product (-1/g) V', with 1/g from one ``_solve`` per run,
+    the general rule's bits (-V') (1/g) but for the sign of an exactly
+    zero acceleration.  V' is ``potential_grad.scalar``, the user's
+    scalar dV/dx that ``models._first_coordinate`` hands over, called at
+    the float x; a potential_grad without it is read at a (1,) ndarray.
+    The Jacobians are (-1/g) V'' and 0.  A stage reads only V', a stack
+    potential_hess.
     """
     if model.dim != 1 or not metric_is_constant(model, x, t):
         return None
     neg_recip = -_solve(_floats(model.metric(x, t)), [1.0], x, t)[0]
+    grad = model.potential_grad
+    dv = getattr(grad, "scalar", None)
+    if dv is None:
+        def dv(x, t):
+            return grad(np.array([x]), t)[0]
 
-    def acceleration(y, t):
-        return [neg_recip * float(model.potential_grad(np.array(y[:1]), t)[0])]
+    def acceleration(x, t):
+        return neg_recip * float(dv(x, t))
 
     def jacobians(x, v, t, acc):
         jx = neg_recip * _read(model.potential_hess, x, t, (1, 1))
@@ -473,16 +484,18 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     one more row (1, 0, ..., 0) that carries the forcing; ``tangents`` is
     then the block at every grid time, shape (n_steps + 1, 2D, m), which
     Newton's superposition reads.  Every other model runs in two passes.
-    The path pass steps (x, v) alone, as a list of 2D Python floats with
-    a float h, in the classical RK4 order of operations, y + (h/2) k and
+    The path pass steps (x, v) alone, as Python floats with a float h, in
+    the classical RK4 order of operations, y + (h/2) k and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
-    numpy RK4 stepper's; each stage computes only the acceleration, a
-    list of D floats from the callbacks read at a (D,) ndarray, with no
-    numpy.linalg call.  There are two stage rules: in D = 1 on a constant
-    metric, ``_one_dim_linearization`` reads potential_grad alone; every
-    other model takes ``_general_linearization``'s float force and
-    ``_solve``, four callbacks a stage.  It appends its time, point and
-    acceleration to a flat float64 record, 8 B a float.  The flow pass
+    numpy RK4 stepper's; each stage computes only the acceleration, with
+    no numpy.linalg call.  The rule picks the loop: in D = 1 on a
+    constant metric, where ``_one_dim_linearization`` is not None,
+    ``_one_dim_path_pass`` steps the two floats x, v and calls the scalar
+    V' at the float x; every other model takes ``_path_pass``, a list of
+    2D floats, with ``_general_linearization``'s float force and
+    ``_solve`` on four callbacks read at a (D,) ndarray a stage.  Each
+    stage's time, point and acceleration go to a flat float64 record,
+    8 B a float.  The flow pass
     (``_flow_pass``) steps vblock by the RK4 steps of the linearized
     system on those same stages, with the Jacobian blocks read at the
     recorded stages as stacks, a block of steps at a time, and the
@@ -503,27 +516,16 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         y0 = np.vstack((y0, np.eye(1, y0.shape[1])))
         ys = linear_rk4(_affine_sampler(model, x, t_a), y0, times)[:, :-1]
         return times, ys[:, :, 0], ys[:, :, 1:]
-    acceleration, jacobians = (_one_dim_linearization(model, x, t_a)
-                               or _general_linearization(model))
     h = float(_step_size(times))
-    half, sixth = 0.5 * h, h / 6.0
-    # each stage appends its (t, x, v, acc) to the record
-    record = array.array("d")
-    push = record.fromlist
-
-    def slope(y, t):
-        acc = acceleration(y, t)
-        push([t, *y, *acc])
-        return y[d:] + acc   # (v, acc)
-
-    y = x.tolist() + v.tolist()
-    for t in times[:-1].tolist():
-        k1 = slope(y, t)
-        k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
-        k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
-        k4 = slope([a + h * b for a, b in zip(y, k3)], t + h)
-        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    one_dim = _one_dim_linearization(model, x, t_a)
+    if one_dim is None:
+        acceleration, jacobians = _general_linearization(model)
+        record, y = _path_pass(acceleration, x.tolist() + v.tolist(),
+                               times, h)
+    else:
+        acceleration, jacobians = one_dim
+        record, y = _one_dim_path_pass(acceleration, float(x[0]),
+                                       float(v[0]), times, h)
     stages = np.frombuffer(record).reshape(4 * n_steps, 1 + 3 * d)
     states = np.empty((n_steps + 1, 2 * d))
     states[:-1] = stages[::4, 1:2 * d + 1]
@@ -533,6 +535,54 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     elif vblock.size:
         vblock = _flow_pass(jacobians, stages, vblock, h)
     return times, states, vblock[None]
+
+
+def _path_pass(acceleration, y: list, times, h: float):
+    """The path pass of the general rule: RK4 of the state ``y``, a list
+    of 2D floats (x, v), with ``acceleration(y, t)`` giving D floats.
+    Returns the flat float64 record of each stage's (t, x, v, acc) and
+    the last state."""
+    d = len(y) // 2
+    half, sixth = 0.5 * h, h / 6.0
+    record = array.array("d")
+    push = record.fromlist
+
+    def slope(y, t):
+        acc = acceleration(y, t)
+        push([t, *y, *acc])
+        return y[d:] + acc   # (v, acc)
+
+    for t in times[:-1].tolist():
+        k1 = slope(y, t)
+        k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
+        k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
+        k4 = slope([a + h * b for a, b in zip(y, k3)], t + h)
+        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return record, y
+
+
+def _one_dim_path_pass(acceleration, x: float, v: float, times, h: float):
+    """``_path_pass`` in D = 1, on the two floats x and v with
+    ``acceleration(x, t)`` one float, in the same order of operations, so
+    the same bits.  Each step pushes its four stages' 16 floats to the
+    record at once."""
+    half, sixth = 0.5 * h, h / 6.0
+    record = array.array("d")
+    push = record.fromlist
+    for t in times[:-1].tolist():
+        tm, te = t + half, t + h
+        a1 = acceleration(x, t)
+        x2, v2 = x + half * v, v + half * a1
+        a2 = acceleration(x2, tm)
+        x3, v3 = x + half * v2, v + half * a2
+        a3 = acceleration(x3, tm)
+        x4, v4 = x + h * v3, v + h * a3
+        a4 = acceleration(x4, te)
+        push([t, x, v, a1, tm, x2, v2, a2, tm, x3, v3, a3, te, x4, v4, a4])
+        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return record, [x, v]
 
 
 def _flow_pass(jacobians, stages, vblock, h: float) -> np.ndarray:

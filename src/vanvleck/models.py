@@ -23,6 +23,12 @@ not on the model, so a callback swapped in by ``dataclasses.replace`` or
 wrapped by a caller is called pointwise unless it is marked itself.  The
 builtins' closed forms are marked, those built on a user's ``omega2`` or
 ``stiffness`` callable too; callables a user passes in are not.
+
+A ``one_dim_potential`` callback also carries the user's scalar function
+of the position as its ``scalar`` attribute, in the same way.  The D = 1
+path pass of a nonlinear run calls ``potential_grad.scalar`` at a Python
+float, once a stage; a potential_grad swapped in or wrapped has no such
+attribute, and the path pass reads it at a (1,) ndarray instead.
 """
 
 from __future__ import annotations
@@ -222,12 +228,15 @@ def along(fn: Callable, *arrays) -> np.ndarray:
 
 def _constant(value) -> Callable:
     """A stacked callback equal to ``value`` at every point: a read-only
-    broadcast of it over the leading axes of ``x``, one body for one point
-    and for stacked points."""
+    broadcast of it over the leading axes of ``x``.  One point returns the
+    same read-only view of ``value`` every call, built once; only stacked
+    points broadcast."""
     shape = np.shape(value)
+    point = np.broadcast_to(value, shape)
 
     def f(x, t):
-        return np.broadcast_to(value, np.shape(x)[:-1] + shape)
+        lead = np.shape(x)[:-1]
+        return np.broadcast_to(value, lead + shape) if lead else point
 
     return stacked(f)
 
@@ -469,9 +478,9 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
     length 1 at one point.  Stacked when ``f`` is.  One point keeps its
     own branch: there ``x[..., 0]`` is a 0-d array, which sends a compiled
     expression down its numpy path, about 40 times slower per call than a
-    float.  The path pass of a nonlinear run makes one such call a stage,
-    of potential_grad, at a (1,) ndarray built from the pass's Python
-    float x."""
+    float.  The callback carries ``f`` itself as its ``scalar``
+    attribute, so the D = 1 path pass calls ``f`` at its Python float x
+    and wraps no array a stage (see the module docstring)."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:
@@ -480,6 +489,7 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
         y = f(float(x[0]), t)
         return np.array(y, dtype=float, ndmin=ndim) if ndim else float(y)
 
+    callback.scalar = f
     return stacked(callback) if is_stacked(f) else callback
 
 

@@ -208,8 +208,12 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
                                     np.asarray(v0, float)))[:, None],
                     np.asarray(vblock0, dtype=float)))
     times = np.linspace(t_a, t_b, n_steps + 1)
-    acceleration = (_one_dim_linearization(model, y0[:d, 0], t_a)
-                    or _general_linearization(model))[0]
+    one_dim = _one_dim_linearization(model, y0[:d, 0], t_a)
+    if one_dim is None:
+        acceleration = _general_linearization(model)[0]
+    else:
+        def acceleration(y, t):   # the D = 1 rule takes and gives floats
+            return [one_dim[0](y[0], t)]
 
     def rhs(t, y):
         dy = np.empty_like(y)

@@ -30,9 +30,10 @@ from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
-from conftest import (AFFINE_CASES, AFFINE_IDS, combined_rk4_run,
-                      make_curled_metric, make_polar_free_particle,
-                      make_quartic, make_skewed_metric)
+from conftest import (AFFINE_CASES, AFFINE_IDS, _expression_model,
+                      combined_rk4_run, make_curled_metric,
+                      make_polar_free_particle, make_quartic,
+                      make_skewed_metric)
 
 
 def test_free_ivp_is_exact():
@@ -617,6 +618,7 @@ def test_step_map_run_matches_the_generic_stepper(model, x_a, x_b, t_b, n):
 
 TWO_PASS_CASES = [
     (make_quartic(), [0.0], [1.3]),
+    (_expression_model("0.5 * x^2 + 0.3 * x^4"), [0.1], [1.2]),
     (make_polar_free_particle(mass=1.5), [1.0, 0.3], [0.4, 1.1]),
     (make_curled_metric(), [0.2, -0.1], [0.9, 0.4]),
     (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
@@ -624,8 +626,8 @@ TWO_PASS_CASES = [
      [0.1, 0.0, -0.3], [1.0, -0.5, 0.2]),
     (make_skewed_metric(), [0.1, -0.2, 0.3], [0.5, 0.4, -0.6]),
 ]
-TWO_PASS_IDS = ["quartic", "polar", "curled-metric", "magnetic-3",
-                "skewed-metric-3"]
+TWO_PASS_IDS = ["quartic", "quartic-expression", "polar", "curled-metric",
+                "magnetic-3", "skewed-metric-3"]
 
 
 @pytest.mark.parametrize("model, x0, v0", TWO_PASS_CASES, ids=TWO_PASS_IDS)
@@ -680,6 +682,39 @@ def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
     sizes = [4 * min(dynamics.STEP_MAP_BLOCK, n - k)
              for k in range(0, n, dynamics.STEP_MAP_BLOCK)]
     assert linearizations == [(size, 2) for size in sizes]
+
+
+def test_one_dim_path_pass_calls_the_scalar_dv():
+    # a config one_dim_potential hands the D = 1 path pass its compiled
+    # dV/dx as potential_grad.scalar: each stage calls it at a Python
+    # float, and the model callback, which wraps that float in arrays, is
+    # not called.  A potential_grad without the attribute is read at a
+    # (1,) ndarray to the same bits
+    base = _expression_model("0.5 * x^2 + 0.3 * x^4")
+    assert not base.affine_flow
+    grad = base.potential_grad
+    calls = collections.Counter()
+
+    def callback(x, t):
+        calls["potential_grad", "stacked" if np.ndim(t) else "point"] += 1
+        return grad(x, t)
+
+    def scalar(x, t):
+        calls["scalar", type(x).__name__] += 1
+        return grad.scalar(x, t)
+
+    callback.scalar = scalar
+    model = dataclasses.replace(base, potential_grad=stacked(callback))
+    n = 40
+    _, states, tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n,
+                                   np.eye(2))
+    assert calls == {("scalar", "float"): 4 * n}
+    wrapped = dataclasses.replace(
+        base, potential_grad=stacked(lambda x, t: grad(x, t)))
+    _, ref, ref_tangents = _rk4_run(wrapped, [0.2], [0.9], 0.0, 1.1, n,
+                                    np.eye(2))
+    np.testing.assert_array_equal(states, ref)
+    np.testing.assert_array_equal(tangents, ref_tangents)
 
 
 def test_ivp_and_non_finite_paths_make_no_flow_pass(recwarn):
@@ -881,22 +916,30 @@ def test_two_pass_run_memory_stays_near_its_stage_record():
     # the path pass records 1 + 3D float64s a stage, 8 B each, and the
     # flow pass works a block of STEP_MAP_BLOCK steps at a time, so beside
     # the record and the history the run holds O(STEP_MAP_BLOCK) memory;
-    # a record of Python floats would be about 4 times the bound
-    model = dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
-                                affine_flow=False)
-    n = 8_000
-    tracemalloc.start()
-    try:
-        _, states, tangents = _rk4_run(model, [0.1, 0.0, -0.3],
-                                       [1.0, -0.5, 0.2], 0.0, 1.4, n,
-                                       np.eye(6))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert states.shape == (n + 1, 6)
-    assert tangents.shape == (1, 6, 6)
-    record = 4 * n * (1 + 3 * 3) * 8
-    assert peak <= 1.5 * (record + states.nbytes + tangents.nbytes)
+    # a record of Python floats would be about 4 times the bound.  Both
+    # path passes: the general rule's (D = 3) and the D = 1 float loop's.
+    # The D = 1 record is 4 floats a stage, so its run is longer: the
+    # flow pass's fixed overhead, about 0.45 MB with a compiled
+    # expression's numpy intermediates on a block's 1024 stages, is 44% of
+    # that record at 8 000 steps and 18% at 20 000
+    for model, x0, v0, n in [
+            (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
+                                 affine_flow=False),
+             [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 8_000),
+            (_expression_model("0.5 * x^2 + 0.3 * x^4"), [0.1], [1.2],
+             20_000)]:
+        d = model.dim
+        tracemalloc.start()
+        try:
+            _, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.4, n,
+                                           np.eye(2 * d))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (n + 1, 2 * d)
+        assert tangents.shape == (1, 2 * d, 2 * d)
+        record = 4 * n * (1 + 3 * d) * 8
+        assert peak <= 1.5 * (record + states.nbytes + tangents.nbytes), d
 
 
 @pytest.mark.parametrize("model, x_a, x_b", [
