@@ -11,23 +11,24 @@ builtin, or an expression potential of degree at most 2 in x) the
 Euler-Lagrange system itself is linear, so each RK4 step is one affine
 map of the state, a linear map in homogeneous coordinates: ``linear_rk4``
 samples the system at the stage times of a block of steps, builds the
-block's maps by batched matmuls and applies one small matmul per step,
-with no Python right-hand side per stage.  The endpoint map is then
+block's maps by batched matmuls and composes them by a balanced tree of
+batched products (``_compose``), with no Python right-hand side per
+stage and no Python product per step.  The endpoint map is then
 exactly affine, so Newton's first correction is exact and is applied by
 superposition of the first run's tangent columns: one run gives the path
 and its flow.  On any other model a run takes two passes: the path pass
 steps (x, v) alone as a list of Python floats, each stage computing only
 the acceleration, and records its stages; the flow then reads the
 linearization once per block of steps, on the block's recorded stages as
-a stack, and is stepped by the same step maps as a linear system,
-keeping only its value at t_b.  The path pass's acceleration is Python
-floats too, by one of two rules: (-1/g) V' in D = 1 on a constant
-metric, where the pass is one loop over the two floats x, v calling the
-scalar V' of ``potential_grad.scalar`` with no array a stage, and on
-every other model, a D > 1 constant metric off ``affine_flow`` included,
-the generalized force F from four callbacks and g acc = F by one
-Gaussian elimination with partial pivoting (``_solve``), with no
-numpy.linalg call a stage.
+a stack, and is advanced by the composed step maps of that linear
+system, one product a block, keeping only its value at t_b.  The path
+pass's acceleration is Python floats too, by one of two rules:
+(-1/g) V' in D = 1 on a constant metric, where the pass is one loop over
+the two floats x, v calling the scalar V' of ``potential_grad.scalar``
+with no array a stage, and on every other model, a D > 1 constant
+metric off ``affine_flow`` included, the generalized force F from four
+callbacks and g acc = F by one Gaussian elimination with partial
+pivoting (``_solve``), with no numpy.linalg call a stage.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import array
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,16 +391,48 @@ def _rk4_step_maps(m1, m2, m3, m4, h: float) -> np.ndarray:
         K1 = M1, K2 = M2 (1 + h/2 K1), K3 = M3 (1 + h/2 K2),
         K4 = M4 (1 + h K3), S = 1 + h/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    Returns ``S - 1``, shape (b, N, N): a step is applied as
-    y + (S - 1) y, as the path pass adds its increment, because S itself
-    would round away the low bits of the increment at every step, an
-    error that grows like n eps.
+    Returns the increments ``S - 1``, shape (b, N, N), which ``_compose``
+    multiplies: S itself would round away the low bits of the increment
+    at every step, an error that grows like n eps.
     """
     eye = np.eye(m1.shape[-1])
     k2 = m2 @ (eye + 0.5 * h * m1)
     k3 = m3 @ (eye + 0.5 * h * k2)
     k4 = m4 @ (eye + h * k3)
     return (h / 6.0) * (m1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _compose(q: np.ndarray, prefix: bool = False) -> np.ndarray:
+    """Products of the maps 1 + q_k, in increment form.
+
+    ``q`` holds the increments q_k = S_k - 1 of b consecutive maps, shape
+    (b, N, N), q_0 applied first.  Two increments compose as
+
+        (1 + q_later) (1 + q_earlier) = 1 + q_later + q_earlier
+                                          + q_later q_earlier,
+
+    which never rounds a small increment against 1.  The product is
+    associative, so the chain is multiplied as a balanced tree: rounding
+    grows like log b, not b, and each level is one batched matmul.  With
+    ``prefix`` returns every Q_k, 1 + Q_k = (1 + q_k) ... (1 + q_0),
+    shape (b, N, N), by doubling the reach of each Q_k, ceil(log2 b)
+    levels; otherwise only the total Q_{b-1}, shape (N, N), by pairing
+    neighbours, an odd last one carried up a level.  ``q`` is not
+    changed.
+    """
+    if prefix:
+        q = q.copy()
+        s = 1
+        while s < len(q):
+            later, earlier = q[s:], q[:-s]
+            q[s:] = later + earlier + later @ earlier
+            s *= 2
+        return q
+    while len(q) > 1:
+        later, earlier = q[1::2], q[:-1:2]
+        pairs = later + earlier + later @ earlier
+        q = pairs if len(q) % 2 == 0 else np.concatenate((pairs, q[-1:]))
+    return q[0]
 
 
 def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
@@ -411,8 +445,10 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
     M once at its own 2b + 1 stage times (grid points and midpoints; a
     block boundary is read by both blocks) and builds the maps of
     ``_rk4_step_maps``, with the midpoint sample as both middle stages,
-    so the memory beside the result does not grow with n.  Each step is
-    then one (N, N) @ (N, m) product and its addition to the state.
+    so the memory beside the result does not grow with n.  ``_compose``
+    multiplies the block's maps as a tree: with the history, the state
+    after its step j is y + Q_j y from every prefix increment Q_j, one
+    batched product; without it, y + Q y from the block's total Q.
     Returns the state at every grid time, shape ``(n + 1,) + y0.shape``,
     or with ``history=False`` only the last one.
     """
@@ -430,11 +466,12 @@ def linear_rk4(sample, y0, times, history: bool = True) -> np.ndarray:
         ts[1::2] = times[k:k + b] + 0.5 * h
         gen = sample(ts)
         maps = _rk4_step_maps(gen[:-2:2], gen[1::2], gen[1::2], gen[2::2], h)
-        out = ys[k + 1:k + b + 1] if history else np.empty((b,) + y.shape)
-        for inc, o in zip(maps, out):
-            np.matmul(inc, y, out=o)
-            y = np.add(y, o, out=o)
-    return ys if history else y.copy()
+        if history:
+            ys[k + 1:k + b + 1] = y + _compose(maps, prefix=True) @ y
+            y = ys[k + b]
+        else:
+            y = y + _compose(maps) @ y
+    return ys if history else y
 
 
 def _affine_sampler(model: LagrangianModel, x, t):
@@ -496,7 +533,7 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     ``_solve`` on four callbacks read at a (D,) ndarray a stage.  Each
     stage's time, point and acceleration go to a flat float64 record,
     8 B a float.  The flow pass
-    (``_flow_pass``) steps vblock by the RK4 steps of the linearized
+    (``_flow_pass``) advances vblock by the RK4 steps of the linearized
     system on those same stages, with the Jacobian blocks read at the
     recorded stages as stacks, a block of steps at a time, and the
     recorded accelerations, so potential_grad is not read again.
@@ -537,6 +574,16 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     return times, states, vblock[None]
 
 
+def _step_times(times):
+    """The start times of the grid's steps, ``times[:-1]``, as Python
+    floats, taken from the array a block of STEP_MAP_BLOCK at a time, so
+    no list of n floats is held beside the record."""
+    starts = times[:-1]
+    return itertools.chain.from_iterable(
+        starts[k:k + STEP_MAP_BLOCK].tolist()
+        for k in range(0, len(starts), STEP_MAP_BLOCK))
+
+
 def _path_pass(acceleration, y: list, times, h: float):
     """The path pass of the general rule: RK4 of the state ``y``, a list
     of 2D floats (x, v), with ``acceleration(y, t)`` giving D floats.
@@ -552,7 +599,7 @@ def _path_pass(acceleration, y: list, times, h: float):
         push([t, *y, *acc])
         return y[d:] + acc   # (v, acc)
 
-    for t in times[:-1].tolist():
+    for t in _step_times(times):
         k1 = slope(y, t)
         k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
         k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
@@ -570,7 +617,7 @@ def _one_dim_path_pass(acceleration, x: float, v: float, times, h: float):
     half, sixth = 0.5 * h, h / 6.0
     record = array.array("d")
     push = record.fromlist
-    for t in times[:-1].tolist():
+    for t in _step_times(times):
         tm, te = t + half, t + h
         a1 = acceleration(x, t)
         x2, v2 = x + half * v, v + half * a1
@@ -589,8 +636,9 @@ def _flow_pass(jacobians, stages, vblock, h: float) -> np.ndarray:
     """vblock(t_b) of a recorded path pass: ``stages`` holds each RK4
     stage's (t, x, v, acc), four rows a step, and ``jacobians`` reads
     (jx, jv) at a stack of them.  Each block of STEP_MAP_BLOCK steps is
-    one ``jacobians`` call on its 4b stages and one ``_rk4_step_maps``
-    call on M = [[0, 1], [jx, jv]]."""
+    one ``jacobians`` call on its 4b stages, one ``_rk4_step_maps`` call
+    on M = [[0, 1], [jx, jv]] and one ``_compose`` of its maps, so
+    vblock takes one product a block, vblock + Q vblock."""
     d = (stages.shape[1] - 1) // 3
     for k in range(0, len(stages), 4 * STEP_MAP_BLOCK):
         block = stages[k:k + 4 * STEP_MAP_BLOCK]
@@ -601,8 +649,7 @@ def _flow_pass(jacobians, stages, vblock, h: float) -> np.ndarray:
         gen[:, d:, :d] = jx
         gen[:, d:, d:] = jv
         per_stage = gen.reshape(-1, 4, 2 * d, 2 * d).swapaxes(0, 1)
-        for inc in _rk4_step_maps(*per_stage, h):
-            vblock = vblock + inc @ vblock
+        vblock = vblock + _compose(_rk4_step_maps(*per_stage, h)) @ vblock
     return vblock
 
 

@@ -16,12 +16,13 @@ seeded initial problem B_raw(t_a) = 0, Bdot_raw(t_a) = 1 through
 Bdot(t_a) = B_raw(t_b)^-1, the (D, D) array all three solvers return:
 
 * DirectODE: RK4 on the stacked matrix state [B; Bdot], by the
-  precomputed step maps of ``dynamics.linear_rk4``.
+  precomputed step maps of ``dynamics.linear_rk4``, composed as a tree.
 * NeumannSeries(k): truncated iterated-integral series evaluated by
   Gauss-Legendre collocation (spectral antiderivative matrix).
 * TimeOrderedSinh(n): ordered product over n slices of exponentials of the
-  block generator [[0, 1], [-Omega2, 0]]; the upper-right block of the
-  product is B_raw(t_b).  Exact for constant Omega2.
+  block generator [[0, 1], [-Omega2, 0]], multiplied as a pairwise tree
+  by ``dynamics._compose``; the upper-right block of the product is
+  B_raw(t_b).  Exact for constant Omega2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .dynamics import DEFAULT_N_STEPS, linear_rk4, require_nonsingular
+from .dynamics import (DEFAULT_N_STEPS, _compose, linear_rk4,
+                       require_nonsingular)
 from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, prefactor
 from .models import along, mass_matrix
@@ -160,8 +162,12 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
                          n_slices: int = 2000) -> np.ndarray:
     """Ordered product of per-slice exponentials of [[0, 1], [-Omega2, 0]].
 
-    Omega2 is frozen at each slice midpoint.  One pass carries the raw
-    state (B, Bdot) from (0, 1) through the slices; its last B block is
+    Omega2 is frozen at each slice midpoint.  The slice propagators are
+    multiplied by ``dynamics._compose`` as a pairwise tree, in increment
+    form e - 1, which is exact on a fine slicing, where each diagonal
+    entry of C lies within a factor 2 of 1.  The raw state (B, Bdot) from
+    (0, 1) at t_a ends at the product's right block column, so the
+    product's upper-right block, which the 1 does not touch, is
     B_raw(t_b), inverted as in ``solve_B_direct``.
     """
     if n_slices < 1:
@@ -170,10 +176,9 @@ def solve_B_time_ordered(omega2, t_a: float, t_b: float,
     dt = (t_b - t_a) / n_slices
     w = w2(t_a + (np.arange(n_slices) + 0.5) * dt)
 
-    u = np.vstack((np.zeros((d, d)), np.eye(d)))   # raw (B, Bdot) at t_a
-    for e in _slice_propagators(w, dt):
-        u = e @ u
-    return _invert_boundary(u[:d], f"TimeOrderedSinh({n_slices})", t_b - t_a)
+    product = _compose(_slice_propagators(w, dt) - np.eye(2 * d))
+    return _invert_boundary(product[:d, d:], f"TimeOrderedSinh({n_slices})",
+                            t_b - t_a)
 
 
 def gy_fluctuation_factor(b_dot_a: np.ndarray, mass_metric,

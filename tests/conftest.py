@@ -193,6 +193,18 @@ def rk4(rhs, y0, times) -> np.ndarray:
     return ys
 
 
+def step_through(maps, y) -> np.ndarray:
+    """The state after each of the maps 1 + q_k, applied one at a time as
+    y <- y + q_k y, from ``maps`` of shape (b, N, N) and y of shape
+    (N, m); returns shape (b, N, m).  The sequential loop of the oracles:
+    the package composes the maps as a tree (``dynamics._compose``).
+    """
+    out = np.empty((len(maps),) + y.shape)
+    for inc, o in zip(maps, out):
+        o[...] = y = y + inc @ y
+    return out
+
+
 def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     """Independent oracle of one Euler-Lagrange run: ``rk4`` on the
     (2D, 1 + m) state [(x, v), vblock], with the path pass's acceleration

@@ -18,7 +18,8 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
-from vanvleck.gelfand_yaglom import _collocation, _omega2_sampler
+from vanvleck.gelfand_yaglom import (_collocation, _omega2_sampler,
+                                     _slice_propagators)
 
 from conftest import rk4
 
@@ -146,6 +147,23 @@ def test_time_ordered_matches_per_slice_expm():
         np.testing.assert_allclose(
             sol, _expm_slice_product_slope(omega2, t_b, n),
             rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1999, 2000])
+def test_time_ordered_tree_matches_the_sequential_product(n):
+    # the slice propagators are multiplied as a tree; the ordered
+    # product u <- e u, one slice at a time, gives the same B_raw(t_b)
+    def omega2(t):
+        return np.array([[4.0 + t, 0.3 * np.cos(t)],
+                         [0.3 * np.cos(t), -2.0 + 0.5 * t]])
+
+    w2, d = _omega2_sampler(omega2, 0.0)
+    dt = 1.1 / n
+    u = np.vstack((np.zeros((d, d)), np.eye(d)))
+    for e in _slice_propagators(w2((np.arange(n) + 0.5) * dt), dt):
+        u = e @ u
+    np.testing.assert_allclose(solve_B_time_ordered(omega2, 0.0, 1.1, n),
+                               np.linalg.inv(u[:d]), rtol=1e-13)
 
 
 def _direct_reference(omega2, t_a, t_b, n_steps):
