@@ -12,8 +12,11 @@ models   list the builtin model tags and their parameters.
 
 Exit codes: 0 success, 1 config error or bad command line (nothing is
 written), 2 numerical failure (the error name lands in the report).
-Reports are byte-stable: floats are rendered in their shortest round-trip
-form and keys are sorted.
+Reports are byte-stable JSON (``dumps_canonical``): 2-space indent, sorted
+keys, raw UTF-8 strings, floats in their shortest round-trip form and a
+final newline, the bytes ``json.dumps(report, sort_keys=True, indent=2,
+ensure_ascii=False)`` would give.  An inf or NaN in a report is refused as
+NonFiniteResult (exit 2).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -92,24 +96,100 @@ MAX_SERIALIZED_SAMPLES = 256
 # canonical JSON
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_escape = json.encoder.encode_basestring
+
+
+def _not_finite(value) -> NonFiniteResult:
+    return NonFiniteResult(
+        "a report value is not finite: Out of range float values are not "
+        f"JSON compliant: {float.__repr__(value)}")
+
+
+def _array_template(shape: tuple, indent: str) -> str:
+    """The text of a float array of ``shape`` at ``indent`` with ``{}`` in
+    place of each entry, in ``ravel`` order."""
+    if not shape:
+        return "{}"
+    inner = indent + "  "
+    rows = ("," + inner).join([_array_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + rows + indent + "]"
+
+
+def _write(obj, indent: str, out: list) -> None:
+    """Append the canonical text of ``obj`` to ``out``; ``indent`` is the
+    newline and indentation of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _not_finite(obj)
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _escape(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            finite = np.isfinite(obj)
+            if not finite.all():
+                raise _not_finite(obj[~finite][0])
+            out.append(_array_template(obj.shape, indent).format(
+                *map(float.__repr__, obj.ravel().tolist())))
+        else:   # empty, 0-d, integer, bool or object arrays
+            _write(obj.tolist(), indent, out)
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:
-    """Sorted keys, shortest round-trip floats; a non-finite float raises
-    NonFiniteResult."""
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          ensure_ascii=False, default=_json_default) + "\n"
-    except ValueError as exc:   # json's "Out of range float values ..."
-        raise NonFiniteResult(f"a report value is not finite: {exc}") from exc
+    """The report text of ``obj``: the bytes of ``json.dumps(obj,
+    sort_keys=True, indent=2, allow_nan=False, ensure_ascii=False)`` plus a
+    newline, with ndarrays written as their ``tolist()`` and numpy integers
+    and bools as Python ones.
+
+    Floats are written in their shortest round-trip form (``float.__repr__``)
+    and strings by json's own escaper.  A float array is checked for
+    inf/NaN once and written through one format template, instead of one
+    encoder call per entry as json's pure-Python indent encoder does.  An
+    inf or NaN raises NonFiniteResult, naming the first one met; a non-str
+    key or a value of any other type raises TypeError.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -741,9 +821,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# An overflow gives inf, which a report refuses as NonFiniteResult: exit 2
+# An overflow gives inf, and inf - inf or 0 * inf gives NaN downstream;
+# neither warns, so the run ends in a typed error (NoConvergence, a
+# NonFiniteResult from the report, ...): exit 2 with nothing on stderr,
 # whether or not warnings are errors.
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="vanvleck",

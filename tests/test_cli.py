@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from vanvleck import cli, composition, dynamics
 from vanvleck.cli import main, parse_scenario
+from vanvleck.errors import NonFiniteResult
 from vanvleck.models import BUILTIN_TAGS
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -273,6 +275,28 @@ def test_non_finite_report_value_is_a_typed_error(tmp_path, command):
         warnings.simplefilter("error")
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert json.loads(out.read_text())["error"]["name"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize("command, extra, error", [
+    pytest.param("factor", {"model": {"tag": "harmonic_oscillator",
+                                      "params": {"omega2": 1e308}}},
+                 "NoConvergence", id="omega2"),
+    pytest.param("verify", {"model": {"tag": "harmonic_oscillator",
+                                      "params": {"omega2": 1.0}},
+                            "x_b": [1e300], "t_mid": 0.5},
+                 "NonFiniteResult", id="x_b"),
+])
+def test_nan_after_an_overflow_is_a_typed_error(tmp_path, capsys, command,
+                                                extra, error):
+    # the overflow's inf turns into NaN (inf - inf, 0 * inf) further on;
+    # that does not warn either, so a warning-as-error is no traceback
+    path = _write(tmp_path, "nan.json", _free_config(**extra))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["error"]["name"] == error
 
 
 def test_constant_string_frequency_is_a_number(tmp_path):
@@ -764,20 +788,141 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert json.loads(verify_out.read_text())["all_passed"] is True
 
 
-def test_full_grid_flag(tmp_path):
+def test_full_grid_flag(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "grid.json", _free_config(
         numerics={"n_steps": 1000}))
     small = tmp_path / "small.json"
     big = tmp_path / "big.json"
     assert main(["factor", "--config", str(cfg), "--out", str(small)]) == 0
-    assert main(["factor", "--config", str(cfg), "--out", str(big),
-                 "--full-grid"]) == 0
+    _check_reports(monkeypatch, ["factor", "--config", str(cfg),
+                                 "--out", str(big), "--full-grid"], 0)
     t_small = json.loads(small.read_text())["path"]["t"]
     n_big = len(json.loads(big.read_text())["path"]["t"])
     # the rounded sample indices strictly increase: no time repeats
     assert len(t_small) == cli.MAX_SERIALIZED_SAMPLES
     assert np.all(np.diff(t_small) > 0)
     assert n_big == 1001
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against json's own encoder
+
+
+def _stdlib_report(obj) -> str:
+    """The report text by the standard library, the oracle of
+    ``cli.dumps_canonical``: json's indent encoder, with arrays written as
+    their ``tolist()`` and numpy integers and bools as Python ones."""
+    def default(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.bool_):
+            return bool(value)
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      ensure_ascii=False, default=default) + "\n"
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    # names the first difference: pytest's own diff of two long reports
+    # takes minutes
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"texts differ at {at}: {text[near]!r} "
+                    f"against {expected[near]!r}")
+
+
+def _check_reports(monkeypatch, argv, code):
+    """Run ``main(argv)``, expect exit ``code``, and check that every report
+    it wrote is the oracle's text of the same object, byte for byte."""
+    written, canonical = [], cli.dumps_canonical
+
+    def recording(obj):
+        text = canonical(obj)
+        written.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "dumps_canonical", recording)
+    assert main(argv) == code
+    assert written
+    for obj, text in written:
+        _assert_same_text(text, _stdlib_report(obj))
+    out = Path(argv[argv.index("--out") + 1])
+    _assert_same_text(out.read_text(encoding="utf-8"), written[-1][1])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("factor", "oscillator_factor.json"),
+    ("factor", "quadratic_factor.json"),
+    ("verify", "quartic_verify.json"),
+])
+def test_writer_matches_json_on_demo_reports(tmp_path, monkeypatch, command,
+                                             config):
+    # the sweep demo writes CSV, not through the writer
+    _check_reports(monkeypatch, [command, "--config", str(DEMO_CONFIGS / config),
+                                 "--out", str(tmp_path / "report.json")], 0)
+
+
+def test_writer_matches_json_on_a_full_grid(tmp_path, monkeypatch):
+    cfg = json.loads((DEMO_CONFIGS / "oscillator_factor.json").read_text())
+    cfg["numerics"]["n_steps"] = 2000
+    path = _write(tmp_path, "grid.json", cfg)
+    _check_reports(monkeypatch, ["factor", "--config", str(path), "--out",
+                                 str(tmp_path / "report.json"), "--full-grid"],
+                   0)
+
+
+def test_writer_matches_json_on_models_and_errors(tmp_path, monkeypatch):
+    _check_reports(monkeypatch, ["models", "--out",
+                                 str(tmp_path / "models.json")], 0)
+    path = _write(tmp_path, "vmax.json", _quartic_verify_config(
+        numerics={"n_steps": 200, "max_iter": 1}))
+    out = tmp_path / "error.json"
+    _check_reports(monkeypatch, ["verify", "--config", str(path),
+                                 "--out", str(out)], 2)
+    assert json.loads(out.read_text())["error"]["name"] == "NoConvergence"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), np.zeros(0), np.zeros((2, 0)),
+    ((1, (2.5, ())), [[]], [{}]),
+    np.array(2.5), np.array(7), np.arange(6).reshape(2, 3),
+    np.array([True, False]), np.arange(4, dtype=np.float32) / 3.0,
+    np.linspace(-1.0, 1.0, 21).reshape(7, 3),
+    np.linspace(0.1, 0.8, 8).reshape(2, 2, 2),
+    np.int64(-5), np.bool_(True), np.bool_(False), np.float64(0.1),
+    -0.0, 1e-300, 5e-324, 1e300, 2 ** 70, True, None,
+    "été → \U0001d53c \" \\ \x00\x1f\n\t\x7f",
+    {"b": [1, {"z": np.arange(3.0)}], "a": None, "é": False,
+     "": np.arange(3.0).reshape(3, 1), "A": "x"},
+])
+def test_writer_matches_json_on_synthetic_objects(obj):
+    _assert_same_text(cli.dumps_canonical(obj), _stdlib_report(obj))
+
+
+@pytest.mark.parametrize("obj, value", [
+    ({"a": 1.0, "b": float("inf")}, "inf"),
+    (np.vstack([np.zeros((200, 2)), [[1.0, float("nan")]],
+                np.full((55, 2), float("inf"))]), "nan"),
+    ([0.5, -float("inf")], "-inf"),
+    ({"x": [np.float64(float("nan"))]}, "nan"),
+])
+def test_writer_refuses_non_finite_values(obj, value):
+    # a literal message: json's own text differs between Python versions
+    with pytest.raises(NonFiniteResult) as caught:
+        cli.dumps_canonical(obj)
+    assert str(caught.value) == (
+        "a report value is not finite: Out of range float values are not "
+        f"JSON compliant: {value}")
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1j}, [np.float32(1.0)],
+                                 {"a": object()}])
+def test_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli.dumps_canonical(obj)
 
 
 # Front-end fuzz.  Sizes are bounded for runtime: numbers, lists and
