@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -73,7 +74,9 @@ NUMERICS_DEFAULTS = {
 # 3), and the stage record of any other model's run, 4 n_steps rows of
 # (t, x, v, acc) in one flat float64 buffer that the path pass extends
 # stage by stage (over-allocating by 1/16), is 320 B a step, 32 MB at the
-# bound; a q x q Neumann collocation matrix is 8 MB at the bound; the
+# bound; a q x q Neumann collocation matrix is 8 MB at the bound, and a
+# solve holds two: the reference rule on [-1, 1], which stays cached for
+# the process, one q at a time, and its copy scaled to the interval; the
 # time-ordered slice propagator stack, (n_slices, 2D, 2D), is 288 B a
 # slice, 29 MB at the bound.
 # A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
@@ -821,12 +824,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# An overflow gives inf, and inf - inf or 0 * inf gives NaN downstream;
-# neither warns, so the run ends in a typed error (NoConvergence, a
-# NonFiniteResult from the report, ...): exit 2 with nothing on stderr,
-# whether or not warnings are errors.
-@np.errstate(over="ignore", invalid="ignore")
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused;
+    each ``parse_args`` returns a fresh namespace."""
     parser = _ArgumentParser(
         prog="vanvleck",
         description="Semiclassical fluctuation factors from JSON scenarios.")
@@ -848,9 +849,17 @@ def main(argv=None) -> int:
 
     p_models = sub.add_parser("models", help="list builtin model tags")
     p_models.add_argument("--out", default=None)
+    return parser
 
+
+# An overflow gives inf, and inf - inf or 0 * inf gives NaN downstream;
+# neither warns, so the run ends in a typed error (NoConvergence, a
+# NonFiniteResult from the report, ...): exit 2 with nothing on stderr,
+# whether or not warnings are errors.
+@np.errstate(over="ignore", invalid="ignore")
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "factor":
             return cmd_factor(_load_config(args.config), args.out,
                               args.full_grid)

@@ -11,17 +11,18 @@ i^(-1/2) = exp(-i pi / 4), so the free particle carries the phase
 -D pi / 4 and every factor here has that phase exactly as long as the
 determinant is real and positive.  A determinant that is not positive
 raises instead of silently picking a branch (index counting past caustics
-is out of scope).
+is out of scope); an inf or NaN one raises NonFiniteResult.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ClassicalPath
-from .errors import CausticRegion, NotQuadraticModel
+from .errors import CausticRegion, NonFiniteResult, NotQuadraticModel
 from .hessian import ActionHessian, flow_seed, variational_blocks
 from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
                      legendre_momentum)
@@ -90,9 +91,12 @@ def prefactor(det: float, dim: int, hbar: float, what: str,
               error: type = CausticRegion) -> FluctuationFactor:
     """F = (2 pi i hbar)^(-D/2) sqrt(det), the rule of every route.
 
-    Raises ``error`` unless ``det > 0``; NaN is refused too.
+    Raises NonFiniteResult for an inf or NaN ``det`` (an overflow, not a
+    caustic), then ``error`` unless ``det > 0``.
     """
     det = float(det)
+    if not math.isfinite(det):
+        raise NonFiniteResult(f"{what} determinant is {det}, not finite")
     if not det > 0.0:
         raise error(f"{what} determinant is {det:.3e}, not positive")
     return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * np.sqrt(det))

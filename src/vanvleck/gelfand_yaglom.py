@@ -18,7 +18,8 @@ Bdot(t_a) = B_raw(t_b)^-1, the (D, D) array all three solvers return:
 * DirectODE: RK4 on the stacked matrix state [B; Bdot], by the
   precomputed step maps of ``dynamics.linear_rk4``, composed as a tree.
 * NeumannSeries(k): truncated iterated-integral series evaluated by
-  Gauss-Legendre collocation (spectral antiderivative matrix).
+  Gauss-Legendre collocation (spectral antiderivative matrix, built once
+  per quadrature order on [-1, 1] and mapped onto the interval).
 * TimeOrderedSinh(n): ordered product over n slices of exponentials of the
   block generator [[0, 1], [-Omega2, 0]], multiplied as a pairwise tree
   by ``dynamics._compose``; the upper-right block of the product is
@@ -26,6 +27,8 @@ Bdot(t_a) = B_raw(t_b)^-1, the (D, D) array all three solvers return:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -82,14 +85,28 @@ def solve_B_direct(omega2, t_a: float, t_b: float,
     return _invert_boundary(b_tb, "DirectODE", t_b - t_a)
 
 
-def _collocation(t_a: float, t_b: float, q: int):
-    """Gauss-Legendre nodes, antiderivative matrix and full-interval weights."""
+@functools.lru_cache(maxsize=1)
+def _reference_rule(q: int):
+    """Gauss-Legendre nodes, weights and antiderivative matrix on [-1, 1].
+
+    They depend on ``q`` alone, so they are built once per order and kept
+    read-only; one entry is kept, since a run uses one ``quad_points``.
+    """
     xi, w = npleg.leggauss(q)
-    nodes = t_a + 0.5 * (xi + 1.0) * (t_b - t_a)
     # column j of vinv holds the Legendre coefficients of the interpolant
     # of the j-th unit sample; its antiderivative from -1 is read at xi
     vinv = np.linalg.inv(npleg.legvander(xi, q - 1))
     qxi = npleg.legvander(xi, q) @ npleg.legint(vinv, lbnd=-1.0, axis=0)
+    for array in (xi, w, qxi):
+        array.flags.writeable = False
+    return xi, w, qxi
+
+
+def _collocation(t_a: float, t_b: float, q: int):
+    """Gauss-Legendre nodes, antiderivative matrix and full-interval weights,
+    the reference rule mapped affinely onto [t_a, t_b]."""
+    xi, w, qxi = _reference_rule(q)
+    nodes = t_a + 0.5 * (xi + 1.0) * (t_b - t_a)
     half = 0.5 * (t_b - t_a)
     return nodes, half * qxi, half * w
 

@@ -285,6 +285,12 @@ def test_non_finite_report_value_is_a_typed_error(tmp_path, command):
                                       "params": {"omega2": 1.0}},
                             "x_b": [1e300], "t_mid": 0.5},
                  "NonFiniteResult", id="x_b"),
+    # the energy route's determinant is NaN here: an overflow, not a caustic
+    pytest.param("factor", {"model": {"tag": "harmonic_oscillator",
+                                      "params": {"omega2": 1}},
+                            "x_b": [1e300],
+                            "methods": ["vvpm", "energy-hessian"]},
+                 "NonFiniteResult", id="energy-hessian"),
 ])
 def test_nan_after_an_overflow_is_a_typed_error(tmp_path, capsys, command,
                                                 extra, error):
@@ -741,6 +747,58 @@ def test_help_exits_zero(capsys):
         main(["sweep", "--help"])
     assert info.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def _outcome(capsys, argv, out):
+    # exit code, stdout, stderr and the bytes written to ``out``
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, (
+        out.read_bytes() if out.exists() else None)
+
+
+def test_reused_parser_gives_what_a_fresh_one_gives(tmp_path, capsys):
+    # one process, one parser for every call; each call's outcome must be
+    # the one a parser built for that call alone gives
+    cfg = _write(tmp_path, "grid.json", _free_config(
+        numerics={"n_steps": 1000}))
+    split = _write(tmp_path, "split.json", _free_config(t_mid=0.5))
+    calls = [
+        ["factor"],
+        ["frobnicate", "--config", str(cfg)],
+        ["factor", "--config", str(cfg), "--full-grid"],
+        ["factor", "--config", str(cfg)],
+        ["--help"],
+        ["verify", "--config", str(split)],
+        ["models"],
+    ]
+    outcomes = {}
+    for mode in ("reused", "fresh"):
+        (tmp_path / mode).mkdir()
+        cli._parser.cache_clear()
+        for i, argv in enumerate(calls):
+            if mode == "fresh":
+                cli._parser.cache_clear()
+            out = tmp_path / mode / f"{i}.out"
+            if argv != ["--help"]:
+                argv = [*argv, "--out", str(out)]
+            outcomes[mode, i] = _outcome(capsys, argv, out)
+        if mode == "reused":
+            info = cli._parser.cache_info()
+            assert (info.hits, info.misses) == (len(calls) - 1, 1)
+    for i in range(len(calls)):
+        assert outcomes["reused", i] == outcomes["fresh", i], calls[i]
+    codes = [outcomes["reused", i][0] for i in range(len(calls))]
+    assert codes == [1, 1, 0, 0, ("SystemExit", 0), 0, 0]
+    assert outcomes["reused", 0][2].startswith("config error: ")
+    assert outcomes["reused", 1][2].startswith("config error: ")
+    assert "{factor,verify,sweep,models}" in outcomes["reused", 4][1]
+    full, thinned = (json.loads(outcomes["reused", i][3]) for i in (2, 3))
+    assert len(full["path"]["t"]) == 1001
+    assert len(thinned["path"]["t"]) == cli.MAX_SERIALIZED_SAMPLES
 
 
 def test_console_entry_point(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from vanvleck import (
     CausticRegion,
     FocalPoint,
+    NonFiniteResult,
     NonSPDMass,
     NotQuadraticModel,
     TurningPoint,
@@ -304,7 +305,15 @@ def test_each_route_refuses_a_nonpositive_determinant(route):
         call()
 
 
-@pytest.mark.parametrize("det", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("det", [0.0, -1.0])
 def test_prefactor_refuses_a_determinant_that_is_not_positive(det):
     with pytest.raises(CausticRegion):
         prefactor(det, 1, 1.0, "test")
+
+
+@pytest.mark.parametrize("error", [CausticRegion, FocalPoint])
+@pytest.mark.parametrize("det", [float("nan"), float("inf"), -float("inf")])
+def test_prefactor_refuses_a_non_finite_determinant(det, error):
+    # an overflow, not a caustic or a focal point, whatever the route's error
+    with pytest.raises(NonFiniteResult, match="not finite"):
+        prefactor(det, 1, 1.0, "test", error=error)

@@ -18,8 +18,9 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
+from vanvleck.cli import MAX_QUAD_POINTS
 from vanvleck.gelfand_yaglom import (_collocation, _omega2_sampler,
-                                     _slice_propagators)
+                                     _reference_rule, _slice_propagators)
 
 from conftest import rk4
 
@@ -96,6 +97,51 @@ def test_collocation_matches_the_column_loop(q):
     # exact on polynomials of degree < q: the integral of t^2 from t_a
     np.testing.assert_allclose(qmat @ nodes**2, (nodes**3 - t_a**3) / 3,
                                rtol=0, atol=1e-14)
+
+
+def _uncached_collocation(t_a, t_b, q):
+    # the rule built from scratch on every call, as it was before the
+    # reference rule on [-1, 1] was cached
+    xi, w = npleg.leggauss(q)
+    nodes = t_a + 0.5 * (xi + 1.0) * (t_b - t_a)
+    vinv = np.linalg.inv(npleg.legvander(xi, q - 1))
+    qxi = npleg.legvander(xi, q) @ npleg.legint(vinv, lbnd=-1.0, axis=0)
+    half = 0.5 * (t_b - t_a)
+    return nodes, half * qxi, half * w
+
+
+def test_collocation_is_bit_identical_to_the_uncached_rule():
+    # each q on two intervals in turn: the second call reuses the cached
+    # reference rule, the next q evicts it, and the last call rebuilds an
+    # evicted one
+    intervals = [(0.3, 1.9), (-2.0, 5.5)]
+    calls = [(q, interval) for q in (1, 2, 8, 64, MAX_QUAD_POINTS)
+             for interval in intervals] + [(8, intervals[1])]
+    _reference_rule.cache_clear()
+    for q, (t_a, t_b) in calls:
+        for got, want in zip(_collocation(t_a, t_b, q),
+                             _uncached_collocation(t_a, t_b, q)):
+            np.testing.assert_array_equal(got, want)
+    info = _reference_rule.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 6, 1)
+
+
+def test_reference_rule_is_read_only():
+    for array in _reference_rule(8):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # what a solve gets is its own scaled copy
+    assert all(a.flags.writeable for a in _collocation(0.0, 1.0, 8))
+
+
+def test_neumann_repeats_its_bits():
+    first = solve_B_neumann(TIME_DEP, 0.1, 1.2, order=8)
+    np.testing.assert_array_equal(
+        solve_B_neumann(TIME_DEP, 0.1, 1.2, order=8), first)
+    solve_B_neumann(TIME_DEP, 0.1, 1.2, order=8, quad_points=32)
+    np.testing.assert_array_equal(
+        solve_B_neumann(TIME_DEP, 0.1, 1.2, order=8), first)
 
 
 def test_time_ordered_constant_frequency_exact():
