@@ -71,14 +71,13 @@ NUMERICS_DEFAULTS = {
 # D = MAX_DIM: the RK4 state history of a path on an ``affine_flow`` model,
 # (n_steps + 1, 2D + 1, 1 + 2D) with its homogeneous row, is 392 B a step,
 # 39 MB at the bound (65 MB at D = 4, which is why the dimension stops at
-# 3), and the stage record of any other model's run, 4 n_steps rows of
-# (t, x, v, acc) in one flat float64 buffer that the path pass extends
-# stage by stage (over-allocating by 1/16), is 320 B a step, 32 MB at the
-# bound; a q x q Neumann collocation matrix is 8 MB at the bound, and a
-# solve holds two: the reference rule on [-1, 1], which stays cached for
-# the process, one q at a time, and its copy scaled to the interval; the
-# time-ordered slice propagator stack, (n_slices, 2D, 2D), is 288 B a
-# slice, 29 MB at the bound.
+# 3), while any other model's run holds its (n_steps + 1, 2D) history, 48 B
+# a step, and one block of STEP_MAP_BLOCK steps; a q x q Neumann
+# collocation matrix is 8 MB at the bound, and a solve holds two: the
+# reference rule on [-1, 1], which stays cached for the process, one q at
+# a time, and its copy scaled to the interval; the time-ordered slice
+# propagator stack, (n_slices, 2D, 2D), is 288 B a slice, 29 MB at the
+# bound.
 # A sweep keeps every row (a dict of a few dozen floats, under 2 KB) until
 # its CSV is written, so its row count, the product of the parameter
 # counts, is bounded too: under 20 MB at the bound.  ``verify`` keeps

@@ -16,12 +16,13 @@ batched products (``_compose``), with no Python right-hand side per
 stage and no Python product per step.  The endpoint map is then
 exactly affine, so Newton's first correction is exact and is applied by
 superposition of the first run's tangent columns: one run gives the path
-and its flow.  On any other model a run takes two passes: the path pass
-steps (x, v) alone as a list of Python floats, each stage computing only
-the acceleration, and records its stages; the flow then reads the
-linearization once per block of steps, on the block's recorded stages as
-a stack, and is advanced by the composed step maps of that linear
-system, one product a block, keeping only its value at t_b.  The path
+and its flow.  On any other model a run takes two passes, one block of
+steps at a time: the path pass steps (x, v) alone as a list of Python
+floats, each stage computing only the acceleration, and records the
+block's stages; the flow then reads the linearization once, on the
+block's recorded stages as a stack, and is advanced by the composed step
+maps of that linear system, one product a block, keeping only its value
+at t_b.  So beside its output a run holds one block.  The path
 pass's acceleration is Python floats too, by one of two rules:
 (-1/g) V' in D = 1 on a constant metric, where the pass is one loop over
 the two floats x, v calling the scalar V' of ``potential_grad.scalar``
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import array
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ MIN_COARSE_STEPS = 32
 # |det M| below this times scale^D marks a boundary Jacobi matrix singular
 CAUSTIC_DET_THRESHOLD = 1e-12
 
-# ``linear_rk4`` and the flow pass of a nonlinear run build the step maps
-# of this many steps at a time
+# ``linear_rk4`` and the two passes of a nonlinear run step this many
+# steps at a time
 STEP_MAP_BLOCK = 256
 
 
@@ -506,21 +507,24 @@ def _affine_sampler(model: LagrangianModel, x, t):
 
 
 def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
-             n_steps: int, vblock0: np.ndarray):
-    """Integrate the EL system from (x0, v0) with m >= 0 tangent columns.
+             n_steps: int, flow: bool):
+    """Integrate the EL system from (x0, v0), with its flow when ``flow``.
 
-    ``vblock0`` is a (2D, m) matrix of initial variations; its columns are
+    The tangent block vblock, (2D, m), starts as the identity, m = 2D,
+    with ``flow`` and as an empty block, m = 0, without; its columns are
     propagated through the linearized flow evaluated at the RK4 stage
     points of the base trajectory.  Returns ``(times, states, tangents)``:
     the grid, the (n_steps + 1, 2D) history of (x, v) and the tangent
     block at the grid times the run keeps, of which ``tangents[-1]`` is
-    vblock(t_b) = Phi(t_b) vblock0.
+    vblock(t_b), the flow Phi(t_b) or an empty block.
 
     On an ``affine_flow`` model the system is linear and ``linear_rk4``
     steps the (2D, 1 + m) state [(x, v), vblock] by precomputed maps, with
     one more row (1, 0, ..., 0) that carries the forcing; ``tangents`` is
     then the block at every grid time, shape (n_steps + 1, 2D, m), which
-    Newton's superposition reads.  Every other model runs in two passes.
+    Newton's superposition reads.  Every other model runs in two passes,
+    one block of STEP_MAP_BLOCK steps at a time, so beside its output the
+    run holds one block.
     The path pass steps (x, v) alone, as Python floats with a float h, in
     the classical RK4 order of operations, y + (h/2) k and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
@@ -530,23 +534,23 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     ``_one_dim_path_pass`` steps the two floats x, v and calls the scalar
     V' at the float x; every other model takes ``_path_pass``, a list of
     2D floats, with ``_general_linearization``'s float force and
-    ``_solve`` on four callbacks read at a (D,) ndarray a stage.  Each
-    stage's time, point and acceleration go to a flat float64 record,
-    8 B a float.  The flow pass
-    (``_flow_pass``) advances vblock by the RK4 steps of the linearized
-    system on those same stages, with the Jacobian blocks read at the
-    recorded stages as stacks, a block of steps at a time, and the
-    recorded accelerations, so potential_grad is not read again.
-    ``tangents`` is then vblock(t_b) alone, shape (1, 2D, m).  A run with
-    m = 0, or whose path ends non-finite, makes no flow pass; the
-    latter's tangent block is NaN.
+    ``_solve`` on four callbacks read at a (D,) ndarray a stage.  The
+    block's stages, each one's time, point and acceleration, go to a flat
+    float64 record, which fills the block's rows of the history.  A flow
+    step (``_flow_step``) then advances vblock by the RK4 steps of the
+    linearized system on those same stages, with the Jacobian blocks read
+    at the recorded stages as a stack and the recorded accelerations, so
+    potential_grad is not read again.  ``tangents`` is then vblock(t_b)
+    alone, shape (1, 2D, m).  A run with m = 0 takes no flow step.  From
+    the first block whose path ends non-finite on, a run takes no flow
+    step, and its tangent block is NaN.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
     if x.shape != (d,) or v.shape != (d,):
         raise ValueError(f"state shapes {x.shape}, {v.shape} do not match dim={d}")
-    vblock = np.asarray(vblock0, dtype=float)
+    vblock = np.eye(2 * d, 2 * d if flow else 0)
     times = np.linspace(t_a, t_b, n_steps + 1)
     if model.affine_flow:
         y0 = np.hstack((np.concatenate((x, v))[:, None], vblock))
@@ -557,38 +561,30 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     one_dim = _one_dim_linearization(model, x, t_a)
     if one_dim is None:
         acceleration, jacobians = _general_linearization(model)
-        record, y = _path_pass(acceleration, x.tolist() + v.tolist(),
-                               times, h)
+        path_pass, y = _path_pass, x.tolist() + v.tolist()
     else:
         acceleration, jacobians = one_dim
-        record, y = _one_dim_path_pass(acceleration, float(x[0]),
-                                       float(v[0]), times, h)
-    stages = np.frombuffer(record).reshape(4 * n_steps, 1 + 3 * d)
+        path_pass, y = _one_dim_path_pass, [float(x[0]), float(v[0])]
+    starts = times[:-1]
     states = np.empty((n_steps + 1, 2 * d))
-    states[:-1] = stages[::4, 1:2 * d + 1]
+    for k in range(0, n_steps, STEP_MAP_BLOCK):
+        record, y = path_pass(acceleration, y,
+                              starts[k:k + STEP_MAP_BLOCK].tolist(), h)
+        stages = np.frombuffer(record).reshape(-1, 1 + 3 * d)
+        states[k:k + len(stages) // 4] = stages[::4, 1:2 * d + 1]
+        if flow and not all(map(math.isfinite, y)):
+            flow, vblock = False, np.full(vblock.shape, np.nan)
+        elif flow:
+            vblock = _flow_step(jacobians, stages, vblock, h)
     states[-1] = y
-    if not np.all(np.isfinite(y)):
-        vblock = np.full(vblock.shape, np.nan)
-    elif vblock.size:
-        vblock = _flow_pass(jacobians, stages, vblock, h)
     return times, states, vblock[None]
 
 
-def _step_times(times):
-    """The start times of the grid's steps, ``times[:-1]``, as Python
-    floats, taken from the array a block of STEP_MAP_BLOCK at a time, so
-    no list of n floats is held beside the record."""
-    starts = times[:-1]
-    return itertools.chain.from_iterable(
-        starts[k:k + STEP_MAP_BLOCK].tolist()
-        for k in range(0, len(starts), STEP_MAP_BLOCK))
-
-
-def _path_pass(acceleration, y: list, times, h: float):
+def _path_pass(acceleration, y: list, starts: list, h: float):
     """The path pass of the general rule: RK4 of the state ``y``, a list
-    of 2D floats (x, v), with ``acceleration(y, t)`` giving D floats.
-    Returns the flat float64 record of each stage's (t, x, v, acc) and
-    the last state."""
+    of 2D floats (x, v), with ``acceleration(y, t)`` giving D floats, one
+    step from each of the start times ``starts``.  Returns the flat
+    float64 record of each stage's (t, x, v, acc) and the last state."""
     d = len(y) // 2
     half, sixth = 0.5 * h, h / 6.0
     record = array.array("d")
@@ -599,7 +595,7 @@ def _path_pass(acceleration, y: list, times, h: float):
         push([t, *y, *acc])
         return y[d:] + acc   # (v, acc)
 
-    for t in _step_times(times):
+    for t in starts:
         k1 = slope(y, t)
         k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
         k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
@@ -609,15 +605,16 @@ def _path_pass(acceleration, y: list, times, h: float):
     return record, y
 
 
-def _one_dim_path_pass(acceleration, x: float, v: float, times, h: float):
-    """``_path_pass`` in D = 1, on the two floats x and v with
+def _one_dim_path_pass(acceleration, y: list, starts: list, h: float):
+    """``_path_pass`` in D = 1, on the two floats x, v of ``y`` with
     ``acceleration(x, t)`` one float, in the same order of operations, so
     the same bits.  Each step pushes its four stages' 16 floats to the
     record at once."""
+    x, v = y
     half, sixth = 0.5 * h, h / 6.0
     record = array.array("d")
     push = record.fromlist
-    for t in _step_times(times):
+    for t in starts:
         tm, te = t + half, t + h
         a1 = acceleration(x, t)
         x2, v2 = x + half * v, v + half * a1
@@ -632,25 +629,22 @@ def _one_dim_path_pass(acceleration, x: float, v: float, times, h: float):
     return record, [x, v]
 
 
-def _flow_pass(jacobians, stages, vblock, h: float) -> np.ndarray:
-    """vblock(t_b) of a recorded path pass: ``stages`` holds each RK4
-    stage's (t, x, v, acc), four rows a step, and ``jacobians`` reads
-    (jx, jv) at a stack of them.  Each block of STEP_MAP_BLOCK steps is
-    one ``jacobians`` call on its 4b stages, one ``_rk4_step_maps`` call
-    on M = [[0, 1], [jx, jv]] and one ``_compose`` of its maps, so
-    vblock takes one product a block, vblock + Q vblock."""
+def _flow_step(jacobians, stages, vblock, h: float) -> np.ndarray:
+    """vblock advanced over one block of a path pass: ``stages`` holds
+    each RK4 stage's (t, x, v, acc), four rows a step, and ``jacobians``
+    reads (jx, jv) at a stack of them.  One ``jacobians`` call on the
+    block's 4b stages, one ``_rk4_step_maps`` call on
+    M = [[0, 1], [jx, jv]] and one ``_compose`` of its maps give
+    vblock + Q vblock."""
     d = (stages.shape[1] - 1) // 3
-    for k in range(0, len(stages), 4 * STEP_MAP_BLOCK):
-        block = stages[k:k + 4 * STEP_MAP_BLOCK]
-        jx, jv = jacobians(block[:, 1:d + 1], block[:, d + 1:2 * d + 1],
-                           block[:, 0], block[:, 2 * d + 1:])
-        gen = np.zeros((len(block), 2 * d, 2 * d))
-        gen[:, :d, d:] = np.eye(d)
-        gen[:, d:, :d] = jx
-        gen[:, d:, d:] = jv
-        per_stage = gen.reshape(-1, 4, 2 * d, 2 * d).swapaxes(0, 1)
-        vblock = vblock + _compose(_rk4_step_maps(*per_stage, h)) @ vblock
-    return vblock
+    jx, jv = jacobians(stages[:, 1:d + 1], stages[:, d + 1:2 * d + 1],
+                       stages[:, 0], stages[:, 2 * d + 1:])
+    gen = np.zeros((len(stages), 2 * d, 2 * d))
+    gen[:, :d, d:] = np.eye(d)
+    gen[:, d:, :d] = jx
+    gen[:, d:, d:] = jv
+    per_stage = gen.reshape(-1, 4, 2 * d, 2 * d).swapaxes(0, 1)
+    return vblock + _compose(_rk4_step_maps(*per_stage, h)) @ vblock
 
 
 def _trajectory(times: np.ndarray, states: np.ndarray) -> Trajectory:
@@ -664,7 +658,7 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
                   n_steps: int = DEFAULT_N_STEPS) -> Trajectory:
     """Integrate the Euler-Lagrange equations from (x0, v0).
 
-    One ``_rk4_run`` with an empty (2D, 0) tangent block.
+    One ``_rk4_run`` without the flow.
 
     Parameters
     ----------
@@ -676,8 +670,7 @@ def integrate_ivp(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     Trajectory
         Samples at the n_steps + 1 grid times.
     """
-    times, states, _ = _rk4_run(model, x0, v0, t_a, t_b, n_steps,
-                                np.empty((2 * model.dim, 0)))
+    times, states, _ = _rk4_run(model, x0, v0, t_a, t_b, n_steps, False)
     return _trajectory(times, states)
 
 
@@ -753,13 +746,11 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
     it does not depend on the trajectory, so no second run is made.
     """
     d = model.dim
-    identity = np.eye(2 * d)
     best_res = np.inf
     chord = must_step
     for iteration in range(1, max_iter + 1):
-        vblock = identity if chord is None else identity[:, :0]
         times, states, tangents = _rk4_run(model, x_a, v0, t_a, t_b, n_steps,
-                                           vblock)
+                                           chord is None)
         miss = states[-1, :d] - x_b
         res = float(np.max(np.abs(miss)))
         if not np.isfinite(res):

@@ -121,9 +121,9 @@ def _fine_runs(monkeypatch):
     steps = []
     real_run = dynamics._rk4_run
 
-    def counted(model, x0, v0, t_a, t_b, n_steps, vblock0):
+    def counted(model, x0, v0, t_a, t_b, n_steps, flow):
         steps.append(n_steps)
-        return real_run(model, x0, v0, t_a, t_b, n_steps, vblock0)
+        return real_run(model, x0, v0, t_a, t_b, n_steps, flow)
 
     monkeypatch.setattr(dynamics, "_rk4_run", counted)
     return steps
