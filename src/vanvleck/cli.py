@@ -413,6 +413,8 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
             if method not in METHOD_IDS:
                 raise ConfigError(
                     f"unknown method {method!r}; available: {METHOD_IDS}")
+            if methods.count(method) > 1:
+                raise ConfigError(f"method {method!r} is named twice")
         tag = cfg["model"]["tag"]
         if "dalembert" in methods:
             if model.dim != 1:

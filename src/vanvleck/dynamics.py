@@ -25,8 +25,9 @@ maps of that linear system, one product a block, keeping only its value
 at t_b.  So beside its output a run holds one block.  The path
 pass's acceleration is Python floats too, by one of two rules:
 (-1/g) V' in D = 1 on a constant metric, where the pass is one loop over
-the two floats x, v calling the scalar V' of ``potential_grad.scalar``
-with no array a stage, and on every other model, a D > 1 constant
+the two floats x, v that calls the scalar V' of ``potential_grad.scalar``
+(for an expression potential its compiled float body) straight from the
+loop, with no array a stage, and on every other model, a D > 1 constant
 metric off ``affine_flow`` included, the generalized force F from four
 callbacks and g acc = F by one Gaussian elimination with partial
 pivoting (``_solve``), with no numpy.linalg call a stage.
@@ -338,17 +339,17 @@ def _general_linearization(model: LagrangianModel):
 
 
 def _one_dim_linearization(model: LagrangianModel, x, t):
-    """``(acceleration, jacobians)`` of one run in D = 1 on a constant
+    """``(dv, neg_recip, jacobians)`` of one run in D = 1 on a constant
     metric, where ``metric_is_constant`` holds at (x, t), or None.
 
-    ``acceleration(x, t)`` takes the position as one float and returns
-    the float product (-1/g) V', with 1/g from one ``_solve`` per run,
-    the general rule's bits (-V') (1/g) but for the sign of an exactly
-    zero acceleration.  V' is ``potential_grad.scalar``, the user's
-    scalar dV/dx that ``models._first_coordinate`` hands over, called at
-    the float x; a potential_grad without it is read at a (1,) ndarray.
-    The Jacobians are (-1/g) V'' and 0.  A stage reads only V', a stack
-    potential_hess.
+    The acceleration is the float product ``neg_recip * float(dv(x, t))``,
+    with ``neg_recip`` = -1/g from one ``_solve`` per run: the general rule's
+    bits (-V') (1/g) but for the sign of an exactly zero acceleration.
+    ``dv`` is ``potential_grad.scalar``, the scalar dV/dx that
+    ``models._first_coordinate`` hands over (a compiled expression's float
+    body), called at float x and t; a potential_grad without it is read at
+    a (1,) ndarray.  The Jacobians are (-1/g) V'' and 0.  A stage reads
+    only V', a stack potential_hess.
     """
     if model.dim != 1 or not metric_is_constant(model, x, t):
         return None
@@ -359,14 +360,11 @@ def _one_dim_linearization(model: LagrangianModel, x, t):
         def dv(x, t):
             return grad(np.array([x]), t)[0]
 
-    def acceleration(x, t):
-        return neg_recip * float(dv(x, t))
-
     def jacobians(x, v, t, acc):
         jx = neg_recip * _read(model.potential_hess, x, t, (1, 1))
         return jx, np.zeros_like(jx)
 
-    return acceleration, jacobians
+    return dv, neg_recip, jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +527,12 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     the classical RK4 order of operations, y + (h/2) k and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
     numpy RK4 stepper's; each stage computes only the acceleration, with
-    no numpy.linalg call.  The rule picks the loop: in D = 1 on a
-    constant metric, where ``_one_dim_linearization`` is not None,
-    ``_one_dim_path_pass`` steps the two floats x, v and calls the scalar
-    V' at the float x; every other model takes ``_path_pass``, a list of
+    no numpy.linalg call.  The rule picks the (path pass, Jacobian read)
+    pair, in one place, and either pass starts from the list
+    ``x.tolist() + v.tolist()``: in D = 1 on a constant metric, where
+    ``_one_dim_linearization`` is not None, ``_one_dim_path_pass`` steps
+    the two floats x, v and calls the scalar V' at the float x, with
+    nothing in between; every other model takes ``_path_pass``, a list of
     2D floats, with ``_general_linearization``'s float force and
     ``_solve`` on four callbacks read at a (D,) ndarray a stage.  The
     block's stages, each one's time, point and acceleration, go to a flat
@@ -561,15 +561,15 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     one_dim = _one_dim_linearization(model, x, t_a)
     if one_dim is None:
         acceleration, jacobians = _general_linearization(model)
-        path_pass, y = _path_pass, x.tolist() + v.tolist()
+        path_pass = functools.partial(_path_pass, acceleration)
     else:
-        acceleration, jacobians = one_dim
-        path_pass, y = _one_dim_path_pass, [float(x[0]), float(v[0])]
+        dv, neg_recip, jacobians = one_dim
+        path_pass = functools.partial(_one_dim_path_pass, dv, neg_recip)
+    y = x.tolist() + v.tolist()
     starts = times[:-1]
     states = np.empty((n_steps + 1, 2 * d))
     for k in range(0, n_steps, STEP_MAP_BLOCK):
-        record, y = path_pass(acceleration, y,
-                              starts[k:k + STEP_MAP_BLOCK].tolist(), h)
+        record, y = path_pass(y, starts[k:k + STEP_MAP_BLOCK].tolist(), h)
         stages = np.frombuffer(record).reshape(-1, 1 + 3 * d)
         states[k:k + len(stages) // 4] = stages[::4, 1:2 * d + 1]
         if flow and not all(map(math.isfinite, y)):
@@ -605,24 +605,26 @@ def _path_pass(acceleration, y: list, starts: list, h: float):
     return record, y
 
 
-def _one_dim_path_pass(acceleration, y: list, starts: list, h: float):
-    """``_path_pass`` in D = 1, on the two floats x, v of ``y`` with
-    ``acceleration(x, t)`` one float, in the same order of operations, so
-    the same bits.  Each step pushes its four stages' 16 floats to the
-    record at once."""
+def _one_dim_path_pass(dv, neg_recip: float, y: list, starts: list,
+                       h: float):
+    """``_path_pass`` in D = 1, on the two floats x, v of ``y`` with the
+    acceleration ``neg_recip * float(dv(x, t))`` computed in the loop, one
+    call of ``dv`` a stage, in the same order of operations, so the same
+    bits.  Each step pushes its four stages' 16 floats to the record at
+    once."""
     x, v = y
     half, sixth = 0.5 * h, h / 6.0
     record = array.array("d")
     push = record.fromlist
     for t in starts:
         tm, te = t + half, t + h
-        a1 = acceleration(x, t)
+        a1 = neg_recip * float(dv(x, t))
         x2, v2 = x + half * v, v + half * a1
-        a2 = acceleration(x2, tm)
+        a2 = neg_recip * float(dv(x2, tm))
         x3, v3 = x + half * v2, v + half * a2
-        a3 = acceleration(x3, tm)
+        a3 = neg_recip * float(dv(x3, tm))
         x4, v4 = x + h * v3, v + h * a3
-        a4 = acceleration(x4, te)
+        a4 = neg_recip * float(dv(x4, te))
         push([t, x, v, a1, tm, x2, v2, a2, tm, x3, v3, a3, te, x4, v4, a4])
         x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)

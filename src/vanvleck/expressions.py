@@ -9,9 +9,10 @@ the solvers, and ``degree`` gives a tree's exact polynomial degree in x
 (None when it is not a polynomial in x).  ``^`` is ``math.pow``, so a
 power with no real value raises ValueError and one that overflows raises
 OverflowError, not a complex number or infinity.  ``compile_node`` turns a
-tree into one straight-line Python function of ``evaluate``'s arithmetic,
-marked as a stacked model callback: it evaluates one point on Python
-floats and arrays of points with numpy.
+tree into one straight-line Python body of ``evaluate``'s arithmetic,
+compiled once and bound to ``math`` and to numpy, behind a function marked
+as a stacked model callback: it evaluates one point on Python floats and
+arrays of points with numpy, and carries the float body as ``scalar``.
 """
 
 from __future__ import annotations
@@ -266,11 +267,15 @@ def compile_node(node):
     function's globals, so the generated source holds only local names,
     ``x``, ``t`` and the whitelisted function names: no config text.
 
-    The body is bound twice.  At a point (x and t numbers, not arrays) it
-    runs on Python floats with ``math``, so ``^`` is ``math.pow`` and a
-    division by zero raises ZeroDivisionError, also at a numpy float t;
-    when x or t is an array it goes to the numpy binding through
-    ``_stacked_call``.  The function is marked ``models.stacked``.
+    The body's one source is compiled once and bound twice: to ``math``,
+    where ``^`` is ``math.pow`` and a division by zero raises
+    ZeroDivisionError, and to numpy.  The returned function is marked
+    ``models.stacked``: when x or t is an array it hands both bindings to
+    ``_stacked_call``; at a point (x and t numbers, not arrays) it calls
+    the ``math`` binding on ``float(x)`` and ``float(t)``, so also a numpy
+    float t gives Python float arithmetic.  That binding is the returned
+    function's ``scalar`` attribute, for a caller that already has Python
+    floats.
     """
     constants = {}
     names = {}
@@ -301,22 +306,22 @@ def compile_node(node):
         return name
 
     result = emit(node)
-    body = [*lines, f"    return {result}"]
+    body = compile("\n".join(["def f(x, t):", *lines, f"    return {result}"]),
+                   "<expression>", "exec")
+    scope = {"__builtins__": {}, "pow": math.pow, **_FUNCTIONS, **constants}
     array_scope = {"__builtins__": {}, **_NUMPY_FUNCTIONS,
                    **{name: np.float64(c) for name, c in constants.items()}}
-    exec("\n".join(["def f(x, t):", *body]), array_scope)
-    scope = {"__builtins__": {"type": type, "float": float},
-             "pow": math.pow, **_FUNCTIONS, **constants, "_ndarray": np.ndarray}
-    exec("\n".join([
-        "def f(x, t):",
-        "    if type(x) is _ndarray or type(t) is _ndarray:",
-        "        return _stacked(x, t)",
-        "    x = float(x)",
-        "    t = float(t)",
-        *body]), scope)
+    exec(body, scope)
+    exec(body, array_scope)
     point, array = scope["f"], array_scope["f"]
-    scope["_stacked"] = lambda x, t: _stacked_call(point, array, x, t)
-    return stacked(point)
+
+    def f(x, t):
+        if type(x) is np.ndarray or type(t) is np.ndarray:
+            return _stacked_call(point, array, x, t)
+        return point(float(x), float(t))
+
+    f.scalar = point
+    return stacked(f)
 
 
 def compile_potential(text: str):

@@ -24,11 +24,13 @@ wrapped by a caller is called pointwise unless it is marked itself.  The
 builtins' closed forms are marked, those built on a user's ``omega2`` or
 ``stiffness`` callable too; callables a user passes in are not.
 
-A ``one_dim_potential`` callback also carries the user's scalar function
-of the position as its ``scalar`` attribute, in the same way.  The D = 1
-path pass of a nonlinear run calls ``potential_grad.scalar`` at a Python
-float, once a stage; a potential_grad swapped in or wrapped has no such
-attribute, and the path pass reads it at a (1,) ndarray instead.
+A ``one_dim_potential`` callback also carries a scalar function of the
+position as its ``scalar`` attribute, in the same way: the float body of a
+compiled expression (``expressions.compile_node``), or the user's function
+itself.  The D = 1 path pass of a nonlinear run calls
+``potential_grad.scalar`` at Python floats, once a stage; a potential_grad
+swapped in or wrapped has no such attribute, and the path pass reads it at
+a (1,) ndarray instead.
 """
 
 from __future__ import annotations
@@ -478,9 +480,11 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
     length 1 at one point.  Stacked when ``f`` is.  One point keeps its
     own branch: there ``x[..., 0]`` is a 0-d array, which sends a compiled
     expression down its numpy path, about 40 times slower per call than a
-    float.  The callback carries ``f`` itself as its ``scalar``
-    attribute, so the D = 1 path pass calls ``f`` at its Python float x
-    and wraps no array a stage (see the module docstring)."""
+    float.  The callback carries ``f.scalar`` as its own ``scalar``
+    attribute when ``f`` has one (a compiled expression's float body), and
+    ``f`` otherwise, so the D = 1 path pass calls that function at its
+    Python float x and wraps no array a stage (see the module
+    docstring)."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:
@@ -489,7 +493,7 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
         y = f(float(x[0]), t)
         return np.array(y, dtype=float, ndmin=ndim) if ndim else float(y)
 
-    callback.scalar = f
+    callback.scalar = getattr(f, "scalar", f)
     return stacked(callback) if is_stacked(f) else callback
 
 

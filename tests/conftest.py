@@ -224,8 +224,10 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     if one_dim is None:
         acceleration = _general_linearization(model)[0]
     else:
-        def acceleration(y, t):   # the D = 1 rule takes and gives floats
-            return [one_dim[0](y[0], t)]
+        dv, neg_recip, _ = one_dim
+
+        def acceleration(y, t):   # the D = 1 rule: (-1/g) V' in floats
+            return [neg_recip * float(dv(y[0], t))]
 
     def rhs(t, y):
         dy = np.empty_like(y)

@@ -116,6 +116,16 @@ def test_unknown_key_rejected_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_method_named_twice_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "twice.json",
+                 _free_config(methods=["vvpm", "vvpm", "analytic"]))
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: method 'vvpm' is named twice")
+    assert not out.exists()
+
+
 def test_unknown_nested_keys_rejected(tmp_path):
     bad_model = _free_config()
     bad_model["model"]["params"]["massive"] = 2.0
@@ -597,6 +607,19 @@ def test_sweep_parameter_named_twice_is_config_error(tmp_path, capsys):
         {"name": "model.omega2", "start": 2.0, "stop": 3.0, "count": 2}])
     assert code == 1 and not written
     assert err.startswith("config error: ") and "twice" in err
+
+
+def test_sweep_method_named_twice_is_config_error(tmp_path, capsys):
+    # else the CSV header would carry vvpm_magnitude,vvpm_phase twice
+    cfg = _write(tmp_path, "twice.json", _free_config(
+        methods=["vvpm", "vvpm", "analytic"],
+        sweep={"parameters": [
+            {"name": "T", "start": 1.0, "stop": 2.0, "count": 2}]}))
+    out = tmp_path / "twice.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: method 'vvpm' is named twice")
+    assert not out.exists()
 
 
 def test_sweep_parameter_the_model_lacks_is_config_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -25,7 +26,7 @@ from vanvleck import (
     solve_bvp,
     state_at,
 )
-from vanvleck import dynamics
+from vanvleck import dynamics, expressions
 from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
@@ -718,13 +719,31 @@ def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
 
 def test_one_dim_path_pass_calls_the_scalar_dv():
     # a config one_dim_potential hands the D = 1 path pass its compiled
-    # dV/dx as potential_grad.scalar: each stage calls it at a Python
-    # float, and the model callback, which wraps that float in arrays, is
-    # not called.  A potential_grad without the attribute is read at a
-    # (1,) ndarray to the same bits
+    # dV/dx body as potential_grad.scalar: each stage makes exactly one
+    # call into the expression, that body, straight from the pass loop at
+    # Python floats, and the model callback, which wraps that float in
+    # arrays, is not called.  A potential_grad without the attribute is
+    # read at a (1,) ndarray to the same bits
     base = _expression_model("0.5 * x^2 + 0.3 * x^4")
     assert not base.affine_flow
     grad = base.potential_grad
+    body = grad.scalar.__code__
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in (
+                body.co_filename, expressions.__file__):
+            entered[frame.f_code is body, frame.f_back.f_code.co_name,
+                    type(frame.f_locals.get("x")),
+                    type(frame.f_locals.get("t"))] += 1
+
+    n = 40
+    sys.setprofile(profile)
+    try:
+        _rk4_run(base, [0.2], [0.9], 0.0, 1.1, n, False)
+    finally:
+        sys.setprofile(None)
+    assert entered == {(True, "_one_dim_path_pass", float, float): 4 * n}
     calls = collections.Counter()
 
     def callback(x, t):
@@ -737,7 +756,6 @@ def test_one_dim_path_pass_calls_the_scalar_dv():
 
     callback.scalar = scalar
     model = dataclasses.replace(base, potential_grad=stacked(callback))
-    n = 40
     _, states, tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, True)
     assert calls == {("scalar", "float"): 4 * n}
     wrapped = dataclasses.replace(
@@ -976,23 +994,26 @@ def test_step_map_run_memory_stays_near_its_history():
     assert peak <= 1.25 * (states.nbytes + tangents.nbytes)
 
 
-def test_two_pass_run_holds_its_output_and_one_block():
+def test_two_pass_run_holds_its_output_and_one_block(monkeypatch):
     # a nonlinear run passes over one block of STEP_MAP_BLOCK steps at a
-    # time, so beside its output it holds a fixed allowance that does not
-    # grow with n: about 1 MB at D = 3 with a flow, mostly the flow
-    # step's Jacobian stacks on a block's 1024 stages, 0.45 MB at D = 1,
-    # and 0.1 MB without a flow.  Both path passes: the general rule's
-    # (D = 3) and the D = 1 float loop's.  A record of the whole run's
-    # stages, 320 B a step at D = 3 and 128 B at D = 1, would take each of
-    # these runs past the allowance
-    allowance = 1_250_000
+    # time, so beside its output it holds an allowance that grows with the
+    # block, not with n.  With blocks of 16 steps that is about 72 kB at
+    # D = 3 with a flow, mostly the flow step's Jacobian stacks on a
+    # block's 64 stages, 35 kB at D = 1, and 7 kB without a flow.  Both
+    # path passes: the general rule's (D = 3) and the D = 1 float loop's.
+    # A record of the whole run's stages, 320 B a step at D = 3 and 128 B
+    # at D = 1, would take each of these runs past the allowance.  Small
+    # blocks let short runs show it: tracemalloc traces every float the
+    # general rule's path pass allocates
+    monkeypatch.setattr(dynamics, "STEP_MAP_BLOCK", 16)
+    allowance = 125_000
     quartic = _expression_model("0.5 * x^2 + 0.3 * x^4")
     for model, x0, v0, n, flow in [
             (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
                                  affine_flow=False),
-             [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 2_000, True),
-            (quartic, [0.1], [1.2], 12_000, True),
-            (quartic, [0.1], [1.2], 12_000, False)]:
+             [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 400, True),
+            (quartic, [0.1], [1.2], 2_000, True),
+            (quartic, [0.1], [1.2], 2_000, False)]:
         d = model.dim
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import math
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanvleck import ConfigError, compile_potential, parse_expression
+from vanvleck import (ConfigError, compile_potential, expressions,
+                      one_dim_potential, parse_expression)
 from vanvleck.expressions import _Bin, _Call, _Neg, _Num, _Var, compile_node
 from vanvleck.models import is_stacked
 
@@ -221,7 +223,34 @@ def test_compiled_node_equals_evaluate(text):
     for tree in trees:
         f = compile_node(tree)
         for x, t in grid:
-            assert f(x, t) == tree.evaluate(x, t)
+            # the float body carried as ``scalar`` gives the same bits
+            assert (f.scalar(x, t).hex() == f(x, t).hex()
+                    == tree.evaluate(x, t).hex())
+
+
+def test_model_scalar_is_the_compiled_float_body():
+    fns = compile_potential("0.5 * x^2 + 0.3 * x^4 - sin(t) * x")
+    model = one_dim_potential(*fns)
+    assert model.potential.scalar is fns[0].scalar
+    assert model.potential_grad.scalar is fns[1].scalar
+    assert model.potential_hess.scalar is fns[2].scalar
+    assert model.potential_grad.scalar.__code__.co_filename == "<expression>"
+
+
+def test_compile_potential_compiles_one_source_a_node(monkeypatch):
+    # V, dV/dx and d2V/dx2: one source each, compiled once and bound to
+    # math and to numpy; the point/array dispatch is not generated
+    sources = []
+    for name in ("compile", "exec"):
+        def counted(source, *args, real=getattr(builtins, name)):
+            if isinstance(source, str):
+                sources.append(source)
+            return real(source, *args)
+        monkeypatch.setattr(expressions, name, counted, raising=False)
+    compile_potential("0.5 * x^2 + 0.3 * x^4 - sin(t) * x")
+    assert len(sources) == 3
+    assert not any("ndarray" in s or "float" in s or "_stacked" in s
+                   for s in sources)
 
 
 def _operation_nodes(node, seen):
@@ -240,7 +269,7 @@ def test_compile_node_computes_shared_subtrees_once():
     visits = _operation_nodes(second, distinct)
     f = compile_node(second)
     # one local per distinct operation node, besides the arguments x and t
-    assert f.__code__.co_nlocals - 2 == len(distinct) < visits
+    assert f.scalar.__code__.co_nlocals - 2 == len(distinct) < visits
     assert f(0.4, 0.2) == second.evaluate(0.4, 0.2)
 
 
