@@ -325,7 +325,7 @@ def build_model(model_cfg: dict, hbar: float):
             coerced["potential_grad"] = dv
             coerced["potential_hess"] = d2v
             try:
-                degree = parse_expression(value).degree()
+                degree = v.node.degree()
             except RecursionError as exc:
                 raise ConfigError(TOO_DEEP) from exc
             affine = degree is not None and degree <= 2
@@ -420,10 +420,9 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
             if model.dim != 1:
                 raise ConfigError(
                     "method 'dalembert' needs a one-dimensional model")
-            potential = cfg["model"].get("params", {}).get("potential")
+            potential = params.get("potential")
             if callable(params.get("omega2")) or (
-                    potential is not None
-                    and parse_expression(potential).uses("t")):
+                    potential is not None and potential.node.uses("t")):
                 raise ConfigError(
                     "method 'dalembert' needs a time-independent potential")
         if "analytic" in methods:

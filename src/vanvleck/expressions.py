@@ -6,7 +6,13 @@ associative), unary minus, sin, cos, exp, the variables x and t, decimal
 literals, and parentheses.  ``diff`` differentiates a tree in x, so a
 text-defined potential supplies analytic first and second derivatives to
 the solvers, and ``degree`` gives a tree's exact polynomial degree in x
-(None when it is not a polynomial in x).  ``^`` is ``math.pow``, so a
+(None when it is not a polynomial in x).  A derivative tree drops the
+terms that a literal 0 or 1 makes dead (``0 * u``, ``1 * u``, ``u + 0``,
+``u ^ 1``, a quotient with a 0 numerator), so it computes every finite
+value to the same bits as the rules without the fold, but for the sign of
+a zero, and never evaluates a dead term: ``d/dx (2 * x^4)`` at x = 1e80 is
+8e240, where ``0 * x^4`` would overflow.  The parsed tree itself is kept
+as written.  ``^`` is ``math.pow``, so a
 power with no real value raises ValueError and one that overflows raises
 OverflowError, not a complex number or infinity.  ``compile_node`` turns a
 tree into one straight-line Python body of ``evaluate``'s arithmetic,
@@ -82,7 +88,7 @@ class _Neg:
         return -self.arg.evaluate(x, t)
 
     def diff(self):
-        return _Neg(self.arg.diff())
+        return _sum("-", _ZERO, self.arg.diff())
 
     def uses(self, name: str) -> bool:
         return self.arg.uses(name)
@@ -109,7 +115,7 @@ class _Call:
             outer = _Neg(_Call("sin", self.arg))
         else:
             outer = _Call("exp", self.arg)
-        return _Bin("*", outer, inner)
+        return _product(outer, inner)
 
     def uses(self, name: str) -> bool:
         return self.arg.uses(name)
@@ -141,13 +147,15 @@ class _Bin:
 
     def diff(self):
         if self.op in "+-":
-            return _Bin(self.op, self.left.diff(), self.right.diff())
+            return _sum(self.op, self.left.diff(), self.right.diff())
         if self.op == "*":
-            return _Bin("+", _Bin("*", self.left.diff(), self.right),
-                        _Bin("*", self.left, self.right.diff()))
+            return _sum("+", _product(self.left.diff(), self.right),
+                        _product(self.left, self.right.diff()))
         if self.op == "/":
-            num = _Bin("-", _Bin("*", self.left.diff(), self.right),
-                       _Bin("*", self.left, self.right.diff()))
+            num = _sum("-", _product(self.left.diff(), self.right),
+                       _product(self.left, self.right.diff()))
+            if _is_literal(num, 0.0):
+                return num
             return _Bin("/", num, _Bin("*", self.right, self.right))
         if self.right.uses("x"):
             raise ConfigError(
@@ -160,9 +168,8 @@ class _Bin:
             decremented = _Num(self.right.value - 1.0)
         else:
             decremented = _Bin("-", self.right, _Num(1.0))
-        return _Bin("*", _Bin("*", self.right, _Bin("^", self.left,
-                                                    decremented)),
-                    self.left.diff())
+        return _product(_product(self.right, _power(self.left, decremented)),
+                        self.left.diff())
 
     def uses(self, name: str) -> bool:
         return self.left.uses(name) or self.right.uses(name)
@@ -181,6 +188,43 @@ class _Bin:
         if left is None or right is None:
             return None
         return left + right if self.op == "*" else max(left, right)
+
+
+_ZERO = _Num(0.0)
+
+
+def _is_literal(node, value: float) -> bool:
+    return isinstance(node, _Num) and node.value == value
+
+
+# The constructors of derivative trees: each drops what a literal 0 or 1
+# makes an identity, and does the rest with the operation ``diff`` asked
+# for, so a compiled derivative skips no live operation and reorders none.
+
+
+def _sum(op: str, left, right):
+    """left + right or left - right, without a literal 0 term."""
+    if _is_literal(right, 0.0):
+        return left
+    if _is_literal(left, 0.0):
+        return right if op == "+" else _Neg(right)
+    return _Bin(op, left, right)
+
+
+def _product(left, right):
+    """left * right: 0 when a factor is a literal 0, without a literal 1."""
+    if _is_literal(left, 0.0) or _is_literal(right, 0.0):
+        return _ZERO
+    if _is_literal(left, 1.0):
+        return right
+    if _is_literal(right, 1.0):
+        return left
+    return _Bin("*", left, right)
+
+
+def _power(base, exponent):
+    """base ^ exponent, and base itself for a literal exponent 1."""
+    return base if _is_literal(exponent, 1.0) else _Bin("^", base, exponent)
 
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -275,7 +319,7 @@ def compile_node(node):
     the ``math`` binding on ``float(x)`` and ``float(t)``, so also a numpy
     float t gives Python float arithmetic.  That binding is the returned
     function's ``scalar`` attribute, for a caller that already has Python
-    floats.
+    floats; its ``node`` attribute is the tree it computes.
     """
     constants = {}
     names = {}
@@ -321,11 +365,17 @@ def compile_node(node):
         return point(float(x), float(t))
 
     f.scalar = point
+    f.node = node
     return stacked(f)
 
 
 def compile_potential(text: str):
-    """Compile V(x, t) text into (V, dV/dx, d2V/dx2) scalar callables."""
+    """Compile V(x, t) text into (V, dV/dx, d2V/dx2) scalar callables.
+
+    The derivatives are compiled from ``diff``'s trees, without their dead
+    terms (see the module docstring).  V carries its parsed tree as
+    ``node``, so a caller reads its degree without parsing the text again.
+    """
     node = parse_expression(text)
     try:
         first = node.diff()

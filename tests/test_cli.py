@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vanvleck import cli, composition, dynamics
+from vanvleck import cli, composition, dynamics, expressions
 from vanvleck.cli import main, parse_scenario
 from vanvleck.errors import NonFiniteResult
 from vanvleck.models import BUILTIN_TAGS
@@ -549,6 +549,25 @@ def test_sweep_short_time_limit(tmp_path):
     target = 1.0 / np.sqrt(2 * np.pi)
     assert abs(anchored[0] - target) < 1e-5
     assert abs(anchored[0] - target) < abs(anchored[-1] - target)
+
+
+def test_scenario_parses_its_potential_once(monkeypatch):
+    # compile_potential parses the text; the degree (vvpm's affine flow)
+    # and dalembert's time check read the compiled V's tree
+    parsed = []
+
+    def counted(text, real=expressions.parse_expression):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(expressions, "parse_expression", counted)
+    monkeypatch.setattr(cli, "parse_expression", counted)
+    parse_scenario({
+        "model": {"tag": "one_dim_potential",
+                  "params": {"potential": "0.5*x^2 + 0.1*x^4"}},
+        "x_a": [0.0], "x_b": [0.5], "t_b": 1.0,
+        "methods": ["vvpm", "dalembert"]})
+    assert parsed == ["0.5*x^2 + 0.1*x^4"]
 
 
 def test_sweep_rows_survive_errors(tmp_path):

@@ -237,9 +237,8 @@ def test_model_scalar_is_the_compiled_float_body():
     assert model.potential_grad.scalar.__code__.co_filename == "<expression>"
 
 
-def test_compile_potential_compiles_one_source_a_node(monkeypatch):
-    # V, dV/dx and d2V/dx2: one source each, compiled once and bound to
-    # math and to numpy; the point/array dispatch is not generated
+def _compiled_sources(monkeypatch, text):
+    """The sources that ``compile_potential(text)`` compiles or execs."""
     sources = []
     for name in ("compile", "exec"):
         def counted(source, *args, real=getattr(builtins, name)):
@@ -247,10 +246,25 @@ def test_compile_potential_compiles_one_source_a_node(monkeypatch):
                 sources.append(source)
             return real(source, *args)
         monkeypatch.setattr(expressions, name, counted, raising=False)
-    compile_potential("0.5 * x^2 + 0.3 * x^4 - sin(t) * x")
+    compile_potential(text)
+    return sources
+
+
+def test_compile_potential_compiles_one_source_a_node(monkeypatch):
+    # V, dV/dx and d2V/dx2: one source each, compiled once and bound to
+    # math and to numpy; the point/array dispatch is not generated
+    sources = _compiled_sources(monkeypatch,
+                                "0.5 * x^2 + 0.3 * x^4 - sin(t) * x")
     assert len(sources) == 3
     assert not any("ndarray" in s or "float" in s or "_stacked" in s
                    for s in sources)
+
+
+def test_quartic_derivative_bodies_make_one_pow_each(monkeypatch):
+    # dV/dx = 0.3 * (2 * x) + 0.7 * (4 * x^3), d2V/dx2 = 0.3 * 2 +
+    # 0.7 * (4 * (3 * x^2)): no 0 * x^n, no x^1, no factor 1
+    _, first, second = _compiled_sources(monkeypatch, "0.3 * x^2 + 0.7 * x^4")
+    assert first.count("pow(") == second.count("pow(") == 1
 
 
 def _operation_nodes(node, seen):
@@ -284,6 +298,101 @@ def test_literal_powers_differentiate_at_the_origin(text, first, second):
     # evaluates pow(0, -1)
     _, dv, d2v = compile_potential(text)
     assert (dv(0.0, 0.0), d2v(0.0, 0.0)) == (first, second)
+
+
+def _unfolded_diff(node):
+    """``diff`` by the rules without the fold of literal 0 and 1: the
+    reference that the folded derivative trees are checked against."""
+    if isinstance(node, _Num):
+        return N(0)
+    if isinstance(node, _Var):
+        return N(1.0 if node.name == "x" else 0.0)
+    if isinstance(node, _Neg):
+        return _Neg(_unfolded_diff(node.arg))
+    if isinstance(node, _Call):
+        outer = (_Call("cos", node.arg) if node.name == "sin"
+                 else _Neg(_Call("sin", node.arg)) if node.name == "cos"
+                 else _Call("exp", node.arg))
+        return _Bin("*", outer, _unfolded_diff(node.arg))
+    left, right = node.left, node.right
+    if node.op in "+-":
+        return _Bin(node.op, _unfolded_diff(left), _unfolded_diff(right))
+    product = _Bin("+" if node.op == "*" else "-",
+                   _Bin("*", _unfolded_diff(left), right),
+                   _Bin("*", left, _unfolded_diff(right)))
+    if node.op == "*":
+        return product
+    if node.op == "/":
+        return _Bin("/", product, _Bin("*", right, right))
+    if right.uses("x"):
+        raise ConfigError("cannot differentiate a power whose exponent "
+                          "depends on x")
+    if isinstance(right, _Num):
+        if right.value == 0.0:
+            return N(0)
+        decremented = N(right.value - 1.0)
+    else:
+        decremented = _Bin("-", right, N(1))
+    return _Bin("*", _Bin("*", right, _pow(left, decremented)),
+                _unfolded_diff(left))
+
+
+def _value_or_error(f, x, t):
+    try:
+        return f(x, t)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _same_bits(a, b):
+    """Equal to the bit, but for the sign of a zero."""
+    return a.hex() == b.hex() or a == b == 0.0
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ACCEPTED],
+                         ids=[f"accept{i}" for i in range(len(ACCEPTED))])
+def test_folded_derivatives_keep_the_unfolded_bits(text):
+    node = parse_expression(text)
+    try:
+        first = node.diff()
+    except ConfigError:   # an exponent that depends on x
+        with pytest.raises(ConfigError):
+            _unfolded_diff(node)
+        return
+    unfolded = _unfolded_diff(node)
+    for tree, reference in ((first, unfolded),
+                            (first.diff(), _unfolded_diff(unfolded))):
+        f, g = compile_node(tree), compile_node(reference)
+        for x in (-2.5, -1.3, -1.0, -0.4, -0.0, 0.0, 0.6, 1.0, 1.7, 3.0):
+            for t in (-0.7, 0.0, 0.35, 0.5, 1.1):
+                want = _value_or_error(reference.evaluate, x, t)
+                got = _value_or_error(f.scalar, x, t)
+                if isinstance(want, float):
+                    assert _same_bits(got, want), (text, x, t)
+                    # the numpy bindings of both trees
+                    xs, ts = np.array([x]), np.array([t])
+                    assert _same_bits(f(xs, ts)[0], g(xs, ts)[0]), (x, t)
+                elif _shape(tree) == _shape(N(0)):
+                    # every term of the unfolded derivative is dead, and
+                    # one of them raised: "1/0", "(-1)^0.5 + t"
+                    assert got == 0.0
+                else:
+                    assert got is want, (text, x, t)
+
+
+def test_a_derivative_does_not_evaluate_its_dead_terms():
+    # unfolded, d/dx (2 * x^4) = 0 * x^4 + 2 * (4 * x^3 * 1): the dead
+    # x^4 overflows at x = 1e80
+    node = parse_expression("2 * x^4")
+    with pytest.raises(OverflowError):
+        _unfolded_diff(node).evaluate(1e80, 0.0)
+    _, dv, _ = compile_potential("2 * x^4")
+    assert dv(1e80, 0.0) == 2 * (4 * math.pow(1e80, 3)) == 8e240
+    assert dv(np.array([1e80]), 0.0).tolist() == [8e240]
+    # x*x*x*x overflows to inf quietly, and its dead 0 * inf was a NaN
+    node = parse_expression("2 * (x*x*x*x)")
+    assert math.isnan(_unfolded_diff(node).evaluate(1e80, 0.0))
+    assert compile_node(node.diff())(1e80, 0.0) == 8e240
 
 
 DEGREES = [
