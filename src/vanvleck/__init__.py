@@ -24,6 +24,7 @@ from .composition import (
 from .dynamics import (
     ClassicalPath,
     Trajectory,
+    el_linearization,
     integrate_ivp,
     solve_bvp,
     state_at,
@@ -112,6 +113,7 @@ __all__ = [
     "builtin_model",
     "compile_potential",
     "compose",
+    "el_linearization",
     "energy_hessian_factor",
     "evaluate_hamiltonian",
     "evaluate_lagrangian",

@@ -28,9 +28,14 @@ pass's acceleration is Python floats too, by one of two rules:
 the two floats x, v that calls the scalar V' of ``potential_grad.scalar``
 (for an expression potential its compiled float body) straight from the
 loop, with no array a stage, and on every other model, a D > 1 constant
-metric off ``affine_flow`` included, the generalized force F from four
-callbacks and g acc = F by one Gaussian elimination with partial
-pivoting (``_solve``), with no numpy.linalg call a stage.
+metric off ``affine_flow`` included, the general rule: four callbacks
+read once a stage, and the generalized force F and g acc = F by one
+Gaussian elimination with partial pivoting, both in one straight-line
+body per dimension (``_stage_rule``), emitted and compiled once per
+process, with no loop and no numpy.linalg call a stage.  The general
+rule records the stage's metric, metric_grad and vector_potential_grad
+values beside (t, x, v, acc), and its flow step reads them there, not
+from the callbacks again.
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -214,15 +219,13 @@ def el_linearization(model: LagrangianModel, x, v, t, acc):
     or times of the same leading shape, and ``acc`` the acceleration a run
     has already computed at these points, stacked the same way.  Returns
     ``(jx, jv)``, stacked the same way, with ``jx = d acc / d x`` and
-    ``jv = d acc / d v``.  Each callback is read by ``models.along``, one
-    call per stack when it is stacked.  The potential contribution to jx
-    is analytic (potential_hess), and ``acc`` enters the g^-1 variation
-    term.  The x-derivatives of metric_grad and vector_potential_grad
-    vanish for models flagged ``kinetic_gradients_constant``; otherwise
-    only those two callbacks are central-differenced
-    (``_kinetic_force_x``), at 2D shifted stacks.  So one call reads
-    metric and potential_hess once each, metric_grad and
-    vector_potential_grad once, plus 2D times when unflagged, and
+    ``jv = d acc / d v``.  It reads metric_grad, vector_potential_grad
+    and metric at the points, each by ``models.along``, one call per
+    stack when it is stacked, and hands them to ``_linearization``, which
+    the general rule's flow step calls with the values its path pass
+    recorded.  So one call reads metric and potential_hess once each,
+    metric_grad and vector_potential_grad once, plus 2D times when the
+    model is not flagged ``kinetic_gradients_constant``, and
     potential_grad never.  A singular metric at any point raises
     SingularMetric.
     """
@@ -232,7 +235,22 @@ def el_linearization(model: LagrangianModel, x, v, t, acc):
     d = model.dim
     dg = _read(model.metric_grad, x, t, (d, d, d))
     da = _read(model.vector_potential_grad, x, t, (d, d))
-    gi = invert_metric(_read(model.metric, x, t, (d, d)), x, t)
+    g = _read(model.metric, x, t, (d, d))
+    return _linearization(model, x, v, t, acc, g, dg, da)
+
+
+def _linearization(model: LagrangianModel, x, v, t, acc, g, dg, da):
+    """``el_linearization`` from the metric values g (..., D, D),
+    metric_grad dg (..., D, D, D) and vector_potential_grad da (..., D, D)
+    at the points x.  The potential contribution to jx is analytic
+    (potential_hess), and ``acc`` enters the g^-1 variation term.  The
+    x-derivatives of metric_grad and vector_potential_grad vanish for
+    models flagged ``kinetic_gradients_constant``; otherwise only those
+    two callbacks are central-differenced (``_kinetic_force_x``), at 2D
+    shifted stacks.
+    """
+    d = model.dim
+    gi = invert_metric(g, x, t)
 
     dgv = _matvec(dg, v[..., None, :])
     vdg = _matvec(np.moveaxis(dg, -3, -1), v[..., None, :])
@@ -246,96 +264,149 @@ def el_linearization(model: LagrangianModel, x, v, t, acc):
     return gi @ dfdx, gi @ dfdv
 
 
-def _floats(value) -> list:
-    """A callback's array value as nested lists of Python floats."""
-    return np.asarray(value, dtype=float).tolist()
+def _names(prefix: str, shape: tuple) -> list:
+    """The local names ``prefix_i_j...`` of an array's entries, in C order."""
+    return [prefix + "".join(f"_{i}" for i in index)
+            for index in np.ndindex(*shape)]
 
 
-def _solve(g: list, rhs: list, x, t) -> list:
-    """g^-1 rhs as D floats, from the metric values g, a (D, D) nested
-    list of floats read at (x, t), and rhs, D floats; both are overwritten.
-
-    One Gaussian elimination with partial pivoting works on g and rhs
-    together, multiplying by the reciprocal pivots, so in D = 1 it is
-    rhs * (1/g).  det g is the product of the pivots: a metric singular
-    by ``models``'s rule, |det g| <= SINGULAR_METRIC_RTOL * prod_i
-    max_j |g_ij|, raises SingularMetric before the back substitution.
-    """
-    d = len(g)
-    bound = SINGULAR_METRIC_RTOL
-    for row in g:
-        bound *= max(map(abs, row))
-    det = 1.0
-    for k in range(d):
-        p = k
-        for i in range(k + 1, d):
-            if abs(g[i][k]) > abs(g[p][k]):
-                p = i
-        if p != k:
-            g[k], g[p] = g[p], g[k]
-            rhs[k], rhs[p] = rhs[p], rhs[k]
-        pivot = g[k]
-        det *= pivot[k]
-        if det == 0.0:   # a zero pivot ends the elimination
-            break
-        recip = pivot[k] = 1.0 / pivot[k]
-        for i in range(k + 1, d):
-            row = g[i]
-            m = row[k] * recip
-            for j in range(k + 1, d):
-                row[j] -= m * pivot[j]
-            rhs[i] -= m * rhs[k]
-    if det == 0.0 or abs(det) <= bound:
-        raise SingularMetric(f"metric singular at x={x}, t={t}")
-    for i in range(d - 1, -1, -1):
-        row = g[i]
-        s = rhs[i]
-        for j in range(i + 1, d):
-            s -= row[j] * rhs[j]
-        rhs[i] = s * row[i]
-    return rhs
+def _target(prefix: str, shape: tuple) -> str:
+    """An assignment target that unpacks nested lists of ``shape`` into
+    the locals ``prefix_i_j...``."""
+    if not shape:
+        return prefix
+    return "[" + ", ".join(_target(f"{prefix}_{i}", shape[1:])
+                           for i in range(shape[0])) + "]"
 
 
-def _general_linearization(model: LagrangianModel):
-    """``(acceleration, jacobians)`` of one run on any model.
+@functools.cache
+def _stage_rule(d: int):
+    """The general rule's stage body in dimension d: one straight-line
+    function ``rule(t, y, g, dg, da, grad)``, emitted and compiled once
+    per process per d.
 
-    ``acceleration(y, t)`` takes one state, a list of 2D floats (x, v),
-    and returns the acceleration as D floats.  It reads metric,
-    metric_grad, vector_potential_grad and potential_grad once each, at
-    x as a (D,) ndarray, takes each value into Python floats once, and
-    computes in floats the generalized force
+    ``y`` is the stage state, 2D floats (x, v), and g, dg, da and grad are
+    metric, metric_grad, vector_potential_grad and potential_grad at x as
+    nested lists of floats.  Returns the stage's record row, the
+    1 + 3D + 2D^2 + D^3 floats (t, x, v, acc, g, dg, da) with each array
+    in C order, or None when g is singular by ``models``'s rule.  The body
+    computes the generalized force
 
         F_i = sum_m (curl_im + sum_j (1/2 d_i g_mj - d_m g_ij) v_j) v_m
               - d_i V,
 
-    with ``curl = da^T - da``, then solves g acc = F by ``_solve``; it
-    makes no numpy.linalg call.  ``jacobians(x, v, t, acc)`` is
-    ``el_linearization`` at a stack of points with their accelerations.
+    with ``curl = da^T - da``, each sum from 0.0 in index order, and
+    solves g acc = F by one Gaussian elimination with partial pivoting
+    (the first row of strictly largest |entry| pivots), multiplying by
+    the reciprocal pivots, so in D = 1 it is F (1/g).  det g is the
+    product of the pivots: a zero pivot, or |det g| <=
+    SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|, gives None before the
+    back substitution, and a NaN entry passes quietly.  Every entry is a
+    local name and a row swap rebinds names, so the body has no loop, no
+    subscript and no call but ``abs`` and ``max``.
     """
-    d = model.dim
     span = range(d)
 
-    def acceleration(y, t):
-        x = np.array(y[:d])
-        g = _floats(model.metric(x, t))
-        dg = _floats(model.metric_grad(x, t))
-        da = _floats(model.vector_potential_grad(x, t))
-        grad = _floats(model.potential_grad(x, t))
-        v = y[d:]
-        force = []
-        for i in span:
-            dg_i, da_i = dg[i], da[i]
-            f = 0.0
-            for m in span:
-                dg_im, dg_mi = dg_i[m], dg[m][i]
-                s = da[m][i] - da_i[m]
-                for j in span:
-                    s += (0.5 * dg_im[j] - dg_mi[j]) * v[j]
-                f += s * v[m]
-            force.append(f - grad[i])
-        return _solve(g, force, x, t)
+    def swap(k: int, i: int) -> str:
+        upper = [f"e_{k}_{j}" for j in range(k, d)] + [f"r_{k}"]
+        lower = [f"e_{i}_{j}" for j in range(k, d)] + [f"r_{i}"]
+        return f"{', '.join(upper + lower)} = {', '.join(lower + upper)}"
 
-    return acceleration, functools.partial(el_linearization, model)
+    lines = ["def rule(t, y, g, dg, da, grad):",
+             f"    {', '.join(_names('x', (d,)) + _names('v', (d,)))} = y",
+             f"    {_target('g', (d, d))} = {_target('e', (d, d))} = g",
+             f"    {_target('dg', (d, d, d))} = dg",
+             f"    {_target('da', (d, d))} = da",
+             f"    {_target('grad', (d,))} = grad"]
+    for i in span:
+        force = "0.0"
+        for m in span:
+            s = f"(da_{m}_{i} - da_{i}_{m})"
+            for j in span:
+                s = f"({s} + (0.5 * dg_{i}_{m}_{j} - dg_{m}_{i}_{j}) * v_{j})"
+            force = f"({force} + {s} * v_{m})"
+        lines.append(f"    r_{i} = {force} - grad_{i}")
+    row_max = [", ".join(f"abs(g_{i}_{j})" for j in span) for i in span]
+    lines.append("    bound = " + " * ".join(
+        ["RTOL"] + [m if d == 1 else f"max({m})" for m in row_max]))
+    for k in span:
+        below = range(k + 1, d)
+        if len(below) == 1:
+            lines += [f"    if abs(e_{k + 1}_{k}) > abs(e_{k}_{k}):",
+                      f"        {swap(k, k + 1)}"]
+        elif below:
+            lines += [f"    p = {k}", f"    top = abs(e_{k}_{k})"]
+            for i in below:
+                lines += [f"    new = abs(e_{i}_{k})", "    if new > top:",
+                          f"        p = {i}", "        top = new"]
+            for i in below:
+                lines += [f"    {'if' if i == k + 1 else 'elif'} p == {i}:",
+                          f"        {swap(k, i)}"]
+        lines += [f"    det = {'det * ' if k else ''}e_{k}_{k}",
+                  "    if det == 0.0:", "        return None",
+                  f"    q_{k} = 1.0 / e_{k}_{k}"]
+        for i in below:
+            lines.append(f"    m = e_{i}_{k} * q_{k}")
+            lines += [f"    e_{i}_{j} = e_{i}_{j} - m * e_{k}_{j}"
+                      for j in range(k + 1, d)]
+            lines.append(f"    r_{i} = r_{i} - m * r_{k}")
+    lines += ["    if abs(det) <= bound:", "        return None"]
+    for i in reversed(span):
+        s = f"r_{i}"
+        for j in range(i + 1, d):
+            s = f"({s} - e_{i}_{j} * a_{j})"
+        lines.append(f"    a_{i} = {s} * q_{i}")
+    row = (["t"] + _names("x", (d,)) + _names("v", (d,)) + _names("a", (d,))
+           + _names("g", (d, d)) + _names("dg", (d, d, d))
+           + _names("da", (d, d)))
+    lines.append(f"    return [{', '.join(row)}]")
+    scope = {"__builtins__": {}, "abs": abs, "max": max,
+             "RTOL": SINGULAR_METRIC_RTOL}
+    exec(compile("\n".join(lines), f"<stage rule, D = {d}>", "exec"), scope)
+    return scope["rule"]
+
+
+def _general_linearization(model: LagrangianModel):
+    """``(stage, jacobians)`` of one run on any model.
+
+    ``stage(y, t)`` takes one state, a list of 2D floats (x, v), reads
+    metric, metric_grad, vector_potential_grad and potential_grad once
+    each, at x as a (D,) ndarray, takes each value into Python floats once
+    and returns ``_stage_rule``'s record row (t, x, v, acc, g, dg, da); it
+    makes no numpy.linalg call, and raises SingularMetric where g is
+    singular.  ``jacobians(stages)`` is ``_linearization`` on a block's
+    recorded rows, (4b, 1 + 3D + 2D^2 + D^3), with g, dg and da as views
+    of them: it reads only potential_hess and the 2D shifted stacks of
+    ``_kinetic_force_x``, and inverts the recorded g.
+    """
+    d = model.dim
+    rule = _stage_rule(d)
+    metric, metric_grad = model.metric, model.metric_grad
+    vector_potential_grad, potential_grad = (model.vector_potential_grad,
+                                             model.potential_grad)
+    array, asarray = np.array, np.asarray
+
+    def stage(y, t):
+        x = array(y[:d])
+        row = rule(t, y, asarray(metric(x, t), float).tolist(),
+                   asarray(metric_grad(x, t), float).tolist(),
+                   asarray(vector_potential_grad(x, t), float).tolist(),
+                   asarray(potential_grad(x, t), float).tolist())
+        if row is None:
+            raise SingularMetric(f"metric singular at x={x}, t={t}")
+        return row
+
+    def jacobians(stages):
+        at_dg = 3 * d + 1 + d * d
+        at_da = at_dg + d ** 3
+        return _linearization(
+            model, stages[:, 1:d + 1], stages[:, d + 1:2 * d + 1],
+            stages[:, 0], stages[:, 2 * d + 1:3 * d + 1],
+            stages[:, 3 * d + 1:at_dg].reshape(-1, d, d),
+            stages[:, at_dg:at_da].reshape(-1, d, d, d),
+            stages[:, at_da:].reshape(-1, d, d))
+
+    return stage, jacobians
 
 
 def _one_dim_linearization(model: LagrangianModel, x, t):
@@ -343,25 +414,31 @@ def _one_dim_linearization(model: LagrangianModel, x, t):
     metric, where ``metric_is_constant`` holds at (x, t), or None.
 
     The acceleration is the float product ``neg_recip * float(dv(x, t))``,
-    with ``neg_recip`` = -1/g from one ``_solve`` per run: the general rule's
-    bits (-V') (1/g) but for the sign of an exactly zero acceleration.
+    with ``neg_recip`` = -1/g once per run: minus ``_stage_rule(1)``'s
+    acceleration at rest under dV/dx = -1, so the general rule's bits
+    (-V') (1/g) but for the sign of an exactly zero acceleration.
     ``dv`` is ``potential_grad.scalar``, the scalar dV/dx that
     ``models._first_coordinate`` hands over (a compiled expression's float
     body), called at float x and t; a potential_grad without it is read at
     a (1,) ndarray.  The Jacobians are (-1/g) V'' and 0.  A stage reads
-    only V', a stack potential_hess.
+    only V', a stack potential_hess, and records (t, x, v, acc).
     """
     if model.dim != 1 or not metric_is_constant(model, x, t):
         return None
-    neg_recip = -_solve(_floats(model.metric(x, t)), [1.0], x, t)[0]
+    g = np.asarray(model.metric(x, t), dtype=float).tolist()
+    rest = _stage_rule(1)(t, [0.0, 0.0], g, [[[0.0]]], [[0.0]], [-1.0])
+    if rest is None:
+        raise SingularMetric(f"metric singular at x={x}, t={t}")
+    neg_recip = -rest[3]
     grad = model.potential_grad
     dv = getattr(grad, "scalar", None)
     if dv is None:
         def dv(x, t):
             return grad(np.array([x]), t)[0]
 
-    def jacobians(x, v, t, acc):
-        jx = neg_recip * _read(model.potential_hess, x, t, (1, 1))
+    def jacobians(stages):
+        jx = neg_recip * _read(model.potential_hess, stages[:, 1:2],
+                               stages[:, 0], (1, 1))
         return jx, np.zeros_like(jx)
 
     return dv, neg_recip, jacobians
@@ -533,17 +610,23 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     ``_one_dim_linearization`` is not None, ``_one_dim_path_pass`` steps
     the two floats x, v and calls the scalar V' at the float x, with
     nothing in between; every other model takes ``_path_pass``, a list of
-    2D floats, with ``_general_linearization``'s float force and
-    ``_solve`` on four callbacks read at a (D,) ndarray a stage.  The
-    block's stages, each one's time, point and acceleration, go to a flat
-    float64 record, which fills the block's rows of the history.  A flow
-    step (``_flow_step``) then advances vblock by the RK4 steps of the
+    2D floats, with ``_general_linearization``'s stage: four callbacks
+    read at a (D,) ndarray and ``_stage_rule``'s straight-line force and
+    elimination.  Each stage's row goes to a flat float64 record, which
+    fills the block's rows of the history: (t, x, v, acc), 1 + 3D floats,
+    in D = 1, and (t, x, v, acc, g, dg, da), 1 + 3D + 2D^2 + D^3 floats,
+    on the general rule, g, dg and da the metric, metric_grad and
+    vector_potential_grad values of the stage in C order.  A flow step
+    (``_flow_step``) then advances vblock by the RK4 steps of the
     linearized system on those same stages, with the Jacobian blocks read
-    at the recorded stages as a stack and the recorded accelerations, so
-    potential_grad is not read again.  ``tangents`` is then vblock(t_b)
-    alone, shape (1, 2D, m).  A run with m = 0 takes no flow step.  From
-    the first block whose path ends non-finite on, a run takes no flow
-    step, and its tangent block is NaN.
+    from the block's rows as a stack: the recorded accelerations, and on
+    the general rule the recorded g, dg and da, so a flow step reads only
+    potential_hess and, on a model not flagged
+    ``kinetic_gradients_constant``, the 2D shifted metric_grad and
+    vector_potential_grad stacks of ``_kinetic_force_x``.  ``tangents`` is
+    then vblock(t_b) alone, shape (1, 2D, m).  A run with m = 0 takes no
+    flow step.  From the first block whose path ends non-finite on, a run
+    takes no flow step, and its tangent block is NaN.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)
@@ -560,8 +643,8 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     h = float(_step_size(times))
     one_dim = _one_dim_linearization(model, x, t_a)
     if one_dim is None:
-        acceleration, jacobians = _general_linearization(model)
-        path_pass = functools.partial(_path_pass, acceleration)
+        stage, jacobians = _general_linearization(model)
+        path_pass = functools.partial(_path_pass, stage)
     else:
         dv, neg_recip, jacobians = one_dim
         path_pass = functools.partial(_one_dim_path_pass, dv, neg_recip)
@@ -569,9 +652,10 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     starts = times[:-1]
     states = np.empty((n_steps + 1, 2 * d))
     for k in range(0, n_steps, STEP_MAP_BLOCK):
-        record, y = path_pass(y, starts[k:k + STEP_MAP_BLOCK].tolist(), h)
-        stages = np.frombuffer(record).reshape(-1, 1 + 3 * d)
-        states[k:k + len(stages) // 4] = stages[::4, 1:2 * d + 1]
+        block = starts[k:k + STEP_MAP_BLOCK].tolist()
+        record, y = path_pass(y, block, h)
+        stages = np.frombuffer(record).reshape(4 * len(block), -1)
+        states[k:k + len(block)] = stages[::4, 1:2 * d + 1]
         if flow and not all(map(math.isfinite, y)):
             flow, vblock = False, np.full(vblock.shape, np.nan)
         elif flow:
@@ -580,20 +664,21 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     return times, states, vblock[None]
 
 
-def _path_pass(acceleration, y: list, starts: list, h: float):
+def _path_pass(stage, y: list, starts: list, h: float):
     """The path pass of the general rule: RK4 of the state ``y``, a list
-    of 2D floats (x, v), with ``acceleration(y, t)`` giving D floats, one
-    step from each of the start times ``starts``.  Returns the flat
-    float64 record of each stage's (t, x, v, acc) and the last state."""
+    of 2D floats (x, v), one step from each of the start times
+    ``starts``, with ``stage(y, t)`` giving the stage's record row, a list
+    of floats that starts (t, x, v, acc).  Returns the flat float64 record
+    of the rows, four a step, and the last state."""
     d = len(y) // 2
     half, sixth = 0.5 * h, h / 6.0
     record = array.array("d")
     push = record.fromlist
 
     def slope(y, t):
-        acc = acceleration(y, t)
-        push([t, *y, *acc])
-        return y[d:] + acc   # (v, acc)
+        row = stage(y, t)
+        push(row)
+        return row[d + 1:3 * d + 1]   # (v, acc)
 
     for t in starts:
         k1 = slope(y, t)
@@ -633,14 +718,13 @@ def _one_dim_path_pass(dv, neg_recip: float, y: list, starts: list,
 
 def _flow_step(jacobians, stages, vblock, h: float) -> np.ndarray:
     """vblock advanced over one block of a path pass: ``stages`` holds
-    each RK4 stage's (t, x, v, acc), four rows a step, and ``jacobians``
-    reads (jx, jv) at a stack of them.  One ``jacobians`` call on the
-    block's 4b stages, one ``_rk4_step_maps`` call on
+    each RK4 stage's record row, four rows a step, and ``jacobians``
+    reads (jx, jv) from a stack of them.  One ``jacobians`` call on the
+    block's 4b rows, one ``_rk4_step_maps`` call on
     M = [[0, 1], [jx, jv]] and one ``_compose`` of its maps give
     vblock + Q vblock."""
-    d = (stages.shape[1] - 1) // 3
-    jx, jv = jacobians(stages[:, 1:d + 1], stages[:, d + 1:2 * d + 1],
-                       stages[:, 0], stages[:, 2 * d + 1:])
+    d = len(vblock) // 2
+    jx, jv = jacobians(stages)
     gen = np.zeros((len(stages), 2 * d, 2 * d))
     gen[:, :d, d:] = np.eye(d)
     gen[:, d:, :d] = jx

@@ -90,7 +90,11 @@ class LagrangianModel:
         When metric_grad also vanishes (``metric_is_constant``), a D = 1
         path pass reads potential_grad alone a stage; in D > 1 the flag
         leaves the path pass alone, which reads four callbacks a stage
-        unless ``affine_flow`` is set.
+        unless ``affine_flow`` is set, and records the values of metric,
+        metric_grad and vector_potential_grad for the flow step.  The
+        flow step then reads potential_hess alone a stage; unflagged, it
+        also reads metric_grad and vector_potential_grad at the 2D
+        shifted points of the central differences.
     affine_flow : bool
         True when the Euler-Lagrange equations are linear in (x, v): g
         constant, a linear and V quadratic in x, at every t.  The RK4

@@ -9,10 +9,10 @@ from vanvleck import (ActionHessian, LagrangianModel, free_particle,
                       harmonic_oscillator, magnetic_field, one_dim_potential,
                       solve_bvp)
 from vanvleck.cli import build_model
-from vanvleck.dynamics import (_general_linearization, _one_dim_linearization,
-                               el_linearization)
+from vanvleck.dynamics import _one_dim_linearization, el_linearization
+from vanvleck.errors import SingularMetric
 from vanvleck.hessian import flow_seed
-from vanvleck.models import central_hessian
+from vanvleck.models import SINGULAR_METRIC_RTOL, central_hessian
 
 
 def make_quartic(mass: float = 1.0, hbar: float = 1.0):
@@ -205,10 +205,111 @@ def step_through(maps, y) -> np.ndarray:
     return out
 
 
+def loop_force(dg, da, grad, v) -> list:
+    """The generalized force of the general acceleration rule, by loops,
+
+        F_i = sum_m (curl_im + sum_j (1/2 d_i g_mj - d_m g_ij) v_j) v_m
+              - d_i V,
+
+    with ``curl = da^T - da``, from metric_grad dg, vector_potential_grad
+    da and potential_grad grad as nested lists of floats and the D floats
+    v.  The oracle of ``dynamics._stage_rule``'s force: the loops it was
+    emitted from, in the same order of operations.
+    """
+    span = range(len(v))
+    force = []
+    for i in span:
+        dg_i, da_i = dg[i], da[i]
+        f = 0.0
+        for m in span:
+            dg_im, dg_mi = dg_i[m], dg[m][i]
+            s = da[m][i] - da_i[m]
+            for j in span:
+                s += (0.5 * dg_im[j] - dg_mi[j]) * v[j]
+            f += s * v[m]
+        force.append(f - grad[i])
+    return force
+
+
+def loop_solve(g: list, rhs: list, x, t) -> list:
+    """g^-1 rhs as D floats, from the metric values g, a (D, D) nested
+    list of floats read at (x, t), and rhs, D floats; both are overwritten.
+
+    The oracle of ``dynamics._stage_rule``'s elimination, by the loops it
+    was emitted from: one Gaussian elimination with partial pivoting on g
+    and rhs together, multiplying by the reciprocal pivots.  A zero pivot,
+    or |det g| <= SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|, raises
+    SingularMetric before the back substitution.
+    """
+    d = len(g)
+    bound = SINGULAR_METRIC_RTOL
+    for row in g:
+        bound *= max(map(abs, row))
+    det = 1.0
+    for k in range(d):
+        p = k
+        for i in range(k + 1, d):
+            if abs(g[i][k]) > abs(g[p][k]):
+                p = i
+        if p != k:
+            g[k], g[p] = g[p], g[k]
+            rhs[k], rhs[p] = rhs[p], rhs[k]
+        pivot = g[k]
+        det *= pivot[k]
+        if det == 0.0:   # a zero pivot ends the elimination
+            break
+        recip = pivot[k] = 1.0 / pivot[k]
+        for i in range(k + 1, d):
+            row = g[i]
+            m = row[k] * recip
+            for j in range(k + 1, d):
+                row[j] -= m * pivot[j]
+            rhs[i] -= m * rhs[k]
+    if det == 0.0 or abs(det) <= bound:
+        raise SingularMetric(f"metric singular at x={x}, t={t}")
+    for i in range(d - 1, -1, -1):
+        row = g[i]
+        s = rhs[i]
+        for j in range(i + 1, d):
+            s -= row[j] * rhs[j]
+        rhs[i] = s * row[i]
+    return rhs
+
+
+def _floats(value) -> list:
+    return np.asarray(value, dtype=float).tolist()
+
+
+def loop_linearization(model):
+    """``dynamics._general_linearization`` of the loop rule, with nothing
+    recorded: ``stage(y, t)`` reads the four callbacks at x and returns
+    (t, x, v, acc) with acc from ``loop_force`` and ``loop_solve``, and
+    ``jacobians(stages)`` is ``el_linearization`` on a block's rows,
+    which reads metric, metric_grad and vector_potential_grad again.
+    """
+    d = model.dim
+
+    def stage(y, t):
+        x = np.array(y[:d])
+        g = _floats(model.metric(x, t))
+        force = loop_force(_floats(model.metric_grad(x, t)),
+                           _floats(model.vector_potential_grad(x, t)),
+                           _floats(model.potential_grad(x, t)), y[d:])
+        return [t, *y, *loop_solve(g, force, x, t)]
+
+    def jacobians(stages):
+        return el_linearization(model, stages[:, 1:d + 1],
+                                stages[:, d + 1:2 * d + 1], stages[:, 0],
+                                stages[:, 2 * d + 1:3 * d + 1])
+
+    return stage, jacobians
+
+
 def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     """Independent oracle of one Euler-Lagrange run: ``rk4`` on the
     (2D, 1 + m) state [(x, v), vblock], with the path pass's acceleration
-    rule and ``el_linearization`` at one point in each stage.
+    rule (the loop rule of ``loop_linearization`` off the D = 1 constant
+    metric) and ``el_linearization`` at one point in each stage.
 
     Column 0 is the path and columns 1..m the tangent block, both at
     every grid time: returns ``(times, ys)`` with ys of shape
@@ -222,7 +323,10 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     times = np.linspace(t_a, t_b, n_steps + 1)
     one_dim = _one_dim_linearization(model, y0[:d, 0], t_a)
     if one_dim is None:
-        acceleration = _general_linearization(model)[0]
+        stage = loop_linearization(model)[0]
+
+        def acceleration(y, t):
+            return stage(y, t)[2 * d + 1:]
     else:
         dv, neg_recip, _ = one_dim
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -32,9 +33,10 @@ from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
 from conftest import (AFFINE_CASES, AFFINE_IDS, _expression_model,
-                      combined_rk4_run, make_curled_metric,
+                      combined_rk4_run, loop_force, loop_linearization,
+                      loop_solve, make_curled_metric,
                       make_polar_free_particle, make_quartic,
-                      make_skewed_metric, step_through)
+                      make_skewed_metric, random_spd, step_through)
 
 
 def test_free_ivp_is_exact():
@@ -282,8 +284,10 @@ def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
 
 def _path_acceleration(model, x, v, t):
     """The path pass's acceleration rule at one point, as an ndarray."""
-    acceleration, _ = dynamics._general_linearization(model)
-    return np.array(acceleration(np.concatenate((x, v)).tolist(), t))
+    stage, _ = dynamics._general_linearization(model)
+    d = model.dim
+    row = stage(np.concatenate((x, v)).tolist(), t)
+    return np.array(row[2 * d + 1:3 * d + 1])
 
 
 def _reference_acceleration(model, x, v, t):
@@ -702,19 +706,29 @@ def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "el_linearization", counted_linearization)
+    recorded = []
+    real_recorded = dynamics._linearization
+
+    def counted_recorded(*args):
+        recorded.append(np.shape(args[1]))
+        return real_recorded(*args)
+
+    monkeypatch.setattr(dynamics, "_linearization", counted_recorded)
     n = 1000
     blocks = -(-n // dynamics.STEP_MAP_BLOCK)
     _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, True)
     assert calls == {("potential_grad", "point"): 4 * n,
                      ("potential_hess", "stacked"): blocks}
-    assert linearizations == []
-    # the same on a position-dependent metric: one el_linearization
-    # call per block, on the block's 4b stage points
+    assert linearizations == [] and recorded == []
+    # the same on a position-dependent metric: one linearization call per
+    # block, on the block's 4b recorded stages, and none of
+    # el_linearization, which would read the metric again
     polar = make_polar_free_particle()
     _rk4_run(polar, [1.0, 0.3], [0.4, 1.1], 0.0, 1.1, n, True)
     sizes = [4 * min(dynamics.STEP_MAP_BLOCK, n - k)
              for k in range(0, n, dynamics.STEP_MAP_BLOCK)]
-    assert linearizations == [(size, 2) for size in sizes]
+    assert linearizations == []
+    assert recorded == [(size, 2) for size in sizes]
 
 
 def test_one_dim_path_pass_calls_the_scalar_dv():
@@ -963,6 +977,129 @@ def test_path_pass_on_a_metric_makes_no_linalg_call(monkeypatch):
         "metric", "metric_grad", "vector_potential_grad", "potential_grad")}
 
 
+def test_flow_run_reads_each_metric_value_once(monkeypatch):
+    # the path pass records metric, metric_grad and vector_potential_grad
+    # at each stage and the flow step reads them from the record: a polar
+    # run with a flow reads the metric 4n times, where a flow step that
+    # called el_linearization read it 8n times, potential_grad and
+    # potential_hess 4n times each, and metric_grad and
+    # vector_potential_grad 4n times plus at the 2D shifted stacks of
+    # each stage
+    model, calls = _counted_callbacks(make_polar_free_particle())
+    n, d = 300, model.dim
+    assert n > dynamics.STEP_MAP_BLOCK
+    _rk4_run(model, [1.0, 0.3], [0.4, 1.1], 0.0, 1.1, n, True)
+    assert calls == {"metric": 4 * n, "potential_grad": 4 * n,
+                     "potential_hess": 4 * n,
+                     "metric_grad": 4 * n + 2 * d * 4 * n,
+                     "vector_potential_grad": 4 * n + 2 * d * 4 * n}
+
+
+def _rule_outcome(d, g, dg, da, grad, v):
+    """The emitted stage rule's acceleration as D floats, or the type of
+    the exception it gives: SingularMetric for a None row."""
+    y = [0.25 * i for i in range(d)] + list(v)
+    try:
+        row = dynamics._stage_rule(d)(0.5, y, g, dg, da, grad)
+    except ArithmeticError as exc:
+        return type(exc)
+    if row is None:
+        return SingularMetric
+    flat = np.concatenate([np.ravel(a) for a in (g, dg, da)])
+    assert row[:2 * d + 1] == [0.5, *y]
+    assert np.array(row[3 * d + 1:]).tobytes() == flat.tobytes()
+    return row[2 * d + 1:3 * d + 1]
+
+
+def _loop_outcome(d, g, dg, da, grad, v):
+    """``_rule_outcome`` of the loop rule, ``loop_force`` and
+    ``loop_solve``, on copies of the inputs."""
+    try:
+        return loop_solve([list(row) for row in g],
+                          loop_force(dg, da, grad, list(v)), None, 0.5)
+    except (ArithmeticError, SingularMetric) as exc:
+        return type(exc)
+
+
+def _bits(outcome):
+    return outcome if isinstance(outcome, type) else np.array(outcome).tobytes()
+
+
+def _metric_cases(rng, d):
+    """Metric values that take every branch of the elimination: random
+    symmetric and unsymmetric ones, a diagonally dominant one with its
+    rows in every order (each row swap of the pivot search), ties of the
+    search, where the first of the largest rows pivots, exactly zero
+    pivots, nearly singular and badly scaled values, NaN entries and an
+    overflowing determinant."""
+    cases = [random_spd(rng, d) for _ in range(40)]
+    cases += [rng.normal(size=(d, d)) for _ in range(40)]
+    for perm in itertools.permutations(range(d)):
+        scaled = np.diag(rng.uniform(0.5, 2.0, d)) + 0.1 * rng.normal(size=(d, d))
+        cases.append(scaled[list(perm)])
+    for _ in range(8):
+        tie = rng.normal(size=(d, d))
+        tie[:, 0] = rng.choice([-1.0, 1.0], size=d)
+        cases.append(tie)
+    if d == 3:
+        # no swap at the first step, then a tie of +-1 at the second
+        cases += [np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 2.0],
+                            [1.0, -1.0, 3.0]]),
+                  np.array([[1.0, 0.5, 0.0], [-1.0, 0.5, 2.0],
+                            [1.0, -1.5, 3.0]])]
+    zero_pivot = np.ones((d, d))
+    zero_pivot[:, 0] = np.arange(1.0, d + 1)
+    cases += [np.zeros((d, d)), zero_pivot, np.eye(d)[::-1] * 1.5,
+              np.diag([1.0] + [1e-14] * (d - 1)),
+              np.full((d, d), np.nan), np.diag([1e200] * (d - 1) + [0.0])]
+    if d == 2:
+        cases += [np.array([[0.1, 0.3], [0.3, 0.9]]),
+                  np.array([[1.0, 2.0], [2.0, 4.0]]),
+                  np.array([[0.0, 1.5], [1.5, 0.0]])]
+    for case in cases[:6]:
+        nan = case.copy()
+        nan[rng.integers(d), rng.integers(d)] = np.nan
+        cases.append(nan)
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_emitted_stage_rule_is_the_loop_rule(rng, d):
+    # the straight-line body does the loops' IEEE operations in their
+    # order: the same acceleration bits, or the same exception type, on
+    # every metric case, each with random force inputs, at rest, and with
+    # no force at all on a negative velocity, where the sums' zeros carry
+    # a sign that only the same order of operations keeps
+    outcomes = collections.Counter()
+    for g in _metric_cases(rng, d):
+        for scale, v in ((1.0, rng.normal(size=d)), (1.0, np.zeros(d)),
+                         (0.0, -np.abs(rng.normal(size=d)))):
+            inputs = (g.tolist(), (scale * rng.normal(size=(d, d, d))).tolist(),
+                      (scale * rng.normal(size=(d, d))).tolist(),
+                      (scale * rng.normal(size=d)).tolist(), v.tolist())
+            got = _rule_outcome(d, *inputs)
+            assert _bits(got) == _bits(_loop_outcome(d, *inputs)), inputs
+            outcomes[got if isinstance(got, type) else "acc"] += 1
+    assert outcomes["acc"] > 0 and outcomes[SingularMetric] > 0
+
+
+@pytest.mark.parametrize("model, x0, v0", [
+    (make_polar_free_particle(mass=1.5), [1.0, 0.3], [0.4, 1.1]),
+    (make_curled_metric(), [0.2, -0.1], [0.9, 0.4]),
+    (make_skewed_metric(), [0.1, -0.2, 0.3], [0.5, 0.4, -0.6]),
+], ids=["polar", "curled-metric", "skewed-metric-3"])
+def test_general_rule_run_is_the_loop_rule_run(monkeypatch, model, x0, v0):
+    # a whole run with a flow, over two blocks, against one driven by the
+    # loop rule that records nothing, so its flow step reads metric,
+    # metric_grad and vector_potential_grad again: the same bits
+    n = 300
+    _, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, True)
+    monkeypatch.setattr(dynamics, "_general_linearization", loop_linearization)
+    _, ref, ref_tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, True)
+    assert np.array_equal(states, ref)
+    assert np.array_equal(tangents, ref_tangents)
+
+
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
 def test_step_map_flow_does_not_depend_on_the_seed(model, x_a, x_b, t_b):
     # the flow does not depend on the trajectory, so two step-map runs
@@ -997,14 +1134,17 @@ def test_step_map_run_memory_stays_near_its_history():
 def test_two_pass_run_holds_its_output_and_one_block(monkeypatch):
     # a nonlinear run passes over one block of STEP_MAP_BLOCK steps at a
     # time, so beside its output it holds an allowance that grows with the
-    # block, not with n.  With blocks of 16 steps that is about 72 kB at
-    # D = 3 with a flow, mostly the flow step's Jacobian stacks on a
-    # block's 64 stages, 35 kB at D = 1, and 7 kB without a flow.  Both
-    # path passes: the general rule's (D = 3) and the D = 1 float loop's.
-    # A record of the whole run's stages, 320 B a step at D = 3 and 128 B
-    # at D = 1, would take each of these runs past the allowance.  Small
-    # blocks let short runs show it: tracemalloc traces every float the
-    # general rule's path pass allocates
+    # block, not with n.  With blocks of 16 steps that is about 95 kB at
+    # D = 3 with a flow, mostly the flow step's Jacobian stacks and the
+    # block's stage record, 64 rows of 55 floats (28 kB), 14 kB at D = 1,
+    # and 7 kB without a flow.  Both path passes: the general rule's
+    # (D = 3) and the D = 1 float loop's.  A record of the whole run's
+    # stages, 1760 B a step at D = 3 and 128 B at D = 1, would take each
+    # of these runs past the allowance.  Small blocks let short runs show
+    # it: tracemalloc traces every float the general rule's path pass
+    # allocates.  The first general-rule run at a dimension compiles that
+    # dimension's stage body once per process (a transient 0.5 MB at
+    # D = 3), so each case runs once on a short grid before it is traced
     monkeypatch.setattr(dynamics, "STEP_MAP_BLOCK", 16)
     allowance = 125_000
     quartic = _expression_model("0.5 * x^2 + 0.3 * x^4")
@@ -1015,6 +1155,7 @@ def test_two_pass_run_holds_its_output_and_one_block(monkeypatch):
             (quartic, [0.1], [1.2], 2_000, True),
             (quartic, [0.1], [1.2], 2_000, False)]:
         d = model.dim
+        _rk4_run(model, x0, v0, 0.0, 1.4, 16, flow)
         tracemalloc.start()
         try:
             times, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.4, n,
