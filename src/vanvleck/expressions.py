@@ -14,16 +14,21 @@ a zero, and never evaluates a dead term: ``d/dx (2 * x^4)`` at x = 1e80 is
 8e240, where ``0 * x^4`` would overflow.  The parsed tree itself is kept
 as written.  ``^`` is ``math.pow``, so a
 power with no real value raises ValueError and one that overflows raises
-OverflowError, not a complex number or infinity.  ``compile_node`` turns a
-tree into one straight-line Python body of ``evaluate``'s arithmetic,
-compiled once and bound to ``math`` and to numpy, behind a function marked
-as a stacked model callback: it evaluates one point on Python floats and
-arrays of points with numpy, and carries the float body as ``scalar``.
+OverflowError, not a complex number or infinity.  ``straight_line`` turns
+a tree into straight-line Python lines of ``evaluate``'s arithmetic, with
+each operation on constants alone folded into a constant, and the
+constants kept out of the text; ``compile_node`` compiles those lines
+once per shape (``compiled``) and binds them to ``math`` and to numpy,
+behind a function marked as a stacked model callback: it evaluates one
+point on Python floats and arrays of points with numpy, and carries the
+float body as ``scalar``.  ``dynamics`` inlines the same lines of a
+compiled dV/dx in its D = 1 path pass.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 import warnings
@@ -269,6 +274,8 @@ def parse_expression(text: str):
 
 
 _PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
+# the functions that straight-line code calls, on Python floats
+POINT_FUNCTIONS = {"pow": math.pow, **_FUNCTIONS}
 _NUMPY_FUNCTIONS = {"pow": np.power, "sin": np.sin, "cos": np.cos,
                     "exp": np.exp}
 
@@ -302,37 +309,67 @@ def _stacked_call(point, array, x, t):
     return np.array(np.broadcast_to(out, shape), dtype=float)
 
 
-def compile_node(node):
-    """Compile an AST into one function f(x, t) equal to ``node.evaluate``.
+def _evaluated(node):
+    """``node``, an operation on literals, folded into one literal when
+    ``evaluate`` gives it a finite value without raising, else None."""
+    try:
+        value = node.evaluate(0.0, 0.0)
+    except (ArithmeticError, ValueError):
+        return None
+    return _Num(value) if math.isfinite(value) else None
+
+
+def straight_line(node, x: str, t: str, prefix: str):
+    """``node`` as straight-line Python: ``(lines, result, constants)``.
 
     Every distinct node (by identity, so subtrees that ``diff`` shares are
-    computed once) becomes one local, emitted in ``evaluate``'s order with
-    the same operators.  Numeric constants are bound as names in the
-    function's globals, so the generated source holds only local names,
-    ``x``, ``t`` and the whitelisted function names: no config text.
-
-    The body's one source is compiled once and bound twice: to ``math``,
-    where ``^`` is ``math.pow`` and a division by zero raises
-    ZeroDivisionError, and to numpy.  The returned function is marked
-    ``models.stacked``: when x or t is an array it hands both bindings to
-    ``_stacked_call``; at a point (x and t numbers, not arrays) it calls
-    the ``math`` binding on ``float(x)`` and ``float(t)``, so also a numpy
-    float t gives Python float arithmetic.  That binding is the returned
-    function's ``scalar`` attribute, for a caller that already has Python
-    floats; its ``node`` attribute is the tree it computes.
+    computed once) becomes one name, in ``evaluate``'s order with the same
+    operators: the variables are the input names ``x`` and ``t``, an
+    operation is a local ``prefix<i>`` assigned by one unindented line of
+    ``lines``, and a literal is a constant ``c<i>``, where i numbers the
+    distinct nodes in the order they are first reached.  An operation
+    whose operands are all constants is folded into a constant when
+    ``evaluate`` gives it a finite value without raising, so it is
+    computed once, by the same IEEE operation; one that raises (``1/0``)
+    or overflows stays a line and raises or overflows at call time.
+    ``constants`` maps the constant names to their float values and
+    ``result`` is the name of the tree's value.  The lines hold only
+    names, operators and ``pow``, ``sin``, ``cos`` and ``exp`` calls, no
+    number: trees of one shape give the same lines.
     """
-    constants = {}
     names = {}
+    values = {}
+    constants = {}
     lines = []
+
+    def fold(n):
+        # n as a literal, or None; one frame a tree level, as in ``emit``
+        if id(n) not in values:
+            if isinstance(n, _Num):
+                literal = n
+            elif isinstance(n, _Var) or (isinstance(n, _Call)
+                                         and n.name not in _FUNCTIONS):
+                literal = None
+            elif isinstance(n, _Bin):
+                left, right = fold(n.left), fold(n.right)
+                literal = (None if left is None or right is None
+                           else _evaluated(_Bin(n.op, left, right)))
+            else:
+                arg = fold(n.arg)
+                literal = (None if arg is None else _evaluated(
+                    _Neg(arg) if isinstance(n, _Neg) else _Call(n.name, arg)))
+            values[id(n)] = literal
+        return values[id(n)]
 
     def emit(n) -> str:
         if id(n) in names:
             return names[id(n)]
-        if isinstance(n, _Num):
+        literal = fold(n)
+        if literal is not None:
             name = f"c{len(names)}"
-            constants[name] = n.value
+            constants[name] = literal.value
         elif isinstance(n, _Var):
-            name = "x" if n.name == "x" else "t"
+            name = x if n.name == "x" else t
         else:
             if isinstance(n, _Neg):
                 code = f"-{emit(n.arg)}"
@@ -344,15 +381,50 @@ def compile_node(node):
                 left, right = emit(n.left), emit(n.right)
                 code = (f"pow({left}, {right})" if n.op == "^"
                         else f"{left} {_PY_OPERATORS[n.op]} {right}")
-            name = f"v{len(names)}"
-            lines.append(f"    {name} = {code}")
+            name = f"{prefix}{len(names)}"
+            lines.append(f"{name} = {code}")
         names[id(n)] = name
         return name
 
     result = emit(node)
-    body = compile("\n".join(["def f(x, t):", *lines, f"    return {result}"]),
-                   "<expression>", "exec")
-    scope = {"__builtins__": {}, "pow": math.pow, **_FUNCTIONS, **constants}
+    return lines, result, constants
+
+
+@functools.lru_cache(maxsize=1024)
+def compiled(source: str, filename: str):
+    """``compile(source, filename, "exec")``, cached by its text.
+
+    A generated source holds no constant, so every tree of one shape
+    shares one code object, and each ``exec`` of it binds its own
+    constants in its own globals.  Code objects are immutable, so a
+    shared one carries nothing of the tree it was first compiled for.
+    """
+    return compile(source, filename, "exec")
+
+
+def compile_node(node):
+    """Compile an AST into one function f(x, t) equal to ``node.evaluate``.
+
+    The body is ``straight_line``'s, and its constants are bound as names
+    in the function's globals, so the generated source holds only local
+    names, ``x``, ``t`` and the whitelisted function names: no config
+    text.  It is compiled once per shape (``compiled``).
+
+    The body's code is bound twice: to ``math``, where ``^`` is
+    ``math.pow`` and a division by zero raises ZeroDivisionError, and to
+    numpy.  The returned function is marked ``models.stacked``: when x or
+    t is an array it hands both bindings to ``_stacked_call``; at a point
+    (x and t numbers, not arrays) it calls the ``math`` binding on
+    ``float(x)`` and ``float(t)``, so also a numpy float t gives Python
+    float arithmetic.  That binding is the returned function's ``scalar``
+    attribute, for a caller that already has Python floats; its ``node``
+    attribute, and the binding's own, is the tree it computes.
+    """
+    lines, result, constants = straight_line(node, "x", "t", "v")
+    body = compiled("\n".join(["def f(x, t):",
+                               *(f"    {line}" for line in lines),
+                               f"    return {result}"]), "<expression>")
+    scope = {"__builtins__": {}, **POINT_FUNCTIONS, **constants}
     array_scope = {"__builtins__": {}, **_NUMPY_FUNCTIONS,
                    **{name: np.float64(c) for name, c in constants.items()}}
     exec(body, scope)
@@ -365,7 +437,7 @@ def compile_node(node):
         return point(float(x), float(t))
 
     f.scalar = point
-    f.node = node
+    f.node = point.node = node
     return stacked(f)
 
 

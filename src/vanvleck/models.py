@@ -27,10 +27,11 @@ builtins' closed forms are marked, those built on a user's ``omega2`` or
 A ``one_dim_potential`` callback also carries a scalar function of the
 position as its ``scalar`` attribute, in the same way: the float body of a
 compiled expression (``expressions.compile_node``), or the user's function
-itself.  The D = 1 path pass of a nonlinear run calls
-``potential_grad.scalar`` at Python floats, once a stage; a potential_grad
-swapped in or wrapped has no such attribute, and the path pass reads it at
-a (1,) ndarray instead.
+itself; a compiled body carries its tree as ``node``.  The D = 1 path
+pass of a nonlinear run inlines the lines of that tree, and otherwise
+calls ``potential_grad.scalar`` at Python floats, once a stage; a
+potential_grad swapped in or wrapped has no such attribute, and the path
+pass reads it at a (1,) ndarray instead.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from .errors import NonSPDMass, SingularMetric
 # the noise floor against truncation.
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
-# A metric value g is singular when |det g| <= SINGULAR_METRIC_RTOL *
-# prod_i max_j |g_ij|.  Dividing each row by its largest entry leaves the
-# test unchanged, so a metric whose coordinates differ in scale, such as
-# diag(1, 1e-14), passes; ``invert_metric``, ``metric_solve`` and the
-# path pass's float elimination in ``dynamics`` all apply it.
+# A metric value g is singular when its elimination meets a zero pivot
+# (det g is then 0, whatever the bound overflows to) or when |det g| <=
+# SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|.  Dividing each row by its
+# largest entry leaves the test unchanged, so a metric whose coordinates
+# differ in scale, such as diag(1, 1e-14), passes; ``invert_metric``,
+# ``metric_solve`` and the path pass's float elimination in ``dynamics``
+# all apply it.
 SINGULAR_METRIC_RTOL = 1e-12
 
 
@@ -143,12 +146,15 @@ def _check_point(model: LagrangianModel, x, name: str = "x") -> np.ndarray:
 def _require_regular(g: np.ndarray, x, t) -> None:
     """Raise SingularMetric when any metric value in the stack g,
     (..., D, D), read at the points x and times t, is singular by the
-    SINGULAR_METRIC_RTOL rule; a NaN value passes, quietly, as in the
-    float elimination."""
-    bound = SINGULAR_METRIC_RTOL * np.prod(np.abs(g).max(axis=-1), axis=-1)
-    with np.errstate(invalid="ignore"):
+    SINGULAR_METRIC_RTOL rule: a zero det, which numpy gives for a zero
+    pivot (a zero row among them) whatever the bound overflows to, or
+    |det| <= bound.  A NaN value passes, quietly, as in the float
+    elimination, and no value warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = SINGULAR_METRIC_RTOL * np.prod(np.abs(g).max(axis=-1),
+                                               axis=-1)
         det = np.linalg.det(g)
-    if np.any(np.abs(det) <= bound):
+    if np.any((det == 0.0) | (np.abs(det) <= bound)):
         raise SingularMetric(f"metric singular at x={x}, t={t}")
 
 
@@ -486,9 +492,9 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
     expression down its numpy path, about 40 times slower per call than a
     float.  The callback carries ``f.scalar`` as its own ``scalar``
     attribute when ``f`` has one (a compiled expression's float body), and
-    ``f`` otherwise, so the D = 1 path pass calls that function at its
-    Python float x and wraps no array a stage (see the module
-    docstring)."""
+    ``f`` otherwise, so the D = 1 path pass inlines or calls that
+    function at its Python float x and wraps no array a stage (see the
+    module docstring)."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:

@@ -27,16 +27,19 @@ from vanvleck import (
     solve_bvp,
     state_at,
 )
-from vanvleck import dynamics, expressions
+from vanvleck import ConfigError, dynamics, expressions
 from vanvleck.cli import MAX_N_STEPS, build_model
 from vanvleck.dynamics import Trajectory, _rk4_run, simpson_action
 from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 
+from test_expressions import ACCEPTED
+
 from conftest import (AFFINE_CASES, AFFINE_IDS, _expression_model,
-                      combined_rk4_run, loop_force, loop_linearization,
-                      loop_solve, make_curled_metric,
+                      combined_rk4_run, general_linearization, loop_force,
+                      loop_linearization, loop_solve, make_curled_metric,
                       make_polar_free_particle, make_quartic,
-                      make_skewed_metric, random_spd, step_through)
+                      make_skewed_metric, pass_rk4_run, random_spd,
+                      step_through)
 
 
 def test_free_ivp_is_exact():
@@ -283,11 +286,13 @@ def test_bvp_stops_at_the_first_non_finite_miss(monkeypatch):
 
 
 def _path_acceleration(model, x, v, t):
-    """The path pass's acceleration rule at one point, as an ndarray."""
-    stage, _ = dynamics._general_linearization(model)
+    """The general path pass's acceleration at one point, as an ndarray:
+    the first stage of one step from (x, v) at t."""
     d = model.dim
-    row = stage(np.concatenate((x, v)).tolist(), t)
-    return np.array(row[2 * d + 1:3 * d + 1])
+    record, _ = dynamics._general_pass(d)(
+        0.1, model.metric, model.metric_grad, model.vector_potential_grad,
+        model.potential_grad, np.concatenate((x, v)).tolist(), [t])
+    return np.array(record[2 * d + 1:3 * d + 1])
 
 
 def _reference_acceleration(model, x, v, t):
@@ -733,51 +738,60 @@ def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
 
 def test_one_dim_path_pass_calls_the_scalar_dv():
     # a config one_dim_potential hands the D = 1 path pass its compiled
-    # dV/dx body as potential_grad.scalar: each stage makes exactly one
-    # call into the expression, that body, straight from the pass loop at
-    # Python floats, and the model callback, which wraps that float in
-    # arrays, is not called.  A potential_grad without the attribute is
-    # read at a (1,) ndarray to the same bits
+    # dV/dx body, with its tree, as potential_grad.scalar: the pass
+    # inlines that body, so once it is built, at the model's first run, a
+    # run makes no call into expression code at all.  A plain scalar
+    # dV/dx, a function of floats, is called once a stage at Python
+    # floats, and a potential_grad without the attribute once a stage at
+    # a (1,) ndarray, to the same bits
     base = _expression_model("0.5 * x^2 + 0.3 * x^4")
     assert not base.affine_flow
     grad = base.potential_grad
-    body = grad.scalar.__code__
+    n = 40
+    _, states, tangents = _rk4_run(base, [0.2], [0.9], 0.0, 1.1, n, True)
     entered = collections.Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename in (
-                body.co_filename, expressions.__file__):
-            entered[frame.f_code is body, frame.f_back.f_code.co_name,
-                    type(frame.f_locals.get("x")),
-                    type(frame.f_locals.get("t"))] += 1
+                "<expression>", expressions.__file__):
+            entered[frame.f_code.co_name] += 1
 
-    n = 40
     sys.setprofile(profile)
     try:
-        _rk4_run(base, [0.2], [0.9], 0.0, 1.1, n, False)
+        _, again, _ = _rk4_run(base, [0.2], [0.9], 0.0, 1.1, n, False)
     finally:
         sys.setprofile(None)
-    assert entered == {(True, "_one_dim_path_pass", float, float): 4 * n}
+    assert entered == {}
+    np.testing.assert_array_equal(again, states)
     calls = collections.Counter()
 
-    def callback(x, t):
-        calls["potential_grad", "stacked" if np.ndim(t) else "point"] += 1
-        return grad(x, t)
-
     def scalar(x, t):
-        calls["scalar", type(x).__name__] += 1
+        calls["scalar", type(x).__name__, type(t).__name__] += 1
         return grad.scalar(x, t)
+
+    def callback(x, t):
+        calls["potential_grad", np.shape(x)] += 1
+        return grad(x, t)
 
     callback.scalar = scalar
     model = dataclasses.replace(base, potential_grad=stacked(callback))
-    _, states, tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, True)
-    assert calls == {("scalar", "float"): 4 * n}
-    wrapped = dataclasses.replace(
-        base, potential_grad=stacked(lambda x, t: grad(x, t)))
-    _, ref, ref_tangents = _rk4_run(wrapped, [0.2], [0.9], 0.0, 1.1, n,
-                                    True)
-    np.testing.assert_array_equal(states, ref)
-    np.testing.assert_array_equal(tangents, ref_tangents)
+    _, plain, plain_tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n,
+                                        True)
+    assert calls == {("scalar", "float", "float"): 4 * n}
+    calls.clear()
+
+    def wrapped(x, t):
+        calls["potential_grad", np.shape(x)] += 1
+        return grad(x, t)
+
+    model = dataclasses.replace(base, potential_grad=stacked(wrapped))
+    _, arrays, array_tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n,
+                                         True)
+    assert calls == {("potential_grad", (1,)): 4 * n}
+    for other, other_tangents in ((plain, plain_tangents),
+                                  (arrays, array_tangents)):
+        np.testing.assert_array_equal(other, states)
+        np.testing.assert_array_equal(other_tangents, tangents)
 
 
 def test_ivp_and_non_finite_paths_make_no_flow_pass(recwarn):
@@ -1088,16 +1102,147 @@ def test_emitted_stage_rule_is_the_loop_rule(rng, d):
     (make_curled_metric(), [0.2, -0.1], [0.9, 0.4]),
     (make_skewed_metric(), [0.1, -0.2, 0.3], [0.5, 0.4, -0.6]),
 ], ids=["polar", "curled-metric", "skewed-metric-3"])
-def test_general_rule_run_is_the_loop_rule_run(monkeypatch, model, x0, v0):
+def test_general_rule_run_is_the_loop_rule_run(model, x0, v0):
     # a whole run with a flow, over two blocks, against one driven by the
     # loop rule that records nothing, so its flow step reads metric,
-    # metric_grad and vector_potential_grad again: the same bits
+    # metric_grad and vector_potential_grad again, and against the path
+    # pass that called the stage rule once a stage: the same bits
     n = 300
     _, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, True)
-    monkeypatch.setattr(dynamics, "_general_linearization", loop_linearization)
-    _, ref, ref_tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, True)
-    assert np.array_equal(states, ref)
-    assert np.array_equal(tangents, ref_tangents)
+    for general in (loop_linearization, general_linearization):
+        _, ref, ref_tangents = pass_rk4_run(model, x0, v0, 0.0, 1.1, n, True,
+                                            general)
+        assert np.array_equal(states, ref)
+        assert np.array_equal(tangents, ref_tangents)
+
+
+def _run_or_error(run, *args):
+    """``run(*args)``, or the type of the arithmetic error it raises."""
+    try:
+        return run(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _potential_model(text):
+    """``one_dim_potential`` of the compiled text, never ``affine_flow``,
+    so every run takes the D = 1 path pass; None for a text whose
+    derivative does not compile (an exponent that depends on x)."""
+    try:
+        return one_dim_potential(*compile_potential(text))
+    except ConfigError:
+        return None
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ACCEPTED],
+                         ids=[f"accept{i}" for i in range(len(ACCEPTED))])
+def test_inlined_one_dim_pass_is_the_called_pass(text):
+    # every accepted expression, t, sin, cos, exp and division included:
+    # the pass that inlines dV/dx against the one that called it once a
+    # stage and recorded four stage rows a step, over two blocks with a
+    # flow, from t_a = 0.1: the same positions, velocities and flow
+    # bits, or the same exception type
+    model = _potential_model(text)
+    if model is None:
+        return
+    args = (model, [0.3], [0.8], 0.1, 1.2, 300, True)
+    got = _run_or_error(_rk4_run, *args)
+    want = _run_or_error(pass_rk4_run, *args)
+    if isinstance(want, type):
+        assert got is want, text
+        return
+    _, states, tangents = got
+    _, ref, ref_tangents = want
+    np.testing.assert_array_equal(states, ref)
+    np.testing.assert_array_equal(tangents, ref_tangents)
+
+
+def test_inlined_stage_raises_the_called_stage_error():
+    # x^0.5 has dV/dx = 0.5 * x^-0.5, which has no real value once the
+    # path crosses x = 0: both passes raise math.pow's ValueError
+    model = _potential_model("x^0.5")
+    args = (model, [0.2], [-1.0], 0.0, 1.0, 40, False)
+    assert _run_or_error(pass_rk4_run, *args) is ValueError
+    with pytest.raises(ValueError):
+        _rk4_run(*args)
+
+
+def test_same_shape_expressions_share_code_and_keep_their_constants():
+    # the generated sources hold no constants: two potentials of one
+    # shape share the code objects of their bodies and of their path
+    # passes, and each binding computes with its own constants
+    texts = ("0.37 * x^2 + 0.81 * x^4", "0.52 * x^2 + 0.14 * x^4")
+    models = [_potential_model(text) for text in texts]
+    scalars = [model.potential_grad.scalar for model in models]
+    assert scalars[0].__code__ is scalars[1].__code__
+    passes = [dynamics._one_dim_pass(model.potential_grad, 0.01, -1.0).func
+              for model in models]
+    assert passes[0] is not passes[1]
+    assert passes[0].__code__ is passes[1].__code__
+    runs = []
+    for model, scalar in zip(models, scalars):
+        assert scalar(0.7, 0.0) == scalar.node.evaluate(0.7, 0.0)
+        _, states, tangents = _rk4_run(model, [0.3], [0.8], 0.0, 1.2, 300,
+                                       True)
+        _, ref, ref_tangents = pass_rk4_run(model, [0.3], [0.8], 0.0, 1.2,
+                                            300, True)
+        np.testing.assert_array_equal(states, ref)
+        np.testing.assert_array_equal(tangents, ref_tangents)
+        runs.append(states)
+    assert not np.array_equal(*runs)
+
+
+def test_a_tree_too_deep_to_emit_is_called(monkeypatch):
+    # a dV/dx tree that its parse accepted but that runs out of stack
+    # when the path pass is emitted, deeper down, is called once a stage
+    # instead, to the same bits, and not emitted again
+    text = "0.5 * x^2 + 0.3 * x^4"
+    _, states, tangents = _rk4_run(_potential_model(text), [0.3], [0.8],
+                                   0.0, 1.2, 300, True)
+    real = dynamics._emit_one_dim_pass
+    attempts = []
+
+    def too_deep(node):
+        if node is None:
+            return real(node)
+        attempts.append(node)
+        raise RecursionError
+
+    monkeypatch.setattr(dynamics, "_emit_one_dim_pass", too_deep)
+    model = _potential_model(text)
+    for _ in range(2):
+        _, again, again_tangents = _rk4_run(model, [0.3], [0.8], 0.0, 1.2,
+                                            300, True)
+        np.testing.assert_array_equal(again, states)
+        np.testing.assert_array_equal(again_tangents, tangents)
+    assert len(attempts) == 1
+
+
+def test_zero_pivot_is_singular_whatever_the_det_overflows_to():
+    # diag(1e200, 1e200, 0): the product of the pivots overflows to inf
+    # before the zero pivot, and inf * 0 is NaN, which no det test sees;
+    # the path pass, el_linearization and evaluate_hamiltonian all raise
+    # SingularMetric, with no numpy warning
+    g = np.diag([1e200, 1e200, 0.0])
+    zero3, zero33 = np.zeros(3), np.zeros((3, 3))
+    model = LagrangianModel(
+        dim=3, metric=lambda x, t: g,
+        metric_grad=lambda x, t: np.zeros((3, 3, 3)),
+        vector_potential=lambda x, t: zero3,
+        vector_potential_grad=lambda x, t: zero33,
+        potential=lambda x, t: 0.0, potential_grad=lambda x, t: zero3,
+        potential_hess=lambda x, t: zero33)
+    x, p = np.array([0.1, 0.2, 0.3]), np.array([1.0, -0.5, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric):
+            _rk4_run(model, x, [1.0, 0.0, 0.5], 0.0, 1.0, 40, True)
+        with pytest.raises(SingularMetric):
+            evaluate_hamiltonian(model, x, p, 0.0)
+        with pytest.raises(SingularMetric):
+            dynamics.el_linearization(model, np.ones((2, 3)),
+                                      np.ones((2, 3)), np.zeros(2),
+                                      np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import re
 import warnings
 
 import numpy as np
@@ -238,7 +239,10 @@ def test_model_scalar_is_the_compiled_float_body():
 
 
 def _compiled_sources(monkeypatch, text):
-    """The sources that ``compile_potential(text)`` compiles or execs."""
+    """The sources that ``compile_potential(text)`` compiles or execs,
+    from an empty compile cache, so a shape compiled earlier in the
+    process is compiled again."""
+    expressions.compiled.cache_clear()
     sources = []
     for name in ("compile", "exec"):
         def counted(source, *args, real=getattr(builtins, name)):
@@ -265,6 +269,65 @@ def test_quartic_derivative_bodies_make_one_pow_each(monkeypatch):
     # 0.7 * (4 * (3 * x^2)): no 0 * x^n, no x^1, no factor 1
     _, first, second = _compiled_sources(monkeypatch, "0.3 * x^2 + 0.7 * x^4")
     assert first.count("pow(") == second.count("pow(") == 1
+
+
+def _trees(text):
+    """The parsed tree of ``text`` and its derivative trees that exist."""
+    trees = [parse_expression(text)]
+    try:
+        trees += [trees[0].diff(), trees[0].diff().diff()]
+    except ConfigError:   # an exponent that depends on x
+        pass
+    return trees
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ACCEPTED],
+                         ids=[f"accept{i}" for i in range(len(ACCEPTED))])
+def test_constant_operations_fold_to_the_evaluate_bits(text):
+    # an operation on constants alone is computed once, at compile time,
+    # unless it raises or overflows: no such line is left, and the
+    # compiled body gives evaluate's bits or its error at every point
+    for tree in _trees(text):
+        lines, _, constants = expressions.straight_line(tree, "x", "t", "v")
+        scope = {"__builtins__": {}, **expressions.POINT_FUNCTIONS,
+                 **constants}
+        for line in lines:
+            code = line.split(" = ", 1)[1]
+            operands = [name for name in re.findall(r"[a-z]\w*", code)
+                        if name not in expressions.POINT_FUNCTIONS]
+            if all(name in constants for name in operands):
+                value = _value_or_error(lambda x, t: eval(code, scope), 0, 0)
+                assert value in (ZeroDivisionError, ValueError,
+                                 OverflowError) or not math.isfinite(value)
+        f = compile_node(tree)
+        for x in (-1.3, -0.4, 0.0, 0.6, 1.7):
+            for t in (0.0, 0.35, 1.1):
+                want = _value_or_error(tree.evaluate, x, t)
+                got = _value_or_error(f.scalar, x, t)
+                assert (got is want if isinstance(want, type)
+                        else got.hex() == want.hex()), (text, x, t)
+
+
+def test_constant_operations_that_raise_raise_at_call_time():
+    # 1/0 and (-1)^0.5 compile, and raise when the function is called
+    for text, error in (("1/0", ZeroDivisionError),
+                        ("(-1)^0.5 + t", ValueError)):
+        f = compile_node(parse_expression(text))
+        with pytest.raises(error):
+            f.scalar(0.3, 0.1)
+        with pytest.raises(error):
+            f(np.array([0.3, 0.4]), 0.1)
+
+
+def test_quartic_second_derivative_folds_its_constant_product():
+    # d2V/dx2 of 0.3 * x^2 + 0.7 * x^4 is 0.3 * 2 + 0.7 * (4 * (3 * x^2)):
+    # the product 0.3 * 2 is one constant, bound by name, not a line
+    second = parse_expression("0.3 * x^2 + 0.7 * x^4").diff().diff()
+    lines, _, constants = expressions.straight_line(second, "x", "t", "v")
+    assert 0.3 * 2 in constants.values()
+    assert not any(re.fullmatch(r"v\d+ = c\d+ \* c\d+", line)
+                   for line in lines)
+    assert compile_node(second)(1.5, 0.0) == second.evaluate(1.5, 0.0)
 
 
 def _operation_nodes(node, seen):
