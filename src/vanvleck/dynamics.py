@@ -6,42 +6,66 @@ boundary problems are solved by Newton shooting on the initial velocity.
 The shooting Jacobian comes from the variational (Jacobi) flow propagated
 alongside the trajectory with the same RK4 stages, so it is the derivative
 of the discrete endpoint map to machine precision and Newton converges
-quadratically on each grid.  On a model flagged ``affine_flow`` (a linear
-builtin, or an expression potential of degree at most 2 in x) the
-Euler-Lagrange system itself is linear, so each RK4 step is one affine
-map of the state, a linear map in homogeneous coordinates: ``linear_rk4``
-samples the system at the stage times of a block of steps, builds the
-block's maps by batched matmuls and composes them by a balanced tree of
-batched products (``_compose``), with no Python right-hand side per
-stage and no Python product per step.  The endpoint map is then
+quadratically on each grid.
+
+Linear systems.  ``linear_rk4`` steps Y' = M(t) Y by precomputed step
+maps: each block of STEP_MAP_BLOCK steps samples M once at its 2b + 1
+stage times and builds its maps in ``_rk4_step_maps``, and ``_compose``
+multiplies them as a balanced tree of batched products, in increment
+form S - 1: every prefix product when the history is kept, the block's
+total otherwise, so there is no Python product per step and rounding
+grows like log n, not n.  An affine system carries its forcing in
+homogeneous coordinates.
+
+One Euler-Lagrange run (``_rk4_run``) serves every integration: it
+carries (x, v) and m >= 0 tangent columns (``integrate_ivp`` is a run
+with m = 0, a Newton iterate one with m = 2D).  On a model flagged
+``affine_flow`` (a linear builtin, or an expression potential of degree
+at most 2 in x) the run is ``linear_rk4`` on [(x, v), tangents], reading
+potential_hess and potential_grad at x = 0.  The endpoint map is then
 exactly affine, so Newton's first correction is exact and is applied by
 superposition of the first run's tangent columns: one run gives the path
-and its flow.  On any other model a run takes two passes, one block of
-steps at a time: the path pass steps (x, v) alone, as the Python float
-locals of one emitted loop with the four RK4 stages written out, each
-stage computing only the acceleration, and records what the flow reads;
-the flow then reads the linearization once, on the block's recorded
-stages as a stack, and is advanced by the composed step maps of that
-linear system, one product a block, keeping only its value at t_b.  So
-beside its output a run holds one block.  The path pass's acceleration
-is Python floats too, by one of two rules.  In D = 1 on a constant
-metric it is (-1/g) V': the loop steps the two floats x, v with V'
-inlined, four renamed copies of the straight-line lines of an
-expression potential's compiled dV/dx (``expressions.straight_line``),
-built at the model's first run and kept for its others, or, for any
-other V', called at floats; it records five floats a step, x, v and the
-positions of the step's other three stages, and the flow reads the
-stage times off the grid.  On every other model, a D > 1 constant
-metric off ``affine_flow`` included, it is the general rule: four
-callbacks read once a stage, and the generalized force F and g acc = F
-by one Gaussian elimination with partial pivoting, straight-line lines
-per dimension (``_stage_lines``) written into the loop at each stage,
-which is emitted and compiled once per process per D, with no call a
-stage but the callbacks and no numpy.linalg call.  The general rule
-records each stage's (t, x, v, acc) and its metric, metric_grad and
-vector_potential_grad values, and its flow step reads them there, not
-from the callbacks again.  Every generated source holds names, not
+and its flow.
+
+Any other model runs in two passes, one block of STEP_MAP_BLOCK steps at
+a time, so beside its output a run holds one block.  The path pass steps
+(x, v) alone, in one emitted loop per rule over the block's steps, with
+the four RK4 stages written out, the state in Python float locals and
+the classical RK4 order of operations, so its path is the same bits as a
+numpy RK4 stepper's.  Each stage computes only the acceleration, with no
+numpy.linalg call, by one of two rules:
+
+- D = 1 on a constant metric, with a potential_grad that carries a
+  compiled expression's dV/dx tree as ``node``: (-1/g) V', with -1/g
+  from ``models.invert_metric`` once a run.  The loop steps the two
+  floats x, v with four renamed copies of the tree's straight-line lines
+  inlined (``expressions.straight_line``), so a stage makes no call; it
+  is built at the model's first run and kept for its others.  Its record
+  holds five floats a step, x, v and the positions of the step's other
+  three stages, and the flow reads the stage times off the grid.
+- Every other model, a D = 1 potential_grad without a tree (a user's
+  callable, a wrapped callback) and a tree too deep to emit included:
+  the general rule.  Four callbacks are read once a stage at a (D,)
+  ndarray, and the generalized force F and g acc = F are computed by
+  one Gaussian elimination with partial pivoting, in straight-line lines
+  per dimension (``_stage_lines``) written into the loop at each stage,
+  which is emitted and compiled once per process per D.  Its record
+  holds one row a stage, (t, x, v, acc) and the metric, metric_grad and
+  vector_potential_grad values, and its flow step reads them there, not
+  from the callbacks again.  In D = 1 on a constant metric it gives the
+  first rule's bits, (-V') (1/g), but for the sign of an exactly zero
+  acceleration.
+
+As the path pass finishes each block, one flow step reads the
+linearization once from the block's record, as a stack, so it reads
+only potential_hess and, on a position-dependent metric, metric_grad and
+vector_potential_grad at the 2D shifted points of its central
+differences.  It advances the tangent block by the composed step maps of
+that linear system, one product a block, keeping only its value at t_b.
+``el_linearization`` is the same linearization at any points, reading
+the metric callbacks itself.  Every generated source holds names, not
 numbers, and is compiled once per text (``expressions.compiled``).
+
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
 and the fine grid takes about two runs.  The first of them takes a chord
@@ -327,13 +351,15 @@ def _stage_lines(d: int, v: list, acc: list, fail: str) -> list:
     solve g acc = F by one Gaussian elimination with partial pivoting
     (the first row of strictly largest |entry| pivots), multiplying by
     the reciprocal pivots, so in D = 1 it is F (1/g).  det g is the
-    product of the pivots.  g is singular by ``models``'s rule: a zero
-    pivot, a zero det (one that underflows too), or |det g| <=
-    SINGULAR_METRIC_RTOL * prod_i max_j |g_ij| runs ``fail`` before the
-    back substitution, so a zero pivot is caught whatever an overflowing
-    det before it makes of the product, and a NaN entry passes quietly.
-    Every entry is a local name and a row swap rebinds names, so the
-    lines have no loop, no subscript and no call but ``abs`` and ``max``.
+    product of the pivots.  g is singular by ``models``'s rule, and runs
+    ``fail`` before the back substitution: a zero pivot, caught at its
+    step whatever an overflowing det before it makes of the product, or
+    |det g| <= SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|, decided again
+    in logarithms where the products say singular, so that a det or a
+    bound that overflows or underflows does not decide it.  A NaN entry
+    passes quietly.  Every entry is a local name and a row swap rebinds
+    names, so the lines have no loop, no subscript and no call but
+    ``abs``, ``max`` and, on a product test that fails, ``log``.
     """
     span = range(d)
 
@@ -352,8 +378,9 @@ def _stage_lines(d: int, v: list, acc: list, fail: str) -> list:
             force = f"({force} + {s} * {v[m]})"
         lines.append(f"r_{i} = {force} - grad_{i}")
     row_max = [", ".join(f"abs(g_{i}_{j})" for j in span) for i in span]
-    lines.append("bound = " + " * ".join(
-        ["RTOL"] + [m if d == 1 else f"max({m})" for m in row_max]))
+    if d > 1:
+        row_max = [f"max({m})" for m in row_max]
+    lines.append("bound = " + " * ".join(["RTOL", *row_max]))
     for k in span:
         below = range(k + 1, d)
         if len(below) == 1:
@@ -367,16 +394,18 @@ def _stage_lines(d: int, v: list, acc: list, fail: str) -> list:
             for i in below:
                 lines += [f"{'if' if i == k + 1 else 'elif'} p == {i}:",
                           f"    {swap(k, i)}"]
-        zero = f"e_{k}_{k} == 0.0 or det == 0.0" if k else "det == 0.0"
         lines += [f"det = {'det * ' if k else ''}e_{k}_{k}",
-                  f"if {zero}:", f"    {fail}",
+                  f"if e_{k}_{k} == 0.0:", f"    {fail}",
                   f"q_{k} = 1.0 / e_{k}_{k}"]
         for i in below:
             lines.append(f"m = e_{i}_{k} * q_{k}")
             lines += [f"e_{i}_{j} = e_{i}_{j} - m * e_{k}_{j}"
                       for j in range(k + 1, d)]
             lines.append(f"r_{i} = r_{i} - m * r_{k}")
-    lines += ["if abs(det) <= bound:", f"    {fail}"]
+    log_det = " + ".join(f"log(abs(e_{k}_{k}))" for k in span)
+    log_bound = " + ".join(["LOG_RTOL", *(f"log({m})" for m in row_max)])
+    lines += [f"if abs(det) <= bound and {log_det} <= {log_bound}:",
+              f"    {fail}"]
     for i in reversed(span):
         s = f"r_{i}"
         for j in range(i + 1, d):
@@ -393,28 +422,9 @@ def _row(d: int, t: str, x: list, v: list, acc: list) -> str:
                            + _names("da", (d, d))) + "]"
 
 
-_RULE_SCOPE = {"abs": abs, "max": max, "RTOL": SINGULAR_METRIC_RTOL}
-
-
-@functools.cache
-def _stage_rule(d: int):
-    """The general rule's stage in dimension d as one function
-    ``rule(t, y, g, dg, da, grad)``, emitted and compiled once per process
-    per d.
-
-    ``y`` is the stage state, 2D floats (x, v), and g, dg, da and grad are
-    metric, metric_grad, vector_potential_grad and potential_grad at x as
-    nested lists of floats.  Returns the stage's record row (``_row``), or
-    None when g is singular: the lines of ``_stage_lines``, which
-    ``_general_pass`` runs at each of its stages too.
-    """
-    x, v, acc = _names("x", (d,)), _names("v", (d,)), _names("a", (d,))
-    lines = ["def rule(t, y, g, dg, da, grad):",
-             f"    {', '.join(x + v)} = y",
-             *_indented(_unpack_lines(d, "g", "dg", "da", "grad")
-                        + _stage_lines(d, v, acc, "return None")
-                        + [f"return {_row(d, 't', x, v, acc)}"], 1)]
-    return _exec(lines, f"<stage rule, D = {d}>", _RULE_SCOPE)["rule"]
+_RULE_SCOPE = {"abs": abs, "max": max, "log": math.log,
+               "RTOL": SINGULAR_METRIC_RTOL,
+               "LOG_RTOL": math.log(SINGULAR_METRIC_RTOL)}
 
 
 def _singular(x, t) -> SingularMetric:
@@ -453,8 +463,8 @@ def _general_pass(d: int):
     stages written out and every value in a local.  Each stage reads the
     four callbacks once each, in that order, at its x as a (D,) ndarray,
     takes each value into Python floats once, runs the lines of
-    ``_stage_lines`` and pushes its row (``_row``), the row that
-    ``_stage_rule`` returns; a singular g raises SingularMetric.  The
+    ``_stage_lines`` and pushes its row (``_row``); a singular g raises
+    SingularMetric.  The
     stage states are y + (h/2) k and y + h k, and the step's update
     ``_rk4_update``'s, so the path is the same bits as a numpy RK4
     stepper's.  Returns the flat float64 record of the rows, four a step,
@@ -528,29 +538,20 @@ def _general_rule(model: LagrangianModel, h: float):
 
 def _emit_one_dim_pass(node):
     """The D = 1 path pass for the dV/dx tree ``node``,
-    ``path_pass(h, neg_recip, y, starts)``, or with ``node`` None for a
-    dV/dx that it calls, ``path_pass(h, neg_recip, dv, y, starts)``.
+    ``path_pass(h, neg_recip, y, starts)``.
 
     It steps the two floats x, v of ``y`` by one RK4 step of size h from
     each of the start times ``starts``, in ``_general_pass``'s order of
     operations, with the acceleration ``neg_recip * dV/dx`` at each
     stage: four renamed copies of ``expressions.straight_line``'s lines
-    of ``node``, its constants bound in the pass's globals, or
-    ``float(dv(x, t))``.  Each step pushes five floats, (x, x2, x3, x4,
-    v): its start state and the positions of its other stages, which is
-    all that the run's history and its flow step read.  Returns the flat
-    float64 record and the last state.
+    of ``node``, its constants bound in the pass's globals.  Each step
+    pushes five floats, (x, x2, x3, x4, v): its start state and the
+    positions of its other stages, which is all that the run's history
+    and its flow step read.  Returns the flat float64 record and the
+    last state.
     """
     constants = {}
-
-    def acceleration(s: int, x: str, t: str) -> list:
-        if node is None:
-            return [f"a{s} = neg_recip * float(dv({x}, {t}))"]
-        lines, result, named = straight_line(node, x, t, f"d{s}_")
-        constants.update(named)
-        return lines + [f"a{s} = neg_recip * {result}"]
-
-    body = list(_STAGE_TIMES if node is None or node.uses("t") else ())
+    body = list(_STAGE_TIMES if node.uses("t") else ())
     xs, vs = ["x"], ["v"]
     for s, (t, factor) in enumerate(_STAGES, 1):
         if factor:
@@ -558,12 +559,13 @@ def _emit_one_dim_pass(node):
             vs.append(f"v{s}")
             body += [f"x{s} = x + {factor} * {vs[-2]}",
                      f"v{s} = v + {factor} * a{s - 1}"]
-        body += acceleration(s, xs[-1], t)
+        dv, result, named = straight_line(node, xs[-1], t, f"d{s}_")
+        constants.update(named)
+        body += [*dv, f"a{s} = neg_recip * {result}"]
     body += [f"push([{', '.join(xs)}, v])",
              *_rk4_update(["x"], ["v"], [[v] for v in vs],
                           [[f"a{s}"] for s in range(1, 5)])]
-    dv = "dv, " if node is None else ""
-    lines = [f"def path_pass(h, neg_recip, {dv}y, starts):",
+    lines = ["def path_pass(h, neg_recip, y, starts):",
              "    x, v = y",
              "    half, sixth = 0.5 * h, h / 6.0",
              "    record = doubles('d')",
@@ -571,74 +573,54 @@ def _emit_one_dim_pass(node):
              "    for t in starts:",
              *_indented(body, 2),
              "    return record, [x, v]"]
-    scope = {**POINT_FUNCTIONS, **constants, "float": float,
-             "doubles": array.array}
+    scope = {**POINT_FUNCTIONS, **constants, "doubles": array.array}
     return _exec(lines, "<path pass, D = 1>", scope)["path_pass"]
 
 
-@functools.cache
-def _called_dv_pass():
-    """``_emit_one_dim_pass(None)``, once per process."""
-    return _emit_one_dim_pass(None)
-
-
-# the emitted D = 1 path pass of each compiled dV/dx body that lives
+# the emitted D = 1 path pass, or None, of each potential_grad that lives
 _ONE_DIM_PASSES = weakref.WeakKeyDictionary()
 
 
-def _one_dim_pass(grad, h: float, neg_recip: float):
-    """The D = 1 path pass ``path_pass(y, starts)`` of one run with the
-    potential_grad ``grad``.
+def _one_dim_pass(grad):
+    """The emitted D = 1 path pass of the potential_grad ``grad``, or
+    None.
 
-    A compiled expression's dV/dx, a ``grad.scalar`` that carries its
-    tree as ``node``, is inlined: its pass is emitted at its model's first
-    run and kept, for as long as the scalar lives, for every later run.
-    Any other is called, at float x and t, by the one pass of
-    ``_called_dv_pass``: ``grad.scalar`` itself, a user's function of a
-    float, or, when ``grad`` has no ``scalar``, ``grad`` at a (1,)
-    ndarray.  So is a tree too deep to emit this far down the stack,
-    which its parse accepted: the same bits, a call a stage.
+    A compiled expression's dV/dx, a ``grad`` that carries its tree as
+    ``node``, is inlined: its pass is emitted at its model's first run
+    and kept, for as long as ``grad`` lives, for every later run.  Any
+    other ``grad``, and a tree too deep to emit this far down the stack,
+    which its parse accepted, gives None.
     """
-    dv = getattr(grad, "scalar", None)
-    node = getattr(dv, "node", None)
-    if node is not None:
-        if dv not in _ONE_DIM_PASSES:
-            try:
-                _ONE_DIM_PASSES[dv] = _emit_one_dim_pass(node)
-            except RecursionError:
-                _ONE_DIM_PASSES[dv] = None
-        loop = _ONE_DIM_PASSES[dv]
-        if loop is not None:
-            return functools.partial(loop, h, neg_recip)
-    elif dv is None:
-        def dv(x, t):
-            return grad(np.array([x]), t)[0]
-    return functools.partial(_called_dv_pass(), h, neg_recip, dv)
+    node = getattr(grad, "node", None)
+    if node is None:
+        return None
+    if grad not in _ONE_DIM_PASSES:
+        try:
+            _ONE_DIM_PASSES[grad] = _emit_one_dim_pass(node)
+        except RecursionError:
+            _ONE_DIM_PASSES[grad] = None
+    return _ONE_DIM_PASSES[grad]
 
 
 def _one_dim_rule(model: LagrangianModel, x, t, h: float):
-    """``(path_pass, step_states, jacobians)`` of one run in D = 1 on a
-    constant metric, where ``metric_is_constant`` holds at (x, t), or
-    None.
+    """``(path_pass, step_states, jacobians)`` of one run in D = 1 where
+    ``_one_dim_pass`` emits a pass for potential_grad and the metric is
+    constant (``metric_is_constant`` at (x, t)), or None.
 
     The acceleration is the float product ``neg_recip * dV/dx``, with
-    ``neg_recip`` = -1/g once per run: minus ``_stage_rule(1)``'s
-    acceleration at rest under dV/dx = -1, so the general rule's bits
-    (-V') (1/g) but for the sign of an exactly zero acceleration.
-    ``path_pass`` is ``_one_dim_pass``'s, whose record of five floats a
-    step gives ``step_states``, each step's (x, v), and
+    ``neg_recip`` = -1/g from ``models.invert_metric`` once per run, so
+    the general rule's bits (-V') (1/g) but for the sign of an exactly
+    zero acceleration.  ``path_pass`` is the emitted pass, whose record
+    of five floats a step gives ``step_states``, each step's (x, v), and
     ``jacobians(rows, starts)``: (-1/g) V'' and 0, with V'' one stacked
     potential_hess read at the recorded stage positions and the stage
     times t, t + h/2, t + h/2 and t + h of the block's start times
     ``starts``, the path pass's own operations on them.
     """
-    if model.dim != 1 or not metric_is_constant(model, x, t):
+    loop = _one_dim_pass(model.potential_grad) if model.dim == 1 else None
+    if loop is None or not metric_is_constant(model, x, t):
         return None
-    g = np.asarray(model.metric(x, t), dtype=float).tolist()
-    rest = _stage_rule(1)(t, [0.0, 0.0], g, [[[0.0]]], [[0.0]], [-1.0])
-    if rest is None:
-        raise _singular(x, t)
-    neg_recip = -rest[3]
+    neg_recip = -float(invert_metric(model.metric(x, t), x, t)[0, 0])
     half = 0.5 * h
 
     def step_states(rows):
@@ -652,8 +634,7 @@ def _one_dim_rule(model: LagrangianModel, x, t, h: float):
                                times.reshape(-1), (1, 1))
         return jx, np.zeros_like(jx)
 
-    return (_one_dim_pass(model.potential_grad, h, neg_recip), step_states,
-            jacobians)
+    return functools.partial(loop, h, neg_recip), step_states, jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -810,35 +791,18 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     one more row (1, 0, ..., 0) that carries the forcing; ``tangents`` is
     then the block at every grid time, shape (n_steps + 1, 2D, m), which
     Newton's superposition reads.  Every other model runs in two passes,
-    one block of STEP_MAP_BLOCK steps at a time, so beside its output the
-    run holds one block.
-    The path pass is one emitted loop over the block's steps, the four
-    RK4 stages written out and the state in Python float locals, from the
-    list ``x.tolist() + v.tolist()``, with a float h and the classical
-    RK4 order of operations, y + (h/2) k and
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so its path is the same bits as a
-    numpy RK4 stepper's; each stage computes only the acceleration, with
-    no numpy.linalg call.  The rule picks the (path pass, step states,
-    Jacobian read) triple, in one place: in D = 1 on a constant metric,
-    where ``_one_dim_rule`` is not None, the pass steps the two floats x,
-    v with dV/dx inlined or called (``_one_dim_pass``) and records five
-    floats a step; every other model takes ``_general_rule``: four
-    callbacks read at a (D,) ndarray and ``_stage_lines``' straight-line
-    force and elimination each stage, which records the stage's row
-    (t, x, v, acc, g, dg, da), 1 + 3D + 2D^2 + D^3 floats, g, dg and da
-    the metric, metric_grad and vector_potential_grad values in C order.
-    The record, a flat float64 array, fills the block's rows of the
-    history.  A flow step (``_flow_step``) then advances vblock by the
-    RK4 steps of the linearized system on those same stages, with the
-    Jacobian blocks read from the record as a stack: in D = 1 the stage
-    positions, with the stage times from the grid; on the general rule
-    the recorded accelerations, g, dg and da, so a flow step reads only
-    potential_hess and, on a model not flagged
-    ``kinetic_gradients_constant``, the 2D shifted metric_grad and
-    vector_potential_grad stacks of ``_kinetic_force_x``.  ``tangents`` is
-    then vblock(t_b) alone, shape (1, 2D, m).  A run with m = 0 takes no
-    flow step.  From the first block whose path ends non-finite on, a run
-    takes no flow step, and its tangent block is NaN.
+    one block of STEP_MAP_BLOCK steps at a time (see the module
+    docstring): the rule, ``_one_dim_rule`` where it is not None and
+    ``_general_rule`` otherwise, gives the (path pass, step states,
+    Jacobian read) triple, in one place.  The path pass starts from the
+    list ``x.tolist() + v.tolist()`` with a float h, and its record, a
+    flat float64 array, fills the block's rows of the history.  A flow
+    step (``_flow_step``) then advances vblock by the RK4 steps of the
+    linearized system on those same stages, read from the record as a
+    stack, and ``tangents`` is vblock(t_b) alone, shape (1, 2D, m).  A
+    run with m = 0 takes no flow step.  From the first block whose path
+    ends non-finite on, a run takes no flow step, and its tangent block
+    is NaN.
     """
     d = model.dim
     x = np.asarray(x0, dtype=float)

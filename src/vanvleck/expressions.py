@@ -20,9 +20,9 @@ each operation on constants alone folded into a constant, and the
 constants kept out of the text; ``compile_node`` compiles those lines
 once per shape (``compiled``) and binds them to ``math`` and to numpy,
 behind a function marked as a stacked model callback: it evaluates one
-point on Python floats and arrays of points with numpy, and carries the
-float body as ``scalar``.  ``dynamics`` inlines the same lines of a
-compiled dV/dx in its D = 1 path pass.
+point on Python floats and arrays of points with numpy, and carries its
+tree as ``node``.  ``dynamics`` inlines the same lines of a compiled
+dV/dx in its D = 1 path pass.
 """
 
 from __future__ import annotations
@@ -416,9 +416,7 @@ def compile_node(node):
     t is an array it hands both bindings to ``_stacked_call``; at a point
     (x and t numbers, not arrays) it calls the ``math`` binding on
     ``float(x)`` and ``float(t)``, so also a numpy float t gives Python
-    float arithmetic.  That binding is the returned function's ``scalar``
-    attribute, for a caller that already has Python floats; its ``node``
-    attribute, and the binding's own, is the tree it computes.
+    float arithmetic.  Its ``node`` attribute is the tree it computes.
     """
     lines, result, constants = straight_line(node, "x", "t", "v")
     body = compiled("\n".join(["def f(x, t):",
@@ -436,8 +434,7 @@ def compile_node(node):
             return _stacked_call(point, array, x, t)
         return point(float(x), float(t))
 
-    f.scalar = point
-    f.node = point.node = node
+    f.node = node
     return stacked(f)
 
 

@@ -24,14 +24,12 @@ wrapped by a caller is called pointwise unless it is marked itself.  The
 builtins' closed forms are marked, those built on a user's ``omega2`` or
 ``stiffness`` callable too; callables a user passes in are not.
 
-A ``one_dim_potential`` callback also carries a scalar function of the
-position as its ``scalar`` attribute, in the same way: the float body of a
-compiled expression (``expressions.compile_node``), or the user's function
-itself; a compiled body carries its tree as ``node``.  The D = 1 path
-pass of a nonlinear run inlines the lines of that tree, and otherwise
-calls ``potential_grad.scalar`` at Python floats, once a stage; a
-potential_grad swapped in or wrapped has no such attribute, and the path
-pass reads it at a (1,) ndarray instead.
+A ``one_dim_potential`` callback built on a compiled expression
+(``expressions.compile_node``) carries its tree as ``node``, in the same
+way, and one built on any other function carries None.  The D = 1 path
+pass of a nonlinear run inlines the lines of potential_grad's tree; a
+potential_grad without one, swapped in or wrapped included, takes the
+general rule, to the same bits.
 """
 
 from __future__ import annotations
@@ -49,7 +47,10 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 # A metric value g is singular when its elimination meets a zero pivot
 # (det g is then 0, whatever the bound overflows to) or when |det g| <=
-# SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|.  Dividing each row by its
+# SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|, decided again in
+# logarithms where the products say singular, so that an overflow or an
+# underflow does not decide it (diag(1e200, 1e200, 1e200) and
+# diag(1e-120, 1e-120, 1e-120) are regular).  Dividing each row by its
 # largest entry leaves the test unchanged, so a metric whose coordinates
 # differ in scale, such as diag(1, 1e-14), passes; ``invert_metric``,
 # ``metric_solve`` and the path pass's float elimination in ``dynamics``
@@ -91,13 +92,14 @@ class LagrangianModel:
         The variational linearization is then exact; otherwise the missing
         second derivatives of g and a are filled in by central differences.
         When metric_grad also vanishes (``metric_is_constant``), a D = 1
-        path pass reads potential_grad alone a stage; in D > 1 the flag
-        leaves the path pass alone, which reads four callbacks a stage
-        unless ``affine_flow`` is set, and records the values of metric,
-        metric_grad and vector_potential_grad for the flow step.  The
-        flow step then reads potential_hess alone a stage; unflagged, it
-        also reads metric_grad and vector_potential_grad at the 2D
-        shifted points of the central differences.
+        path pass on a compiled expression's dV/dx reads no callback a
+        stage; otherwise the flag leaves the path pass alone, which reads
+        four callbacks a stage unless ``affine_flow`` is set, and records
+        the values of metric, metric_grad and vector_potential_grad for
+        the flow step.  The flow step then reads potential_hess alone a
+        stage; unflagged, it also reads metric_grad and
+        vector_potential_grad at the 2D shifted points of the central
+        differences.
     affine_flow : bool
         True when the Euler-Lagrange equations are linear in (x, v): g
         constant, a linear and V quadratic in x, at every t.  The RK4
@@ -148,13 +150,25 @@ def _require_regular(g: np.ndarray, x, t) -> None:
     (..., D, D), read at the points x and times t, is singular by the
     SINGULAR_METRIC_RTOL rule: a zero det, which numpy gives for a zero
     pivot (a zero row among them) whatever the bound overflows to, or
-    |det| <= bound.  A NaN value passes, quietly, as in the float
-    elimination, and no value warns."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = SINGULAR_METRIC_RTOL * np.prod(np.abs(g).max(axis=-1),
-                                               axis=-1)
+    |det| <= bound.  Where those products say singular, ``slogdet``
+    decides again in logarithms, so a det or a bound that overflows or
+    underflows does not decide it.  The products come first, as in the
+    float elimination, so an inf entry gives its outcome there too: a
+    det that underflows to 0 before an inf pivot is NaN and passes,
+    where ``slogdet`` alone would read inf <= inf.  A NaN value passes,
+    quietly, and no value warns."""
+    g = g.reshape((-1,) + g.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        row_max = np.abs(g).max(axis=-1)
+        bound = SINGULAR_METRIC_RTOL * np.prod(row_max, axis=-1)
         det = np.linalg.det(g)
-    if np.any((det == 0.0) | (np.abs(det) <= bound)):
+        singular = (det == 0.0) | (np.abs(det) <= bound)
+        if np.any(singular):
+            sign, log_det = np.linalg.slogdet(g[singular])
+            log_bound = (np.log(SINGULAR_METRIC_RTOL)
+                         + np.log(row_max[singular]).sum(axis=-1))
+            singular[singular] = (sign == 0.0) | (log_det <= log_bound)
+    if np.any(singular):
         raise SingularMetric(f"metric singular at x={x}, t={t}")
 
 
@@ -490,11 +504,9 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
     length 1 at one point.  Stacked when ``f`` is.  One point keeps its
     own branch: there ``x[..., 0]`` is a 0-d array, which sends a compiled
     expression down its numpy path, about 40 times slower per call than a
-    float.  The callback carries ``f.scalar`` as its own ``scalar``
-    attribute when ``f`` has one (a compiled expression's float body), and
-    ``f`` otherwise, so the D = 1 path pass inlines or calls that
-    function at its Python float x and wraps no array a stage (see the
-    module docstring)."""
+    float.  The callback carries the tree of a compiled expression ``f``
+    as its own ``node``, and None for any other ``f`` (see the module
+    docstring)."""
 
     def callback(x, t):
         if type(x) is np.ndarray and x.ndim > 1:
@@ -503,7 +515,7 @@ def _first_coordinate(f: Callable, ndim: int) -> Callable:
         y = f(float(x[0]), t)
         return np.array(y, dtype=float, ndmin=ndim) if ndim else float(y)
 
-    callback.scalar = getattr(f, "scalar", f)
+    callback.node = getattr(f, "node", None)
     return stacked(callback) if is_stacked(f) else callback
 
 

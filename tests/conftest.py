@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import array
-import functools
 import math
 
 import numpy as np
@@ -14,8 +12,7 @@ from vanvleck.cli import build_model
 from vanvleck.dynamics import el_linearization
 from vanvleck.errors import SingularMetric
 from vanvleck.hessian import flow_seed
-from vanvleck.models import (SINGULAR_METRIC_RTOL, central_hessian,
-                             metric_is_constant)
+from vanvleck.models import SINGULAR_METRIC_RTOL, central_hessian
 
 
 def make_quartic(mass: float = 1.0, hbar: float = 1.0):
@@ -176,22 +173,30 @@ def action_hessian_fd(path) -> ActionHessian:
     return ActionHessian(mixed=-hess[:d, d:], aa=hess[:d, :d], bb=hess[d:, d:])
 
 
-def rk4(rhs, y0, times) -> np.ndarray:
+def rk4(rhs, y0, times, record=None) -> np.ndarray:
     """Classical RK4 of y' = rhs(t, y) on the uniform grid ``times``.
 
     The state may have any shape; returns the state at every grid time,
-    shape ``(len(times),) + y0.shape``.  The numpy stepper of the
+    shape ``(len(times),) + y0.shape``.  A ``record`` list receives each
+    stage's (t, y, rhs(t, y)), four a step.  The numpy stepper of the
     oracles: the package's path pass steps Python floats in the same
     order of operations.
     """
     h = (times[-1] - times[0]) / (len(times) - 1)
+
+    def slope(t, y):
+        k = rhs(t, y)
+        if record is not None:
+            record.append((t, y, k))
+        return k
+
     ys = np.empty((len(times),) + y0.shape)
     ys[0] = y = y0
     for k, t in enumerate(times[:-1]):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = slope(t, y)
+        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = slope(t + h, y + h * k3)
         ys[k + 1] = y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return ys
 
@@ -209,14 +214,14 @@ def step_through(maps, y) -> np.ndarray:
 
 
 def loop_force(dg, da, grad, v) -> list:
-    """The generalized force of the general acceleration rule, by loops,
+    """The generalized force of the acceleration rule, by loops,
 
         F_i = sum_m (curl_im + sum_j (1/2 d_i g_mj - d_m g_ij) v_j) v_m
               - d_i V,
 
     with ``curl = da^T - da``, from metric_grad dg, vector_potential_grad
     da and potential_grad grad as nested lists of floats and the D floats
-    v.  The oracle of ``dynamics._stage_rule``'s force: the loops it was
+    v.  The oracle of ``dynamics._stage_lines``' force: the loops it was
     emitted from, in the same order of operations.
     """
     span = range(len(v))
@@ -238,17 +243,20 @@ def loop_solve(g: list, rhs: list, x, t) -> list:
     """g^-1 rhs as D floats, from the metric values g, a (D, D) nested
     list of floats read at (x, t), and rhs, D floats; both are overwritten.
 
-    The oracle of ``dynamics._stage_rule``'s elimination, by the loops it
+    The oracle of ``dynamics._stage_lines``' elimination, by the loops it
     was emitted from: one Gaussian elimination with partial pivoting on g
-    and rhs together, multiplying by the reciprocal pivots.  A zero pivot
-    or det, or |det g| <= SINGULAR_METRIC_RTOL * prod_i max_j |g_ij|,
-    raises SingularMetric before the back substitution.
+    and rhs together, multiplying by the reciprocal pivots.  A zero
+    pivot, or |det g| <= SINGULAR_METRIC_RTOL * prod_i max_j |g_ij| in
+    products and then in logarithms, raises SingularMetric before the
+    back substitution.
     """
     d = len(g)
+    row_max = [max(map(abs, row)) for row in g]
     bound = SINGULAR_METRIC_RTOL
-    for row in g:
-        bound *= max(map(abs, row))
+    for m in row_max:
+        bound *= m
     det = 1.0
+    pivots = []
     for k in range(d):
         p = k
         for i in range(k + 1, d):
@@ -260,8 +268,9 @@ def loop_solve(g: list, rhs: list, x, t) -> list:
         pivot = g[k]
         det *= pivot[k]
         # a zero pivot is singular, whatever an overflowing det makes of it
-        if pivot[k] == 0.0 or det == 0.0:
+        if pivot[k] == 0.0:
             raise SingularMetric(f"metric singular at x={x}, t={t}")
+        pivots.append(pivot[k])
         recip = pivot[k] = 1.0 / pivot[k]
         for i in range(k + 1, d):
             row = g[i]
@@ -270,7 +279,16 @@ def loop_solve(g: list, rhs: list, x, t) -> list:
                 row[j] -= m * pivot[j]
             rhs[i] -= m * rhs[k]
     if abs(det) <= bound:
-        raise SingularMetric(f"metric singular at x={x}, t={t}")
+        # the products say singular: the logarithms decide, so that a det
+        # or a bound that overflows or underflows does not
+        log_det = 0.0
+        for p in pivots:
+            log_det += math.log(abs(p))
+        log_bound = math.log(SINGULAR_METRIC_RTOL)
+        for m in row_max:
+            log_bound += math.log(m)
+        if log_det <= log_bound:
+            raise SingularMetric(f"metric singular at x={x}, t={t}")
     for i in range(d - 1, -1, -1):
         row = g[i]
         s = rhs[i]
@@ -285,11 +303,11 @@ def _floats(value) -> list:
 
 
 def loop_linearization(model):
-    """``dynamics._general_linearization`` of the loop rule, with nothing
-    recorded: ``stage(y, t)`` reads the four callbacks at x and returns
-    (t, x, v, acc) with acc from ``loop_force`` and ``loop_solve``, and
-    ``jacobians(stages)`` is ``el_linearization`` on a block's rows,
-    which reads metric, metric_grad and vector_potential_grad again.
+    """The loop rule of one run, with nothing recorded: ``stage(y, t)``
+    reads the four callbacks at x and returns (t, x, v, acc) with acc
+    from ``loop_force`` and ``loop_solve``, and ``jacobians(stages)`` is
+    ``el_linearization`` on a block's rows, which reads metric,
+    metric_grad and vector_potential_grad again.
     """
     d = model.dim
 
@@ -309,159 +327,45 @@ def loop_linearization(model):
     return stage, jacobians
 
 
-def one_dim_linearization(model, x, t):
-    """``(dv, neg_recip, jacobians)`` of one run in D = 1 on a constant
-    metric, or None: the D = 1 rule of the two-pass run before its path
-    pass was emitted, kept as an oracle.  ``dv`` is
-    ``potential_grad.scalar``, or potential_grad read at a (1,) ndarray,
-    and ``jacobians`` reads the stage rows of ``path_pass``."""
-    if model.dim != 1 or not metric_is_constant(model, x, t):
-        return None
-    g = np.asarray(model.metric(x, t), dtype=float).tolist()
-    rest = dynamics._stage_rule(1)(t, [0.0, 0.0], g, [[[0.0]]], [[0.0]],
-                                   [-1.0])
-    if rest is None:
-        raise SingularMetric(f"metric singular at x={x}, t={t}")
-    neg_recip = -rest[3]
-    grad = model.potential_grad
-    dv = getattr(grad, "scalar", None)
-    if dv is None:
-        def dv(x, t):
-            return grad(np.array([x]), t)[0]
-
-    def jacobians(stages):
-        jx = neg_recip * dynamics._read(model.potential_hess, stages[:, 1:2],
-                                        stages[:, 0], (1, 1))
-        return jx, np.zeros_like(jx)
-
-    return dv, neg_recip, jacobians
-
-
-def general_linearization(model):
-    """``(stage, jacobians)`` of the general rule, a stage a call:
-    ``stage(y, t)`` reads the four callbacks at x and returns
-    ``dynamics._stage_rule``'s row, and ``jacobians(stages)`` is
-    ``dynamics._linearization`` on a block's rows.  The general rule of
-    the two-pass run before its path pass was emitted, kept as an
-    oracle."""
+def rk4_run(model, x0, v0, t_a, t_b, n_steps, flow):
+    """Oracle of ``dynamics._rk4_run`` off ``affine_flow``: ``rk4`` with
+    the loop rule of ``loop_linearization``, and with ``flow`` the tangent
+    block advanced by ``dynamics._flow_step`` on the linearization of
+    ``rk4``'s recorded stages, one block of STEP_MAP_BLOCK steps at a
+    time, up to the first block whose path ends non-finite; from there
+    on the block is NaN.  Returns ``_rk4_run``'s ``(times, states,
+    tangents)``.
+    """
     d = model.dim
-    rule = dynamics._stage_rule(d)
+    stage, jacobians = loop_linearization(model)
 
-    def stage(y, t):
-        x = np.array(y[:d])
-        row = rule(t, y, _floats(model.metric(x, t)),
-                   _floats(model.metric_grad(x, t)),
-                   _floats(model.vector_potential_grad(x, t)),
-                   _floats(model.potential_grad(x, t)))
-        if row is None:
-            raise SingularMetric(f"metric singular at x={x}, t={t}")
-        return row
+    def rhs(t, y):
+        return np.array(stage(y.tolist(), t)[d + 1:])
 
-    def jacobians(stages):
-        at_dg = 3 * d + 1 + d * d
-        at_da = at_dg + d ** 3
-        return dynamics._linearization(
-            model, stages[:, 1:d + 1], stages[:, d + 1:2 * d + 1],
-            stages[:, 0], stages[:, 2 * d + 1:3 * d + 1],
-            stages[:, 3 * d + 1:at_dg].reshape(-1, d, d),
-            stages[:, at_dg:at_da].reshape(-1, d, d, d),
-            stages[:, at_da:].reshape(-1, d, d))
-
-    return stage, jacobians
-
-
-def path_pass(stage, y: list, starts: list, h: float):
-    """RK4 of the state ``y``, a list of 2D floats (x, v), one step from
-    each of the start times ``starts``, with ``stage(y, t)`` giving a
-    stage's row, a list of floats that starts (t, x, v, acc).  Returns
-    the flat float64 record of the rows, four a step, and the last state.
-    The general rule's path pass before it was emitted, kept as an
-    oracle."""
-    d = len(y) // 2
-    half, sixth = 0.5 * h, h / 6.0
-    record = array.array("d")
-    push = record.fromlist
-
-    def slope(y, t):
-        row = stage(y, t)
-        push(row)
-        return row[d + 1:3 * d + 1]   # (v, acc)
-
-    for t in starts:
-        k1 = slope(y, t)
-        k2 = slope([a + half * b for a, b in zip(y, k1)], t + half)
-        k3 = slope([a + half * b for a, b in zip(y, k2)], t + half)
-        k4 = slope([a + h * b for a, b in zip(y, k3)], t + h)
-        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-    return record, y
-
-
-def one_dim_path_pass(dv, neg_recip: float, y: list, starts: list,
-                      h: float):
-    """``path_pass`` in D = 1, on the two floats x, v of ``y``, with the
-    acceleration ``neg_recip * float(dv(x, t))``, one call of ``dv`` a
-    stage; each step pushes its four stage rows (t, x, v, acc).  The D = 1
-    path pass before it was emitted, kept as an oracle."""
-    x, v = y
-    half, sixth = 0.5 * h, h / 6.0
-    record = array.array("d")
-    push = record.fromlist
-    for t in starts:
-        tm, te = t + half, t + h
-        a1 = neg_recip * float(dv(x, t))
-        x2, v2 = x + half * v, v + half * a1
-        a2 = neg_recip * float(dv(x2, tm))
-        x3, v3 = x + half * v2, v + half * a2
-        a3 = neg_recip * float(dv(x3, tm))
-        x4, v4 = x + h * v3, v + h * a3
-        a4 = neg_recip * float(dv(x4, te))
-        push([t, x, v, a1, tm, x2, v2, a2, tm, x3, v3, a3, te, x4, v4, a4])
-        x = x + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return record, [x, v]
-
-
-def pass_rk4_run(model, x0, v0, t_a, t_b, n_steps, flow,
-                 general=general_linearization):
-    """Oracle of ``dynamics._rk4_run`` off ``affine_flow``: the two-pass
-    run with the path passes above, one call a stage, whose records the
-    Jacobians read as four rows a step.  ``general`` gives the
-    ``(stage, jacobians)`` pair off the D = 1 constant metric."""
-    d = model.dim
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    vblock = np.eye(2 * d, 2 * d if flow else 0)
     times = np.linspace(t_a, t_b, n_steps + 1)
+    record = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = rk4(rhs, np.concatenate((np.asarray(x0, float),
+                                          np.asarray(v0, float))),
+                     times, record)
+    vblock = np.eye(2 * d, 2 * d if flow else 0)
     h = float(dynamics._step_size(times))
-    one_dim = one_dim_linearization(model, x, t_a)
-    if one_dim is None:
-        stage, jacobians = general(model)
-        step = functools.partial(path_pass, stage)
-    else:
-        dv, neg_recip, jacobians = one_dim
-        step = functools.partial(one_dim_path_pass, dv, neg_recip)
-    y = x.tolist() + v.tolist()
-    starts = times[:-1]
-    states = np.empty((n_steps + 1, 2 * d))
-    for k in range(0, n_steps, dynamics.STEP_MAP_BLOCK):
-        block = starts[k:k + dynamics.STEP_MAP_BLOCK].tolist()
-        record, y = step(y, block, h)
-        stages = np.frombuffer(record).reshape(4 * len(block), -1)
-        states[k:k + len(block)] = stages[::4, 1:2 * d + 1]
-        if flow and not all(map(math.isfinite, y)):
-            flow, vblock = False, np.full(vblock.shape, np.nan)
-        elif flow:
-            vblock = dynamics._flow_step(*jacobians(stages), vblock, h)
-    states[-1] = y
+    block = dynamics.STEP_MAP_BLOCK
+    for k in range(0, n_steps if flow else 0, block):
+        if not np.isfinite(states[min(k + block, n_steps)]).all():
+            vblock = np.full(vblock.shape, np.nan)
+            break
+        rows = np.array([[t, *y, *slope[d:]]
+                         for t, y, slope in record[4 * k:4 * (k + block)]])
+        vblock = dynamics._flow_step(*jacobians(rows), vblock, h)
     return times, states, vblock[None]
 
 
 def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
     """Independent oracle of one Euler-Lagrange run: ``rk4`` on the
-    (2D, 1 + m) state [(x, v), vblock], with the path pass's acceleration
-    rule (the loop rule of ``loop_linearization`` off the D = 1 constant
-    metric) and ``el_linearization`` at one point in each stage.
+    (2D, 1 + m) state [(x, v), vblock], with the loop rule of
+    ``loop_linearization`` and ``el_linearization`` at one point in each
+    stage.
 
     Column 0 is the path and columns 1..m the tangent block, both at
     every grid time: returns ``(times, ys)`` with ys of shape
@@ -473,22 +377,12 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
                                     np.asarray(v0, float)))[:, None],
                     np.asarray(vblock0, dtype=float)))
     times = np.linspace(t_a, t_b, n_steps + 1)
-    one_dim = one_dim_linearization(model, y0[:d, 0], t_a)
-    if one_dim is None:
-        stage = loop_linearization(model)[0]
-
-        def acceleration(y, t):
-            return stage(y, t)[2 * d + 1:]
-    else:
-        dv, neg_recip, _ = one_dim
-
-        def acceleration(y, t):   # the D = 1 rule: (-1/g) V' in floats
-            return [neg_recip * float(dv(y[0], t))]
+    stage = loop_linearization(model)[0]
 
     def rhs(t, y):
         dy = np.empty_like(y)
         dy[:d] = y[d:]
-        acc = np.array(acceleration(y[:, 0].tolist(), t))
+        acc = np.array(stage(y[:, 0].tolist(), t)[2 * d + 1:])
         jx, jv = el_linearization(model, y[:d, 0], y[d:, 0], t, acc)
         dy[d:, 0] = acc
         dy[d:, 1:] = jx @ y[:d, 1:] + jv @ y[d:, 1:]

@@ -35,11 +35,10 @@ from vanvleck.models import evaluate_hamiltonian, legendre_momentum, stacked
 from test_expressions import ACCEPTED
 
 from conftest import (AFFINE_CASES, AFFINE_IDS, _expression_model,
-                      combined_rk4_run, general_linearization, loop_force,
-                      loop_linearization, loop_solve, make_curled_metric,
-                      make_polar_free_particle, make_quartic,
-                      make_skewed_metric, pass_rk4_run, random_spd,
-                      step_through)
+                      combined_rk4_run, loop_force, loop_solve,
+                      make_curled_metric, make_polar_free_particle,
+                      make_quartic, make_skewed_metric, random_spd,
+                      rk4_run, step_through)
 
 
 def test_free_ivp_is_exact():
@@ -360,7 +359,9 @@ def test_stacked_linearization_equals_the_point_calls(model, rng):
 
 def _counted_callbacks(model, marked=False):
     """``model`` with every callback counted; ``marked`` makes each a
-    stacked callback, which loops over a stack itself."""
+    stacked callback, which loops over a stack itself.  Each carries the
+    ``node`` of the callback it counts, so a D = 1 run inlines a dV/dx
+    tree as it would uncounted."""
     calls = collections.Counter()
     names = ("metric", "metric_grad", "vector_potential",
              "vector_potential_grad", "potential", "potential_grad",
@@ -375,6 +376,7 @@ def _counted_callbacks(model, marked=False):
                 return callback(x, t)
             return np.array([callback(*row) for row in zip(x, t)])
 
+        wrapper.node = getattr(callback, "node", None)
         return stacked(wrapper) if marked else wrapper
 
     return dataclasses.replace(
@@ -687,9 +689,11 @@ def test_two_pass_run_matches_the_combined_stepper(model, x0, v0, n):
 
 
 def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
-    # a stacked nonlinear model: the path pass reads potential_grad at
+    # a stacked nonlinear model whose potential_grad carries no tree, so
+    # it takes the general rule: the path pass reads potential_grad at
     # each stage, the flow pass potential_hess once per block of
-    # STEP_MAP_BLOCK steps, and no stage calls el_linearization
+    # STEP_MAP_BLOCK steps, on the block's recorded stages, and no stage
+    # calls el_linearization
     base = _expression_quartic()
     assert not base.affine_flow
     calls = collections.Counter()
@@ -721,32 +725,32 @@ def test_two_pass_run_reads_the_jacobians_once_per_block(monkeypatch):
     monkeypatch.setattr(dynamics, "_linearization", counted_recorded)
     n = 1000
     blocks = -(-n // dynamics.STEP_MAP_BLOCK)
+    sizes = [4 * min(dynamics.STEP_MAP_BLOCK, n - k)
+             for k in range(0, n, dynamics.STEP_MAP_BLOCK)]
     _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, True)
     assert calls == {("potential_grad", "point"): 4 * n,
                      ("potential_hess", "stacked"): blocks}
-    assert linearizations == [] and recorded == []
+    assert linearizations == []
+    assert recorded == [(size, 1) for size in sizes]
     # the same on a position-dependent metric: one linearization call per
     # block, on the block's 4b recorded stages, and none of
     # el_linearization, which would read the metric again
+    recorded.clear()
     polar = make_polar_free_particle()
     _rk4_run(polar, [1.0, 0.3], [0.4, 1.1], 0.0, 1.1, n, True)
-    sizes = [4 * min(dynamics.STEP_MAP_BLOCK, n - k)
-             for k in range(0, n, dynamics.STEP_MAP_BLOCK)]
     assert linearizations == []
     assert recorded == [(size, 2) for size in sizes]
 
 
-def test_one_dim_path_pass_calls_the_scalar_dv():
-    # a config one_dim_potential hands the D = 1 path pass its compiled
-    # dV/dx body, with its tree, as potential_grad.scalar: the pass
-    # inlines that body, so once it is built, at the model's first run, a
-    # run makes no call into expression code at all.  A plain scalar
-    # dV/dx, a function of floats, is called once a stage at Python
-    # floats, and a potential_grad without the attribute once a stage at
-    # a (1,) ndarray, to the same bits
+def test_a_wrapped_dv_takes_the_general_rule():
+    # a config one_dim_potential's potential_grad carries its dV/dx tree
+    # as node: the D = 1 path pass inlines it, so once it is built, at the
+    # model's first run, a run makes no call into expression code and
+    # reads no callback a stage.  A potential_grad wrapped without the
+    # tree takes the general rule, four callbacks a stage, to the same
+    # bits
     base = _expression_model("0.5 * x^2 + 0.3 * x^4")
     assert not base.affine_flow
-    grad = base.potential_grad
     n = 40
     _, states, tangents = _rk4_run(base, [0.2], [0.9], 0.0, 1.1, n, True)
     entered = collections.Counter()
@@ -763,35 +767,43 @@ def test_one_dim_path_pass_calls_the_scalar_dv():
         sys.setprofile(None)
     assert entered == {}
     np.testing.assert_array_equal(again, states)
-    calls = collections.Counter()
+    model, calls = _counted_callbacks(base, marked=True)
+    assert model.potential_grad.node is base.potential_grad.node
+    _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n, True)
+    assert calls == {"metric_grad": 1, "metric": 1, "potential_hess": 1}
+    grad = base.potential_grad
+    model, calls = _counted_callbacks(dataclasses.replace(
+        base, potential_grad=stacked(lambda x, t: grad(x, t))), marked=True)
+    assert model.potential_grad.node is None
+    _, wrapped, wrapped_tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1,
+                                            n, True)
+    assert calls == {"metric": 4 * n, "metric_grad": 4 * n,
+                     "vector_potential_grad": 4 * n,
+                     "potential_grad": 4 * n, "potential_hess": 1}
+    np.testing.assert_array_equal(wrapped, states)
+    np.testing.assert_array_equal(wrapped_tangents, tangents)
 
-    def scalar(x, t):
-        calls["scalar", type(x).__name__, type(t).__name__] += 1
-        return grad.scalar(x, t)
 
-    def callback(x, t):
-        calls["potential_grad", np.shape(x)] += 1
-        return grad(x, t)
-
-    callback.scalar = scalar
-    model = dataclasses.replace(base, potential_grad=stacked(callback))
-    _, plain, plain_tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n,
-                                        True)
-    assert calls == {("scalar", "float", "float"): 4 * n}
-    calls.clear()
-
-    def wrapped(x, t):
-        calls["potential_grad", np.shape(x)] += 1
-        return grad(x, t)
-
-    model = dataclasses.replace(base, potential_grad=stacked(wrapped))
-    _, arrays, array_tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, n,
-                                         True)
-    assert calls == {("potential_grad", (1,)): 4 * n}
-    for other, other_tangents in ((plain, plain_tangents),
-                                  (arrays, array_tangents)):
-        np.testing.assert_array_equal(other, states)
-        np.testing.assert_array_equal(other_tangents, tangents)
+@pytest.mark.parametrize("value, outcome", [
+    (0.0, SingularMetric), (np.inf, SingularMetric), (np.nan, None)],
+    ids=["zero", "inf", "nan"])
+@pytest.mark.parametrize("model", [make_quartic(), _expression_quartic()],
+                         ids=["called", "inlined"])
+def test_one_by_one_metric_keeps_its_outcome_on_both_rules(model, value,
+                                                           outcome):
+    # a 1x1 metric of 0 or inf is singular, on the inlined pass's -1/g
+    # and on the general rule alike, and a NaN one passes quietly into a
+    # NaN path with a NaN flow, with no numpy warning
+    model = dataclasses.replace(model, metric=lambda x, t: np.array([[value]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome is not None:
+            with pytest.raises(outcome):
+                _rk4_run(model, [0.2], [0.9], 0.0, 1.1, 40, True)
+            return
+        _, states, tangents = _rk4_run(model, [0.2], [0.9], 0.0, 1.1, 40,
+                                       True)
+    assert np.isnan(states[-1]).all() and np.isnan(tangents).all()
 
 
 def test_ivp_and_non_finite_paths_make_no_flow_pass(recwarn):
@@ -1010,15 +1022,16 @@ def test_flow_run_reads_each_metric_value_once(monkeypatch):
 
 
 def _rule_outcome(d, g, dg, da, grad, v):
-    """The emitted stage rule's acceleration as D floats, or the type of
-    the exception it gives: SingularMetric for a None row."""
+    """The general path pass's acceleration at its first stage, as D
+    floats, on callbacks that return g, dg, da and grad, or the type of
+    the exception it gives."""
     y = [0.25 * i for i in range(d)] + list(v)
+    values = [lambda x, t, value=value: value for value in (g, dg, da, grad)]
     try:
-        row = dynamics._stage_rule(d)(0.5, y, g, dg, da, grad)
-    except ArithmeticError as exc:
+        record, _ = dynamics._general_pass(d)(0.1, *values, y, [0.5])
+    except (ArithmeticError, SingularMetric) as exc:
         return type(exc)
-    if row is None:
-        return SingularMetric
+    row = record.tolist()[:len(record) // 4]
     flat = np.concatenate([np.ravel(a) for a in (g, dg, da)])
     assert row[:2 * d + 1] == [0.5, *y]
     assert np.array(row[3 * d + 1:]).tobytes() == flat.tobytes()
@@ -1044,8 +1057,9 @@ def _metric_cases(rng, d):
     symmetric and unsymmetric ones, a diagonally dominant one with its
     rows in every order (each row swap of the pivot search), ties of the
     search, where the first of the largest rows pivots, exactly zero
-    pivots, nearly singular and badly scaled values, NaN entries and an
-    overflowing determinant."""
+    pivots, nearly singular and badly scaled values, NaN entries, and a
+    determinant and a bound that overflow or underflow, with and without
+    a zero pivot."""
     cases = [random_spd(rng, d) for _ in range(40)]
     cases += [rng.normal(size=(d, d)) for _ in range(40)]
     for perm in itertools.permutations(range(d)):
@@ -1065,7 +1079,8 @@ def _metric_cases(rng, d):
     zero_pivot[:, 0] = np.arange(1.0, d + 1)
     cases += [np.zeros((d, d)), zero_pivot, np.eye(d)[::-1] * 1.5,
               np.diag([1.0] + [1e-14] * (d - 1)),
-              np.full((d, d), np.nan), np.diag([1e200] * (d - 1) + [0.0])]
+              np.full((d, d), np.nan), np.diag([1e200] * (d - 1) + [0.0]),
+              np.diag([1e200] * d), np.diag([1e-120] * d)]
     if d == 2:
         cases += [np.array([[0.1, 0.3], [0.3, 0.9]]),
                   np.array([[1.0, 2.0], [2.0, 4.0]]),
@@ -1103,17 +1118,15 @@ def test_emitted_stage_rule_is_the_loop_rule(rng, d):
     (make_skewed_metric(), [0.1, -0.2, 0.3], [0.5, 0.4, -0.6]),
 ], ids=["polar", "curled-metric", "skewed-metric-3"])
 def test_general_rule_run_is_the_loop_rule_run(model, x0, v0):
-    # a whole run with a flow, over two blocks, against one driven by the
-    # loop rule that records nothing, so its flow step reads metric,
-    # metric_grad and vector_potential_grad again, and against the path
-    # pass that called the stage rule once a stage: the same bits
+    # a whole run with a flow, over two blocks, against the numpy stepper
+    # driven by the loop rule, whose flow steps read metric, metric_grad
+    # and vector_potential_grad again at its recorded stages: the same
+    # bits
     n = 300
     _, states, tangents = _rk4_run(model, x0, v0, 0.0, 1.1, n, True)
-    for general in (loop_linearization, general_linearization):
-        _, ref, ref_tangents = pass_rk4_run(model, x0, v0, 0.0, 1.1, n, True,
-                                            general)
-        assert np.array_equal(states, ref)
-        assert np.array_equal(tangents, ref_tangents)
+    _, ref, ref_tangents = rk4_run(model, x0, v0, 0.0, 1.1, n, True)
+    assert np.array_equal(states, ref)
+    assert np.array_equal(tangents, ref_tangents)
 
 
 def _run_or_error(run, *args):
@@ -1138,16 +1151,16 @@ def _potential_model(text):
                          ids=[f"accept{i}" for i in range(len(ACCEPTED))])
 def test_inlined_one_dim_pass_is_the_called_pass(text):
     # every accepted expression, t, sin, cos, exp and division included:
-    # the pass that inlines dV/dx against the one that called it once a
-    # stage and recorded four stage rows a step, over two blocks with a
-    # flow, from t_a = 0.1: the same positions, velocities and flow
-    # bits, or the same exception type
+    # the pass that inlines dV/dx against the numpy stepper that calls it
+    # once a stage by the loop rule, over two blocks with a flow, from
+    # t_a = 0.1: the same positions, velocities and flow bits, or the
+    # same exception type
     model = _potential_model(text)
     if model is None:
         return
     args = (model, [0.3], [0.8], 0.1, 1.2, 300, True)
     got = _run_or_error(_rk4_run, *args)
-    want = _run_or_error(pass_rk4_run, *args)
+    want = _run_or_error(rk4_run, *args)
     if isinstance(want, type):
         assert got is want, text
         return
@@ -1159,63 +1172,76 @@ def test_inlined_one_dim_pass_is_the_called_pass(text):
 
 def test_inlined_stage_raises_the_called_stage_error():
     # x^0.5 has dV/dx = 0.5 * x^-0.5, which has no real value once the
-    # path crosses x = 0: both passes raise math.pow's ValueError
+    # path crosses x = 0: the inlined pass and the stepper that calls
+    # dV/dx both raise math.pow's ValueError
     model = _potential_model("x^0.5")
     args = (model, [0.2], [-1.0], 0.0, 1.0, 40, False)
-    assert _run_or_error(pass_rk4_run, *args) is ValueError
+    assert _run_or_error(rk4_run, *args) is ValueError
     with pytest.raises(ValueError):
         _rk4_run(*args)
 
 
+def _bindings(f):
+    """The float and the numpy binding that ``compile_node``'s ``f``
+    closes over."""
+    cells = dict(zip(f.__code__.co_freevars, f.__closure__))
+    return cells["point"].cell_contents, cells["array"].cell_contents
+
+
 def test_same_shape_expressions_share_code_and_keep_their_constants():
     # the generated sources hold no constants: two potentials of one
-    # shape share the code objects of their bodies and of their path
-    # passes, and each binding computes with its own constants
+    # shape share the code objects of their bodies (V, dV/dx, d2V/dx2,
+    # each bound to floats and to numpy) and of their path passes, and
+    # each binding computes with its own constants
     texts = ("0.37 * x^2 + 0.81 * x^4", "0.52 * x^2 + 0.14 * x^4")
-    models = [_potential_model(text) for text in texts]
-    scalars = [model.potential_grad.scalar for model in models]
-    assert scalars[0].__code__ is scalars[1].__code__
-    passes = [dynamics._one_dim_pass(model.potential_grad, 0.01, -1.0).func
+    compiled = [compile_potential(text) for text in texts]
+    for first, second in zip(*compiled):
+        for one, other in zip(_bindings(first), _bindings(second)):
+            assert one is not other
+            assert one.__code__ is other.__code__
+    models = [one_dim_potential(*functions) for functions in compiled]
+    passes = [dynamics._one_dim_pass(model.potential_grad)
               for model in models]
     assert passes[0] is not passes[1]
     assert passes[0].__code__ is passes[1].__code__
     runs = []
-    for model, scalar in zip(models, scalars):
-        assert scalar(0.7, 0.0) == scalar.node.evaluate(0.7, 0.0)
+    for model in models:
+        grad = model.potential_grad
+        assert grad([0.7], 0.0)[0] == grad.node.evaluate(0.7, 0.0)
         _, states, tangents = _rk4_run(model, [0.3], [0.8], 0.0, 1.2, 300,
                                        True)
-        _, ref, ref_tangents = pass_rk4_run(model, [0.3], [0.8], 0.0, 1.2,
-                                            300, True)
+        _, ref, ref_tangents = rk4_run(model, [0.3], [0.8], 0.0, 1.2, 300,
+                                       True)
         np.testing.assert_array_equal(states, ref)
         np.testing.assert_array_equal(tangents, ref_tangents)
         runs.append(states)
     assert not np.array_equal(*runs)
 
 
-def test_a_tree_too_deep_to_emit_is_called(monkeypatch):
+def test_a_tree_too_deep_to_emit_takes_the_general_rule(monkeypatch):
     # a dV/dx tree that its parse accepted but that runs out of stack
-    # when the path pass is emitted, deeper down, is called once a stage
-    # instead, to the same bits, and not emitted again
+    # when the path pass is emitted, deeper down, takes the general rule,
+    # four callbacks a stage, to the same bits, and is not emitted again
     text = "0.5 * x^2 + 0.3 * x^4"
     _, states, tangents = _rk4_run(_potential_model(text), [0.3], [0.8],
                                    0.0, 1.2, 300, True)
-    real = dynamics._emit_one_dim_pass
     attempts = []
 
     def too_deep(node):
-        if node is None:
-            return real(node)
         attempts.append(node)
         raise RecursionError
 
     monkeypatch.setattr(dynamics, "_emit_one_dim_pass", too_deep)
-    model = _potential_model(text)
+    model, calls = _counted_callbacks(_potential_model(text), marked=True)
     for _ in range(2):
         _, again, again_tangents = _rk4_run(model, [0.3], [0.8], 0.0, 1.2,
                                             300, True)
         np.testing.assert_array_equal(again, states)
         np.testing.assert_array_equal(again_tangents, tangents)
     assert len(attempts) == 1
+    assert calls == {"metric": 2 * 4 * 300, "metric_grad": 2 * 4 * 300,
+                     "vector_potential_grad": 2 * 4 * 300,
+                     "potential_grad": 2 * 4 * 300, "potential_hess": 2 * 2}
 
 
 def test_zero_pivot_is_singular_whatever_the_det_overflows_to():
@@ -1243,6 +1269,22 @@ def test_zero_pivot_is_singular_whatever_the_det_overflows_to():
             dynamics.el_linearization(model, np.ones((2, 3)),
                                       np.ones((2, 3)), np.zeros(2),
                                       np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("mass", [1e200, 1e-120])
+def test_regular_metric_whose_det_overflows_or_underflows_solves(mass):
+    # diag(m, m, m): det g = m^3 overflows to inf or underflows to 0, and
+    # so does the bound, but each row divided by its largest entry is the
+    # identity; in logarithms the metric is regular, on the numpy solves
+    # of the step maps and on the general rule's float elimination, and
+    # the free path is the straight line
+    model = free_particle(mass=mass, dim=3)
+    x_a, x_b = np.array([0.1, -0.2, 0.3]), np.array([1.0, 0.5, -0.4])
+    line = x_a + np.outer(np.linspace(0.0, 1.0, 41), x_b - x_a)
+    for copy in (model, dataclasses.replace(model, affine_flow=False)):
+        path = solve_bvp(copy, x_a, x_b, 0.0, 1.3, n_steps=40)
+        np.testing.assert_allclose(path.positions, line, rtol=0, atol=1e-14)
+        assert path.bvp_residual <= dynamics.DEFAULT_TOL
 
 
 @pytest.mark.parametrize("model, x_a, x_b, t_b", AFFINE_CASES, ids=AFFINE_IDS)
@@ -1284,10 +1326,10 @@ def test_two_pass_run_holds_its_output_and_one_block(monkeypatch):
     # block's stage record, 64 rows of 55 floats (28 kB), 14 kB at D = 1,
     # and 7 kB without a flow.  Both path passes: the general rule's
     # (D = 3) and the D = 1 float loop's.  A record of the whole run's
-    # stages, 1760 B a step at D = 3 and 128 B at D = 1, would take each
-    # of these runs past the allowance.  Small blocks let short runs show
-    # it: tracemalloc traces every float the general rule's path pass
-    # allocates.  The first general-rule run at a dimension compiles that
+    # stages, 1760 B a step at D = 3 (169 kB on 96 steps) and 128 B at
+    # D = 1, would take each of these runs past the allowance.  Small
+    # blocks let short runs show it: tracemalloc traces every float the
+    # general rule's path pass allocates.  The first general-rule run at a dimension compiles that
     # dimension's stage body once per process (a transient 0.5 MB at
     # D = 3), so each case runs once on a short grid before it is traced
     monkeypatch.setattr(dynamics, "STEP_MAP_BLOCK", 16)
@@ -1296,7 +1338,7 @@ def test_two_pass_run_holds_its_output_and_one_block(monkeypatch):
     for model, x0, v0, n, flow in [
             (dataclasses.replace(magnetic_field(mass=1.5, omega=0.8, dim=3),
                                  affine_flow=False),
-             [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 400, True),
+             [0.1, 0.0, -0.3], [1.0, -0.5, 0.2], 96, True),
             (quartic, [0.1], [1.2], 2_000, True),
             (quartic, [0.1], [1.2], 2_000, False)]:
         d = model.dim

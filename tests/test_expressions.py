@@ -223,19 +223,23 @@ def test_compiled_node_equals_evaluate(text):
         trees += [node.diff(), node.diff().diff()]
     for tree in trees:
         f = compile_node(tree)
+        assert f.node is tree
         for x, t in grid:
-            # the float body carried as ``scalar`` gives the same bits
-            assert (f.scalar(x, t).hex() == f(x, t).hex()
-                    == tree.evaluate(x, t).hex())
+            assert f(x, t).hex() == tree.evaluate(x, t).hex()
 
 
-def test_model_scalar_is_the_compiled_float_body():
+def test_model_callbacks_carry_the_compiled_trees():
     fns = compile_potential("0.5 * x^2 + 0.3 * x^4 - sin(t) * x")
     model = one_dim_potential(*fns)
-    assert model.potential.scalar is fns[0].scalar
-    assert model.potential_grad.scalar is fns[1].scalar
-    assert model.potential_hess.scalar is fns[2].scalar
-    assert model.potential_grad.scalar.__code__.co_filename == "<expression>"
+    assert model.potential.node is fns[0].node
+    assert model.potential_grad.node is fns[1].node
+    assert model.potential_hess.node is fns[2].node
+    plain = one_dim_potential(lambda x, t: x, lambda x, t: 1.0,
+                              lambda x, t: 0.0)
+    assert plain.potential_grad.node is None
+    assert not any(hasattr(f, "scalar")
+                   for f in (*fns, model.potential, model.potential_grad,
+                             model.potential_hess))
 
 
 def _compiled_sources(monkeypatch, text):
@@ -303,7 +307,7 @@ def test_constant_operations_fold_to_the_evaluate_bits(text):
         for x in (-1.3, -0.4, 0.0, 0.6, 1.7):
             for t in (0.0, 0.35, 1.1):
                 want = _value_or_error(tree.evaluate, x, t)
-                got = _value_or_error(f.scalar, x, t)
+                got = _value_or_error(f, x, t)
                 assert (got is want if isinstance(want, type)
                         else got.hex() == want.hex()), (text, x, t)
 
@@ -314,7 +318,7 @@ def test_constant_operations_that_raise_raise_at_call_time():
                         ("(-1)^0.5 + t", ValueError)):
         f = compile_node(parse_expression(text))
         with pytest.raises(error):
-            f.scalar(0.3, 0.1)
+            f(0.3, 0.1)
         with pytest.raises(error):
             f(np.array([0.3, 0.4]), 0.1)
 
@@ -344,10 +348,10 @@ def test_compile_node_computes_shared_subtrees_once():
     second = parse_expression("sin(x^3) * (x - t)").diff().diff()
     distinct = set()
     visits = _operation_nodes(second, distinct)
-    f = compile_node(second)
-    # one local per distinct operation node, besides the arguments x and t
-    assert f.scalar.__code__.co_nlocals - 2 == len(distinct) < visits
-    assert f(0.4, 0.2) == second.evaluate(0.4, 0.2)
+    lines, _, _ = expressions.straight_line(second, "x", "t", "v")
+    # one line, and one local, per distinct operation node
+    assert len(lines) == len(distinct) < visits
+    assert compile_node(second)(0.4, 0.2) == second.evaluate(0.4, 0.2)
 
 
 @pytest.mark.parametrize("text, first, second", [
@@ -429,7 +433,7 @@ def test_folded_derivatives_keep_the_unfolded_bits(text):
         for x in (-2.5, -1.3, -1.0, -0.4, -0.0, 0.0, 0.6, 1.0, 1.7, 3.0):
             for t in (-0.7, 0.0, 0.35, 0.5, 1.1):
                 want = _value_or_error(reference.evaluate, x, t)
-                got = _value_or_error(f.scalar, x, t)
+                got = _value_or_error(f, x, t)
                 if isinstance(want, float):
                     assert _same_bits(got, want), (text, x, t)
                     # the numpy bindings of both trees
