@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,10 @@ from .expressions import (TOO_DEEP, compile_node, compile_potential,
                           parse_expression)
 from .fluctuation import (FluctuationFactor, energy_hessian_factor,
                           general_factor, short_time_factor, vvpm_factor)
-from .gelfand_yaglom import (gy_fluctuation_factor, solve_B_direct,
-                             solve_B_neumann, solve_B_time_ordered)
+from .gelfand_yaglom import (DEFAULT_N_SLICES, DEFAULT_QUAD_POINTS,
+                             DEFAULT_SERIES_ORDER, gy_fluctuation_factor,
+                             solve_B_direct, solve_B_neumann,
+                             solve_B_time_ordered)
 from .hessian import action_hessian_jacobi, frequency_matrix_along_path
 from .models import BUILTIN_TAGS, LagrangianModel, builtin_model, stacked
 
@@ -60,9 +62,9 @@ NUMERICS_DEFAULTS = {
     "n_steps": DEFAULT_N_STEPS,
     "tol": DEFAULT_TOL,
     "max_iter": DEFAULT_MAX_ITER,
-    "series_order": 8,
-    "quad_points": 64,
-    "n_slices": 2000,
+    "series_order": DEFAULT_SERIES_ORDER,
+    "quad_points": DEFAULT_QUAD_POINTS,
+    "n_slices": DEFAULT_N_SLICES,
     "gy_solver": "direct",
 }
 
@@ -302,9 +304,7 @@ def build_model(model_cfg: dict, hbar: float):
     """Instantiate a builtin from its config block.
 
     Returns the model plus the coerced parameter dict (used by the
-    closed-form dispatch, which needs the raw numbers back).  A
-    ``one_dim_potential`` whose expression has degree at most 2 in x is
-    flagged ``affine_flow``.
+    closed-form dispatch, which needs the raw numbers back).
     """
     _check_keys(model_cfg, {"tag", "params"}, "model")
     tag = model_cfg.get("tag")
@@ -315,7 +315,6 @@ def build_model(model_cfg: dict, hbar: float):
     _check_keys(params, set(BUILTIN_TAGS[tag]["params"]),
                 f"model.params for {tag!r}")
     coerced = {}
-    affine = False
     for key, value in params.items():
         if key == "potential":
             if not isinstance(value, str):
@@ -324,11 +323,6 @@ def build_model(model_cfg: dict, hbar: float):
             coerced["potential"] = v
             coerced["potential_grad"] = dv
             coerced["potential_hess"] = d2v
-            try:
-                degree = v.node.degree()
-            except RecursionError as exc:
-                raise ConfigError(TOO_DEEP) from exc
-            affine = degree is not None and degree <= 2
         elif key == "omega2" and isinstance(value, str):
             coerced[key] = _time_expression(value)
         elif key in ("mass", "stiffness") and isinstance(value, list):
@@ -347,12 +341,9 @@ def build_model(model_cfg: dict, hbar: float):
                 raise ConfigError(f"model parameter {key!r} must be a number")
             coerced[key] = float(value)
     try:
-        model = builtin_model(tag, hbar=hbar, **coerced)
+        return builtin_model(tag, hbar=hbar, **coerced), coerced
     except (ValueError, TypeError, NonSPDMass) as exc:
         raise ConfigError(f"cannot build model {tag!r}: {exc}") from exc
-    if affine:
-        model = replace(model, affine_flow=True)
-    return model, coerced
 
 
 @dataclass(frozen=True)
@@ -664,15 +655,18 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
 _SWEEP_PARAM_KEYS = {"name", "start", "stop", "count"}
 
 
-def _parse_sweep_block(cfg: dict, tag: str) -> list:
+def _parse_sweep_block(cfg: dict, scenario: Scenario) -> list:
     _check_keys(cfg, {"parameters"}, "sweep")
     parameters = cfg.get("parameters")
     if not isinstance(parameters, list) or not 1 <= len(parameters) <= 2:
         raise ConfigError("sweep.parameters must list one or two parameters")
-    # dim and potential take no float, so a sweep of them fails every row
+    # dim, potential and stiffness take no float, and an omega2 beside a
+    # stiffness builds no model, so a sweep of them fails every row
+    unsweepable = {"dim", "potential", "stiffness"} | (
+        {"omega2"} if "stiffness" in scenario.params else set())
     sweepable = {"T", "hbar"} | {
-        f"model.{p}" for p in BUILTIN_TAGS[tag]["params"]
-        if p not in ("dim", "potential")}
+        f"model.{p}" for p in BUILTIN_TAGS[scenario.tag]["params"]
+        if p not in unsweepable}
     blocks = []
     rows = 1
     for block in parameters:
@@ -702,8 +696,6 @@ def _parse_sweep_block(cfg: dict, tag: str) -> list:
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
     patched = copy.deepcopy(cfg)
-    patched.pop("sweep", None)
-    patched.pop("output", None)
     for name, value in overrides:
         if name == "T":
             patched["t_b"] = patched.get("t_a", 0.0) + value
@@ -741,7 +733,7 @@ def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
     base = copy.deepcopy(cfg)
     base.pop("sweep")
     scenario = parse_scenario(base)  # validate before running
-    sweep_params = _parse_sweep_block(cfg["sweep"], scenario.tag)
+    sweep_params = _parse_sweep_block(cfg["sweep"], scenario)
     out_path = out_path or scenario.output
 
     names = [name for name, _ in sweep_params]

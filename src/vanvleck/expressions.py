@@ -273,7 +273,6 @@ def parse_expression(text: str):
         raise ConfigError(TOO_DEEP) from exc
 
 
-_PY_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/"}
 # the functions that straight-line code calls, on Python floats
 POINT_FUNCTIONS = {"pow": math.pow, **_FUNCTIONS}
 _NUMPY_FUNCTIONS = {"pow": np.power, "sin": np.sin, "cos": np.cos,
@@ -347,8 +346,7 @@ def straight_line(node, x: str, t: str, prefix: str):
         if id(n) not in values:
             if isinstance(n, _Num):
                 literal = n
-            elif isinstance(n, _Var) or (isinstance(n, _Call)
-                                         and n.name not in _FUNCTIONS):
+            elif isinstance(n, _Var):
                 literal = None
             elif isinstance(n, _Bin):
                 left, right = fold(n.left), fold(n.right)
@@ -374,13 +372,11 @@ def straight_line(node, x: str, t: str, prefix: str):
             if isinstance(n, _Neg):
                 code = f"-{emit(n.arg)}"
             elif isinstance(n, _Call):
-                if n.name not in _FUNCTIONS:
-                    raise ValueError(f"unknown function {n.name!r}")
                 code = f"{n.name}({emit(n.arg)})"
             else:
                 left, right = emit(n.left), emit(n.right)
                 code = (f"pow({left}, {right})" if n.op == "^"
-                        else f"{left} {_PY_OPERATORS[n.op]} {right}")
+                        else f"{left} {n.op} {right}")
             name = f"{prefix}{len(names)}"
             lines.append(f"{name} = {code}")
         names[id(n)] = name
@@ -443,7 +439,7 @@ def compile_potential(text: str):
 
     The derivatives are compiled from ``diff``'s trees, without their dead
     terms (see the module docstring).  V carries its parsed tree as
-    ``node``, so a caller reads its degree without parsing the text again.
+    ``node``, so ``one_dim_potential`` reads its degree from it.
     """
     node = parse_expression(text)
     try:

@@ -39,6 +39,10 @@ from .errors import FocalPoint, SeriesDivergence
 from .fluctuation import FluctuationFactor, prefactor
 from .models import along, mass_matrix
 
+DEFAULT_SERIES_ORDER = 8
+DEFAULT_QUAD_POINTS = 64
+DEFAULT_N_SLICES = 2000
+
 
 def _omega2_sampler(omega2, t_probe: float):
     """Normalize scalar / matrix / callable frequency input to a sampler
@@ -111,8 +115,9 @@ def _collocation(t_a: float, t_b: float, q: int):
     return nodes, half * qxi, half * w
 
 
-def solve_B_neumann(omega2, t_a: float, t_b: float, order: int,
-                    quad_points: int = 64) -> np.ndarray:
+def solve_B_neumann(omega2, t_a: float, t_b: float,
+                    order: int = DEFAULT_SERIES_ORDER,
+                    quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
     """Truncated iterated-integral series for B_raw(t_b), then inversion.
 
     The m-th term is the 2m-fold nested integral of Omega2 against the
@@ -176,7 +181,7 @@ def _slice_propagators(w: np.ndarray, dt: float) -> np.ndarray:
 
 
 def solve_B_time_ordered(omega2, t_a: float, t_b: float,
-                         n_slices: int = 2000) -> np.ndarray:
+                         n_slices: int = DEFAULT_N_SLICES) -> np.ndarray:
     """Ordered product of per-slice exponentials of [[0, 1], [-Omega2, 0]].
 
     Omega2 is frozen at each slice midpoint.  The slice propagators are

@@ -114,9 +114,8 @@ class LagrangianModel:
         reads Hess V at x = 0 too, without interpolating the path.  A
         model that sets it without such equations therefore gets a wrong
         path, flow, energy Hessian and Gelfand-Yaglom frequency,
-        silently.  The builtins affine by construction set it, and
-        ``cli.build_model`` sets it on a ``one_dim_potential`` whose
-        expression has degree <= 2 in x.
+        silently.  The builtins set it: those affine by construction, and
+        ``one_dim_potential`` on an expression of degree <= 2 in x.
     label : str
         Identifier used in serialized reports.
     """
@@ -245,7 +244,7 @@ def along(fn: Callable, *arrays) -> np.ndarray:
     The arrays share their leading axis, one row per point (the positions
     (N, D) and times (N,) of a grid, or only the times for a callable of
     t).  A marked callback is called once on the whole arrays; any other
-    is called once per row, the one pointwise fallback.
+    is called once per row.
     """
     if is_stacked(fn):
         return np.asarray(fn(*arrays), dtype=float)
@@ -489,13 +488,20 @@ def one_dim_potential(
     d2V/dx2 (``expressions.compile_potential`` gives all three).  A
     callable marked ``stacked`` (the compiled expressions are) takes an
     array of positions too, and its model callback is then stacked.
+    The model is ``affine_flow`` when ``potential`` carries a tree
+    (``node``) of degree <= 2 in x; without one, or too deep, it is not.
     """
+    node = getattr(potential, "node", None)
+    try:
+        degree = None if node is None else node.degree()
+    except RecursionError:
+        degree = None
     return _constant_metric_model(
         mass_matrix(float(mass)), label, hbar,
         potential=(_first_coordinate(potential, 0),
                    _first_coordinate(potential_grad, 1),
                    _first_coordinate(potential_hess, 2)),
-        affine_flow=False)
+        affine_flow=degree is not None and degree <= 2)
 
 
 def _first_coordinate(f: Callable, ndim: int) -> Callable:

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vanvleck import (ActionHessian, LagrangianModel, dynamics,
-                      free_particle, harmonic_oscillator, magnetic_field,
-                      one_dim_potential, solve_bvp)
-from vanvleck.cli import build_model
+from vanvleck import (ActionHessian, LagrangianModel, compile_potential,
+                      dynamics, free_particle, harmonic_oscillator,
+                      magnetic_field, one_dim_potential, solve_bvp)
 from vanvleck.dynamics import el_linearization
 from vanvleck.errors import SingularMetric
 from vanvleck.hessian import flow_seed
@@ -392,9 +391,7 @@ def combined_rk4_run(model, x0, v0, t_a, t_b, n_steps, vblock0):
 
 
 def _expression_model(text):
-    model, _ = build_model(
-        {"tag": "one_dim_potential", "params": {"potential": text}}, 1.0)
-    return model
+    return one_dim_potential(*compile_potential(text))
 
 
 # models flagged affine_flow, with a boundary problem (x_a, x_b, t_b)

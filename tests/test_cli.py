@@ -648,6 +648,28 @@ def test_sweep_parameter_the_model_lacks_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: cannot sweep 'model.omega'")
 
 
+@pytest.mark.parametrize("params, name", [
+    ({"omega2": 1.0}, "model.stiffness"),
+    ({"stiffness": [[1.0]]}, "model.stiffness"),
+    ({"stiffness": [[1.0]]}, "model.omega2")],
+    ids=["matrix-on-omega2", "matrix-on-stiffness", "omega2-on-stiffness"])
+def test_sweep_name_that_builds_no_model_is_config_error(tmp_path, capsys,
+                                                         params, name):
+    # a number for a matrix, or omega2 beside a stiffness, would fail
+    # every row with "cannot build model"
+    cfg = _write(tmp_path, "unbuildable.json", {
+        "model": {"tag": "harmonic_oscillator", "params": params},
+        "x_a": [0.0], "x_b": [1.0], "t_b": 1.0, "methods": ["vvpm"],
+        "sweep": {"parameters": [
+            {"name": name, "start": 0.5, "stop": 1.0, "count": 2}]}})
+    out = tmp_path / "unbuildable.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"config error: cannot sweep {name!r}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("counts", [[10_000_000_000], [101, 100]],
                          ids=["one-huge-count", "product-over-bound"])
 def test_sweep_row_count_is_bounded(tmp_path, capsys, monkeypatch, counts):

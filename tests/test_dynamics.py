@@ -1138,11 +1138,13 @@ def _run_or_error(run, *args):
 
 
 def _potential_model(text):
-    """``one_dim_potential`` of the compiled text, never ``affine_flow``,
-    so every run takes the D = 1 path pass; None for a text whose
-    derivative does not compile (an exponent that depends on x)."""
+    """``one_dim_potential`` of the compiled text, unflagged if its degree
+    flagged it ``affine_flow``, so every run takes the D = 1 path pass;
+    None for a text whose derivative does not compile (an exponent that
+    depends on x)."""
     try:
-        return one_dim_potential(*compile_potential(text))
+        return dataclasses.replace(one_dim_potential(
+            *compile_potential(text)), affine_flow=False)
     except ConfigError:
         return None
 

@@ -30,7 +30,7 @@ from vanvleck import (
     vvpm_factor,
 )
 from vanvleck import dynamics
-from vanvleck.fluctuation import prefactor
+from vanvleck.fluctuation import fresnel_det_inv_sqrt, prefactor
 from vanvleck.hessian import ActionHessian, flow_seed, variational_blocks
 from vanvleck.models import central_hessian
 
@@ -309,6 +309,23 @@ def test_each_route_refuses_a_nonpositive_determinant(route):
 def test_prefactor_refuses_a_determinant_that_is_not_positive(det):
     with pytest.raises(CausticRegion):
         prefactor(det, 1, 1.0, "test")
+
+
+@pytest.mark.parametrize("diagonal, want", [
+    ((4.0, 9.0), 1 / 6), ((-4.0, 9.0), -1j / 6), ((-4.0, -9.0), -1 / 6)])
+def test_junction_rule_takes_minus_i_per_negative_eigenvalue(diagonal, want):
+    assert fresnel_det_inv_sqrt(np.diag(diagonal)) == pytest.approx(
+        want, abs=1e-15)
+
+
+@pytest.mark.parametrize("block, error, message", [
+    (np.diag([0.0, 9.0]), CausticRegion, "singular"),
+    (np.array([[4.0, 1.0], [0.0, 9.0]]), ValueError, "symmetric")],
+    ids=["singular", "non-symmetric"])
+def test_junction_rule_refuses_a_singular_or_non_symmetric_block(
+        block, error, message):
+    with pytest.raises(error, match=message):
+        fresnel_det_inv_sqrt(block)
 
 
 @pytest.mark.parametrize("error", [CausticRegion, FocalPoint])

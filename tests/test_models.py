@@ -72,6 +72,37 @@ def test_matrix_mass_free_particle():
         0.5 * v @ m @ v)
 
 
+@pytest.mark.parametrize("text, affine", [
+    ("0.5 * x^2", True), ("x^2 + t*x/4", True),
+    ("0.3*(1 + 0.2*sin(t))*(x - 0.5)^2", True),
+    ("0.25*x^4", False), ("0*x^4", False), ("sin(x)", False)])
+def test_library_and_cli_build_the_same_expression_model(text, affine):
+    # one_dim_potential flags a compiled expression of degree <= 2 itself,
+    # so the library's model and the CLI's take the same integrator
+    library = one_dim_potential(*compile_potential(text))
+    config = build_model({"tag": "one_dim_potential",
+                          "params": {"potential": text}}, 1.0)[0]
+    assert library.affine_flow is config.affine_flow is affine
+    paths = [solve_bvp(model, [0.0], [1.0], 0.0, 1.2, n_steps=64)
+             for model in (library, config)]
+    np.testing.assert_array_equal(paths[0].positions, paths[1].positions)
+    np.testing.assert_array_equal(paths[0].flow, paths[1].flow)
+
+
+def test_a_potential_without_a_usable_tree_is_not_affine():
+    # a callable without a tree, or one too deep for ``degree``, takes
+    # the nonlinear rule, which is correct for every potential
+    assert not make_quartic().affine_flow
+
+    class TooDeep:
+        def degree(self):
+            raise RecursionError
+
+    v, dv, d2v = compile_potential("0.5 * x^2")
+    v.node = TooDeep()
+    assert not one_dim_potential(v, dv, d2v).affine_flow
+
+
 def _default_params(tag):
     if tag == "one_dim_potential":
         v, dv, d2v = compile_potential("0.25 * x^4")

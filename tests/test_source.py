@@ -139,6 +139,35 @@ def test_no_idle_public_functions():
     assert idle_public_functions(sources) == []
 
 
+def flag_setters(sources: dict, flag: str) -> list[str]:
+    """Calls that pass the keyword ``flag``, as ``module:line``.
+
+    ``sources`` maps module names to their text.  Any call counts: a
+    constructor, a factory or ``dataclasses.replace``.
+    """
+    return [f"{module}:{node.lineno}" for module, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and any(keyword.arg == flag for keyword in node.keywords)]
+
+
+def test_the_check_sees_a_flag_setter():
+    assert flag_setters({
+        "a.py": "from dataclasses import replace\nm = f(x=1)\n"
+                "m = replace(m, x=True)\nm = f(y=1)\n",
+        "b.py": "def f(x=False):\n    return g(x=x)\n",
+    }, "x") == ["a.py:2", "a.py:3", "b.py:2"]
+
+
+def test_only_models_sets_affine_flow():
+    # the model constructors decide whether the Euler-Lagrange equations
+    # are linear; no other module sets the flag on a model
+    sources = {path.name: path.read_text()
+               for path in sorted(SOURCE.glob("*.py"))
+               if path.name != "models.py"}
+    assert flag_setters(sources, "affine_flow") == []
+
+
 def imported_and_listed(source: str) -> tuple[list[str], list[str]]:
     """The names ``source`` binds by ``from ... import``, and the names
     its ``__all__`` lists, each sorted."""
