@@ -196,6 +196,19 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
+def _writable(out_path: Optional[str]) -> Optional[str]:
+    """``out_path`` once it opens for appending, which keeps its text: an
+    unwritable path is a config error before any computation."""
+    if out_path not in (None, "-"):
+        try:
+            with open(out_path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
+    return out_path
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -431,9 +444,10 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
                 raise ConfigError("method 'analytic' needs positive normal-"
                                   "mode frequencies: omega2 > 0 or a positive "
                                   "definite stiffness")
-        if "gelfand-yaglom" in methods and tag == "magnetic_field":
-            raise ConfigError(
-                "method 'gelfand-yaglom' needs a vanishing vector potential")
+        if ("gelfand-yaglom" in methods and tag == "magnetic_field"
+                and params.get("omega", 1.0) != 0.0):
+            raise ConfigError("method 'gelfand-yaglom' needs a vanishing "
+                              "magnetic field: omega 0")
         if "energy-hessian" in methods and not model.affine_flow:
             raise ConfigError(
                 "method 'energy-hessian' needs linear Euler-Lagrange "
@@ -580,7 +594,7 @@ def run_factor(scenario: Scenario, full_grid: bool = False) -> dict:
 
 def cmd_factor(cfg: dict, out_path: Optional[str], full_grid: bool) -> int:
     scenario = parse_scenario(cfg)
-    out_path = out_path or scenario.output
+    out_path = _writable(out_path or scenario.output)
     try:
         text = dumps_canonical(run_factor(scenario, full_grid))
     except _NUMERICAL_ERRORS as exc:
@@ -601,7 +615,6 @@ _VERIFY_KEYS = {"t_mid", "thresholds"}
 def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     scenario = parse_scenario(cfg, require_methods=False,
                               extra_keys=_VERIFY_KEYS)
-    out_path = out_path or scenario.output
     if "t_mid" not in cfg:
         raise ConfigError("missing key 't_mid' in config")
     t_mid_values = cfg["t_mid"]
@@ -625,6 +638,7 @@ def cmd_verify(cfg: dict, out_path: Optional[str]) -> int:
     for key, value in (("factor", factor_tol), ("momentum", momentum_tol)):
         if not value > 0.0:
             raise ConfigError(f"thresholds.{key} must be positive")
+    out_path = _writable(out_path or scenario.output)
 
     reports = []
     try:
@@ -734,7 +748,7 @@ def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
     base.pop("sweep")
     scenario = parse_scenario(base)  # validate before running
     sweep_params = _parse_sweep_block(cfg["sweep"], scenario)
-    out_path = out_path or scenario.output
+    out_path = _writable(out_path or scenario.output)
 
     names = [name for name, _ in sweep_params]
     grids = [grid for _, grid in sweep_params]
@@ -763,6 +777,7 @@ def cmd_sweep(cfg: dict, out_path: Optional[str]) -> int:
 
 
 def cmd_models(out_path: Optional[str]) -> int:
+    out_path = _writable(out_path)
     report = {"builtins": {
         tag: {"params": dict(entry["params"])}
         for tag, entry in BUILTIN_TAGS.items()

@@ -32,8 +32,13 @@ a time, so beside its output a run holds one block.  The path pass steps
 (x, v) alone, in one emitted loop per rule over the block's steps, with
 the four RK4 stages written out, the state in Python float locals and
 the classical RK4 order of operations, so its path is the same bits as a
-numpy RK4 stepper's.  Each stage computes only the acceleration, with no
-numpy.linalg call, by one of two rules:
+numpy RK4 stepper's.  One emitter, ``_pass_lines``, writes that loop, its
+stage states and its update for both rules; a rule supplies only the
+lines of a stage and what a step pushes onto the record.  Every record
+starts each step with that step's (x, v), so the run's history is the
+first 2D floats of each step's record, whatever the rule.  Each stage
+computes only the acceleration, with no numpy.linalg call, by one of two
+rules:
 
 - D = 1 on a constant metric, with a potential_grad that carries a
   compiled expression's dV/dx tree as ``node``: (-1/g) V', with -1/g
@@ -41,8 +46,9 @@ numpy.linalg call, by one of two rules:
   floats x, v with four renamed copies of the tree's straight-line lines
   inlined (``expressions.straight_line``), so a stage makes no call; it
   is built at the model's first run and kept for its others.  Its record
-  holds five floats a step, x, v and the positions of the step's other
-  three stages, and the flow reads the stage times off the grid.
+  holds five floats a step, (x, v, x2, x3, x4): the step's state and the
+  positions of its other three stages, and the flow reads the stage
+  times off the grid.
 - Every other model, a D = 1 potential_grad without a tree (a user's
   callable, a wrapped callback) and a tree too deep to emit included:
   the general rule.  Four callbacks are read once a stage at a (D,)
@@ -50,7 +56,7 @@ numpy.linalg call, by one of two rules:
   one Gaussian elimination with partial pivoting, in straight-line lines
   per dimension (``_stage_lines``) written into the loop at each stage,
   which is emitted and compiled once per process per D.  Its record
-  holds one row a stage, (t, x, v, acc) and the metric, metric_grad and
+  holds one row a stage, (x, v, t, acc) and the metric, metric_grad and
   vector_potential_grad values, and its flow step reads them there, not
   from the callbacks again.  In D = 1 on a constant metric it gives the
   first rule's bits, (-V') (1/g), but for the sign of an exactly zero
@@ -64,7 +70,8 @@ differences.  It advances the tangent block by the composed step maps of
 that linear system, one product a block, keeping only its value at t_b.
 ``el_linearization`` is the same linearization at any points, reading
 the metric callbacks itself.  Every generated source holds names, not
-numbers, and is compiled once per text (``expressions.compiled``).
+numbers, and is compiled once per text and run by
+``expressions.run_generated``.
 
 An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
 times coarser, so most Newton iterations cost an eighth of a fine run
@@ -89,7 +96,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, SingularMetric, SingularShootingJacobian
-from .expressions import POINT_FUNCTIONS, compiled, straight_line
+from .expressions import (POINT_FUNCTIONS, indented, run_generated,
+                          straight_line)
 from .models import (FD_STEP, SINGULAR_METRIC_RTOL, LagrangianModel, along,
                      evaluate_hamiltonian, invert_metric, legendre_momentum,
                      metric_is_constant)
@@ -311,36 +319,13 @@ def _target(prefix: str, shape: tuple) -> str:
                            for i in range(shape[0])) + "]"
 
 
-def _indented(lines: list, depth: int) -> list:
-    """Generated ``lines`` indented by ``depth`` levels."""
-    return ["    " * depth + line for line in lines]
-
-
-def _exec(lines: list, filename: str, scope: dict) -> dict:
-    """The globals of the generated ``lines`` after they run in ``scope``,
-    which are all their builtins.  The text is compiled once per process
-    (``expressions.compiled``)."""
-    scope = {"__builtins__": {}, **scope}
-    exec(compiled("\n".join(lines), filename), scope)
-    return scope
-
-
-def _unpack_lines(d: int, g: str, dg: str, da: str, grad: str) -> list:
-    """Lines that unpack the nested float lists ``g``, ``dg``, ``da`` and
-    ``grad``, the texts of metric, metric_grad, vector_potential_grad and
-    potential_grad values at one point, into the general rule's locals
-    g_i_j and its elimination copy e_i_j, dg_k_i_j, da_i_j and grad_i."""
-    return [f"{_target('g', (d, d))} = {_target('e', (d, d))} = {g}",
-            f"{_target('dg', (d, d, d))} = {dg}",
-            f"{_target('da', (d, d))} = {da}",
-            f"{_target('grad', (d,))} = {grad}"]
-
-
 def _stage_lines(d: int, v: list, acc: list, fail: str) -> list:
     """The general rule at one stage in dimension d, as unindented lines:
-    from the stage's velocity, the locals named ``v``, and the locals of
-    ``_unpack_lines``, the acceleration into the locals named ``acc``,
-    with the statement ``fail`` run where g is singular.
+    from the stage's velocity, the locals named ``v``, and the values of
+    metric, metric_grad, vector_potential_grad and potential_grad, the
+    locals g_i_j and its elimination copy e_i_j, dg_k_i_j, da_i_j and
+    grad_i, the acceleration into the locals named ``acc``, with the
+    statement ``fail`` run where g is singular.
 
     The lines compute the generalized force
 
@@ -414,14 +399,6 @@ def _stage_lines(d: int, v: list, acc: list, fail: str) -> list:
     return lines
 
 
-def _row(d: int, t: str, x: list, v: list, acc: list) -> str:
-    """The text of a stage's record row, the list of the locals (t, x, v,
-    acc, g, dg, da), 1 + 3D + 2D^2 + D^3 floats, each array in C order."""
-    return "[" + ", ".join([t, *x, *v, *acc] + _names("g", (d, d))
-                           + _names("dg", (d, d, d))
-                           + _names("da", (d, d))) + "]"
-
-
 _RULE_SCOPE = {"abs": abs, "max": max, "log": math.log,
                "RTOL": SINGULAR_METRIC_RTOL,
                "LOG_RTOL": math.log(SINGULAR_METRIC_RTOL)}
@@ -436,83 +413,95 @@ def _singular(x, t) -> SingularMetric:
 # of h that takes the state to it from the stage before (none for the
 # first).  The state of stage s is y + factor * k_(s-1), k = (v, acc).
 _STAGES = (("t", None), ("tm", "half"), ("tm", "half"), ("te", "h"))
-_STAGE_TIMES = ("tm = t + half", "te = t + h")
 
 
-def _rk4_update(x: list, v: list, vs: list, accs: list) -> list:
-    """Lines of the classical RK4 update of the state locals ``x`` and
-    ``v`` from the four stages' velocities ``vs`` and accelerations
-    ``accs``: y + (h/6) (k1 + 2 k2 + 2 k3 + k4), in that order of
-    operations."""
-    def update(y, k):
-        return (f"{y} = {y} + sixth * ({k[0]} + 2.0 * {k[1]}"
-                f" + 2.0 * {k[2]} + {k[3]})")
+def _pass_lines(d: int, params: str, stage, push, timed: bool) -> list:
+    """The lines of ``path_pass(<params>, y, starts)``, the path pass in
+    dimension d of either rule.
 
-    return ([update(y, k) for y, k in zip(x, zip(*vs))]
-            + [update(y, k) for y, k in zip(v, zip(*accs))])
-
-
-@functools.cache
-def _general_pass(d: int):
-    """The general rule's path pass in dimension d, emitted and compiled
-    once per process per d: ``path_pass(h, metric, metric_grad,
-    vector_potential_grad, potential_grad, y, starts)``.
-
-    It steps the state ``y``, a list of 2D floats (x, v), by one RK4
-    step of size h from each of the start times ``starts``, with the four
-    stages written out and every value in a local.  Each stage reads the
-    four callbacks once each, in that order, at its x as a (D,) ndarray,
-    takes each value into Python floats once, runs the lines of
-    ``_stage_lines`` and pushes its row (``_row``); a singular g raises
-    SingularMetric.  The
-    stage states are y + (h/2) k and y + h k, and the step's update
-    ``_rk4_update``'s, so the path is the same bits as a numpy RK4
-    stepper's.  Returns the flat float64 record of the rows, four a step,
-    and the last state.
+    It steps ``y``, 2D floats (x, v), by one RK4 step of size ``h`` (in
+    ``params``) from each start time in ``starts``, every value in a
+    local: the stage states y + (h/2) k and y + h k and the update
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), in that order of operations, so the
+    path is the same bits as a numpy RK4 stepper's.  ``stage(s, t, x, v,
+    acc)`` gives the lines of stage s, at the time named ``t``, that
+    compute the locals named ``acc`` from the stage state's locals named
+    ``x`` and ``v``, and ``push(xs, vs)`` the lines that end a step, from
+    the names of all four stages' states.  The stage times tm and te are
+    computed only when ``timed``.  Returns the float64 record that the
+    pass's ``push`` fills, and the last state.
     """
     x0, v0 = _names("x", (d,)), _names("v", (d,))
-    body = list(_STAGE_TIMES)
+    body = ["tm = t + half", "te = t + h"] if timed else []
     xs, vs, accs = [x0], [v0], []
     for s, (t, factor) in enumerate(_STAGES, 1):
-        acc = _names(f"a{s}", (d,))
         if factor:
             xs.append(_names(f"x{s}", (d,)))
             vs.append(_names(f"v{s}", (d,)))
             body += [f"{y} = {y0} + {factor} * {k}" for y, y0, k in zip(
                 xs[-1] + vs[-1], x0 + v0, vs[-2] + accs[-1])]
-        x, v = xs[-1], vs[-1]
-        reads = [f"asarray({callback}(point, {t}), float).tolist()"
-                 for callback in ("metric", "metric_grad",
-                                  "vector_potential_grad", "potential_grad")]
-        body += [f"point = array(({', '.join(x)},))",
-                 *_unpack_lines(d, *reads),
-                 *_stage_lines(d, v, acc, f"raise singular(point, {t})"),
-                 f"push({_row(d, t, x, v, acc)})"]
-        accs.append(acc)
-    lines = ["def path_pass(h, metric, metric_grad, vector_potential_grad,"
-             " potential_grad, y, starts):",
-             f"    {', '.join(x0 + v0)} = y",
-             "    half, sixth = 0.5 * h, h / 6.0",
-             "    record = doubles('d')",
-             "    push = record.fromlist",
-             "    for t in starts:",
-             *_indented(body + _rk4_update(x0, v0, vs, accs), 2),
-             f"    return record, [{', '.join(x0 + v0)}]"]
+        accs.append(_names(f"a{s}", (d,)))
+        body += stage(s, t, xs[-1], vs[-1], accs[-1])
+    body += push(xs, vs)
+    body += [f"{y} = {y} + sixth * ({k[0]} + 2.0 * {k[1]} + 2.0 * {k[2]}"
+             f" + {k[3]})"
+             for y, k in zip(x0 + v0, [*zip(*vs), *zip(*accs)])]
+    state = ", ".join(x0 + v0)
+    return [f"def path_pass({params}, y, starts):",
+            f"    {state} = y",
+            "    half, sixth = 0.5 * h, h / 6.0",
+            "    record = doubles('d')",
+            "    push = record.fromlist",
+            "    for t in starts:",
+            *indented(body, 2),
+            f"    return record, [{state}]"]
+
+
+@functools.cache
+def _general_pass(d: int):
+    """The general rule's path pass in dimension d, emitted by
+    ``_pass_lines`` and compiled once per process per d:
+    ``path_pass(h, metric, metric_grad, vector_potential_grad,
+    potential_grad, y, starts)``.
+
+    Each stage reads the four callbacks once each, in that order, at its
+    x as a (D,) ndarray, takes each value into Python floats once, runs
+    the lines of ``_stage_lines`` and pushes its row of the record of
+    ``_general_rule``; a singular g raises SingularMetric.
+    """
+    def stage(s, t, x, v, acc):
+        row = [*x, *v, t, *acc, *_names("g", (d, d)),
+               *_names("dg", (d, d, d)), *_names("da", (d, d))]
+        g, dg, da, grad = (
+            f"asarray({callback}(point, {t}), float).tolist()"
+            for callback in ("metric", "metric_grad",
+                             "vector_potential_grad", "potential_grad"))
+        return [f"point = array(({', '.join(x)},))",
+                f"{_target('g', (d, d))} = {_target('e', (d, d))} = {g}",
+                f"{_target('dg', (d, d, d))} = {dg}",
+                f"{_target('da', (d, d))} = {da}",
+                f"{_target('grad', (d,))} = {grad}",
+                *_stage_lines(d, v, acc, f"raise singular(point, {t})"),
+                f"push([{', '.join(row)}])"]
+
+    lines = _pass_lines(d, "h, metric, metric_grad, vector_potential_grad,"
+                        " potential_grad", stage, lambda xs, vs: [], True)
     scope = {**_RULE_SCOPE, "array": np.array, "asarray": np.asarray,
              "float": float, "doubles": array.array, "singular": _singular}
-    return _exec(lines, f"<path pass, D = {d}>", scope)["path_pass"]
+    return run_generated(lines, f"<path pass, D = {d}>", scope)["path_pass"]
 
 
 def _general_rule(model: LagrangianModel, h: float):
-    """``(path_pass, step_states, jacobians)`` of one run on any model.
+    """``(path_pass, jacobians)`` of one run on any model.
 
     ``path_pass(y, starts)`` is ``_general_pass`` with the step h and the
-    model's four callbacks.  Its record, one row a step of the step's
-    four stage rows, gives ``step_states(rows)``, each step's start state
-    (x, v), and ``jacobians(rows, starts)``: ``_linearization`` on the
-    block's 4b stage rows, with the recorded t, x, v and acc and g, dg
-    and da as views of them, so it reads only potential_hess and the 2D
-    shifted stacks of ``_kinetic_force_x``, and inverts the recorded g.
+    model's four callbacks.  Its record holds one row a stage, four a
+    step, each the locals (x, v, t, acc, g, dg, da), each array in C
+    order, so a step's first row starts with its (x, v).  ``jacobians(rows, starts)`` is ``_linearization``
+    on the block's 4b stage rows, with the recorded x, v, t and acc and
+    g, dg and da as views of them, so it reads only potential_hess and
+    the 2D shifted stacks of ``_kinetic_force_x``, and inverts the
+    recorded g.
     """
     d = model.dim
     path_pass = functools.partial(
@@ -521,60 +510,40 @@ def _general_rule(model: LagrangianModel, h: float):
     at_dg = 3 * d + 1 + d * d
     at_da = at_dg + d ** 3
 
-    def step_states(rows):
-        return rows[:, 1:2 * d + 1]
-
     def jacobians(rows, starts):
         stages = rows.reshape(4 * len(rows), -1)
         return _linearization(
-            model, stages[:, 1:d + 1], stages[:, d + 1:2 * d + 1],
-            stages[:, 0], stages[:, 2 * d + 1:3 * d + 1],
+            model, stages[:, :d], stages[:, d:2 * d], stages[:, 2 * d],
+            stages[:, 2 * d + 1:3 * d + 1],
             stages[:, 3 * d + 1:at_dg].reshape(-1, d, d),
             stages[:, at_dg:at_da].reshape(-1, d, d, d),
             stages[:, at_da:].reshape(-1, d, d))
 
-    return path_pass, step_states, jacobians
+    return path_pass, jacobians
 
 
 def _emit_one_dim_pass(node):
-    """The D = 1 path pass for the dV/dx tree ``node``,
-    ``path_pass(h, neg_recip, y, starts)``.
+    """The D = 1 path pass for the dV/dx tree ``node``, emitted by
+    ``_pass_lines``: ``path_pass(h, neg_recip, y, starts)``.
 
-    It steps the two floats x, v of ``y`` by one RK4 step of size h from
-    each of the start times ``starts``, in ``_general_pass``'s order of
-    operations, with the acceleration ``neg_recip * dV/dx`` at each
-    stage: four renamed copies of ``expressions.straight_line``'s lines
-    of ``node``, its constants bound in the pass's globals.  Each step
-    pushes five floats, (x, x2, x3, x4, v): its start state and the
-    positions of its other stages, which is all that the run's history
-    and its flow step read.  Returns the flat float64 record and the
-    last state.
+    The acceleration at each stage is ``neg_recip * dV/dx``, from four
+    renamed copies of ``expressions.straight_line``'s lines of ``node``,
+    its constants bound in the pass's globals.  Each step pushes the
+    record of ``_one_dim_rule``.
     """
     constants = {}
-    body = list(_STAGE_TIMES if node.uses("t") else ())
-    xs, vs = ["x"], ["v"]
-    for s, (t, factor) in enumerate(_STAGES, 1):
-        if factor:
-            xs.append(f"x{s}")
-            vs.append(f"v{s}")
-            body += [f"x{s} = x + {factor} * {vs[-2]}",
-                     f"v{s} = v + {factor} * a{s - 1}"]
-        dv, result, named = straight_line(node, xs[-1], t, f"d{s}_")
+
+    def stage(s, t, x, v, acc):
+        dv, result, named = straight_line(node, x[0], t, f"d{s}_")
         constants.update(named)
-        body += [*dv, f"a{s} = neg_recip * {result}"]
-    body += [f"push([{', '.join(xs)}, v])",
-             *_rk4_update(["x"], ["v"], [[v] for v in vs],
-                          [[f"a{s}"] for s in range(1, 5)])]
-    lines = ["def path_pass(h, neg_recip, y, starts):",
-             "    x, v = y",
-             "    half, sixth = 0.5 * h, h / 6.0",
-             "    record = doubles('d')",
-             "    push = record.fromlist",
-             "    for t in starts:",
-             *_indented(body, 2),
-             "    return record, [x, v]"]
+        return [*dv, f"{acc[0]} = neg_recip * {result}"]
+
+    def push(xs, vs):
+        return [f"push([{', '.join(xs[0] + vs[0] + [x for x, in xs[1:]])}])"]
+
+    lines = _pass_lines(1, "h, neg_recip", stage, push, node.uses("t"))
     scope = {**POINT_FUNCTIONS, **constants, "doubles": array.array}
-    return _exec(lines, "<path pass, D = 1>", scope)["path_pass"]
+    return run_generated(lines, "<path pass, D = 1>", scope)["path_pass"]
 
 
 # the emitted D = 1 path pass, or None, of each potential_grad that lives
@@ -603,7 +572,7 @@ def _one_dim_pass(grad):
 
 
 def _one_dim_rule(model: LagrangianModel, x, t, h: float):
-    """``(path_pass, step_states, jacobians)`` of one run in D = 1 where
+    """``(path_pass, jacobians)`` of one run in D = 1 where
     ``_one_dim_pass`` emits a pass for potential_grad and the metric is
     constant (``metric_is_constant`` at (x, t)), or None.
 
@@ -611,11 +580,12 @@ def _one_dim_rule(model: LagrangianModel, x, t, h: float):
     ``neg_recip`` = -1/g from ``models.invert_metric`` once per run, so
     the general rule's bits (-V') (1/g) but for the sign of an exactly
     zero acceleration.  ``path_pass`` is the emitted pass, whose record
-    of five floats a step gives ``step_states``, each step's (x, v), and
-    ``jacobians(rows, starts)``: (-1/g) V'' and 0, with V'' one stacked
-    potential_hess read at the recorded stage positions and the stage
-    times t, t + h/2, t + h/2 and t + h of the block's start times
-    ``starts``, the path pass's own operations on them.
+    holds five floats a step, (x, v, x2, x3, x4): the step's (x, v) and
+    its other stages' positions.  ``jacobians(rows, starts)`` is
+    (-1/g) V'' and 0, with V'' one stacked potential_hess read at the
+    stage positions ``rows[:, (0, 2, 3, 4)]`` and the stage times t,
+    t + h/2, t + h/2 and t + h of the block's start times ``starts``, the
+    path pass's own operations on them.
     """
     loop = _one_dim_pass(model.potential_grad) if model.dim == 1 else None
     if loop is None or not metric_is_constant(model, x, t):
@@ -623,18 +593,15 @@ def _one_dim_rule(model: LagrangianModel, x, t, h: float):
     neg_recip = -float(invert_metric(model.metric(x, t), x, t)[0, 0])
     half = 0.5 * h
 
-    def step_states(rows):
-        return rows[:, ::4]
-
     def jacobians(rows, starts):
         tm = starts + half
         times = np.stack((starts, tm, tm, starts + h), axis=-1)
         jx = neg_recip * _read(model.potential_hess,
-                               rows[:, :4].reshape(-1, 1),
+                               rows[:, (0, 2, 3, 4)].reshape(-1, 1),
                                times.reshape(-1), (1, 1))
         return jx, np.zeros_like(jx)
 
-    return functools.partial(loop, h, neg_recip), step_states, jacobians
+    return functools.partial(loop, h, neg_recip), jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +760,11 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
     Newton's superposition reads.  Every other model runs in two passes,
     one block of STEP_MAP_BLOCK steps at a time (see the module
     docstring): the rule, ``_one_dim_rule`` where it is not None and
-    ``_general_rule`` otherwise, gives the (path pass, step states,
-    Jacobian read) triple, in one place.  The path pass starts from the
-    list ``x.tolist() + v.tolist()`` with a float h, and its record, a
-    flat float64 array, fills the block's rows of the history.  A flow
+    ``_general_rule`` otherwise, gives the pair (path pass, Jacobian
+    read), in one place.  The path pass starts from the list
+    ``x.tolist() + v.tolist()`` with a float h; its record, a flat
+    float64 array, is one row a step that starts with the step's (x, v),
+    so ``rows[:, :2D]`` fills the block's rows of the history.  A flow
     step (``_flow_step``) then advances vblock by the RK4 steps of the
     linearized system on those same stages, read from the record as a
     stack, and ``tangents`` is vblock(t_b) alone, shape (1, 2D, m).  A
@@ -817,8 +785,8 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         ys = linear_rk4(_affine_sampler(model, x, t_a), y0, times)[:, :-1]
         return times, ys[:, :, 0], ys[:, :, 1:]
     h = float(_step_size(times))
-    path_pass, step_states, jacobians = (_one_dim_rule(model, x, t_a, h)
-                                         or _general_rule(model, h))
+    path_pass, jacobians = (_one_dim_rule(model, x, t_a, h)
+                            or _general_rule(model, h))
     y = x.tolist() + v.tolist()
     starts = times[:-1]
     states = np.empty((n_steps + 1, 2 * d))
@@ -826,7 +794,7 @@ def _rk4_run(model: LagrangianModel, x0, v0, t_a: float, t_b: float,
         block = starts[k:k + STEP_MAP_BLOCK]
         record, y = path_pass(y, block.tolist())
         rows = np.frombuffer(record).reshape(len(block), -1)
-        states[k:k + len(block)] = step_states(rows)
+        states[k:k + len(block)] = rows[:, :2 * d]
         if flow and not all(map(math.isfinite, y)):
             flow, vblock = False, np.full(vblock.shape, np.nan)
         elif flow:

@@ -22,7 +22,8 @@ once per shape (``compiled``) and binds them to ``math`` and to numpy,
 behind a function marked as a stacked model callback: it evaluates one
 point on Python floats and arrays of points with numpy, and carries its
 tree as ``node``.  ``dynamics`` inlines the same lines of a compiled
-dV/dx in its D = 1 path pass.
+dV/dx in its D = 1 path pass.  ``run_generated`` runs the generated
+code of both, the one place in the package that does.
 """
 
 from __future__ import annotations
@@ -398,6 +399,20 @@ def compiled(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
+def indented(lines: list, depth: int) -> list:
+    """Generated ``lines`` indented by ``depth`` levels."""
+    return ["    " * depth + line for line in lines]
+
+
+def run_generated(lines: list, filename: str, scope: dict) -> dict:
+    """The globals of the generated ``lines`` after they run in ``scope``,
+    which are all their builtins.  The text is compiled once per process
+    (``compiled``)."""
+    scope = {"__builtins__": {}, **scope}
+    exec(compiled("\n".join(lines), filename), scope)
+    return scope
+
+
 def compile_node(node):
     """Compile an AST into one function f(x, t) equal to ``node.evaluate``.
 
@@ -406,24 +421,22 @@ def compile_node(node):
     names, ``x``, ``t`` and the whitelisted function names: no config
     text.  It is compiled once per shape (``compiled``).
 
-    The body's code is bound twice: to ``math``, where ``^`` is
-    ``math.pow`` and a division by zero raises ZeroDivisionError, and to
-    numpy.  The returned function is marked ``models.stacked``: when x or
-    t is an array it hands both bindings to ``_stacked_call``; at a point
-    (x and t numbers, not arrays) it calls the ``math`` binding on
-    ``float(x)`` and ``float(t)``, so also a numpy float t gives Python
-    float arithmetic.  Its ``node`` attribute is the tree it computes.
+    The body's code is bound twice, by ``run_generated``: to ``math``,
+    where ``^`` is ``math.pow`` and a division by zero raises
+    ZeroDivisionError, and to numpy.  The returned function is marked
+    ``models.stacked``: when x or t is an array it hands both bindings to
+    ``_stacked_call``; at a point (x and t numbers, not arrays) it calls
+    the ``math`` binding on ``float(x)`` and ``float(t)``, so also a numpy
+    float t gives Python float arithmetic.  Its ``node`` attribute is the
+    tree it computes.
     """
     lines, result, constants = straight_line(node, "x", "t", "v")
-    body = compiled("\n".join(["def f(x, t):",
-                               *(f"    {line}" for line in lines),
-                               f"    return {result}"]), "<expression>")
-    scope = {"__builtins__": {}, **POINT_FUNCTIONS, **constants}
-    array_scope = {"__builtins__": {}, **_NUMPY_FUNCTIONS,
-                   **{name: np.float64(c) for name, c in constants.items()}}
-    exec(body, scope)
-    exec(body, array_scope)
-    point, array = scope["f"], array_scope["f"]
+    source = ["def f(x, t):", *indented(lines, 1), f"    return {result}"]
+    point = run_generated(source, "<expression>",
+                          {**POINT_FUNCTIONS, **constants})["f"]
+    array = run_generated(source, "<expression>", {
+        **_NUMPY_FUNCTIONS,
+        **{name: np.float64(c) for name, c in constants.items()}})["f"]
 
     def f(x, t):
         if type(x) is np.ndarray or type(t) is np.ndarray:

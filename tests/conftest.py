@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +25,37 @@ def make_quartic(mass: float = 1.0, hbar: float = 1.0):
         hbar=hbar,
         label="quartic",
     )
+
+
+def inverse_square_oracle(g: float, m: float, x_a: float, x_b: float,
+                          duration: float, root: float = 1.0) -> dict:
+    """The exact path data of V = g / (2 x^2) in one dimension, hbar 1.
+
+    With k = g/m, x(t)^2 = (x_a + v_a t)^2 + k t^2 / x_a^2, so two paths
+    reach x_b in the time T, below the fold at T = x_a x_b / sqrt(k):
+    v_a = (root s - x_a) / T with s = sqrt(x_b^2 - k T^2 / x_a^2), the
+    direct path at ``root`` +1 and, at -1, the path that swings toward
+    the origin (Morse index 1).  Returns its ``v_a``, ``jacobian``
+    dx_b/dv_a = root T s / x_b, ``factor`` F = sqrt(m / (2 pi i
+    dx_b/dv_a)) and ``action`` S = E T - (g / sqrt(k)) [atan((2 A t + B)
+    / (2 sqrt(k)))]_0^T, with A = v_a^2 + k / x_a^2 = 2E/m and
+    B = 2 x_a v_a.
+    """
+    k = g / m
+    s = math.sqrt(x_b ** 2 - k * duration ** 2 / x_a ** 2)
+    v_a = (root * s - x_a) / duration
+    jacobian = root * duration * s / x_b
+    a, b, w = v_a ** 2 + k / x_a ** 2, 2.0 * x_a * v_a, 2.0 * math.sqrt(k)
+    swing = math.atan((2.0 * a * duration + b) / w) - math.atan(b / w)
+    return {"v_a": v_a, "jacobian": jacobian,
+            "factor": cmath.sqrt(m / (2j * math.pi * jacobian)),
+            "action": 0.5 * m * a * duration - 2.0 * g / w * swing}
+
+
+def make_inverse_square(g: float, m: float):
+    """``one_dim_potential`` of the compiled text of V = g / (2 x^2)."""
+    return one_dim_potential(*compile_potential(f"{0.5 * g!r} * x^-2"),
+                             mass=m)
 
 
 def make_polar_free_particle(mass: float = 1.0, hbar: float = 1.0):

@@ -489,6 +489,55 @@ def test_verify_midpoint_offset_is_an_unknown_key(tmp_path, capsys,
     assert not out.exists()
 
 
+def _output_args(tmp_path, command, via, out):
+    """The command line of ``command`` that writes to ``out``, named by
+    ``--out`` or by the config's ``output`` key (``via``)."""
+    if command == "models":
+        return ["models", "--out", out]
+    cfg = {"factor": _free_config(), "verify": _quartic_verify_config(),
+           "sweep": json.loads((DEMO_CONFIGS / "duration_sweep.json")
+                               .read_text())}[command]
+    if via == "output":
+        cfg["output"] = out
+    path = str(_write(tmp_path, "cfg.json", cfg))
+    return [command, "--config", path] + (["--out", out] if via == "--out"
+                                          else [])
+
+
+@pytest.mark.parametrize("command, via", [
+    ("factor", "--out"), ("factor", "output"), ("verify", "--out"),
+    ("sweep", "--out"), ("sweep", "output"), ("models", "--out")])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_a_config_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, via, target):
+    # an output path that cannot be written ends in exit 1 and one
+    # config error line, after the config is validated and before the
+    # first solve, not in a traceback after the whole computation
+    solves = []
+    monkeypatch.setattr(cli, "solve_bvp",
+                        lambda *args, **kwargs: solves.append(args))
+    out = str(tmp_path / "missing" / "report.json"
+              if target == "missing-directory" else tmp_path)
+    assert main(_output_args(tmp_path, command, via, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out!r}: ")
+    assert err.count("\n") == 1
+    assert solves == []
+
+
+@pytest.mark.parametrize("command", ["factor", "verify", "sweep", "models"])
+def test_a_writable_output_holds_the_stdout_report(tmp_path, capsys,
+                                                   command):
+    # checked before the run, a writable path still ends up holding
+    # exactly the report that "-" prints, whatever it held before
+    assert main(_output_args(tmp_path, command, "--out", "-")) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.out"
+    out.write_text("a longer stale text than any report could be\n" * 200)
+    assert main(_output_args(tmp_path, command, "--out", str(out))) == 0
+    assert out.read_text() == printed
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -1109,3 +1158,27 @@ def test_front_end_exits_are_documented(tmp_path, case):
         assert not out.exists()
     else:
         json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("omega, code", [(0.0, 0), (0.7, 1), (None, 1)],
+                         ids=["zero", "nonzero", "default"])
+def test_gelfand_yaglom_needs_only_a_zero_field(tmp_path, capsys, omega,
+                                                code):
+    # at omega 0 the vector potential vanishes and the Gelfand-Yaglom
+    # route agrees with vvpm; any other omega, the default 1 included, is
+    # refused before any computation
+    params = {"mass": 1.0, "dim": 2}
+    if omega is not None:
+        params["omega"] = omega
+    cfg = _write(tmp_path, "field.json", {
+        "model": {"tag": "magnetic_field", "params": params},
+        "x_a": [0.0, 0.0], "x_b": [1.0, 0.5], "t_b": 1.0,
+        "methods": ["vvpm", "gelfand-yaglom"]})
+    out = tmp_path / "report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert "'gelfand-yaglom'" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        deviation = json.loads(out.read_text())["pairwise_deviations"]
+        assert deviation["gelfand-yaglom|vvpm"] <= 1e-12

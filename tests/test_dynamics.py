@@ -1033,7 +1033,7 @@ def _rule_outcome(d, g, dg, da, grad, v):
         return type(exc)
     row = record.tolist()[:len(record) // 4]
     flat = np.concatenate([np.ravel(a) for a in (g, dg, da)])
-    assert row[:2 * d + 1] == [0.5, *y]
+    assert row[:2 * d + 1] == [*y, 0.5]
     assert np.array(row[3 * d + 1:]).tobytes() == flat.tobytes()
     return row[2 * d + 1:3 * d + 1]
 
@@ -1147,6 +1147,32 @@ def _potential_model(text):
             *compile_potential(text)), affine_flow=False)
     except ConfigError:
         return None
+
+
+@pytest.mark.parametrize("model, x0, v0, inlined", [
+    (_potential_model("0.5 * x^2 + 0.3 * x^4 + 0.1 * t * x"), [0.3], [0.8],
+     True),
+    (make_quartic(mass=1.7), [0.3], [0.8], False),
+    (make_polar_free_particle(mass=1.5), [1.0, 0.3], [0.4, 1.1], False),
+    (dataclasses.replace(magnetic_field(mass=1.3, omega=0.7, dim=3),
+                         affine_flow=False),
+     [0.1, 0.0, -0.2], [1.0, -0.5, 0.2], False),
+], ids=["inlined-1", "general-1", "general-2", "general-3"])
+def test_every_record_starts_each_step_with_its_state(model, x0, v0,
+                                                      inlined):
+    # the record contract of both rules: the path pass's record, read as
+    # one row a step, starts each step with that step's (x, v), bit for
+    # bit the run's history, and the pass ends at the run's last state
+    d, n = model.dim, 300
+    times, states, _ = _rk4_run(model, x0, v0, 0.1, 1.2, n, False)
+    h = float(dynamics._step_size(times))
+    rule = dynamics._one_dim_rule(model, np.array(x0), 0.1, h)
+    assert (rule is not None) == inlined
+    path_pass, _ = rule or dynamics._general_rule(model, h)
+    record, last = path_pass(x0 + v0, times[:-1].tolist())
+    rows = np.frombuffer(record).reshape(n, -1)
+    assert rows[:, :2 * d].tobytes() == states[:-1].tobytes()
+    assert np.array(last).tobytes() == states[-1].tobytes()
 
 
 @pytest.mark.parametrize("text", [text for text, _ in ACCEPTED],

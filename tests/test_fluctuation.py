@@ -29,12 +29,13 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
-from vanvleck import dynamics
+from vanvleck import dynamics, frequency_matrix_along_path
 from vanvleck.fluctuation import fresnel_det_inv_sqrt, prefactor
 from vanvleck.hessian import ActionHessian, flow_seed, variational_blocks
 from vanvleck.models import central_hessian
 
-from conftest import AFFINE_CASES, AFFINE_IDS, action_hessian_fd
+from conftest import (AFFINE_CASES, AFFINE_IDS, action_hessian_fd,
+                      inverse_square_oracle, make_inverse_square)
 
 
 def _plain_hessian(mixed):
@@ -334,3 +335,69 @@ def test_prefactor_refuses_a_non_finite_determinant(det, error):
     # an overflow, not a caustic or a focal point, whatever the route's error
     with pytest.raises(NonFiniteResult, match="not finite"):
         prefactor(det, 1, 1.0, "test", error=error)
+
+
+# (g, m, x_a, x_b, T) of direct paths of V = g / (2 x^2), each with a
+# velocity of one sign, so the dalembert reduction applies
+INVERSE_SQUARE_CASES = [(0.2, 1.0, 1.0, 1.5, 0.8), (0.5, 2.0, 0.6, 1.4, 1.0),
+                        (1.0, 0.5, 0.8, 1.6, 0.6), (2.0, 1.0, 1.2, 2.5, 1.5),
+                        (1.5, 1.5, 1.5, 0.9, 0.7), (0.8, 0.7, 2.0, 2.2, 1.2)]
+
+
+def _inverse_square_errors(case, n_steps):
+    """The relative errors of each route's F, the action and v_a on the
+    direct path of ``case`` against ``inverse_square_oracle``."""
+    g, m, x_a, x_b, duration = case
+    exact = inverse_square_oracle(*case)
+    path = solve_bvp(make_inverse_square(g, m), [x_a], [x_b], 0.0, duration,
+                     n_steps=n_steps)
+    b_dot_a = solve_B_direct(frequency_matrix_along_path(path), 0.0,
+                             duration, n_steps=n_steps)
+    factors = {
+        "vvpm": vvpm_factor(action_hessian_jacobi(path)),
+        "general": general_factor(path),
+        "gelfand-yaglom": gy_fluctuation_factor(b_dot_a, m),
+        "dalembert": one_dim_dalembert_factor(path).factor,
+    }
+    errors = {name: abs(f.value - exact["factor"]) / abs(exact["factor"])
+              for name, f in factors.items()}
+    errors["action"] = abs(path.action - exact["action"]) / abs(exact["action"])
+    errors["v_a"] = abs(path.v_a[0] - exact["v_a"]) / abs(exact["v_a"])
+    return errors
+
+
+@pytest.mark.parametrize("case", INVERSE_SQUARE_CASES)
+def test_nonlinear_routes_meet_the_inverse_square_closed_form(case):
+    # an exact oracle for the nonlinear pipeline: every route's F, the
+    # action and the initial velocity of the direct path, at 1000 steps;
+    # the dalembert reduction integrates 1/v^2 by Simpson's rule, so it
+    # is a few decades less exact than the flow routes
+    errors = _inverse_square_errors(case, 1000)
+    bounds = {"vvpm": 1e-12, "general": 1e-12, "gelfand-yaglom": 1e-12,
+              "dalembert": 1e-9, "action": 1e-10, "v_a": 1e-11}
+    assert all(errors[name] <= bound for name, bound in bounds.items()), errors
+
+
+@pytest.mark.parametrize("case", [(2.0, 1.0, 1.2, 2.5, 1.5),
+                                  (1.0, 0.5, 0.8, 1.6, 0.6)])
+def test_inverse_square_factor_error_is_fourth_order(case):
+    # four times the steps cut vvpm's error by 4^4 = 256, within the
+    # spread that roundoff and the next order leave
+    ratio = (_inverse_square_errors(case, 250)["vvpm"]
+             / _inverse_square_errors(case, 1000)["vvpm"])
+    assert 100.0 <= ratio <= 400.0
+
+
+def test_inverse_square_swinging_path_is_refused():
+    # seeded at the path that swings toward the origin, Newton converges
+    # to it, and its Morse index 1 makes det(-d2A/dx_a dx_b) negative:
+    # both determinant routes refuse it
+    g, m, x_a, x_b, duration = case = (0.5, 1.0, 1.0, 1.5, 0.8)
+    exact = inverse_square_oracle(*case, root=-1.0)
+    path = solve_bvp(make_inverse_square(g, m), [x_a], [x_b], 0.0, duration,
+                     v0_guess=[exact["v_a"]])
+    assert path.v_a[0] == pytest.approx(exact["v_a"], rel=1e-9)
+    with pytest.raises(CausticRegion):
+        vvpm_factor(action_hessian_jacobi(path))
+    with pytest.raises(CausticRegion):
+        general_factor(path)

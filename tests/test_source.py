@@ -281,3 +281,63 @@ def test_readme_names_only_what_the_package_defines():
     sources = {path.name: path.read_text()
                for path in sorted(SOURCE.glob("*.py"))}
     assert stale_readme_names(README.read_text(), sources) == []
+
+
+def exec_calls(sources: dict) -> list[str]:
+    """Calls of ``exec``, by name or as an attribute, as ``module:line``.
+
+    ``sources`` maps module names to their text.
+    """
+    return [f"{module}:{node.lineno}" for module, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and "exec" in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))]
+
+
+def test_the_check_sees_an_exec_call():
+    assert exec_calls({
+        "a.py": "exec(code, {})\ncompile(text, 'f', 'exec')\n",
+        "b.py": "import builtins\nx = 1\nbuiltins.exec(code)\n",
+    }) == ["a.py:1", "b.py:3"]
+
+
+def test_only_expressions_runs_generated_code():
+    # expressions.run_generated is the one runner of generated code, for
+    # its compiled expressions and for the path passes of dynamics alike
+    sources = {path.name: path.read_text()
+               for path in sorted(SOURCE.glob("*.py"))
+               if path.name != "expressions.py"}
+    assert exec_calls(sources) == []
+
+
+def _cells(row: str) -> int:
+    """The number of cells GitHub reads in a table row: it splits at
+    every ``|`` not escaped as ``\\|``, inside a code span too."""
+    return len(re.split(r"(?<!\\)\|", row.strip().strip("|")))
+
+
+def ragged_table_rows(text: str) -> list[int]:
+    """Line numbers of the table rows in the Markdown ``text`` whose cell
+    count differs from their table's header row (the first line of a run
+    of lines that start with ``|``).  Fenced code blocks are skipped."""
+    ragged, header, fenced = [], None, False
+    for number, line in enumerate(text.splitlines(), 1):
+        fenced ^= line.startswith("```")
+        if fenced or not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = _cells(line)
+        elif _cells(line) != header:
+            ragged.append(number)
+    return ragged
+
+
+def test_the_check_sees_a_ragged_table_row():
+    text = ("| a | b |\n| --- | --- |\n| `x|y` | z |\n| `x\\|y` | z |\n"
+            "\n| c |\n| --- |\n| d | e |\n```\n| f |\n| g | h |\n```\n")
+    assert ragged_table_rows(text) == [3, 8]
+
+
+def test_readme_table_rows_match_their_headers():
+    assert ragged_table_rows(README.read_text()) == []
