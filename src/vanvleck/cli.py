@@ -203,9 +203,9 @@ def _writable(out_path: Optional[str]) -> Optional[str]:
         try:
             with open(out_path, "a", encoding="utf-8"):
                 pass
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
+        except (OSError, ValueError) as exc:   # ValueError: a NUL byte
+            raise ConfigError(f"cannot write {out_path!r}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
     return out_path
 
 
@@ -321,7 +321,7 @@ def build_model(model_cfg: dict, hbar: float):
     """
     _check_keys(model_cfg, {"tag", "params"}, "model")
     tag = model_cfg.get("tag")
-    if tag not in BUILTIN_TAGS:
+    if not isinstance(tag, str) or tag not in BUILTIN_TAGS:
         raise ConfigError(
             f"unknown model tag {tag!r}; available: {sorted(BUILTIN_TAGS)}")
     params = model_cfg.get("params", {})
@@ -408,17 +408,21 @@ def parse_scenario(cfg: dict, require_methods: bool = True,
     if output is not None and not isinstance(output, str):
         raise ConfigError("output must be a path string")
 
+    # every command checks a given list; only verify may omit it or leave
+    # it empty, and it checks no method against the model
     methods = cfg.get("methods", [])
+    if (not isinstance(methods, list) or (require_methods and not methods)
+            or not all(isinstance(m, str) for m in methods)):
+        raise ConfigError("methods must be a nonempty list of strings"
+                          if require_methods else
+                          "methods must be a list of strings")
+    for method in methods:
+        if method not in METHOD_IDS:
+            raise ConfigError(
+                f"unknown method {method!r}; available: {METHOD_IDS}")
+        if methods.count(method) > 1:
+            raise ConfigError(f"method {method!r} is named twice")
     if require_methods:
-        if (not isinstance(methods, list) or not methods
-                or not all(isinstance(m, str) for m in methods)):
-            raise ConfigError("methods must be a nonempty list of strings")
-        for method in methods:
-            if method not in METHOD_IDS:
-                raise ConfigError(
-                    f"unknown method {method!r}; available: {METHOD_IDS}")
-            if methods.count(method) > 1:
-                raise ConfigError(f"method {method!r} is named twice")
         tag = cfg["model"]["tag"]
         if "dalembert" in methods:
             if model.dim != 1:
@@ -814,10 +818,10 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             cfg = json.load(handle, parse_constant=_reject_constant,
                             parse_float=_finite_float, parse_int=_bounded_int)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:   # ValueError: a NUL byte, not UTF-8
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg

@@ -40,12 +40,9 @@ class CompositionReport:
 
     @property
     def passed(self) -> bool:
-        return (self.momentum_mismatch <= self.thresholds["momentum_mismatch"]
-                and self.action_additivity_residual
-                <= self.thresholds["action_additivity_residual"]
-                and self.factor_residual <= self.thresholds["factor_residual"]
-                and self.jacobian_identity_residual
-                <= self.thresholds["jacobian_identity_residual"])
+        """Each residual is within its threshold, keyed by its field name."""
+        return all(getattr(self, name) <= bound
+                   for name, bound in self.thresholds.items())
 
 
 def _even_steps(fraction: float, n_steps: int) -> int:

@@ -31,8 +31,10 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +46,21 @@ _BAD_CHARACTER = re.compile(r"[^\w.+\-*/() ]", re.ASCII)
 TOO_DEEP = "expression is nested too deeply"
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": math.pow}
 
 
+# The tree's nodes.  eq=False keeps equality by identity: ``straight_line``
+# names each distinct node by ``id``, and ``diff`` shares subtrees.
+
+
+@dataclass(eq=False, slots=True)
 class _Num:
-    __slots__ = ("value",)
+    value: float
 
-    def __init__(self, value: float):
-        self.value = float(value)
+    def __post_init__(self):
+        # a float even when built from an int, for ``degree``'s is_integer
+        self.value = float(self.value)
 
     def evaluate(self, x: float, t: float) -> float:
         return self.value
@@ -65,11 +75,9 @@ class _Num:
         return 0
 
 
+@dataclass(eq=False, slots=True)
 class _Var:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+    name: str
 
     def evaluate(self, x: float, t: float) -> float:
         return x if self.name == "x" else t
@@ -84,11 +92,9 @@ class _Var:
         return 1 if self.name == "x" else 0
 
 
+@dataclass(eq=False, slots=True)
 class _Neg:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
+    arg: object
 
     def evaluate(self, x: float, t: float) -> float:
         return -self.arg.evaluate(x, t)
@@ -103,12 +109,10 @@ class _Neg:
         return self.arg.degree()
 
 
+@dataclass(eq=False, slots=True)
 class _Call:
-    __slots__ = ("name", "arg")
-
-    def __init__(self, name: str, arg):
-        self.name = name
-        self.arg = arg
+    name: str
+    arg: object
 
     def evaluate(self, x: float, t: float) -> float:
         return _FUNCTIONS[self.name](self.arg.evaluate(x, t))
@@ -130,26 +134,15 @@ class _Call:
         return None if self.arg.uses("x") else 0
 
 
+@dataclass(eq=False, slots=True)
 class _Bin:
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
+    op: str
+    left: object
+    right: object
 
     def evaluate(self, x: float, t: float) -> float:
-        a = self.left.evaluate(x, t)
-        b = self.right.evaluate(x, t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return math.pow(a, b)
+        return _ARITHMETIC[self.op](self.left.evaluate(x, t),
+                                    self.right.evaluate(x, t))
 
     def diff(self):
         if self.op in "+-":

@@ -368,7 +368,10 @@ def harmonic_oscillator(
 ) -> LagrangianModel:
     """Oscillator with V(x, t) = 1/2 x.K(t).x and constant mass matrix.
 
-    Exactly one of ``omega2`` and ``stiffness`` must be given.
+    Exactly one of ``omega2`` and ``stiffness`` must be given.  A constant
+    ``omega2`` is the constant stiffness K = omega2 M, so every constant K
+    passes one check: a symmetric (D, D) matrix, which refuses a NaN in K
+    (a NaN ``omega2``, or an infinite one where M has a zero entry).
 
     Parameters
     ----------
@@ -382,23 +385,19 @@ def harmonic_oscillator(
     d = m.shape[0]
     if (omega2 is None) == (stiffness is None):
         raise ValueError("give exactly one of omega2 and stiffness")
-    if omega2 is not None:
-        if callable(omega2):
-            scalar = _at_each_time(omega2)
+    if callable(omega2):
+        scalar = _at_each_time(omega2)
 
-            def k_of_t(t):
-                return scalar(t)[..., None, None] * m
-        else:
-            k_const = float(omega2) * m
-            k_of_t = lambda t: k_const
+        def k_of_t(t):
+            return scalar(t)[..., None, None] * m
+    elif callable(stiffness):
+        k_of_t = _at_each_time(stiffness)
     else:
-        if callable(stiffness):
-            k_of_t = _at_each_time(stiffness)
-        else:
-            k_arr = np.asarray(stiffness, dtype=float)
-            if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
-                raise ValueError("stiffness must be a symmetric (D, D) matrix")
-            k_of_t = lambda t: k_arr
+        k_arr = np.asarray(stiffness if omega2 is None else float(omega2) * m,
+                           dtype=float)
+        if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
+            raise ValueError("the stiffness K must be a symmetric (D, D) matrix")
+        k_of_t = lambda t: k_arr
     return _constant_metric_model(
         m, f"harmonic_oscillator(D={d})", hbar,
         potential=_quadratic_potential(k_of_t, d))

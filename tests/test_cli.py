@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -124,6 +125,88 @@ def test_method_named_twice_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: method 'vvpm' is named twice")
     assert not out.exists()
+
+
+def _config_error(tmp_path, capsys, argv) -> str:
+    """The one stderr line of ``main(argv)``, which must exit 1 and leave
+    ``tmp_path`` holding only the files it held before."""
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert sorted(os.listdir(tmp_path)) == before
+    return lines[0]
+
+
+@pytest.mark.parametrize("tag", [["free_particle"], {"a": 1}, [], {}, 1,
+                                 None],
+                         ids=["list", "dict", "empty-list", "empty-dict",
+                              "number", "null"])
+def test_a_model_tag_that_is_no_string_is_a_config_error(tmp_path, capsys,
+                                                         tag):
+    # an unhashable tag cannot be looked up among the builtins: it is an
+    # unknown tag like any other, not a TypeError traceback
+    cfg = _free_config()
+    cfg["model"]["tag"] = tag
+    path = str(_write(tmp_path, "tag.json", cfg))
+    line = _config_error(tmp_path, capsys, ["factor", "--config", path])
+    assert line.startswith("config error: unknown model tag ")
+
+
+@pytest.mark.parametrize("methods, message", [
+    (5, "methods must be a list of strings"),
+    (1.5, "methods must be a list of strings"),
+    (True, "methods must be a list of strings"),
+    (None, "methods must be a list of strings"),
+    ("vvpm", "methods must be a list of strings"),
+    ([1, 2], "methods must be a list of strings"),
+    (["bogus"], "unknown method 'bogus'"),
+    (["vvpm", "vvpm"], "method 'vvpm' is named twice"),
+], ids=["int", "float", "bool", "null", "string", "numbers", "unknown",
+        "twice"])
+def test_verify_checks_a_given_methods_list(tmp_path, capsys, methods,
+                                            message):
+    path = str(_write(tmp_path, "methods.json",
+                      _quartic_verify_config(methods=methods)))
+    line = _config_error(tmp_path, capsys, ["verify", "--config", path])
+    assert line.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("methods", [[], ["analytic", "dalembert"], None],
+                         ids=["empty", "unfit-for-the-model", "absent"])
+def test_verify_ignores_a_valid_methods_list(tmp_path, methods):
+    # verify runs no method: a list of known ids passes even where factor
+    # would refuse it (no closed form for an expression potential)
+    cfg = _quartic_verify_config()
+    if methods is not None:
+        cfg["methods"] = methods
+    path = str(_write(tmp_path, "methods.json", cfg))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"] is True
+
+
+def test_a_nul_byte_in_a_path_is_a_config_error(tmp_path, capsys):
+    # open raises ValueError, not OSError, on a NUL byte: exit 1 with one
+    # line and nothing written, for the config path, --out and output
+    nul = str(tmp_path / "x\x00y.json")
+    line = _config_error(tmp_path, capsys, ["factor", "--config", nul])
+    assert line == f"config error: cannot read config {nul!r}: embedded null byte"
+    cfg = json.loads((DEMO_CONFIGS / "oscillator_factor.json").read_text())
+    cfg["output"] = nul
+    path = str(_write(tmp_path, "nul.json", cfg))
+    for argv in (["factor", "--config", path],
+                 ["models", "--out", nul]):
+        line = _config_error(tmp_path, capsys, argv)
+        assert line == f"config error: cannot write {nul!r}: embedded null byte"
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "\xff"}')
+    line = _config_error(tmp_path, capsys, ["factor", "--config", str(path)])
+    assert line.startswith(f"config error: cannot read config {str(path)!r}: "
+                           "'utf-8' codec can't decode byte 0xff")
 
 
 def test_unknown_nested_keys_rejected(tmp_path):
@@ -1103,6 +1186,8 @@ _LEAF = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), st.booleans(),
                   st.sampled_from(["x^2", "t", "1/0", "a", ""]))
 _VALUE = st.recursive(
     _LEAF, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+# noise for the fields a config names by strings: a tag, methods, a path
+_NOISE = _VALUE | st.just("\x00")
 _GOOD_PARAMS = {
     "mass": st.floats(0.5, 2.0), "dim": st.integers(1, 3),
     "omega": st.floats(0.2, 1.5), "stiffness": st.floats(0.5, 2.0),
@@ -1111,6 +1196,12 @@ _GOOD_PARAMS = {
 }
 _REQUIRED_PARAMS = {"harmonic_oscillator": ["omega2"],
                     "one_dim_potential": ["potential"]}
+
+
+def _mostly(draw, good):
+    """A draw of ``good``, or of _NOISE one time in four, so that most
+    examples get past the fields it fills."""
+    return draw(draw(st.sampled_from([good, good, good, _NOISE])))
 
 
 @st.composite
@@ -1127,13 +1218,17 @@ def _fuzz_configs(draw):
                          "n_slices"]), st.integers(0, 12), max_size=2))
     numerics["n_steps"] = draw(st.sampled_from([8, 16]) | st.integers(0, 16))
     numerics["gy_solver"] = draw(st.sampled_from(cli.GY_SOLVERS))
-    cfg = {"model": {"tag": tag, "params": params},
+    methods = st.lists(st.sampled_from(cli.METHOD_IDS), min_size=1,
+                       max_size=3, unique=True)
+    cfg = {"model": {"tag": _mostly(draw, st.just(tag)), "params": params},
            "t_b": draw(st.floats(0.1, 2.0)),
-           "methods": draw(st.lists(st.sampled_from(cli.METHOD_IDS),
-                                    min_size=1, max_size=3, unique=True)),
+           "methods": _mostly(draw, methods),
            "numerics": numerics}
     if draw(st.booleans()):     # else both endpoints default to the origin
         cfg["x_a"], cfg["x_b"] = draw(point), draw(point)
+    output = _mostly(draw, st.none())   # None: the report goes to --out
+    if output is not None:
+        cfg["output"] = output
     command = draw(st.sampled_from(["factor", "verify"]))
     if command == "verify":
         cfg["t_mid"] = draw(st.floats(0.05, 1.0) | _LEAF)
@@ -1143,21 +1238,29 @@ def _fuzz_configs(draw):
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_fuzz_configs())
-def test_front_end_exits_are_documented(tmp_path, case):
+def test_front_end_exits_are_documented(tmp_path, monkeypatch, case):
     command, cfg = case
-    path = _write(tmp_path, "fuzz.json", cfg)
-    out = tmp_path / "fuzz_report.json"
-    out.unlink(missing_ok=True)
+    # a fresh directory an example, and the working one, since a relative
+    # output path writes there
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    path = _write(work, "fuzz.json", cfg)
+    argv = [command, "--config", str(path)]
+    if "output" in cfg:
+        out = cfg["output"]
+    else:
+        out = "fuzz_report.json"
+        argv += ["--out", out]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(path), "--out", str(out)])
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
-        assert not out.exists()
+        assert os.listdir(work) == ["fuzz.json"]
     else:
-        json.loads(out.read_text())
+        json.loads((work / out).read_text())
 
 
 @pytest.mark.parametrize("omega, code", [(0.0, 0), (0.7, 1), (None, 1)],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,22 @@ def test_off_path_junction_fails_its_split(quartic):
     assert (report.momentum_mismatch
             > report.thresholds["momentum_mismatch"])
     assert not report.passed
+
+
+def test_a_split_passes_by_each_of_its_thresholds():
+    # each residual is judged by the threshold its field name keys: one
+    # residual past its own bound, or not a number, fails the split
+    report = verify_composition(
+        solve_bvp(free_particle(mass=1.0, dim=1), [0.0], [1.0], 0.0, 1.0),
+        0.4)
+    assert set(report.thresholds) == {
+        "momentum_mismatch", "action_additivity_residual", "factor_residual",
+        "jacobian_identity_residual"}
+    at_bounds = dataclasses.replace(report, **report.thresholds)
+    assert report.passed and at_bounds.passed
+    for name, bound in report.thresholds.items():
+        for value in (np.nextafter(bound, np.inf), np.nan):
+            assert not dataclasses.replace(report, **{name: value}).passed
 
 
 def test_midpoint_offset_is_diagnostic_negative_control(quartic):

@@ -402,6 +402,31 @@ def test_user_callables_stay_pointwise():
     assert calls == [(5,)]
 
 
+@pytest.mark.parametrize("mass", [1.5, [[2.0, 0.5], [0.5, 1.0]]],
+                         ids=["scalar", "matrix"])
+def test_a_constant_omega2_is_the_stiffness_omega2_mass(mass):
+    # one rule for a constant K: omega2 builds K = omega2 M and passes the
+    # stiffness check, so its callbacks are those of that stiffness
+    m = mass_matrix(mass)
+    by_omega2 = harmonic_oscillator(mass=mass, omega2=0.7)
+    by_stiffness = harmonic_oscillator(mass=mass, stiffness=0.7 * m)
+    xs = np.linspace(-1.0, 1.0, 3 * len(m)).reshape(3, len(m))
+    for name in ("potential", "potential_grad", "potential_hess"):
+        np.testing.assert_array_equal(
+            along(getattr(by_omega2, name), xs, np.zeros(3)),
+            along(getattr(by_stiffness, name), xs, np.zeros(3)))
+
+
+@pytest.mark.parametrize("mass, omega2", [(1.0, np.nan),
+                                          (np.eye(2), np.inf)],
+                         ids=["nan", "inf-times-zero"])
+def test_a_constant_omega2_that_puts_nan_in_k_is_refused(mass, omega2):
+    # inf * 0 warns of the invalid value before the check refuses it
+    with pytest.raises(ValueError, match="stiffness K must be a symmetric"), \
+            np.errstate(invalid="ignore"):
+        harmonic_oscillator(mass=mass, omega2=omega2)
+
+
 def test_replaced_or_wrapped_callbacks_are_called_pointwise():
     # the marker sits on each callable: swapping one in with
     # dataclasses.replace, or wrapping a stacked one, leaves it unmarked
