@@ -822,6 +822,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     except (OSError, ValueError) as exc:   # ValueError: a NUL byte, not UTF-8
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests too deeply: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg

@@ -73,16 +73,17 @@ the metric callbacks itself.  Every generated source holds names, not
 numbers, and is compiled once per text and run by
 ``expressions.run_generated``.
 
-An unseeded solve on a fine grid first shoots on a grid COARSE_FACTOR
-times coarser, so most Newton iterations cost an eighth of a fine run
-and the fine grid takes about two runs.  The first of them takes a chord
-step with the coarse flow's shooting Jacobian, which differs from the
-fine one by O(h^4), so it makes no flow pass; the second is a Newton
-iterate with the fine grid's own flow.  The flow Phi(t_b) of the
-accepted iterate is kept on the path, so every later consumer of the
-Jacobi system reads it instead of integrating it again.  The action is
-Simpson quadrature on the grid, which matches the integrator order,
-computed the first time it is read.
+An unseeded solve seeds each grid from a solve on a grid COARSE_FACTOR
+times coarser, which is seeded the same way down to MIN_COARSE_STEPS,
+so the Newton iterations from the straight line run on the coarsest
+grid and each finer grid takes about two runs.  The first of them takes
+a chord step with the next coarser flow's shooting Jacobian, which
+differs from this grid's by O(h^4), so it makes no flow pass; the
+second is a Newton iterate with this grid's own flow.  The flow
+Phi(t_b) of the accepted iterate is kept on the path, so every later
+consumer of the Jacobi system reads it instead of integrating it again.
+The action is Simpson quadrature on the grid, which matches the
+integrator order, computed the first time it is read.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 
-# an unseeded solve on at least COARSE_FACTOR * MIN_COARSE_STEPS steps
-# first runs Newton on n_steps // COARSE_FACTOR steps
+# an unseeded solve seeds each grid of at least COARSE_FACTOR *
+# MIN_COARSE_STEPS steps from a solve on n_steps // COARSE_FACTOR steps,
+# which follows the same rule: 1000 steps solve on 14, 124, then 1000
 COARSE_FACTOR = 8
-MIN_COARSE_STEPS = 32
+MIN_COARSE_STEPS = 14
 
 # |det M| below this times scale^D marks a boundary Jacobi matrix singular
 CAUSTIC_DET_THRESHOLD = 1e-12
@@ -942,6 +944,28 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
     raise NoConvergence(max_iter, best_res)
 
 
+def _cascade(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
+             n_steps: int, tol: float, max_iter: int, coarse: bool):
+    """``_newton`` on ``n_steps`` steps from ``v0``, first seeded, when
+    ``coarse`` and the grid has at least ``COARSE_FACTOR * MIN_COARSE_STEPS``
+    steps, by this same solve on ``n_steps // COARSE_FACTOR`` steps (rounded
+    down to even).  Returns ``(traj, flow, res)``."""
+    chord = None
+    if coarse and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS:
+        try:
+            seed, seed_flow, _ = _cascade(model, x_a, x_b, t_a, t_b, v0,
+                                          n_steps // COARSE_FACTOR // 2 * 2,
+                                          tol, max_iter, True)
+        except (NoConvergence, SingularShootingJacobian, SingularMetric):
+            pass
+        else:
+            if not np.array_equal(seed.velocities[0], v0):
+                chord = seed_flow
+            v0 = seed.velocities[0]
+    return _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol, max_iter,
+                   must_step=chord)
+
+
 def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
               v0_guess=None, n_steps: int = DEFAULT_N_STEPS,
               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
@@ -953,24 +977,25 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     otherwise ``_newton`` applies its exact first correction by
     superposition and returns, and no coarse grid runs.
 
-    On any other model, without a ``v0_guess`` and with ``n_steps`` at least
-    ``COARSE_FACTOR * MIN_COARSE_STEPS``, Newton first runs from the
-    straight-line velocity on a coarse grid of ``n_steps // COARSE_FACTOR``
-    steps (rounded down to even), and the coarse answer seeds Newton on
-    the ``n_steps`` grid.  A coarse answer that moved the seed is handed
-    to ``_newton`` as ``must_step`` with its flow: the fine grid's first
-    run carries no tangent columns and takes a chord step with the coarse
-    Pxv, and Newton then runs on the fine grid, so the accepted iterate
-    is a Newton iterate of the fine endpoint map with its own flow.  When
-    the coarse phase keeps the seed, or raises NoConvergence,
-    SingularShootingJacobian or SingularMetric, the fine grid starts from
-    the straight-line velocity exactly as without a coarse phase.
+    On any other model, without a ``v0_guess``, each grid of at least
+    ``COARSE_FACTOR * MIN_COARSE_STEPS`` steps is seeded by the same solve
+    on ``n_steps // COARSE_FACTOR`` steps (rounded down to even), so the
+    default 1000 steps solve on 14, then 124, then 1000 steps, and only
+    the coarsest grid starts from the straight-line velocity.  A coarser
+    answer that moved the seed is handed to ``_newton`` as ``must_step``
+    with its flow: the finer grid's first run carries no tangent columns
+    and takes a chord step with the coarser Pxv, and Newton then runs on
+    the finer grid, so each grid's accepted iterate is a Newton iterate
+    of its own endpoint map with its own flow.  When a coarser grid keeps
+    the seed, or raises NoConvergence, SingularShootingJacobian or
+    SingularMetric, the next finer grid starts from the straight-line
+    velocity exactly as without a coarser grid.
 
     Parameters
     ----------
     v0_guess : array, optional
         Initial velocity seed; defaults to the straight-line velocity
-        (x_b - x_a) / (t_b - t_a).  A given seed skips the coarse grid.
+        (x_b - x_a) / (t_b - t_a).  A given seed skips the coarser grids.
     n_steps : int
         Even number of RK4 steps (Simpson action quadrature).
     tol : float
@@ -1000,21 +1025,9 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
 
     v0 = (np.asarray(v0_guess, dtype=float).copy() if v0_guess is not None
           else (x_b - x_a) / (t_b - t_a))
-    chord = None
-    if (not model.affine_flow and v0_guess is None
-            and n_steps >= COARSE_FACTOR * MIN_COARSE_STEPS):
-        coarse_steps = n_steps // COARSE_FACTOR // 2 * 2
-        try:
-            coarse, coarse_flow, _ = _newton(model, x_a, x_b, t_a, t_b, v0,
-                                             coarse_steps, tol, max_iter)
-        except (NoConvergence, SingularShootingJacobian, SingularMetric):
-            pass
-        else:
-            if not np.array_equal(coarse.velocities[0], v0):
-                chord = coarse_flow
-            v0 = coarse.velocities[0]
-    traj, flow, res = _newton(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
-                              max_iter, must_step=chord)
+    traj, flow, res = _cascade(model, x_a, x_b, t_a, t_b, v0, n_steps, tol,
+                               max_iter, v0_guess is None
+                               and not model.affine_flow)
 
     p_a = legendre_momentum(model, traj.positions[0], traj.velocities[0], t_a)
     p_b = legendre_momentum(model, traj.positions[-1], traj.velocities[-1], t_b)

@@ -299,12 +299,21 @@ def central_hessian(f: Callable, x, h: float, f0: float) -> np.ndarray:
 # builtins
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    """The one symmetry rule of M and K: every entry finite and
+    |m - m^T| <= 1e-12 (1 + max |m|), so a NaN fails it."""
+    scale = np.max(np.abs(m))
+    return bool(np.isfinite(scale)
+                and np.max(np.abs(m - m.T)) <= 1e-12 * (1.0 + scale))
+
+
 def mass_matrix(mass, dim: Optional[int] = None) -> np.ndarray:
     """A scalar (times the identity) or square mass as a (D, D) matrix.
 
-    The one mass rule: raises NonSPDMass unless the matrix is symmetric
-    (to 1e-12 relative to its largest entry) and positive definite, and
-    ValueError when its shape disagrees with ``dim``.
+    The one mass rule: raises NonSPDMass unless the matrix passes
+    ``_symmetric``, the rule a constant stiffness K shares, and is
+    positive definite, and ValueError when its shape disagrees with
+    ``dim``.
     """
     m = np.asarray(mass, dtype=float)
     if m.ndim == 0:
@@ -313,7 +322,7 @@ def mass_matrix(mass, dim: Optional[int] = None) -> np.ndarray:
         raise ValueError("mass must be a scalar or a square matrix")
     elif dim is not None and m.shape != (dim, dim):
         raise ValueError(f"mass matrix shape {m.shape} does not match dim={dim}")
-    if np.max(np.abs(m - m.T)) > 1e-12 * (1.0 + np.max(np.abs(m))):
+    if not _symmetric(m):
         raise NonSPDMass("mass matrix must be symmetric")
     if not np.all(np.linalg.eigvalsh(m) > 0.0):
         raise NonSPDMass("mass matrix must be positive definite")
@@ -395,7 +404,7 @@ def harmonic_oscillator(
     else:
         k_arr = np.asarray(stiffness if omega2 is None else float(omega2) * m,
                            dtype=float)
-        if k_arr.shape != (d, d) or not np.allclose(k_arr, k_arr.T, atol=1e-12):
+        if k_arr.shape != (d, d) or not _symmetric(k_arr):
             raise ValueError("the stiffness K must be a symmetric (D, D) matrix")
         k_of_t = lambda t: k_arr
     return _constant_metric_model(

@@ -209,6 +209,17 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
                            "'utf-8' codec can't decode byte 0xff")
 
 
+def test_a_config_nested_past_the_recursion_limit_is_a_config_error(
+        tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    line = _config_error(tmp_path, capsys,
+                         ["factor", "--config", str(path),
+                          "--out", str(tmp_path / "out.json")])
+    assert line.startswith(f"config error: config {str(path)!r} nests too "
+                           "deeply: maximum recursion depth exceeded")
+
+
 def test_unknown_nested_keys_rejected(tmp_path):
     bad_model = _free_config()
     bad_model["model"]["params"]["massive"] = 2.0

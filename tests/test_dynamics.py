@@ -438,6 +438,19 @@ def _cold(model, x_a, x_b, t_b, n, tol=dynamics.DEFAULT_TOL):
                      n_steps=n, tol=tol)
 
 
+def _record_newton(monkeypatch):
+    """Every ``_newton`` result, ``(traj, flow, res)``, by its step count."""
+    results = {}
+    real_newton = dynamics._newton
+
+    def recorded(*args, **kwargs):
+        results[args[6]] = real_newton(*args, **kwargs)
+        return results[args[6]]
+
+    monkeypatch.setattr(dynamics, "_newton", recorded)
+    return results
+
+
 WARM_CASES = [
     (_expression_quartic(), [0.0], [1.0], 0.8, 256),
     (make_curled_metric(), [0.2, -0.1], [0.9, 0.4], 0.7, 256),
@@ -458,12 +471,14 @@ def test_coarse_warm_start_lands_on_the_cold_path(monkeypatch, model, x_a,
     flows = []
     steps = _count_runs(monkeypatch, flows=flows)
     warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
-    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
-    assert set(steps) == {coarse, n}
-    assert steps.index(n) == len(steps) - steps.count(n)   # coarse first
-    assert steps.count(n) == 2   # the seeded run and one Newton step
-    # the seeded run steps with the coarse flow, so it carries no tangents
-    assert flows[-2:] == [False, True]
+    grids = [14, 124, 1000] if n == 1000 else [32, n]
+    assert set(steps) == set(grids)
+    assert steps == sorted(steps)   # coarsest first
+    for grid in grids[1:]:
+        # the seeded run steps with the coarser flow, so it carries no
+        # tangents; then one Newton step with this grid's own flow
+        assert [flow for step, flow in zip(steps, flows)
+                if step == grid] == [False, True]
     _assert_lands_on(warm, cold)
 
 
@@ -547,21 +562,52 @@ def _assert_same_path(a, b):
         "singular-metric"])
 def test_failed_coarse_phase_falls_back_to_the_cold_solve(monkeypatch,
                                                           failure):
-    model, x_a, x_b, t_b, n = WARM_CASES[0]
-    cold = _cold(model, x_a, x_b, t_b, n)
-    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
-    steps = _count_runs(monkeypatch, fail_at=coarse, failure=failure)
-    warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
-    assert steps[0] == coarse
-    _assert_same_path(warm, cold)
+    # each coarse grid fails in turn: the next finer grid then runs exactly
+    # the single-grid loop from the straight-line seed
+    model, x_a, x_b, t_b, _ = WARM_CASES[0]
+    for n, fail_at, cold_grid in ((256, 32, 256), (1000, 14, 124),
+                                  (1000, 124, 1000)):
+        monkeypatch.undo()
+        cold = _cold(model, x_a, x_b, t_b, cold_grid)
+        results = _record_newton(monkeypatch)
+        steps = _count_runs(monkeypatch, fail_at=fail_at, failure=failure)
+        warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+        assert fail_at in steps
+        traj, flow, res = results[cold_grid]
+        np.testing.assert_array_equal(traj.positions, cold.positions)
+        np.testing.assert_array_equal(traj.velocities, cold.velocities)
+        np.testing.assert_array_equal(flow, cold.flow)
+        assert res == cold.bvp_residual
+        if cold_grid == n:
+            _assert_same_path(warm, cold)
 
 
 def test_other_coarse_errors_propagate(monkeypatch):
-    model, x_a, x_b, t_b, n = WARM_CASES[0]
-    coarse = n // dynamics.COARSE_FACTOR // 2 * 2
-    _count_runs(monkeypatch, fail_at=coarse, failure=RuntimeError("coarse"))
-    with pytest.raises(RuntimeError):
-        solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    model, x_a, x_b, t_b, _ = WARM_CASES[0]
+    for n, fail_at in ((256, 32), (1000, 14), (1000, 124)):
+        monkeypatch.undo()
+        _count_runs(monkeypatch, fail_at=fail_at,
+                    failure=RuntimeError("coarse"))
+        with pytest.raises(RuntimeError):
+            solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+
+
+def test_a_cascade_enters_solve_bvp_once(monkeypatch):
+    # the coarser grids recurse below the public name, so a wrapper of
+    # dynamics.solve_bvp sees one call per path
+    model, x_a, x_b, t_b, _ = WARM_CASES[0]
+    calls = []
+    real_solve = dynamics.solve_bvp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_bvp", counted)
+    steps = _count_runs(monkeypatch)
+    dynamics.solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=1000)
+    assert len(calls) == 1
+    assert set(steps) == {14, 124, 1000}
 
 
 def test_unmoved_coarse_seed_keeps_the_cold_arithmetic(monkeypatch):
@@ -575,7 +621,7 @@ def test_unmoved_coarse_seed_keeps_the_cold_arithmetic(monkeypatch):
     _assert_same_path(warm, cold)
 
 
-@pytest.mark.parametrize("n", [8, 254])
+@pytest.mark.parametrize("n", [8, 110])
 def test_small_grids_run_no_coarse_phase(monkeypatch, n):
     model, x_a, x_b, t_b, _ = WARM_CASES[0]
     cold = _cold(model, x_a, x_b, t_b, n)
@@ -583,6 +629,16 @@ def test_small_grids_run_no_coarse_phase(monkeypatch, n):
     warm = solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
     assert set(steps) == {n}
     _assert_same_path(warm, cold)
+
+
+def test_smallest_grid_with_a_coarse_phase(monkeypatch):
+    model, x_a, x_b, t_b, _ = WARM_CASES[0]
+    n = dynamics.COARSE_FACTOR * dynamics.MIN_COARSE_STEPS
+    assert n == 112
+    steps = _count_runs(monkeypatch)
+    solve_bvp(model, x_a, x_b, 0.0, t_b, n_steps=n)
+    assert set(steps) == {14, n}
+    assert steps == sorted(steps)
 
 
 def test_given_seed_runs_no_coarse_phase(monkeypatch):

@@ -427,6 +427,31 @@ def test_a_constant_omega2_that_puts_nan_in_k_is_refused(mass, omega2):
         harmonic_oscillator(mass=mass, omega2=omega2)
 
 
+@pytest.mark.parametrize("params", [
+    {"mass": [[1.0, 1e-13], [0.0, 1.0]], "omega2": 1.0},
+    {"mass": [[1.0, 1e-13], [0.0, 1.0]], "omega2": 100.0},
+    {"mass": 1.0, "dim": 2, "stiffness": [[100.0, 1e-11], [0.0, 100.0]]},
+], ids=["mass-omega2-1", "mass-omega2-100", "stiffness"])
+def test_m_and_k_share_one_symmetry_rule(params):
+    # within 1e-12 (1 + max |entry|) of symmetric, M and K alike build,
+    # and each keeps its values
+    model = harmonic_oscillator(**params)
+    m = mass_matrix(params["mass"], 2)
+    k = (params["omega2"] * m if "omega2" in params
+         else np.asarray(params["stiffness"]))
+    np.testing.assert_array_equal(model.metric(np.zeros(2), 0.0), m)
+    np.testing.assert_array_equal(model.potential_hess(np.zeros(2), 0.0), k)
+
+
+@pytest.mark.parametrize("params", [
+    {"mass": 1.0, "dim": 2, "stiffness": [[1.0, 0.5], [0.0, 1.0]]},
+    {"mass": [[1.0, 1e-13], [0.0, 1.0]], "omega2": np.nan},
+], ids=["asymmetric-stiffness", "nan-omega2"])
+def test_an_asymmetric_or_nan_stiffness_is_refused(params):
+    with pytest.raises(ValueError, match="stiffness K must be a symmetric"):
+        harmonic_oscillator(**params)
+
+
 def test_replaced_or_wrapped_callbacks_are_called_pointwise():
     # the marker sits on each callable: swapping one in with
     # dataclasses.replace, or wrapping a stacked one, leaves it unmarked
