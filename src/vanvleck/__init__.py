@@ -50,8 +50,6 @@ from .expressions import compile_potential, parse_expression
 from .fluctuation import (
     FluctuationFactor,
     energy_hessian_factor,
-    fresnel_det_inv_sqrt,
-    fresnel_prefactor,
     general_factor,
     prefactor,
     short_time_factor,
@@ -120,8 +118,6 @@ __all__ = [
     "free_particle",
     "free_particle_factor",
     "frequency_matrix_along_path",
-    "fresnel_det_inv_sqrt",
-    "fresnel_prefactor",
     "general_factor",
     "gy_fluctuation_factor",
     "harmonic_constant_factor",

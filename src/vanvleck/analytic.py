@@ -49,7 +49,8 @@ def free_particle_factor(mass, duration: float, hbar: float = 1.0,
     m = mass_matrix(mass, dim)
     d = m.shape[0]
     evals, axes = np.linalg.eigh(m)
-    factor = prefactor(np.linalg.det(m) / duration**d, d, hbar,
+    sign, log_det = np.linalg.slogdet(m)
+    factor = prefactor(sign, log_det - d * np.log(duration), d, hbar,
                        "free-particle")
     action = None
     if x_a is not None and x_b is not None:
@@ -96,8 +97,9 @@ def harmonic_constant_factor(mass, omega2, duration: float, hbar: float = 1.0,
         raise FocalPoint(
             f"mode phase w*T = {worst:.6g} has reached the first focal "
             "point (pi)")
-    ratio = float(np.prod([_sine_ratio(p) for p in phases]))
-    factor = prefactor(np.linalg.det(m) / duration**d * ratio, d, hbar,
+    sign, log_det = np.linalg.slogdet(m)
+    log_det += np.sum(np.log([_sine_ratio(p) for p in phases]))
+    factor = prefactor(sign, log_det - d * np.log(duration), d, hbar,
                        "normal-mode")
     action = None
     if x_a is not None and x_b is not None:
@@ -150,8 +152,8 @@ def magnetic_factor(mass: float, omega: float, dim: int, duration: float,
             f"half-phase w*T/2 = {half:.6g} has reached the first focal "
             "point (pi)")
     multiplier = _sine_ratio(half)
-    factor = prefactor((mass / duration) ** dim * multiplier**2, dim, hbar,
-                       "uniform-field")
+    factor = prefactor(1.0, dim * np.log(mass / duration)
+                       + 2.0 * np.log(multiplier), dim, hbar, "uniform-field")
 
     # Endpoint Hessian blocks: in-plane 2x2 from the circular motion,
     # free-particle M/T on the spectator axes.
@@ -204,7 +206,8 @@ def one_dim_dalembert_factor(path: ClassicalPath) -> AnalyticResult:
             "breaks down at a turning point")
     g = along(path.model.metric, path.positions, path.times)[:, 0, 0]
     integral = simpson(1.0 / (g * v**2), path.duration / path.n_steps)
-    factor = prefactor(1.0 / (v[0] * v[-1] * integral), 1, hbar,
+    det_inv = v[0] * v[-1] * integral
+    factor = prefactor(np.sign(det_inv), -np.log(abs(det_inv)), 1, hbar,
                        "velocity-integral")
     return AnalyticResult(
         factor=factor, action=path.action,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ClassicalPath, solve_bvp, state_at
-from .fluctuation import fresnel_det_inv_sqrt, fresnel_prefactor, vvpm_factor
+from .errors import CausticRegion
+from .fluctuation import prefactor, vvpm_factor
 from .hessian import ActionHessian, action_hessian_jacobi
 
 
@@ -56,11 +57,23 @@ def compose(left: ActionHessian, right: ActionHessian, f_left: complex,
 
     With J = bb_L + aa_R, the Hessian of A_L + A_R in the junction point,
     mixed = mixed_L J^-1 mixed_R and F = F_L F_R (2 pi i hbar)^(D/2)
-    det(J)^(-1/2), with the per-eigenvalue roots of ``fresnel_det_inv_sqrt``.
+    det(J)^(-1/2): ``prefactor``'s root of sum log|lambda_i|, and -i per
+    negative eigenvalue, under which the splitting identity keeps holding
+    for backward (acausal) segments.  Raises ValueError unless J is
+    symmetric, and CausticRegion if it is singular.
     """
     junction = left.bb + right.aa
-    value = (f_left * f_right / fresnel_prefactor(left.dim, hbar)
-             * fresnel_det_inv_sqrt(junction))
+    sym = 0.5 * (junction + junction.T)
+    if not np.allclose(junction, sym,
+                       atol=1e-9 * (1.0 + np.linalg.norm(junction))):
+        raise ValueError("junction Hessian block must be symmetric")
+    evals = np.linalg.eigvalsh(sym)
+    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
+    if scale == 0.0 or np.any(np.abs(evals) < 1e-12 * scale):
+        raise CausticRegion("junction Hessian block is singular")
+    root = prefactor(1.0, float(np.sum(np.log(np.abs(evals)))), left.dim,
+                     hbar, "junction Hessian").value
+    value = f_left * f_right * (-1j) ** int(np.sum(evals < 0.0)) / root
     return left.mixed @ np.linalg.solve(junction, right.mixed), value
 
 

@@ -105,6 +105,9 @@ from .models import (FD_STEP, SINGULAR_METRIC_RTOL, LagrangianModel, along,
 
 DEFAULT_N_STEPS = 1000
 DEFAULT_TOL = 1e-10
+# Newton's tol is floored at TOL_ULPS ulps of the largest endpoint
+# coordinate, so a tol below the endpoint's roundoff still converges
+TOL_ULPS = 4
 DEFAULT_MAX_ITER = 50
 
 # an unseeded solve seeds each grid of at least COARSE_FACTOR *
@@ -918,6 +921,7 @@ def _newton(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float, v0,
     it does not depend on the trajectory, so no second run is made.
     """
     d = model.dim
+    tol = max(tol, TOL_ULPS * math.ulp(np.max(np.abs([x_a, x_b]))))
     best_res = np.inf
     chord = must_step
     for iteration in range(1, max_iter + 1):
@@ -999,7 +1003,7 @@ def solve_bvp(model: LagrangianModel, x_a, x_b, t_a: float, t_b: float,
     n_steps : int
         Even number of RK4 steps (Simpson action quadrature).
     tol : float
-        Max-norm endpoint tolerance, on each grid.
+        Max-norm endpoint tolerance, on each grid; see ``TOL_ULPS``.
     max_iter : int
         Newton iteration budget of each grid; an ``affine_flow`` model
         uses one iteration of it.

@@ -5,13 +5,13 @@ All routes compute the same object
     F = (2 pi i hbar)^(-D/2) sqrt(det mixed),
     mixed = -d2A/dx_a dx_b,
 
-they only differ in how the determinant is obtained; each hands it to
-``prefactor``.  Branch convention throughout: principal complex roots,
-i^(-1/2) = exp(-i pi / 4), so the free particle carries the phase
--D pi / 4 and every factor here has that phase exactly as long as the
-determinant is real and positive.  A determinant that is not positive
-raises instead of silently picking a branch (index counting past caustics
-is out of scope); an inf or NaN one raises NonFiniteResult.
+they only differ in how the determinant is obtained; each hands its sign
+and log|det|, as ``slogdet`` gives them, to ``prefactor``, so F overflows
+only where F itself does.  Branch convention: principal complex roots,
+i^(-1/2) = exp(-i pi / 4), so the free particle carries the phase -D pi / 4
+and every factor has that phase exactly as long as the determinant is
+positive.  A determinant that is not positive raises instead of picking a
+branch (index counting past caustics is out of scope).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .models import (LagrangianModel, central_hessian, evaluate_hamiltonian,
                      legendre_momentum)
 
 BRANCH_NOTE_PRINCIPAL = "principal roots, free-particle phase anchor -D*pi/4"
+
+LOG_HUGE = float(np.log(np.finfo(float).max))   # above it, e^x overflows
 
 
 @dataclass(frozen=True)
@@ -64,42 +66,31 @@ class FluctuationFactor:
         }
 
 
-def fresnel_prefactor(dim: int, hbar: float) -> complex:
-    """(2 pi i hbar)^(-D/2) with the principal branch of i^(-1/2)."""
-    return (2.0 * np.pi * hbar) ** (-0.5 * dim) * np.exp(-0.25j * np.pi * dim)
+def _det_text(sign: float, log_det: float) -> str:
+    """sign e^log_det as ``{:.3e}`` where that is a double, else as e^x."""
+    if math.isinf(log_det) or not abs(log_det) > LOG_HUGE:
+        return f"{sign * math.exp(log_det):.3e}"
+    return f"{'-' if sign < 0 else ''}e^{log_det:.6g}"
 
 
-def fresnel_det_inv_sqrt(mat: np.ndarray) -> complex:
-    """det(mat)^(-1/2) as a product of per-eigenvalue principal roots.
-
-    For a symmetric real matrix each negative eigenvalue contributes a
-    factor -i / sqrt(|lambda|), the convention under which the splitting
-    identity keeps holding for backward (acausal) segments.
-    """
-    mat = np.asarray(mat, dtype=float)
-    sym = 0.5 * (mat + mat.T)
-    if not np.allclose(mat, sym, atol=1e-9 * (1.0 + np.linalg.norm(mat))):
-        raise ValueError("junction Hessian block must be symmetric")
-    evals = np.linalg.eigvalsh(sym)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if scale == 0.0 or np.any(np.abs(evals) < 1e-12 * scale):
-        raise CausticRegion("junction Hessian block is singular")
-    return complex(np.prod(1.0 / np.sqrt(evals.astype(complex))))
-
-
-def prefactor(det: float, dim: int, hbar: float, what: str,
+def prefactor(sign: float, log_det: float, dim: int, hbar: float, what: str,
               error: type = CausticRegion) -> FluctuationFactor:
     """F = (2 pi i hbar)^(-D/2) sqrt(det), the rule of every route.
 
-    Raises NonFiniteResult for an inf or NaN ``det`` (an overflow, not a
-    caustic), then ``error`` unless ``det > 0``.
+    ``(sign, log_det)`` is det as ``numpy.linalg.slogdet`` gives it, and
+    |F| = exp((log_det - D log(2 pi hbar)) / 2).  Raises NonFiniteResult
+    for a NaN ``log_det`` or an |F| that overflows (not a caustic), then
+    ``error`` unless ``sign > 0``.
     """
-    det = float(det)
-    if not math.isfinite(det):
-        raise NonFiniteResult(f"{what} determinant is {det}, not finite")
-    if not det > 0.0:
-        raise error(f"{what} determinant is {det:.3e}, not positive")
-    return FluctuationFactor(value=fresnel_prefactor(dim, hbar) * np.sqrt(det))
+    log_mag = 0.5 * (log_det - dim * math.log(2.0 * math.pi * hbar))
+    if math.isnan(log_mag) or log_mag > LOG_HUGE:
+        raise NonFiniteResult(
+            f"{what} determinant is {_det_text(sign, log_det)}, not finite")
+    if not sign > 0.0:
+        raise error(
+            f"{what} determinant is {_det_text(sign, log_det)}, not positive")
+    return FluctuationFactor(
+        value=math.exp(log_mag) * np.exp(-0.25j * np.pi * dim))
 
 
 def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
@@ -107,7 +98,8 @@ def vvpm_factor(hess: ActionHessian, hbar: float = 1.0) -> FluctuationFactor:
 
     Raises CausticRegion when the determinant is not positive.
     """
-    return prefactor(np.linalg.det(hess.mixed), hess.dim, hbar, "Van Vleck")
+    return prefactor(*np.linalg.slogdet(hess.mixed), hess.dim, hbar,
+                     "Van Vleck")
 
 
 def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
@@ -116,8 +108,9 @@ def short_time_factor(model: LagrangianModel, x_a, t_a: float, dt: float
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     g = np.asarray(model.metric(np.asarray(x_a, float), t_a), dtype=float)
-    return prefactor(np.linalg.det(g / dt), model.dim, model.hbar,
-                     "short-time metric")
+    sign, log_det = np.linalg.slogdet(g)
+    return prefactor(sign, log_det - model.dim * math.log(dt), model.dim,
+                     model.hbar, "short-time metric")
 
 
 def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
@@ -138,11 +131,11 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
     0.05 * max(1, |x_b - x_a|): no truncation error, and roundoff is
     suppressed far below tolerance.
 
-    det(g) det(d2E/dx_b dx_b) = det(mixed)^2, so its root is |det mixed|;
-    the sign of det mixed = det(g) / det(dx_b/dv_a) is read off the stored
-    flow.  ``prefactor`` gets that signed determinant, so a caustic raises
-    CausticRegion, and ``variational_blocks`` raises ConjugatePoint at
-    conjugate endpoints, as on the ``vvpm`` and ``general`` routes.
+    det(g) det(d2E/dx_b dx_b) = det(mixed)^2, so log|det mixed| is the mean
+    of log|det g| and log|det E''|; its sign, det(g) / det(dx_b/dv_a) read
+    off the stored flow times |sign det E''|, refuses a singular E'' and a
+    caustic with CausticRegion, and ``variational_blocks`` raises
+    ConjugatePoint at conjugate endpoints, as on ``vvpm`` and ``general``.
     """
     model = path.model
     if not model.affine_flow:
@@ -159,10 +152,10 @@ def energy_hessian_factor(path: ClassicalPath) -> FluctuationFactor:
             model, x_a, legendre_momentum(model, x_a, v_a, t_a), t_a)
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
-    det_g = np.linalg.det(model.metric(x_a, t_a))
-    det = np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
-                      det_g * np.linalg.det(pxv))
-    return prefactor(det, model.dim, model.hbar,
+    sign_g, log_g = np.linalg.slogdet(model.metric(x_a, t_a))
+    sign_e, log_e = np.linalg.slogdet(ehess)
+    return prefactor(sign_g * np.linalg.slogdet(pxv)[0] * abs(sign_e),
+                     0.5 * (log_g + log_e), model.dim, model.hbar,
                      "signed metric times endpoint energy Hessian")
 
 
@@ -177,6 +170,7 @@ def general_factor(path: ClassicalPath) -> FluctuationFactor:
     """
     model = path.model
     _, pxv, _, _ = variational_blocks(path)
-    g_a = np.asarray(model.metric(path.x_a, path.t_a), dtype=float)
-    return prefactor(np.linalg.det(g_a) / np.linalg.det(pxv),
-                     model.dim, model.hbar, "initial velocity gradient")
+    sign_g, log_g = np.linalg.slogdet(model.metric(path.x_a, path.t_a))
+    sign_p, log_p = np.linalg.slogdet(pxv)
+    return prefactor(sign_g * sign_p, log_g - log_p, model.dim, model.hbar,
+                     "initial velocity gradient")

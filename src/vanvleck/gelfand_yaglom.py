@@ -207,10 +207,10 @@ def gy_fluctuation_factor(b_dot_a: np.ndarray, mass_metric,
                           hbar: float = 1.0) -> FluctuationFactor:
     """F = sqrt(det M) / (2 pi i hbar T)^(D/2) * sqrt(det(T Bdot(t_a))).
 
-    T^D cancels, so this is ``prefactor`` of det(M Bdot(t_a)).  Raises
-    FocalPoint unless that is positive (a focal time lies inside the
+    T^D cancels, so this is ``prefactor`` of slogdet(M Bdot(t_a)).  Raises
+    FocalPoint unless its sign is positive (a focal time lies inside the
     interval), and NonSPDMass unless the mass passes ``models.mass_matrix``.
     """
     d = b_dot_a.shape[0]
-    return prefactor(np.linalg.det(mass_matrix(mass_metric, d) @ b_dot_a),
+    return prefactor(*np.linalg.slogdet(mass_matrix(mass_metric, d) @ b_dot_a),
                      d, hbar, "M Bdot(t_a)", error=FocalPoint)

@@ -68,6 +68,24 @@ def test_factor_free_particle(tmp_path):
     assert report["path"]["energy_a"] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_factor_on_a_heavy_magnetic_field(tmp_path):
+    # (m / T)^D overflows a double; F = (m / 2 pi T)^(3/2) (wT/2) / sin(wT/2)
+    # does not, and analytic and vvpm both give it
+    cfg = _write(tmp_path, "heavy.json", {
+        "model": {"tag": "magnetic_field",
+                  "params": {"mass": 1e200, "omega": 1.0, "dim": 3}},
+        "x_a": [0.0, 0.0, 0.0], "x_b": [0.1, 0.2, 0.3], "t_b": 0.5,
+        "methods": ["analytic", "vvpm"]})
+    out = tmp_path / "heavy_report.json"
+    assert main(["factor", "--config", str(cfg), "--out", str(out)]) == 0
+    factors = json.loads(out.read_text())["factors"]
+    closed = (1e200 / (2 * np.pi * 0.5)) ** 1.5 * 0.25 / np.sin(0.25)
+    for method in ("analytic", "vvpm"):
+        assert factors[method]["magnitude"] == pytest.approx(closed, rel=1e-12)
+        assert factors[method]["phase"] == pytest.approx(-0.75 * np.pi,
+                                                         abs=1e-15)
+
+
 def test_factor_all_methods_close(tmp_path):
     cfg = _write(tmp_path, "all.json", _free_config(
         methods=["vvpm", "analytic", "general", "energy-hessian",

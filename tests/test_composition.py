@@ -10,7 +10,6 @@ from vanvleck import (
     action_hessian_jacobi,
     compose,
     free_particle,
-    fresnel_prefactor,
     harmonic_oscillator,
     magnetic_field,
     solve_bvp,
@@ -216,7 +215,8 @@ def _mode_mixed_and_diag(tau, mass, omega):
 
 
 def _mode_factor(tau, masses, omegas, hbar):
-    value = fresnel_prefactor(len(omegas), hbar)
+    d = len(omegas)
+    value = (2.0 * np.pi * hbar) ** (-0.5 * d) * np.exp(-0.25j * np.pi * d)
     for mass, omega in zip(masses, omegas):
         z, _ = _mode_mixed_and_diag(tau, mass, omega)
         value *= 1j * np.sqrt(-z) if z < 0.0 else np.sqrt(z)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,8 +30,8 @@ from vanvleck import (
     solve_bvp,
     vvpm_factor,
 )
-from vanvleck import dynamics, frequency_matrix_along_path
-from vanvleck.fluctuation import fresnel_det_inv_sqrt, prefactor
+from vanvleck import compose, dynamics, frequency_matrix_along_path
+from vanvleck.fluctuation import prefactor
 from vanvleck.hessian import ActionHessian, flow_seed, variational_blocks
 from vanvleck.models import central_hessian
 
@@ -158,10 +159,10 @@ def _resolved_energy_hessian_factor(path):
                          n_steps=path.n_steps, tol=1e-13).energy_a
 
     ehess = central_hessian(energy, path.x_b, h, path.energy_a)
-    det_g = np.linalg.det(model.metric(path.x_a, path.t_a))
-    det_pxv = np.linalg.det(variational_blocks(path)[1])
-    return prefactor(np.copysign(np.sqrt(abs(det_g * np.linalg.det(ehess))),
-                                 det_g * det_pxv),
+    sign_g, log_g = np.linalg.slogdet(model.metric(path.x_a, path.t_a))
+    sign_e, log_e = np.linalg.slogdet(ehess)
+    sign_pxv = np.linalg.slogdet(variational_blocks(path)[1])[0]
+    return prefactor(sign_g * sign_pxv * abs(sign_e), 0.5 * (log_g + log_e),
                      model.dim, model.hbar, "energy").value
 
 
@@ -306,17 +307,32 @@ def test_each_route_refuses_a_nonpositive_determinant(route):
         call()
 
 
-@pytest.mark.parametrize("det", [0.0, -1.0])
-def test_prefactor_refuses_a_determinant_that_is_not_positive(det):
-    with pytest.raises(CausticRegion):
-        prefactor(det, 1, 1.0, "test")
+# (sign, log|det|) pairs as numpy.linalg.slogdet gives them, keyed by det
+@pytest.mark.parametrize("sign, log_det, message", [
+    (0.0, -np.inf, "0.000e+00"), (-1.0, 0.0, "-1.000e+00"),
+    (-1.0, -1000.0, "-e^-1000")], ids=["0.0", "-1.0", "-e^-1000"])
+def test_prefactor_refuses_a_determinant_that_is_not_positive(
+        sign, log_det, message):
+    with pytest.raises(CausticRegion, match=re.escape(
+            f"determinant is {message}, not positive")):
+        prefactor(sign, log_det, 1, 1.0, "test")
+
+
+def _junction(block):
+    """``compose`` of two segments whose junction Hessian is ``block``,
+    with F_L F_R = (2 pi i)^(-D/2), so the joined F is det(block)^(-1/2)."""
+    d = len(block)
+    zero, eye = np.zeros((d, d)), np.eye(d)
+    left = ActionHessian(mixed=eye, aa=zero, bb=np.asarray(block, float))
+    right = ActionHessian(mixed=eye, aa=zero, bb=zero)
+    fresnel = (2.0 * np.pi) ** (-0.5 * d) * np.exp(-0.25j * np.pi * d)
+    return compose(left, right, fresnel, 1.0, 1.0)[1]
 
 
 @pytest.mark.parametrize("diagonal, want", [
     ((4.0, 9.0), 1 / 6), ((-4.0, 9.0), -1j / 6), ((-4.0, -9.0), -1 / 6)])
 def test_junction_rule_takes_minus_i_per_negative_eigenvalue(diagonal, want):
-    assert fresnel_det_inv_sqrt(np.diag(diagonal)) == pytest.approx(
-        want, abs=1e-15)
+    assert _junction(np.diag(diagonal)) == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("block, error, message", [
@@ -326,15 +342,35 @@ def test_junction_rule_takes_minus_i_per_negative_eigenvalue(diagonal, want):
 def test_junction_rule_refuses_a_singular_or_non_symmetric_block(
         block, error, message):
     with pytest.raises(error, match=message):
-        fresnel_det_inv_sqrt(block)
+        _junction(block)
+
+
+def test_junction_rule_joins_factors_beyond_the_double_range():
+    # det J = 1e-600 and F_L F_R = 1e-300: F = 1e0, though det J underflows
+    eye = np.eye(3)
+    left = ActionHessian(mixed=eye, aa=eye, bb=np.full(3, 0.5e-200) * eye)
+    right = ActionHessian(mixed=eye, aa=np.full(3, 0.5e-200) * eye, bb=eye)
+    fresnel = (2.0 * np.pi) ** -1.5 * np.exp(-0.75j * np.pi)
+    value = compose(left, right, 1e-300 * fresnel, 1.0, 1.0)[1]
+    assert value == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("error", [CausticRegion, FocalPoint])
-@pytest.mark.parametrize("det", [float("nan"), float("inf"), -float("inf")])
-def test_prefactor_refuses_a_non_finite_determinant(det, error):
+@pytest.mark.parametrize("sign, log_det", [
+    (np.nan, np.nan), (1.0, np.inf), (-1.0, np.inf), (-1.0, 1500.0)],
+    ids=["nan", "inf", "-inf", "-e^1500"])
+def test_prefactor_refuses_a_non_finite_determinant(sign, log_det, error):
     # an overflow, not a caustic or a focal point, whatever the route's error
     with pytest.raises(NonFiniteResult, match="not finite"):
-        prefactor(det, 1, 1.0, "test", error=error)
+        prefactor(sign, log_det, 1, 1.0, "test", error=error)
+
+
+def test_prefactor_forms_its_root_in_logarithms():
+    # det = e^1400 overflows a double, F = e^700 / sqrt(2 pi) does not
+    value = prefactor(1.0, 1400.0, 1, 1.0, "test").value
+    assert abs(value) == pytest.approx(np.exp(700.0) / np.sqrt(2 * np.pi),
+                                       rel=1e-13)
+    assert np.angle(value) == pytest.approx(-np.pi / 4, abs=1e-15)
 
 
 # (g, m, x_a, x_b, T) of direct paths of V = g / (2 x^2), each with a
